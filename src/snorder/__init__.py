@@ -56,4 +56,15 @@ from .snrepr import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "SnorderError", "Matrix",
+    "Majorization", "TTransform", "gds_check", "gds_from_transforms", "majorize_check",
+    "t_transform_apply", "t_transform_decompose",
+    "OracleFunction", "PolynomialFunction", "derivative_order_kappa", "eta", "f_jordan_block",
+    "gdod_f_g", "gdod_two_blocks", "named_oracle", "poly", "repr_of_fx", "split_block",
+    "dominance_check", "gdod", "gdod_vector", "merge_desc",
+    "OrderOutcome", "TotalComplex", "approx", "cmp_total", "div_preserves_order", "exact",
+    "mul_preserves_order", "product_nonneg", "recip_cmp", "sort_desc",
+    "JordanSpec", "SNOVerdict", "SNRepresentation", "assemble", "canonical_repr",
+    "compare_nilpotent", "compare_sno", "repr_from_matrix",
+]

@@ -38,7 +38,7 @@ from .schur import (
     sum_of_squares,
 )
 from .serialization import InputFormatError
-from .snrepr import canonical_repr, compare_sno
+from .snrepr import canonical_repr, compare_sno, repr_from_matrix
 
 _FUNCS = {"sum_sq": sum_of_squares, "neg_sum_sq": negative_sum_of_squares}
 
@@ -93,8 +93,6 @@ def cmd_repr(args):
             raise InputFormatError("--matrix requires --eigenvalues")
         m = ser.matrix_from_json(_load(args.matrix, "matrix"), args.backend)
         eigs = ser.vector_from_json(_load(args.eigenvalues, "vector"), args.backend)
-        from .snrepr import repr_from_matrix
-
         rep = repr_from_matrix(m, eigs)
     else:
         if not args.spec:
@@ -125,8 +123,12 @@ def cmd_gdod(args):
 
 
 def cmd_schur(args):
-    factory = _FUNCS[args.func]
-    f = factory(args.n)
+    if args.n < 1:
+        raise InputFormatError(f"--n must be at least 1, got {args.n}")
+    for name in ("trials", "samples"):
+        if getattr(args, name) < 0:
+            raise InputFormatError(f"--{name} must be nonnegative, got {getattr(args, name)}")
+    f = _FUNCS[args.func](args.n)
     box = (
         ser.domain_box_from_json(_load(args.box, "domain_box"))
         if args.box

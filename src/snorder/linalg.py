@@ -1,9 +1,10 @@
 """Small dense matrices over total-order complex scalars.
 
-Exact matrices hold Fraction-backed scalars; rank is computed by
-fraction-free (Bareiss) elimination over Gaussian integers after clearing
-denominators.  Float matrices go through numpy SVD with an explicit
-singular-value gap check.
+Exact matrices hold Fraction-backed scalars.  Exact kernels work on rows of
+(re, im) Python-int pairs: ``gaussian_int_rows`` clears a matrix's
+denominators once, after which products and fraction-free (Bareiss) ranks
+need no Fraction arithmetic.  Float matrices go through numpy SVD with an
+explicit singular-value gap check.
 """
 
 from __future__ import annotations
@@ -123,9 +124,6 @@ class Matrix:
     def conj_transpose(self) -> "Matrix":
         return Matrix(tuple(tuple(a.conjugate() for a in col) for col in zip(*self.rows)))
 
-    def transpose(self) -> "Matrix":
-        return Matrix(tuple(zip(*self.rows)))
-
     # -- solves -----------------------------------------------------------
 
     def inverse(self) -> "Matrix":
@@ -190,37 +188,38 @@ def _cdiv_exact(num, den):
     return (qr, qi)
 
 
-def _gaussian_int_rows(mat: Matrix):
-    """Clear denominators row-wise; rank is invariant under row scaling."""
-    out = []
-    for row in mat.rows:
-        dens = [a.re.denominator for a in row] + [a.im.denominator for a in row]
-        mul = lcm(*dens) if dens else 1
-        out.append([(int(a.re * mul), int(a.im * mul)) for a in row])
-    return out
+def gaussian_int_rows(mat: Matrix):
+    """(rows, mul): mat scaled by mul, the lcm of all its entry denominators,
+    as rows of (re, im) Gaussian-integer pairs.  Scaling by a nonzero
+    constant changes no rank, of mat or of its powers."""
+    mul = lcm(*(d for row in mat.rows for a in row for d in (a.re.denominator, a.im.denominator)))
+    rows = [
+        [(a.re.numerator * (mul // a.re.denominator), a.im.numerator * (mul // a.im.denominator))
+         for a in row]
+        for row in mat.rows
+    ]
+    return rows, mul
 
 
 def gaussian_int_matmul(a, b):
-    """Product of two square matrices of (re, im) Gaussian-integer pairs."""
+    """Product of two square matrices of (re, im) Gaussian-integer pairs.
+    Zero entries of a are skipped: structure recovery multiplies sparse,
+    block-diagonal powers."""
     n = len(a)
     out = []
-    for i in range(n):
-        ai = a[i]
-        row = []
-        for j in range(n):
-            sr = si = 0
-            for k in range(n):
-                xr, xi = ai[k]
-                yr, yi = b[k][j]
-                sr += xr * yr - xi * yi
-                si += xr * yi + xi * yr
-            row.append((sr, si))
-        out.append(row)
+    for ai in a:
+        sr, si = [0] * n, [0] * n
+        for (xr, xi), bk in zip(ai, b):
+            if xr or xi:
+                for j, (yr, yi) in enumerate(bk):
+                    sr[j] += xr * yr - xi * yi
+                    si[j] += xr * yi + xi * yr
+        out.append(list(zip(sr, si)))
     return out
 
 
 def rank_exact(mat: Matrix) -> int:
-    return rank_gaussian_int_rows(_gaussian_int_rows(mat))
+    return rank_gaussian_int_rows(gaussian_int_rows(mat)[0])
 
 
 def rank_gaussian_int_rows(rows) -> int:

@@ -25,10 +25,10 @@ from .errors import (
     KappaNotFound,
     OutsideAnalyticityRadius,
 )
-from .linalg import Matrix, block_diag, rank_exact
+from .linalg import Matrix, block_diag
 from .partitions import Partition, as_partition, dominance_check, merge_desc, prefix
 from .scalar import EXACT, FLOAT, OrderOutcome, TotalComplex, approx, cmp_total, exact
-from .snrepr import SNRepresentation
+from .snrepr import SNRepresentation, repr_from_matrix
 
 DERIVATIVE_EPS = 1e-10
 
@@ -55,17 +55,34 @@ class PolynomialFunction:
         return len(self.coefficients) - 1
 
     def derivative_value(self, lam: TotalComplex, order: int = 0) -> TotalComplex:
-        """f^(order)(lam), via falling-factorial weights on coefficients."""
+        """f^(order)(lam), via falling-factorial weights on coefficients.
+
+        At exact points, Horner's rule runs on Gaussian integers: with
+        lam = (lr + i li) / d and D the lcm of the coefficient denominators,
+        the sum after term k is kept scaled by D d^(degree - k), and only
+        the result is divided back and wrapped."""
+        if lam.backend == EXACT:
+            coeffs = self.coefficients[order:]
+            if any(c.backend != EXACT for c in coeffs):
+                raise TypeError("float coefficients cannot evaluate at exact points")
+            d = math.lcm(lam.re.denominator, lam.im.denominator)
+            lr, li = int(lam.re * d), int(lam.im * d)
+            big_d = math.lcm(*(x.denominator for c in coeffs for x in (c.re, c.im)))
+            den = big_d * d ** max(self.degree - order, 0)
+            ar = ai = 0
+            for k in range(self.degree, order - 1, -1):
+                c = self.coefficients[k]
+                w = math.perm(k, order) * big_d * d ** (self.degree - k)
+                ar, ai = (ar * lr - ai * li + w * c.re.numerator // c.re.denominator,
+                          ar * li + ai * lr + w * c.im.numerator // c.im.denominator)
+            return TotalComplex(Fraction(ar, den), Fraction(ai, den))
         acc = TotalComplex.zero(lam.backend, lam.eps)
         power = None  # lam^(k - order), built incrementally
         for k, c in enumerate(self.coefficients):
             if k < order:
                 continue
             if c.backend != lam.backend:
-                if lam.backend == FLOAT:
-                    c = c.to_float_backend(lam.eps)
-                else:
-                    raise TypeError("float coefficients cannot evaluate at exact points")
+                c = c.to_float_backend(lam.eps)
             w = math.perm(k, order)
             power = _one_like(lam) if power is None else power * lam
             term = c * power
@@ -228,24 +245,8 @@ def rank_oracle_split(n: int, kappa: int) -> Partition:
     if kappa >= n:
         return tuple([1] * n)
     coeffs = [exact(0)] * kappa + [exact(1)] * (n - kappa)
-    f = PolynomialFunction(tuple(coeffs))
-    m = f_jordan_block(f, exact(0), n)
-    counts = []
-    r_prev = n
-    power = Matrix.identity(n)
-    while True:
-        power = power @ m
-        r = rank_exact(power)
-        c = r_prev - r
-        if c == 0:
-            break
-        counts.append(c)
-        r_prev = r
-    sizes = []
-    counts.append(0)
-    for s in range(len(counts) - 1, 0, -1):
-        sizes.extend([s] * (counts[s - 1] - counts[s]))
-    return tuple(sorted(sizes, reverse=True))
+    m = f_jordan_block(PolynomialFunction(tuple(coeffs)), exact(0), n)
+    return repr_from_matrix(m, [exact(0)]).partitions[0]
 
 
 def gdod_two_blocks(n1: int, n2: int, kappa: int, j: int) -> int:
@@ -337,11 +338,14 @@ def repr_of_fx(f: FunctionDescriptor, rx: SNRepresentation):
 
 def f_of_jordan_spec(f: FunctionDescriptor, rx: SNRepresentation) -> Matrix:
     """Explicit block-diagonal f(direct sum of Jordan blocks): the matrix
-    oracle for repr_of_fx."""
+    oracle for repr_of_fx.  f(J_n(lambda)) is upper triangular Toeplitz, so
+    each smaller block at lambda is a leading principal sub-block of the
+    largest, which is built once per eigenvalue."""
     blocks = []
     for lam, part in zip(rx.eigenvalues, rx.partitions):
-        for size in part:
-            blocks.append(f_jordan_block(f, lam, size))
+        if part:
+            rows = f_jordan_block(f, lam, max(part)).rows
+            blocks.extend(Matrix(tuple(row[:size] for row in rows[:size])) for size in part)
     return block_diag(blocks)
 
 

@@ -45,7 +45,7 @@ from .scalar import (
     sort_desc,
 )
 from .schur import MajorizationCert, _pointwise_monotonicity, majorization_preserving_check
-from .snrepr import SNOVerdict, SNRepresentation, compare_sno
+from .snrepr import SNOVerdict, SNRepresentation, compare_sno, repr_from_matrix
 
 HP_TOL = 1e-8
 
@@ -120,8 +120,6 @@ def closed_form_eigenvalues(m: Matrix) -> tuple:
 
 
 def repr_from_accessible(m: Matrix) -> SNRepresentation:
-    from .snrepr import repr_from_matrix
-
     return repr_from_matrix(m, closed_form_eigenvalues(m))
 
 
@@ -287,8 +285,6 @@ def convexity_check(
             lhs = f.eval_matrix(mix)
             lhs_eigs = tuple(f(lam) for lam in closed_form_eigenvalues(mix))
             rhs = f.eval_matrix(a).scale(t) + f.eval_matrix(b).scale(comp)
-            from .snrepr import repr_from_matrix
-
             rep_l = repr_from_matrix(lhs, lhs_eigs)
             rep_r = repr_from_matrix(rhs, closed_form_eigenvalues(rhs))
             verdict = compare_sno(rep_l, rep_r)
@@ -432,8 +428,6 @@ def hp_item_checks(
         return (p @ xs[0] @ p) + (q @ xs[1] @ q)
 
     def _compare_with_rhs(fn, arg, rhs):
-        from .snrepr import repr_from_matrix
-
         lhs = fn.eval_matrix(arg)
         rep_l = repr_from_matrix(lhs, tuple(fn(lam) for lam in closed_form_eigenvalues(arg)))
         rep_r = repr_from_accessible(rhs)

@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import BackendMismatch, DivisionByZero, OrderPreconditionFailed
 
@@ -170,11 +170,6 @@ def from_complex(z: complex, eps: float = DEFAULT_EPS) -> TotalComplex:
     return approx(z.real, z.imag, eps)
 
 
-ZERO = exact(0)
-ONE = exact(1)
-I_UNIT = exact(0, 1)
-
-
 def cmp_total(a: TotalComplex, b: TotalComplex) -> OrderOutcome:
     """Lexicographic comparison: real parts first, imaginary tie-break."""
     eps = a._peer(b)
@@ -187,14 +182,6 @@ def cmp_total(a: TotalComplex, b: TotalComplex) -> OrderOutcome:
 def sort_desc(values: Iterable[TotalComplex]) -> tuple:
     """Stable non-increasing sort under the total order."""
     return tuple(sorted(values, key=cmp_to_key(lambda a, b: cmp_total(b, a).value)))
-
-
-def vmax(values: Sequence[TotalComplex]) -> TotalComplex:
-    return sort_desc(values)[0]
-
-
-def vmin(values: Sequence[TotalComplex]) -> TotalComplex:
-    return sort_desc(values)[-1]
 
 
 def _require_not_greater(z1: TotalComplex, z2: TotalComplex) -> OrderOutcome:

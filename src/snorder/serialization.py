@@ -96,15 +96,6 @@ def partition_from_json(obj) -> tuple:
         raise InputFormatError(str(err))
 
 
-def jordan_spec_to_json(rep: SNRepresentation) -> dict:
-    return {
-        "blocks": [
-            {"eigenvalue": scalar_to_json(lam), "sizes": list(part)}
-            for lam, part in zip(rep.eigenvalues, rep.partitions)
-        ]
-    }
-
-
 def jordan_spec_from_json(obj, backend: str) -> JordanSpec:
     if not isinstance(obj, dict) or "blocks" not in obj:
         raise InputFormatError("spec must be an object with a 'blocks' array")

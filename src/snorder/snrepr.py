@@ -5,6 +5,8 @@ A representation stores the distinct eigenvalues (strictly decreasing under
 the complex total order) together with one Jordan block-size partition per
 eigenvalue.  Eigenvalues are caller-supplied throughout: structure recovery
 only needs ranks of powers of (X - lambda*I), never a general eigensolver.
+On exact matrices it clears denominators once per matrix and forms each
+shift, its powers and their ranks on Gaussian integers.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ import enum
 from dataclasses import dataclass
 from functools import cmp_to_key
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
+    BackendMismatch,
     DimensionMismatch,
     EmptySpec,
     SpectrumMismatch,
@@ -24,8 +27,8 @@ from .linalg import (
     Matrix,
     block_diag,
     gaussian_int_matmul,
-    rank_exact,
-    rank_float,
+    gaussian_int_rows,
+    rank,
     rank_gaussian_int_rows,
 )
 from .majorization import Majorization, majorize_check
@@ -126,12 +129,6 @@ def assemble(spec: JordanSpec, u: Matrix) -> Matrix:
     return u @ j @ u.inverse()
 
 
-def _rank(mat: Matrix) -> int:
-    if mat.backend == EXACT:
-        return rank_exact(mat)
-    return rank_float(mat.to_numpy())
-
-
 def _dedupe_eigenvalues(eigenvalues: Sequence[TotalComplex]) -> list:
     out = []
     for lam in eigenvalues:
@@ -140,68 +137,79 @@ def _dedupe_eigenvalues(eigenvalues: Sequence[TotalComplex]) -> list:
     return out
 
 
-def _clear_denominators(mat: Matrix):
-    """Scale an exact matrix by the lcm of all entry denominators, returning
-    rows of (re, im) Gaussian-integer pairs.  Ranks of powers are unchanged."""
-    dens = [
-        d
-        for row in mat.rows
-        for a in row
-        for d in (a.re.denominator, a.im.denominator)
-    ]
-    mul = lcm(*dens)
-    return [[(int(a.re * mul), int(a.im * mul)) for a in row] for row in mat.rows]
+def block_sizes_from_ranks(ranks: Iterable[int], m: int) -> Partition:
+    """Jordan block sizes at one eigenvalue of an m x m matrix X, read off
+    the ranks of (X - lambda I)^s for s = 1, 2, ...: the number of blocks of
+    size >= s is rank((X - lambda I)^(s-1)) - rank((X - lambda I)^s).
+    Consumes ranks only until they stop falling."""
+    counts = []  # counts[s-1] = number of blocks of size >= s
+    r_prev = m
+    for r in ranks:
+        c = r_prev - r
+        if c == 0:
+            break
+        counts.append(c)
+        r_prev = r
+        if len(counts) > m:
+            raise SpectrumMismatch("rank sequence failed to stabilize")
+    counts.append(0)
+    return tuple(
+        s for s in range(len(counts) - 1, 0, -1) for _ in range(counts[s - 1] - counts[s])
+    )
+
+
+def _exact_shift_ranks(x_int, mul: int, lam: TotalComplex):
+    """Ranks of the powers of X - lambda I, given X_int = mul * X.  With k the
+    lcm of mul and lambda's denominators, the shift k (X - lambda I) is
+    (k / mul) X_int less k lambda on the diagonal: Gaussian integers only."""
+    k = lcm(mul, lam.re.denominator, lam.im.denominator)
+    a = k // mul
+    lam_re, lam_im = int(lam.re * k), int(lam.im * k)
+    shift = [[(a * re, a * im) for re, im in row] for row in x_int]
+    for i, row in enumerate(shift):
+        re, im = row[i]
+        row[i] = (re - lam_re, im - lam_im)
+    power = shift
+    while True:
+        yield rank_gaussian_int_rows([list(row) for row in power])
+        power = gaussian_int_matmul(power, shift)
+
+
+def _float_shift_ranks(x: Matrix, lam: TotalComplex):
+    """Ranks of the powers of X - lambda I by SVD."""
+    ident = Matrix.identity(x.shape[0], x.backend, x.rows[0][0].eps)
+    shift = x - ident.scale(lam)
+    power = ident
+    while True:
+        power = power @ shift
+        yield rank(power)
 
 
 def repr_from_matrix(x: Matrix, eigenvalues: Sequence[TotalComplex]) -> SNRepresentation:
     """Recover the SN representation from ranks of powers of (X - lambda*I).
 
-    The number of Jordan blocks of size >= s equals
-    rank((X - lambda I)^(s-1)) - rank((X - lambda I)^s).
-    Raises SpectrumMismatch when the supplied eigenvalues do not exhaust the
+    Exact matrices have their denominators cleared once per call; each
+    shift and its powers are then Gaussian-integer matrices.  Raises
+    SpectrumMismatch when the supplied eigenvalues do not exhaust the
     dimension of x.
     """
     if not x.is_square:
         raise DimensionMismatch("square matrix required")
     m = x.shape[0]
+    if x.backend == EXACT:
+        x_int, mul = gaussian_int_rows(x)
     blocks = []
-    covered = 0
     for lam in _dedupe_eigenvalues(eigenvalues):
-        shift = x - Matrix.identity(m, x.backend, x.rows[0][0].eps).scale(lam)
-        counts = []  # counts[s-1] = number of blocks of size >= s
-        r_prev = m
+        if lam.backend != x.backend:
+            raise BackendMismatch(f"{x.backend} matrix vs {lam.backend} eigenvalue")
         if x.backend == EXACT:
-            # powers in raw Gaussian-integer arithmetic: rescaling by the
-            # common denominator leaves every rank unchanged
-            shift_int = _clear_denominators(shift)
-            power_int = [
-                [(int(i == j), 0) for j in range(m)] for i in range(m)
-            ]
+            ranks = _exact_shift_ranks(x_int, mul, lam)
         else:
-            power = Matrix.identity(m, x.backend, x.rows[0][0].eps)
-        while True:
-            if x.backend == EXACT:
-                power_int = gaussian_int_matmul(power_int, shift_int)
-                r = rank_gaussian_int_rows([list(row) for row in power_int])
-            else:
-                power = power @ shift
-                r = _rank(power)
-            c = r_prev - r
-            if c == 0:
-                break
-            counts.append(c)
-            r_prev = r
-            if len(counts) > m:
-                raise SpectrumMismatch("rank sequence failed to stabilize")
-        if not counts:
-            continue
-        sizes = []
-        counts.append(0)
-        for s in range(len(counts) - 1, 0, -1):
-            sizes.extend([s] * (counts[s - 1] - counts[s]))
-        part = tuple(sorted(sizes, reverse=True))
-        covered += sum(part)
-        blocks.append((lam, part))
+            ranks = _float_shift_ranks(x, lam)
+        part = block_sizes_from_ranks(ranks, m)
+        if part:
+            blocks.append((lam, part))
+    covered = sum(sum(part) for _, part in blocks)
     if covered != m:
         raise SpectrumMismatch(
             f"eigenvalues account for dimension {covered} of {m}"

@@ -1,5 +1,10 @@
 import json
 
+import types
+
+import pytest
+
+import snorder
 from snorder.cli import main
 
 
@@ -109,6 +114,25 @@ def test_schur_subcommand(capsys):
     assert out["counterexample"] is not None
 
 
+@pytest.mark.parametrize("argv", [
+    ["--n", "0"], ["--n", "-2"], ["--trials", "-1"], ["--samples", "-1"],
+])
+def test_schur_rejects_bad_sizes(capsys, argv):
+    code = main(["schur", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_schur_accepts_zero_trials_and_samples(capsys):
+    code, out = run(capsys, ["schur", "--n", "1", "--trials", "0", "--samples", "0"])
+    assert code == 0
+    assert out["criterion_cases"] == 0
+    assert out["counterexample"] is None
+
+
 def test_convexity_subcommand(tmp_path, capsys):
     f = {"polynomial": {"coefficients": [sc("0"), sc("0"), sc("1")]}}
     a = {"rows": [[sc("0"), sc("0")], [sc("0"), sc("2")]]}
@@ -170,3 +194,9 @@ def test_output_file(tmp_path, capsys):
     code = main(["--output", str(out_path), "gdod", p, p])
     assert code == 0
     assert json.loads(out_path.read_text())["dominated"] is True
+
+
+def test_package_exports_names_not_submodules():
+    assert len(set(snorder.__all__)) == len(snorder.__all__)
+    for name in snorder.__all__:
+        assert not isinstance(getattr(snorder, name), types.ModuleType), name

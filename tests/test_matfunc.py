@@ -1,3 +1,7 @@
+import math
+import random
+from fractions import Fraction
+
 import pytest
 
 from snorder import (
@@ -20,6 +24,7 @@ from snorder.errors import (
     KappaNotFound,
     OutsideAnalyticityRadius,
 )
+from snorder.linalg import block_diag
 from snorder.matfunc import (
     OracleFunction,
     eta,
@@ -38,6 +43,53 @@ def test_polynomial_evaluation_and_derivatives():
     assert f.derivative_value(lam, 2).to_complex() == 12
     assert f.derivative_value(lam, 3).to_complex() == 6
     assert f.derivative_value(lam, 4).is_zero()
+
+
+def _falling_factorial_sum(coeffs, lam, order):
+    """sum over k >= order of k!/(k - order)! c_k lam^(k - order)."""
+    acc = exact(0)
+    for k, c in enumerate(coeffs):
+        if k >= order:
+            term = c
+            for _ in range(k - order):
+                term = term * lam
+            acc = acc + term.scale_rational(math.perm(k, order))
+    return acc
+
+
+def _gaussian_rational(rng):
+    return exact(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                 Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_exact_derivative_value_matches_falling_factorial_sum(seed):
+    rng = random.Random(seed)
+    f = poly([_gaussian_rational(rng) for _ in range(rng.randint(1, 6))])
+    lam = _gaussian_rational(rng)
+    for order in range(f.degree + 2):
+        v = f.derivative_value(lam, order)
+        expected = _falling_factorial_sum(f.coefficients, lam, order)
+        assert (v.backend, v.re, v.im) == (expected.backend, expected.re, expected.im)
+
+
+@pytest.mark.parametrize("f", [
+    poly([0, 0, 1]),
+    poly([-1, 3, -3, 1]),
+    poly([exact(Fraction(1, 2), 1), 0, exact(0, Fraction(-1, 3)), 1]),
+])
+def test_f_of_jordan_spec_is_block_diag_of_per_size_blocks(f):
+    rx = canonical_repr(JordanSpec.of(
+        (exact(0), (3, 2, 2, 1)),
+        (exact(1), (2,)),
+        (exact(Fraction(1, 2), -1), (1, 1)),
+    ))
+    expected = block_diag([
+        f_jordan_block(f, lam, size)
+        for lam, part in zip(rx.eigenvalues, rx.partitions)
+        for size in part
+    ])
+    assert f_of_jordan_spec(f, rx) == expected
 
 
 def test_f_jordan_block_is_toeplitz_in_derivatives():

@@ -16,13 +16,14 @@ from snorder import (
     repr_from_matrix,
 )
 from snorder.errors import (
+    BackendMismatch,
     DimensionMismatch,
     EmptySpec,
     RankAmbiguous,
     SingularTransform,
     SpectrumMismatch,
 )
-from snorder.linalg import rank_exact, rank_float
+from snorder.linalg import gaussian_int_matmul, rank_exact, rank_float
 from snorder.snrepr import jordan_matrix
 
 
@@ -56,6 +57,23 @@ def test_rank_exact_known_values():
     assert rank_exact(n) == 1
 
 
+def _sparse_gaussian_int_rows(rng, n):
+    return [[(rng.choice([0, 0, rng.randint(-4, 4)]), rng.choice([0, rng.randint(-4, 4)]))
+             for _ in range(n)] for _ in range(n)]
+
+
+def _as_matrix(rows):
+    return Matrix.from_rows([[exact(re, im) for re, im in row] for row in rows])
+
+
+def test_gaussian_int_matmul_matches_matrix_product():
+    rng = random.Random(3)
+    for n in range(1, 7):
+        a, b = _sparse_gaussian_int_rows(rng, n), _sparse_gaussian_int_rows(rng, n)
+        product = _as_matrix(a) @ _as_matrix(b)
+        assert gaussian_int_matmul(a, b) == [[(z.re, z.im) for z in row] for row in product.rows]
+
+
 def test_rank_float_gap_check():
     a = np.diag([1.0, 1e-3, 1e-12])
     assert rank_float(a) == 2
@@ -87,10 +105,76 @@ def test_repr_from_matrix_under_similarity():
     assert rep == canonical_repr(spec)
 
 
+RATIONAL_EIGENVALUES = (
+    exact(Fraction(1, 3), Fraction(1, 2)),
+    exact(Fraction(1, 3), Fraction(-1, 2)),
+    exact(Fraction(-2, 5)),
+    exact(0, Fraction(3, 4)),
+    exact(Fraction(5, 6), Fraction(1, 4)),
+)
+
+
+def _rational_spec(rng, max_dim=6):
+    while True:
+        lams = rng.sample(RATIONAL_EIGENVALUES, rng.randint(1, 3))
+        spec = JordanSpec.of(*(
+            (lam, sorted((rng.randint(1, 3) for _ in range(rng.randint(1, 2))), reverse=True))
+            for lam in lams
+        ))
+        if spec.dimension <= max_dim:
+            return spec, lams
+
+
+def _rational_transform(rng, n):
+    while True:
+        u = Matrix.from_rows([
+            [exact(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                   Fraction(rng.randint(-1, 1), rng.randint(1, 2))) for _ in range(n)]
+            for _ in range(n)
+        ])
+        if rank_exact(u) == n:
+            return u
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_repr_from_matrix_rational_eigenvalues(seed):
+    rng = random.Random(seed)
+    spec, lams = _rational_spec(rng)
+    x = assemble(spec, _rational_transform(rng, spec.dimension))
+    expected = canonical_repr(spec)
+    assert repr_from_matrix(x, lams) == expected
+    # permuted, duplicated (as distinct equal objects) and padded with a
+    # value that is not an eigenvalue: the verdict must not change
+    shuffled = list(lams)
+    rng.shuffle(shuffled)
+    assert repr_from_matrix(x, shuffled) == expected
+    duplicated = shuffled + [exact(lam.re, lam.im) for lam in lams]
+    rng.shuffle(duplicated)
+    assert repr_from_matrix(x, duplicated) == expected
+    others = [lam for lam in RATIONAL_EIGENVALUES if lam not in lams]
+    assert repr_from_matrix(x, [others[0]] + shuffled) == expected
+
+
+def test_repr_from_matrix_rational_eigenvalue_missing():
+    lam = exact(Fraction(1, 3), Fraction(1, 2))
+    spec = JordanSpec.of((lam, (2,)), (exact(Fraction(-2, 5)), (1,)))
+    x = assemble(spec, _rational_transform(random.Random(1), spec.dimension))
+    with pytest.raises(SpectrumMismatch):
+        repr_from_matrix(x, [lam])
+
+
 def test_repr_from_matrix_spectrum_mismatch():
     j = jordan_matrix(JordanSpec.of((exact(0), (2,)), (exact(1), (1,))))
     with pytest.raises(SpectrumMismatch):
         repr_from_matrix(j, [exact(0)])
+
+
+def test_repr_from_matrix_backend_mismatch():
+    from snorder import approx
+
+    j = jordan_matrix(JordanSpec.of((exact(1), (2,))))
+    with pytest.raises(BackendMismatch):
+        repr_from_matrix(j, [approx(1.0)])
 
 
 def test_assemble_rejects_singular_transform():
