@@ -14,8 +14,6 @@ import random
 import sys
 from fractions import Fraction
 
-import jsonschema
-
 from . import serialization as ser
 from .errors import SnorderError
 from .majorization import (
@@ -50,6 +48,8 @@ def _load(path: str, schema: str | None = None):
     except (OSError, json.JSONDecodeError) as err:
         raise InputFormatError(f"{path}: {err}")
     if schema is not None:
+        import jsonschema
+
         try:
             ser.make_validator(schema).validate(doc)
         except jsonschema.ValidationError as err:
@@ -158,13 +158,16 @@ def cmd_schur(args):
 
 
 def cmd_convexity(args):
-    f = ser.function_from_json(_load(args.function, "function"), args.backend)
-    a = ser.matrix_from_json(_load(args.a, "matrix"), args.backend)
-    b = ser.matrix_from_json(_load(args.b, "matrix"), args.backend)
     try:
         ts = [Fraction(t) for t in args.t.split(",")]
     except (ValueError, ZeroDivisionError) as err:
         raise InputFormatError(f"bad -t list {args.t!r}: {err}")
+    bad = [str(t) for t in ts if not 0 <= t <= 1]
+    if bad:
+        raise InputFormatError(f"-t weights must lie in [0, 1], got {', '.join(bad)}")
+    f = ser.function_from_json(_load(args.function, "function"), args.backend)
+    a = ser.matrix_from_json(_load(args.a, "matrix"), args.backend)
+    b = ser.matrix_from_json(_load(args.b, "matrix"), args.backend)
     report = convexity_check(f, a, b, ts)
     _emit(
         {
@@ -259,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("function")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("-t", default="1/4,1/2,3/4", help="comma-separated rational weights")
+    p.add_argument("-t", default="1/4,1/2,3/4", help="comma-separated rational weights in [0, 1]")
     p.set_defaults(fn=cmd_convexity)
 
     p = sub.add_parser("monotone", help="monotonicity certificate plus direct verification")

@@ -4,19 +4,21 @@ Exact matrices hold Fraction-backed scalars.  Exact kernels work on rows of
 (re, im) Python-int pairs: ``gaussian_int_rows`` clears a matrix's
 denominators once, after which products and fraction-free (Bareiss) ranks
 need no Fraction arithmetic.  Float matrices go through numpy SVD with an
-explicit singular-value gap check.
+explicit singular-value gap check; numpy is imported by the float helpers
+only, so exact work never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DimensionMismatch, RankAmbiguous, SingularTransform
 from .scalar import EXACT, DEFAULT_EPS, TotalComplex, approx, exact
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SVD_TOL = 1e-8
 SVD_GAP = 10.0
@@ -50,6 +52,8 @@ class Matrix:
 
     @staticmethod
     def from_numpy(a: np.ndarray, eps: float = DEFAULT_EPS) -> "Matrix":
+        import numpy as np
+
         return Matrix.from_rows(
             [[approx(float(z.real), float(z.imag), eps) for z in row] for row in np.atleast_2d(a)]
         )
@@ -149,12 +153,13 @@ class Matrix:
     # -- conversions --------------------------------------------------------
 
     def to_numpy(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[a.to_complex() for a in row] for row in self.rows], dtype=complex)
 
-    def map(self, fn: Callable[[TotalComplex], TotalComplex]) -> "Matrix":
-        return Matrix(tuple(tuple(fn(a) for a in row) for row in self.rows))
-
     def frobenius_norm(self) -> float:
+        import numpy as np
+
         return float(np.linalg.norm(self.to_numpy()))
 
 
@@ -256,6 +261,8 @@ def rank_gaussian_int_rows(rows) -> int:
 
 def rank_float(a: np.ndarray, tol: float = SVD_TOL, gap: float = SVD_GAP) -> int:
     """SVD rank with threshold tol * sigma_max and an explicit gap check."""
+    import numpy as np
+
     s = np.linalg.svd(np.atleast_2d(a), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
@@ -277,4 +284,6 @@ def rank(mat: Matrix) -> int:
 
 
 def spectral_norm(a: np.ndarray) -> float:
+    import numpy as np
+
     return float(np.linalg.norm(a, 2))

@@ -15,9 +15,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import (
     ContractionViolated,
@@ -46,6 +44,9 @@ from .scalar import (
 )
 from .schur import MajorizationCert, _pointwise_monotonicity, majorization_preserving_check
 from .snrepr import SNOVerdict, SNRepresentation, compare_sno, repr_from_matrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 HP_TOL = 1e-8
 
@@ -302,6 +303,8 @@ def convexity_check(
 
 
 def _psd_sqrt(h: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     w, v = np.linalg.eigh((h + h.conj().T) / 2)
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
@@ -315,6 +318,8 @@ def hp_identities_check(c: np.ndarray, x: np.ndarray, t: float) -> dict:
     defect commutation C (I - C*C)^{1/2} = (I - CC*)^{1/2} C, and of the
     block expansions of W_i^* diag(X, X) W_i.
     """
+    import numpy as np
+
     c = np.asarray(c, dtype=complex)
     x = np.asarray(x, dtype=complex)
     n = c.shape[0]
@@ -461,6 +466,8 @@ def hp_item_checks(
 def stacked_assembly_residual(xs: Sequence[Matrix], cs: Sequence[Matrix]) -> float:
     """Frobenius distance between sum C_i* X_i C_i and the explicit stacked
     column / block-diagonal assembly of the same expression."""
+    import numpy as np
+
     cbar = np.vstack([c.to_numpy() for c in cs])
     xbb = block_diag(xs).to_numpy()
     direct = None

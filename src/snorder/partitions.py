@@ -10,8 +10,6 @@ from .errors import NotDominated
 
 Partition = tuple
 
-EMPTY: Partition = ()
-
 
 def as_partition(parts: Iterable[int]) -> Partition:
     p = tuple(int(v) for v in parts)
@@ -20,10 +18,6 @@ def as_partition(parts: Iterable[int]) -> Partition:
     if any(a < b for a, b in zip(p, p[1:])):
         raise ValueError(f"partition must be non-increasing: {p}")
     return p
-
-
-def total(p: Partition) -> int:
-    return sum(p)
 
 
 def prefix(p: Partition, j: int) -> int:

@@ -1,6 +1,9 @@
 import json
-
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +25,16 @@ def run(capsys, argv):
 
 def sc(re, im="0"):
     return {"re": re, "im": im}
+
+
+def assert_input_error(capsys, argv):
+    """Exit 2 with one line on stderr, so no traceback, and nothing on stdout."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_majorize_strict_with_decomposition(tmp_path, capsys):
@@ -118,12 +131,7 @@ def test_schur_subcommand(capsys):
     ["--n", "0"], ["--n", "-2"], ["--trials", "-1"], ["--samples", "-1"],
 ])
 def test_schur_rejects_bad_sizes(capsys, argv):
-    code = main(["schur", *argv])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("input error: ")
-    assert captured.err.count("\n") == 1
+    assert_input_error(capsys, ["schur", *argv])
 
 
 def test_schur_accepts_zero_trials_and_samples(capsys):
@@ -200,3 +208,88 @@ def test_package_exports_names_not_submodules():
     assert len(set(snorder.__all__)) == len(snorder.__all__)
     for name in snorder.__all__:
         assert not isinstance(getattr(snorder, name), types.ModuleType), name
+
+
+@pytest.mark.parametrize("sub", ["fmap", "compare", "monotone", "repr"])
+def test_empty_jordan_block_is_input_error(tmp_path, capsys, sub):
+    f = write(tmp_path, "f.json", {"polynomial": {"coefficients": [sc("0"), sc("1")]}})
+    empty = write(tmp_path, "e.json", {"blocks": [{"eigenvalue": sc("1"), "sizes": []}]})
+    ok = write(tmp_path, "s.json", {"blocks": [{"eigenvalue": sc("1"), "sizes": [1]}]})
+    argv = {
+        "fmap": ["fmap", f, empty],
+        "compare": ["compare", empty, ok],
+        "monotone": ["monotone", f, ok, empty],
+        "repr": ["repr", "--spec", empty],
+    }[sub]
+    assert_input_error(capsys, argv)
+
+
+@pytest.mark.parametrize("weights", ["2,-1", "1/2,3/2", "-1/4"])
+def test_convexity_rejects_weights_outside_unit_interval(tmp_path, capsys, weights):
+    f = write(tmp_path, "f.json", {"polynomial": {"coefficients": [sc("0"), sc("0"), sc("1")]}})
+    a = write(tmp_path, "a.json", {"rows": [[sc("0"), sc("0")], [sc("0"), sc("2")]]})
+    b = write(tmp_path, "b.json", {"rows": [[sc("1"), sc("0")], [sc("0"), sc("1")]]})
+    assert_input_error(capsys, ["convexity", f, a, b, f"-t={weights}"])
+    code, out = run(capsys, ["convexity", f, a, b, "-t", "0,1"])
+    assert code == 0
+    assert [p["t"] for p in out["points"]] == ["0", "1"]
+
+
+def run_fresh(tmp_path, script):
+    """Run script in a new interpreter that imports this checkout's snorder;
+    return the JSON it prints last."""
+    src = str(Path(snorder.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_exact_cli_runs_do_not_import_numpy(tmp_path):
+    write(tmp_path, "x.json", {"blocks": [{"eigenvalue": sc("1"), "sizes": [2, 1]}]})
+    write(tmp_path, "y.json", {"blocks": [{"eigenvalue": sc("1"), "sizes": [3]}]})
+    write(tmp_path, "m.json", {"rows": [[sc("1"), sc("1")], [sc("0"), sc("1")]]})
+    write(tmp_path, "ev.json", [sc("1")])
+    write(tmp_path, "f.json", {"polynomial": {"coefficients": [sc("0"), sc("0"), sc("1")]}})
+    write(tmp_path, "a.json", {"rows": [[sc("0"), sc("0")], [sc("0"), sc("2")]]})
+    write(tmp_path, "b.json", {"rows": [[sc("1"), sc("0")], [sc("0"), sc("1")]]})
+    report = run_fresh(tmp_path, """
+import json, sys
+import snorder, snorder.cli as cli
+out = "report.json"
+codes = [cli.main(["--output", out, "schur", "--n", "2", "--trials", "20", "--samples", "3"])]
+after_schur = sorted(m for m in ("numpy", "jsonschema") if m in sys.modules)
+codes += [
+    cli.main(["--output", out, "compare", "x.json", "y.json"]),
+    cli.main(["--output", out, "repr", "--matrix", "m.json", "--eigenvalues", "ev.json"]),
+    cli.main(["--output", out, "convexity", "f.json", "a.json", "b.json"]),
+]
+print(json.dumps({"codes": codes, "after_schur": after_schur,
+                  "numpy": "numpy" in sys.modules,
+                  "jsonschema": "jsonschema" in sys.modules}))
+""")
+    assert report["codes"] == [0, 0, 0, 0]
+    assert report["after_schur"] == []
+    assert report["numpy"] is False
+    assert report["jsonschema"] is True  # every input file is still validated
+
+
+def test_float_paths_load_numpy_on_first_use(tmp_path):
+    report = run_fresh(tmp_path, """
+import json, sys
+from snorder import linalg, ordering
+from snorder.scalar import approx
+before = "numpy" in sys.modules
+m = linalg.Matrix.from_rows([[approx(1.0, 0.0), approx(2.0, 0.0)],
+                             [approx(2.0, 0.0), approx(4.0, 0.0)]])
+arr = m.to_numpy()
+residuals = ordering.hp_identities_check([[0.5, 0.0], [0.0, 0.25]], [[1.0, 2.0], [0.0, 3.0]], 0.5)
+print(json.dumps({"before": before, "shape": list(arr.shape), "rank": linalg.rank(m),
+                  "max_residual": max(residuals.values())}))
+""")
+    assert report["before"] is False
+    assert report["shape"] == [2, 2]
+    assert report["rank"] == 1
+    assert report["max_residual"] < 1e-10
