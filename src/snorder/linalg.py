@@ -15,7 +15,7 @@ from math import lcm
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DimensionMismatch, RankAmbiguous, SingularTransform
-from .scalar import EXACT, DEFAULT_EPS, TotalComplex, approx, exact
+from .scalar import EXACT, TotalComplex, approx, one_like
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,22 +40,22 @@ class Matrix:
         return Matrix(tuple(tuple(r) for r in rows))
 
     @staticmethod
-    def identity(n: int, backend: str = EXACT, eps: float = DEFAULT_EPS) -> "Matrix":
-        one = exact(1) if backend == EXACT else approx(1.0, 0.0, eps)
-        zero = TotalComplex.zero(backend, eps)
+    def identity(n: int, backend: str = EXACT) -> "Matrix":
+        zero = TotalComplex.zero(backend)
+        one = one_like(zero)
         return Matrix(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
 
     @staticmethod
-    def zeros(m: int, n: int, backend: str = EXACT, eps: float = DEFAULT_EPS) -> "Matrix":
-        zero = TotalComplex.zero(backend, eps)
+    def zeros(m: int, n: int, backend: str = EXACT) -> "Matrix":
+        zero = TotalComplex.zero(backend)
         return Matrix(tuple(tuple(zero for _ in range(n)) for _ in range(m)))
 
     @staticmethod
-    def from_numpy(a: np.ndarray, eps: float = DEFAULT_EPS) -> "Matrix":
+    def from_numpy(a: np.ndarray) -> "Matrix":
         import numpy as np
 
         return Matrix.from_rows(
-            [[approx(float(z.real), float(z.imag), eps) for z in row] for row in np.atleast_2d(a)]
+            [[approx(float(z.real), float(z.imag)) for z in row] for row in np.atleast_2d(a)]
         )
 
     # -- shape ----------------------------------------------------------
@@ -113,18 +113,6 @@ class Matrix:
     def scale(self, c: TotalComplex) -> "Matrix":
         return Matrix(tuple(tuple(c * a for a in row) for row in self.rows))
 
-    def power(self, p: int) -> "Matrix":
-        if not self.is_square:
-            raise DimensionMismatch("power of non-square matrix")
-        result = Matrix.identity(self.shape[0], self.backend, self.rows[0][0].eps)
-        base = self
-        while p:
-            if p & 1:
-                result = result @ base
-            base = base @ base if p > 1 else base
-            p >>= 1
-        return result
-
     def conj_transpose(self) -> "Matrix":
         return Matrix(tuple(tuple(a.conjugate() for a in col) for col in zip(*self.rows)))
 
@@ -136,7 +124,7 @@ class Matrix:
             raise DimensionMismatch("inverse of non-square matrix")
         n = self.shape[0]
         aug = [list(row) + list(irow) for row, irow in
-               zip(self.rows, Matrix.identity(n, self.backend, self.rows[0][0].eps).rows)]
+               zip(self.rows, Matrix.identity(n, self.backend).rows)]
         for col in range(n):
             piv = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
             if piv is None:
@@ -164,10 +152,8 @@ class Matrix:
 
 
 def block_diag(blocks: Sequence[Matrix]) -> Matrix:
-    backend = blocks[0].backend
-    eps = blocks[0].rows[0][0].eps
     n = sum(b.shape[0] for b in blocks)
-    zero = TotalComplex.zero(backend, eps)
+    zero = TotalComplex.zero(blocks[0].backend)
     rows = [[zero] * n for _ in range(n)]
     off = 0
     for b in blocks:
@@ -259,18 +245,20 @@ def rank_gaussian_int_rows(rows) -> int:
     return r
 
 
-def rank_float(a: np.ndarray, tol: float = SVD_TOL, gap: float = SVD_GAP) -> int:
-    """SVD rank with threshold tol * sigma_max and an explicit gap check."""
+def rank_float(a: np.ndarray) -> int:
+    """SVD rank with threshold SVD_TOL * sigma_max and an explicit gap check:
+    the smallest kept and largest dropped singular values must differ by a
+    factor of at least SVD_GAP."""
     import numpy as np
 
     s = np.linalg.svd(np.atleast_2d(a), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    cut = tol * s[0]
+    cut = SVD_TOL * s[0]
     kept = s[s > cut]
     dropped = s[s <= cut]
     if kept.size and dropped.size and dropped[0] > 0.0:
-        if kept[-1] / dropped[0] < gap:
+        if kept[-1] / dropped[0] < SVD_GAP:
             raise RankAmbiguous(
                 f"singular values straddle the threshold: {kept[-1]:.3e} vs {dropped[0]:.3e}"
             )

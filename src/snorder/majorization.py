@@ -18,14 +18,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, NotMajorized
 from .linalg import Matrix
-from .scalar import (
-    EXACT,
-    OrderOutcome,
-    TotalComplex,
-    cmp_total,
-    exact,
-    sort_desc,
-)
+from .scalar import EXACT, OrderOutcome, TotalComplex, cmp_total, one_like, sort_desc, zero_like
 
 
 class Majorization(enum.Enum):
@@ -34,7 +27,8 @@ class Majorization(enum.Enum):
     NONE = "none"
 
 
-def _prefix_sums(v: Sequence[TotalComplex]) -> list:
+def prefix_sums(v: Sequence[TotalComplex]) -> list:
+    """Running sums v[0], v[0] + v[1], ..., added left to right."""
     out = []
     acc = None
     for z in v:
@@ -50,8 +44,8 @@ def majorize_check(x: Sequence[TotalComplex], y: Sequence[TotalComplex]) -> Majo
         raise DimensionMismatch(f"{len(x)} vs {len(y)}")
     if not x:
         raise DimensionMismatch("empty vectors")
-    px = _prefix_sums(sort_desc(x))
-    py = _prefix_sums(sort_desc(y))
+    px = prefix_sums(sort_desc(x))
+    py = prefix_sums(sort_desc(y))
     for a, b in zip(px[:-1], py[:-1]):
         if cmp_total(a, b) is OrderOutcome.GREATER:
             return Majorization.NONE
@@ -81,19 +75,15 @@ class TTransform:
         """True when beta is a real number in [0, 1] (the convex case)."""
         if not self.beta.is_real():
             return False
-        zero = TotalComplex.zero(self.beta.backend, self.beta.eps)
-        one = zero + (exact(1) if self.beta.backend == EXACT else
-                      TotalComplex(1.0, 0.0, self.beta.backend, self.beta.eps))
+        zero, one = zero_like(self.beta), one_like(self.beta)
         return (cmp_total(self.beta, zero) is not OrderOutcome.LESS
                 and cmp_total(self.beta, one) is not OrderOutcome.GREATER)
 
     def matrix(self, n: int) -> Matrix:
         if self.j >= n:
             raise DimensionMismatch(f"transform indices ({self.i},{self.j}) exceed size {n}")
-        backend, eps = self.beta.backend, self.beta.eps
-        one = exact(1) if backend == EXACT else TotalComplex(1.0, 0.0, backend, eps)
-        rows = [list(r) for r in Matrix.identity(n, backend, eps).rows]
-        comp = one - self.beta
+        rows = [list(r) for r in Matrix.identity(n, self.beta.backend).rows]
+        comp = one_like(self.beta) - self.beta
         rows[self.i][self.i] = self.beta
         rows[self.j][self.j] = self.beta
         rows[self.i][self.j] = comp
@@ -104,8 +94,7 @@ class TTransform:
 def t_transform_apply(v: Sequence[TotalComplex], t: TTransform) -> tuple:
     if t.j >= len(v):
         raise IndexError(f"transform indices ({t.i},{t.j}) exceed vector length {len(v)}")
-    one = exact(1) if t.beta.backend == EXACT else TotalComplex(1.0, 0.0, t.beta.backend, t.beta.eps)
-    comp = one - t.beta
+    comp = one_like(t.beta) - t.beta
     out = list(v)
     out[t.i] = t.beta * v[t.i] + comp * v[t.j]
     out[t.j] = t.beta * v[t.j] + comp * v[t.i]
@@ -117,7 +106,7 @@ def _swap_steps(current: list, target: list) -> list:
     target, which must be a rearrangement of it."""
     swaps = []
     cur = list(current)
-    zero = TotalComplex.zero(cur[0].backend, cur[0].eps) if cur else None
+    zero = zero_like(cur[0]) if cur else None
     for pos in range(len(cur)):
         if cmp_total(cur[pos], target[pos]) is OrderOutcome.EQUAL:
             continue
@@ -149,7 +138,7 @@ def t_transform_decompose_trace(x, y) -> tuple:
     n = len(w)
     transforms: list = []
     intermediates: list = []
-    one = exact(1) if w[0].backend == EXACT else TotalComplex(1.0, 0.0, w[0].backend, w[0].eps)
+    one = one_like(w[0])
     for _ in range(n * n + n + 1):
         if all(cmp_total(a, b) is OrderOutcome.EQUAL for a, b in zip(w, target)):
             break
@@ -180,8 +169,7 @@ def gds_check(m: Matrix) -> bool:
     if not m.is_square:
         raise DimensionMismatch("generalized doubly stochastic check needs a square matrix")
     n = m.shape[0]
-    backend, eps = m.backend, m.rows[0][0].eps
-    one = exact(1) if backend == EXACT else TotalComplex(1.0, 0.0, backend, eps)
+    one = one_like(m.rows[0][0])
     for line in itertools.chain(m.rows, zip(*m.rows)):
         acc = line[0]
         for z in line[1:]:
@@ -194,9 +182,7 @@ def gds_check(m: Matrix) -> bool:
 def gds_from_transforms(transforms: Sequence[TTransform], n: int) -> Matrix:
     """Product of the transform matrices, in application order, so that
     row-vector replay y @ P equals applying the transforms one by one."""
-    backend = transforms[0].beta.backend if transforms else EXACT
-    eps = transforms[0].beta.eps if transforms else 0.0
-    p = Matrix.identity(n, backend, eps)
+    p = Matrix.identity(n, transforms[0].beta.backend if transforms else EXACT)
     for t in transforms:
         p = p @ t.matrix(n)
     return p

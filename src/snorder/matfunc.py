@@ -27,7 +27,17 @@ from .errors import (
 )
 from .linalg import Matrix, block_diag
 from .partitions import Partition, as_partition, dominance_check, merge_desc, prefix
-from .scalar import EXACT, FLOAT, OrderOutcome, TotalComplex, approx, cmp_total, exact
+from .scalar import (
+    EXACT,
+    FLOAT,
+    OrderOutcome,
+    TotalComplex,
+    approx,
+    cmp_total,
+    exact,
+    one_like,
+    zero_like,
+)
 from .snrepr import SNRepresentation, repr_from_matrix
 
 DERIVATIVE_EPS = 1e-10
@@ -76,15 +86,15 @@ class PolynomialFunction:
                 ar, ai = (ar * lr - ai * li + w * c.re.numerator // c.re.denominator,
                           ar * li + ai * lr + w * c.im.numerator // c.im.denominator)
             return TotalComplex(Fraction(ar, den), Fraction(ai, den))
-        acc = TotalComplex.zero(lam.backend, lam.eps)
+        acc = zero_like(lam)
         power = None  # lam^(k - order), built incrementally
         for k, c in enumerate(self.coefficients):
             if k < order:
                 continue
             if c.backend != lam.backend:
-                c = c.to_float_backend(lam.eps)
+                c = c.to_float_backend()
             w = math.perm(k, order)
-            power = _one_like(lam) if power is None else power * lam
+            power = one_like(lam) if power is None else power * lam
             term = c * power
             acc = acc + term.scale_rational(w)
         return acc
@@ -96,11 +106,10 @@ class PolynomialFunction:
         """f(X) by Horner's rule in matrix arithmetic."""
         n = x.shape[0]
         backend = x.backend
-        eps = x.rows[0][0].eps
-        result = Matrix.zeros(n, n, backend, eps)
-        ident = Matrix.identity(n, backend, eps)
+        result = Matrix.zeros(n, n, backend)
+        ident = Matrix.identity(n, backend)
         for c in reversed(self.coefficients):
-            c_local = c if c.backend == backend else c.to_float_backend(eps)
+            c_local = c if c.backend == backend else c.to_float_backend()
             result = result @ x + ident.scale(c_local)
         return result
 
@@ -122,19 +131,13 @@ class OracleFunction:
         if self.max_order is not None and order > self.max_order:
             raise DerivativeOrderExceeded(f"{self.name} supports derivatives up to {self.max_order}")
         z = self.derivatives(lam.to_complex(), order)
-        return approx(z.real, z.imag, lam.eps or 1e-9)
+        return approx(z.real, z.imag)
 
     def __call__(self, lam: TotalComplex) -> TotalComplex:
         return self.derivative_value(lam, 0)
 
 
 FunctionDescriptor = Union[PolynomialFunction, OracleFunction]
-
-
-def _one_like(lam: TotalComplex) -> TotalComplex:
-    if lam.backend == EXACT:
-        return exact(1)
-    return approx(1.0, 0.0, lam.eps)
 
 
 def poly(coeffs: Sequence, backend: str = EXACT) -> PolynomialFunction:
@@ -184,7 +187,7 @@ def f_jordan_block(f: FunctionDescriptor, lam: TotalComplex, n: int) -> Matrix:
         v = f.derivative_value(lam, q)
         factor = Fraction(1, math.factorial(q)) if v.backend == EXACT else 1.0 / math.factorial(q)
         derivs.append(v.scale_rational(factor))
-    zero = TotalComplex.zero(derivs[0].backend, derivs[0].eps)
+    zero = zero_like(derivs[0])
     rows = [[derivs[j - i] if j >= i else zero for j in range(n)] for i in range(n)]
     return Matrix.from_rows(rows)
 
@@ -195,13 +198,10 @@ class KappaResult:
     value: TotalComplex  # the first nonvanishing derivative
 
 
-def derivative_order_kappa(
-    f: FunctionDescriptor, lam: TotalComplex, max_order: int,
-    eps_deriv: float = DERIVATIVE_EPS,
-) -> KappaResult:
+def derivative_order_kappa(f: FunctionDescriptor, lam: TotalComplex, max_order: int) -> KappaResult:
     """Smallest order >= 1 with a nonvanishing derivative at lam.
 
-    Exact coefficients test for exact zero; oracles use |value| > eps_deriv.
+    Exact coefficients test for exact zero; oracles use |value| > DERIVATIVE_EPS.
     Raises KappaNotFound past max_order (f locally constant as far as the
     block sizes can see).
     """
@@ -211,7 +211,7 @@ def derivative_order_kappa(
         if v.backend == EXACT:
             nonzero = not v.is_zero()
         else:
-            nonzero = abs(v.to_complex()) > eps_deriv
+            nonzero = abs(v.to_complex()) > DERIVATIVE_EPS
         if nonzero:
             return KappaResult(order, v)
     raise KappaNotFound(f"no nonvanishing derivative up to order {max_order}")

@@ -40,7 +40,9 @@ from .scalar import (
     approx,
     cmp_total,
     exact,
+    one_like,
     sort_desc,
+    zero_like,
 )
 from .schur import MajorizationCert, _pointwise_monotonicity, majorization_preserving_check
 from .snrepr import SNOVerdict, SNRepresentation, compare_sno, repr_from_matrix
@@ -112,7 +114,7 @@ def closed_form_eigenvalues(m: Matrix) -> tuple:
                 raise SpectrumUnavailable("irrational 2x2 eigenvalues in exact mode")
         else:
             r = cmath.sqrt(disc.to_complex())
-            root = approx(r.real, r.imag, a.eps)
+            root = approx(r.real, r.imag)
         return (
             (tr + root).scale_rational(half),
             (tr - root).scale_rational(half),
@@ -277,7 +279,7 @@ def convexity_check(
     for each mixing weight t.  Inputs must be eigenvalue-accessible
     (triangular or 2x2); failures are recorded per point."""
     report = ConvexityReport()
-    one = exact(1) if a.backend == EXACT else approx(1.0)
+    one = one_like(a.rows[0][0])
     for t_raw in ts:
         t = _as_scalar(t_raw, a.backend)
         comp = one - t
@@ -378,7 +380,7 @@ def _shifted(f: PolynomialFunction) -> PolynomialFunction:
     """f - f(0): pin the origin so congruence by a strict contraction has a
     chance of preserving the order."""
     coeffs = list(f.coefficients)
-    coeffs[0] = TotalComplex.zero(coeffs[0].backend, coeffs[0].eps)
+    coeffs[0] = zero_like(coeffs[0])
     return PolynomialFunction(tuple(coeffs))
 
 
@@ -417,7 +419,7 @@ def hp_item_checks(
                 acc = term if acc is None else acc + term
             return acc
         # item 4
-        q = Matrix.identity(n, p.backend, p.rows[0][0].eps) - p
+        q = Matrix.identity(n, p.backend) - p
         return (p @ fn.eval_matrix(xs[0]) @ p) + (q @ fn.eval_matrix(xs[1]) @ q)
 
     def lhs_arg(item):
@@ -429,7 +431,7 @@ def hp_item_checks(
                 term = c.conj_transpose() @ xm @ c
                 acc = term if acc is None else acc + term
             return acc
-        q = Matrix.identity(n, p.backend, p.rows[0][0].eps) - p
+        q = Matrix.identity(n, p.backend) - p
         return (p @ xs[0] @ p) + (q @ xs[1] @ q)
 
     def _compare_with_rhs(fn, arg, rhs):

@@ -43,102 +43,109 @@ def _cmp_raw(a, b, eps: float) -> int:
 
 @dataclass(frozen=True)
 class TotalComplex:
-    """A complex number tagged with its numeric backend.
+    """A complex number whose component type is its numeric backend.
 
-    ``re``/``im`` are Fractions for the exact backend and floats otherwise.
-    Equality of float-backed values is tolerance-based (``eps``), so float
-    scalars are compared through :func:`cmp_total`, never via ``==``.
+    ``re``/``im`` are both Fractions for the exact backend and both floats
+    for the float backend; build values with :func:`exact` and
+    :func:`approx`, which coerce.  Exact values compare exactly; float values
+    compare with the fixed tolerance ``DEFAULT_EPS``, so float scalars are
+    compared through :func:`cmp_total`, never via ``==``.
     """
 
     re: object
     im: object
-    backend: str = EXACT
-    eps: float = 0.0
+
+    @property
+    def backend(self) -> str:
+        return FLOAT if type(self.re) is float else EXACT
+
+    def __eq__(self, other):
+        # Fraction(1) == 1.0, so equal components alone would let an exact
+        # value equal a float one.
+        if not isinstance(other, TotalComplex):
+            return NotImplemented
+        return type(self.re) is type(other.re) and self.re == other.re and self.im == other.im
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
-    def zero(backend: str = EXACT, eps: float = DEFAULT_EPS) -> "TotalComplex":
-        if backend == EXACT:
-            return exact(0, 0)
-        return approx(0.0, 0.0, eps)
+    def zero(backend: str = EXACT) -> "TotalComplex":
+        return exact(0, 0) if backend == EXACT else approx(0.0, 0.0)
 
     # -- arithmetic --------------------------------------------------
 
-    def _peer(self, other: "TotalComplex") -> float:
+    def _peer(self, other: "TotalComplex"):
+        """The comparison tolerance shared with other: 0 for exact, DEFAULT_EPS
+        for float.  Raises BackendMismatch when the backends differ."""
         if not isinstance(other, TotalComplex):
             raise TypeError(f"expected TotalComplex, got {type(other)!r}")
-        if self.backend != other.backend:
+        t = type(self.re)
+        if t is not type(other.re):
             raise BackendMismatch(f"{self.backend} vs {other.backend}")
-        return max(self.eps, other.eps)
-
-    def _wrap(self, re, im, eps) -> "TotalComplex":
-        return TotalComplex(re, im, self.backend, eps)
+        return DEFAULT_EPS if t is float else 0
 
     def __add__(self, other):
-        eps = self._peer(other)
-        return self._wrap(self.re + other.re, self.im + other.im, eps)
+        self._peer(other)
+        return TotalComplex(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other):
-        eps = self._peer(other)
-        return self._wrap(self.re - other.re, self.im - other.im, eps)
+        self._peer(other)
+        return TotalComplex(self.re - other.re, self.im - other.im)
 
     def __neg__(self):
-        return self._wrap(-self.re, -self.im, self.eps)
+        return TotalComplex(-self.re, -self.im)
 
     def __mul__(self, other):
-        eps = self._peer(other)
-        return self._wrap(
+        self._peer(other)
+        return TotalComplex(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
-            eps,
         )
 
     def __truediv__(self, other):
-        eps = self._peer(other)
+        self._peer(other)
         if other.is_zero():
             raise DivisionByZero("division by zero scalar")
         rho = other.re * other.re + other.im * other.im
-        return self._wrap(
+        return TotalComplex(
             (self.re * other.re + self.im * other.im) / rho,
             (self.im * other.re - self.re * other.im) / rho,
-            eps,
         )
 
     def conjugate(self) -> "TotalComplex":
-        return self._wrap(self.re, -self.im, self.eps)
+        return TotalComplex(self.re, -self.im)
 
     def reciprocal(self) -> "TotalComplex":
         if self.is_zero():
             raise DivisionByZero("reciprocal of zero")
         rho = self.re * self.re + self.im * self.im
-        return self._wrap(self.re / rho, -self.im / rho, self.eps)
+        return TotalComplex(self.re / rho, -self.im / rho)
 
     def scale_rational(self, c) -> "TotalComplex":
         """Multiply by a real rational/float constant."""
         if self.backend == EXACT:
             c = Fraction(c)
-        return self._wrap(self.re * c, self.im * c, self.eps)
+        return TotalComplex(self.re * c, self.im * c)
 
     # -- predicates --------------------------------------------------
 
     def is_zero(self) -> bool:
         if self.backend == EXACT:
             return self.re == 0 and self.im == 0
-        return abs(self.re) <= self.eps and abs(self.im) <= self.eps
+        return abs(self.re) <= DEFAULT_EPS and abs(self.im) <= DEFAULT_EPS
 
     def is_real(self) -> bool:
         if self.backend == EXACT:
             return self.im == 0
-        return abs(self.im) <= self.eps
+        return abs(self.im) <= DEFAULT_EPS
 
     # -- conversions -------------------------------------------------
 
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
 
-    def to_float_backend(self, eps: float = DEFAULT_EPS) -> "TotalComplex":
-        return approx(float(self.re), float(self.im), eps)
+    def to_float_backend(self) -> "TotalComplex":
+        return approx(float(self.re), float(self.im))
 
     # -- ordering sugar ----------------------------------------------
 
@@ -159,15 +166,27 @@ class TotalComplex:
 
 
 def exact(re: RationalLike, im: RationalLike = 0) -> TotalComplex:
-    return TotalComplex(Fraction(re), Fraction(im), EXACT, 0.0)
+    return TotalComplex(Fraction(re), Fraction(im))
 
 
-def approx(re: float, im: float = 0.0, eps: float = DEFAULT_EPS) -> TotalComplex:
-    return TotalComplex(float(re), float(im), FLOAT, eps)
+def approx(re: float, im: float = 0.0) -> TotalComplex:
+    return TotalComplex(float(re), float(im))
 
 
-def from_complex(z: complex, eps: float = DEFAULT_EPS) -> TotalComplex:
-    return approx(z.real, z.imag, eps)
+def from_complex(z: complex) -> TotalComplex:
+    return approx(z.real, z.imag)
+
+
+def zero_like(z: TotalComplex) -> TotalComplex:
+    """Zero in the backend of z."""
+    t = type(z.re)
+    return TotalComplex(t(0), t(0))
+
+
+def one_like(z: TotalComplex) -> TotalComplex:
+    """One in the backend of z."""
+    t = type(z.re)
+    return TotalComplex(t(1), t(0))
 
 
 def cmp_total(a: TotalComplex, b: TotalComplex) -> OrderOutcome:
@@ -196,10 +215,10 @@ def mul_preserves_order(z1: TotalComplex, z2: TotalComplex, z3: TotalComplex) ->
 
     Closed-form case analysis; cross-multiplied so no division is needed.
     """
+    eps = z1._peer(z3)
     c = _require_not_greater(z1, z2)
     if c is OrderOutcome.EQUAL:
         return True
-    eps = max(z1.eps, z2.eps, z3.eps)
     x1, y1, x2, y2, x3, y3 = z1.re, z1.im, z2.re, z2.im, z3.re, z3.im
     if _cmp_raw(x1, x2, eps) < 0:
         # threshold: (y2-y1)*y3 / (x2-x1) vs x3, cross-multiplied by x2-x1 > 0
@@ -222,12 +241,12 @@ def mul_preserves_order(z1: TotalComplex, z2: TotalComplex, z3: TotalComplex) ->
 
 def div_preserves_order(z1: TotalComplex, z2: TotalComplex, z3: TotalComplex) -> bool:
     """Given z1 <= z2 and z3 != 0, does z1/z3 <= z2/z3 hold?"""
+    eps = z1._peer(z3)
     if z3.is_zero():
         raise DivisionByZero("z3 must be nonzero")
     c = _require_not_greater(z1, z2)
     if c is OrderOutcome.EQUAL:
         return True
-    eps = max(z1.eps, z2.eps, z3.eps)
     x1, y1, x2, y2, x3, y3 = z1.re, z1.im, z2.re, z2.im, z3.re, z3.im
     if _cmp_raw(x1, x2, eps) < 0:
         lhs = (y1 - y2) * y3
@@ -259,12 +278,10 @@ def product_nonneg(z1: TotalComplex, z2: TotalComplex) -> bool:
     Needed because the order is not compatible with multiplication: two
     nonnegative complex numbers can have a negative product (e.g. i*i = -1).
     """
-    zero = TotalComplex.zero(z1.backend, max(z1.eps, z2.eps) or DEFAULT_EPS)
-    if z1.backend != z2.backend:
-        raise BackendMismatch(f"{z1.backend} vs {z2.backend}")
+    eps = z1._peer(z2)
+    zero = zero_like(z1)
     if cmp_total(z1, zero) is OrderOutcome.LESS or cmp_total(z2, zero) is OrderOutcome.LESS:
         raise OrderPreconditionFailed("both operands must be nonnegative")
-    eps = max(z1.eps, z2.eps)
     r = z1.re * z2.re - z1.im * z2.im
     s = z1.re * z2.im + z2.re * z1.im
     c_r = _cmp_raw(r, 0, eps)

@@ -24,6 +24,7 @@ from .scalar import (
     cmp_total,
     exact,
     from_complex,
+    one_like,
     sort_desc,
 )
 
@@ -299,8 +300,7 @@ def cdm_condition_check(
         a = exact(Fraction(alpha))
     else:
         a = approx(float(alpha))
-    one = exact(1) if a.backend == EXACT else approx(1.0, 0.0, a.eps)
-    comp = one - a
+    comp = one_like(a) - a
     mixed = (a * h1 + comp * h2, a * h2 + comp * h1)
     return majorize_check(mixed, (h1, h2)) is Majorization.STRICT
 

@@ -17,7 +17,7 @@ from .linalg import Matrix
 from .majorization import TTransform
 from .matfunc import FunctionDescriptor, PolynomialFunction, named_oracle
 from .partitions import as_partition
-from .scalar import EXACT, DEFAULT_EPS, TotalComplex, approx, exact
+from .scalar import EXACT, TotalComplex, approx, exact
 from .schur import DomainBox
 from .snrepr import JordanSpec, SNRepresentation
 
@@ -55,14 +55,14 @@ def _component_from_json(v, backend: str):
     return float(v)
 
 
-def scalar_from_json(obj, backend: str, eps: float = DEFAULT_EPS) -> TotalComplex:
+def scalar_from_json(obj, backend: str) -> TotalComplex:
     if not isinstance(obj, dict) or set(obj) - {"re", "im"}:
         raise InputFormatError(f"scalar object must have keys re/im, got {obj!r}")
     re = _component_from_json(obj.get("re", 0), backend)
     im = _component_from_json(obj.get("im", 0), backend)
     if backend == EXACT:
         return exact(re, im)
-    return approx(re, im, eps)
+    return approx(re, im)
 
 
 def vector_to_json(v) -> list:
@@ -77,14 +77,6 @@ def vector_from_json(obj, backend: str) -> tuple:
 
 def transform_to_json(t: TTransform) -> dict:
     return {"i": t.i + 1, "j": t.j + 1, "beta": scalar_to_json(t.beta)}
-
-
-def transform_from_json(obj, backend: str) -> TTransform:
-    try:
-        return TTransform(int(obj["i"]) - 1, int(obj["j"]) - 1,
-                          scalar_from_json(obj["beta"], backend))
-    except (KeyError, TypeError) as err:
-        raise InputFormatError(f"bad transform object {obj!r}: {err}")
 
 
 def partition_from_json(obj) -> tuple:
@@ -102,12 +94,13 @@ def jordan_spec_from_json(obj, backend: str) -> JordanSpec:
     blocks = []
     for blk in obj["blocks"]:
         try:
-            blocks.append(
-                (scalar_from_json(blk["eigenvalue"], backend),
-                 partition_from_json(blk["sizes"]))
-            )
+            lam = scalar_from_json(blk["eigenvalue"], backend)
+            sizes = partition_from_json(blk["sizes"])
         except (KeyError, TypeError) as err:
             raise InputFormatError(f"bad block {blk!r}: {err}")
+        if not sizes:
+            raise InputFormatError(f"block {blk!r} needs at least one size")
+        blocks.append((lam, sizes))
     if not blocks:
         raise InputFormatError("spec needs at least one block")
     return JordanSpec(tuple(blocks))

@@ -31,9 +31,9 @@ from .linalg import (
     rank,
     rank_gaussian_int_rows,
 )
-from .majorization import Majorization, majorize_check
+from .majorization import Majorization, majorize_check, prefix_sums
 from .partitions import Partition, as_partition, dominance_check, merge_desc
-from .scalar import EXACT, OrderOutcome, TotalComplex, cmp_total, exact
+from .scalar import EXACT, OrderOutcome, TotalComplex, cmp_total, one_like, zero_like
 
 
 class SNOVerdict(enum.Enum):
@@ -52,6 +52,8 @@ class JordanSpec:
     def __post_init__(self):
         if not self.blocks:
             raise EmptySpec("at least one eigenvalue block is required")
+        if not all(sizes for _, sizes in self.blocks):
+            raise EmptySpec("every eigenvalue block needs at least one size")
 
     @staticmethod
     def of(*pairs) -> "JordanSpec":
@@ -106,10 +108,7 @@ def canonical_repr(spec: JordanSpec) -> SNRepresentation:
 def jordan_matrix(spec: JordanSpec) -> Matrix:
     """Direct sum of Jordan blocks in canonical order."""
     rep = canonical_repr(spec)
-    backend = rep.eigenvalues[0].backend
-    eps = rep.eigenvalues[0].eps
-    one = exact(1) if backend == EXACT else TotalComplex(1.0, 0.0, backend, eps)
-    zero = TotalComplex.zero(backend, eps)
+    one, zero = one_like(rep.eigenvalues[0]), zero_like(rep.eigenvalues[0])
     blocks = []
     for lam, part in zip(rep.eigenvalues, rep.partitions):
         for size in part:
@@ -177,7 +176,7 @@ def _exact_shift_ranks(x_int, mul: int, lam: TotalComplex):
 
 def _float_shift_ranks(x: Matrix, lam: TotalComplex):
     """Ranks of the powers of X - lambda I by SVD."""
-    ident = Matrix.identity(x.shape[0], x.backend, x.rows[0][0].eps)
+    ident = Matrix.identity(x.shape[0], x.backend)
     shift = x - ident.scale(lam)
     power = ident
     while True:
@@ -257,12 +256,7 @@ def compare_sno(rx: SNRepresentation, ry: SNRepresentation) -> SNOVerdict:
     if verdict is Majorization.NONE:
         return SNOVerdict.INCOMPARABLE
     # spectral vectors differ and x is weakly below y
-    acc_x, acc_y = None, None
-    all_strict = True
-    for a, b in zip(sx, sy):
-        acc_x = a if acc_x is None else acc_x + a
-        acc_y = b if acc_y is None else acc_y + b
-        if cmp_total(acc_x, acc_y) is not OrderOutcome.LESS:
-            all_strict = False
-            break
+    all_strict = all(
+        cmp_total(a, b) is OrderOutcome.LESS for a, b in zip(prefix_sums(sx), prefix_sums(sy))
+    )
     return SNOVerdict.STRICT_LESS if all_strict else SNOVerdict.WEAK_LESS

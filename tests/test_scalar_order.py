@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from snorder import (
     OrderOutcome,
+    TotalComplex,
     approx,
     cmp_total,
     div_preserves_order,
@@ -16,6 +17,7 @@ from snorder import (
     sort_desc,
 )
 from snorder.errors import BackendMismatch, DivisionByZero, OrderPreconditionFailed
+from snorder.scalar import one_like, zero_like
 
 GRID = [exact(a, b) for a in range(-2, 3) for b in range(-2, 3)]
 
@@ -33,6 +35,12 @@ def test_basic_lexicographic_ordering():
 def test_zero_is_the_origin_only():
     assert exact(0, 0).is_zero()
     assert not exact(0, Fraction(1, 10**9)).is_zero()
+
+
+@given(scalars, scalars)
+def test_cmp_total_is_the_order_of_re_im_tuples(a, b):
+    ka, kb = (a.re, a.im), (b.re, b.im)
+    assert cmp_total(a, b).value == (ka > kb) - (ka < kb)
 
 
 @given(scalars, scalars)
@@ -129,11 +137,38 @@ def test_float_backend_tolerance():
     assert cmp_total(a, c) is OrderOutcome.LESS
 
 
+MIXED_OPS = [
+    lambda a, b: a + b,
+    lambda a, b: a - b,
+    lambda a, b: a * b,
+    lambda a, b: a / b,
+    cmp_total,
+    product_nonneg,
+    # z3 alone is of the other backend, with z1 = z2 and with z1 < z2
+    lambda a, b: mul_preserves_order(a, a, b),
+    lambda a, b: mul_preserves_order(a, a + a, b),
+    lambda a, b: div_preserves_order(a, a, b),
+    lambda a, b: div_preserves_order(a, a + a, b),
+]
+
+
 def test_mixed_backends_rejected():
-    with pytest.raises(BackendMismatch):
-        cmp_total(exact(1), approx(1.0))
-    with pytest.raises(BackendMismatch):
-        exact(1) + approx(1.0)
+    e, f = exact(1), approx(1.0)
+    for op in MIXED_OPS:
+        for a, b in ((e, f), (f, e)):
+            with pytest.raises(BackendMismatch):
+                op(a, b)
+
+
+def test_backend_follows_component_type():
+    assert exact(1) != approx(1.0)
+    assert exact(1) == exact(Fraction(2, 2))
+    assert approx(1.0) == approx(1.0)
+    assert (exact(1).backend, approx(1.0).backend) == ("exact", "float")
+    assert TotalComplex(Fraction(1), Fraction(0)).backend == "exact"
+    assert TotalComplex(1.0, 0.0).backend == "float"
+    assert (one_like(exact(3, 2)), zero_like(exact(3, 2))) == (exact(1), exact(0))
+    assert (one_like(approx(3.0)), zero_like(approx(3.0))) == (approx(1.0), approx(0.0))
 
 
 def test_sort_desc_is_stable_and_ordered():

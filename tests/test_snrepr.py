@@ -24,6 +24,8 @@ from snorder.errors import (
     SpectrumMismatch,
 )
 from snorder.linalg import gaussian_int_matmul, rank_exact, rank_float
+from snorder.partitions import as_partition
+from snorder.serialization import InputFormatError, jordan_spec_from_json
 from snorder.snrepr import jordan_matrix
 
 
@@ -44,6 +46,20 @@ def test_canonical_repr_merges_and_sorts():
 def test_empty_spec_rejected():
     with pytest.raises(EmptySpec):
         JordanSpec(())
+
+
+def test_empty_jordan_block_rejected():
+    assert as_partition(()) == ()  # the empty partition itself stays valid
+    with pytest.raises(EmptySpec):
+        JordanSpec.of((exact(1), ()))
+    with pytest.raises(EmptySpec):
+        JordanSpec.of((exact(1), (2,)), (exact(0), ()))
+
+
+def test_jordan_spec_from_json_rejects_empty_sizes():
+    block = {"eigenvalue": {"re": "1", "im": "0"}, "sizes": []}
+    with pytest.raises(InputFormatError):
+        jordan_spec_from_json({"blocks": [block]}, "exact")
 
 
 def test_rank_exact_known_values():
