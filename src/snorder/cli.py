@@ -168,6 +168,10 @@ def cmd_convexity(args):
     f = ser.function_from_json(_load(args.function, "function"), args.backend)
     a = ser.matrix_from_json(_load(args.a, "matrix"), args.backend)
     b = ser.matrix_from_json(_load(args.b, "matrix"), args.backend)
+    if not a.is_square or a.shape != b.shape:
+        raise InputFormatError(
+            f"A and B must be square of one shape, got {a.shape} and {b.shape}"
+        )
     report = convexity_check(f, a, b, ts)
     _emit(
         {

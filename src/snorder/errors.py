@@ -45,10 +45,6 @@ class SingularTransform(SnorderError):
     pass
 
 
-class DerivativeOrderExceeded(SnorderError):
-    pass
-
-
 class OutsideAnalyticityRadius(SnorderError):
     pass
 

@@ -1,13 +1,17 @@
 """Jordan structure of matrix functions.
 
-Evaluating an analytic f on a Jordan block J_n(lambda) gives an upper
-triangular Toeplitz matrix whose q-th superdiagonal is f^(q)(lambda)/q!.
-The block structure of f(X) then depends only on kappa, the order of the
-first nonvanishing derivative at each eigenvalue: every block of size n
-splits into kappa nearly-equal pieces (ceil(n/kappa) and floor(n/kappa)).
-This module provides the split in closed form, the independent rank-based
-oracle for it, the per-eigenvalue refinement, and the representation-level
-map f(X) together with the prefix-sum gap vectors it induces.
+Everything here is read off one object per (f, lambda): the Taylor
+coefficients f^(q)(lambda)/q!, which `taylor` returns for all q at once
+(a Taylor shift of the coefficients for polynomials, the derivative
+oracle for analytic functions).  Evaluating f on a Jordan block
+J_n(lambda) gives the upper triangular Toeplitz matrix whose q-th
+superdiagonal is the q-th coefficient, and the block structure of f(X)
+depends only on kappa, the first q >= 1 whose coefficient is nonzero:
+every block of size n splits into kappa nearly-equal pieces (ceil(n/kappa)
+and floor(n/kappa)).  This module provides the split in closed form, the
+independent rank-based oracle for it, the per-eigenvalue refinement, and
+the representation-level map f(X) together with the prefix-sum gap
+vectors it induces.
 """
 
 from __future__ import annotations
@@ -19,26 +23,11 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Callable, Sequence, Union
 
-from .errors import (
-    DerivativeOrderExceeded,
-    IncomparableNilpotent,
-    KappaNotFound,
-    OutsideAnalyticityRadius,
-)
+from .errors import IncomparableNilpotent, KappaNotFound, OutsideAnalyticityRadius
 from .linalg import Matrix, block_diag
 from .partitions import Partition, as_partition, dominance_check, merge_desc, prefix
-from .scalar import (
-    EXACT,
-    FLOAT,
-    OrderOutcome,
-    TotalComplex,
-    approx,
-    cmp_total,
-    exact,
-    one_like,
-    zero_like,
-)
-from .snrepr import SNRepresentation, repr_from_matrix
+from .scalar import EXACT, TotalComplex, approx, cmp_total, exact, zero_like
+from .snrepr import JordanSpec, SNRepresentation, canonical_repr, repr_from_matrix
 
 DERIVATIVE_EPS = 1e-10
 
@@ -47,60 +36,57 @@ DERIVATIVE_EPS = 1e-10
 class PolynomialFunction:
     """Polynomial with total-complex coefficients, ascending by degree.
 
-    Derivatives are exact for exact-backend coefficients.
+    Taylor coefficients are exact for exact-backend coefficients.
     """
 
     coefficients: tuple
 
     @property
-    def radius(self) -> float:
-        return math.inf
-
-    @property
-    def backend(self) -> str:
-        return self.coefficients[0].backend if self.coefficients else EXACT
-
-    @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def derivative_value(self, lam: TotalComplex, order: int = 0) -> TotalComplex:
-        """f^(order)(lam), via falling-factorial weights on coefficients.
+    def taylor(self, lam: TotalComplex, n: int) -> list:
+        """f^(q)(lam)/q! for q < n, by a Taylor shift (repeated synthetic
+        division) of the coefficients to lam; zero past the degree.
 
-        At exact points, Horner's rule runs on Gaussian integers: with
-        lam = (lr + i li) / d and D the lcm of the coefficient denominators,
-        the sum after term k is kept scaled by D d^(degree - k), and only
-        the result is divided back and wrapped."""
+        At exact points the shift runs on Gaussian integers: with
+        lam = L / d and D the lcm of the coefficient denominators, the
+        scaled coefficients c_k D d^(degree - k) are integers, shifting them
+        by L gives T_q = D d^(degree - q) f^(q)(lam)/q!, and each output is
+        divided once."""
+        deg = self.degree
         if lam.backend == EXACT:
-            coeffs = self.coefficients[order:]
-            if any(c.backend != EXACT for c in coeffs):
+            if any(c.backend != EXACT for c in self.coefficients):
                 raise TypeError("float coefficients cannot evaluate at exact points")
             d = math.lcm(lam.re.denominator, lam.im.denominator)
-            lr, li = int(lam.re * d), int(lam.im * d)
-            big_d = math.lcm(*(x.denominator for c in coeffs for x in (c.re, c.im)))
-            den = big_d * d ** max(self.degree - order, 0)
-            ar = ai = 0
-            for k in range(self.degree, order - 1, -1):
-                c = self.coefficients[k]
-                w = math.perm(k, order) * big_d * d ** (self.degree - k)
-                ar, ai = (ar * lr - ai * li + w * c.re.numerator // c.re.denominator,
-                          ar * li + ai * lr + w * c.im.numerator // c.im.denominator)
-            return TotalComplex(Fraction(ar, den), Fraction(ai, den))
-        acc = zero_like(lam)
-        power = None  # lam^(k - order), built incrementally
-        for k, c in enumerate(self.coefficients):
-            if k < order:
-                continue
-            if c.backend != lam.backend:
-                c = c.to_float_backend()
-            w = math.perm(k, order)
-            power = one_like(lam) if power is None else power * lam
-            term = c * power
-            acc = acc + term.scale_rational(w)
-        return acc
+            lr = lam.re.numerator * (d // lam.re.denominator)
+            li = lam.im.numerator * (d // lam.im.denominator)
+            big_d = math.lcm(*(x.denominator for c in self.coefficients for x in (c.re, c.im)))
+            re, im = [], []
+            for k, c in enumerate(self.coefficients):
+                w = d ** (deg - k)
+                re.append(c.re.numerator * (big_d // c.re.denominator) * w)
+                im.append(c.im.numerator * (big_d // c.im.denominator) * w)
+        else:
+            lr, li = lam.re, lam.im
+            re = [float(c.re) for c in self.coefficients]
+            im = [float(c.im) for c in self.coefficients]
+        for i in range(min(n, deg)):
+            for k in range(deg - 1, i - 1, -1):
+                r, s = re[k + 1], im[k + 1]
+                re[k] += lr * r - li * s
+                im[k] += lr * s + li * r
+        m = min(n, deg + 1)
+        if lam.backend == EXACT:
+            dens = [big_d * d ** (deg - q) for q in range(m)]
+            out = [TotalComplex(Fraction(re[q], dens[q]), Fraction(im[q], dens[q]))
+                   for q in range(m)]
+        else:
+            out = [TotalComplex(re[q], im[q]) for q in range(m)]
+        return out + [zero_like(lam)] * (n - m)
 
     def __call__(self, lam: TotalComplex) -> TotalComplex:
-        return self.derivative_value(lam, 0)
+        return self.taylor(lam, 1)[0]
 
     def eval_matrix(self, x: Matrix) -> Matrix:
         """f(X) by Horner's rule in matrix arithmetic."""
@@ -121,20 +107,21 @@ class OracleFunction:
     name: str
     derivatives: Callable[[complex, int], complex]
     radius: float = math.inf
-    max_order: int | None = None
 
-    @property
-    def backend(self) -> str:
-        return FLOAT
-
-    def derivative_value(self, lam: TotalComplex, order: int = 0) -> TotalComplex:
-        if self.max_order is not None and order > self.max_order:
-            raise DerivativeOrderExceeded(f"{self.name} supports derivatives up to {self.max_order}")
-        z = self.derivatives(lam.to_complex(), order)
-        return approx(z.real, z.imag)
+    def taylor(self, lam: TotalComplex, n: int) -> list:
+        """f^(q)(lam)/q! for q < n; lam must lie inside the radius."""
+        z = lam.to_complex()
+        if abs(z) >= self.radius:
+            raise OutsideAnalyticityRadius(f"|lambda| = {abs(z):.6g} >= radius {self.radius:.6g}")
+        out = []
+        for q in range(n):
+            v = self.derivatives(z, q) / math.factorial(q)
+            out.append(approx(v.real, v.imag))
+        return out
 
     def __call__(self, lam: TotalComplex) -> TotalComplex:
-        return self.derivative_value(lam, 0)
+        z = self.derivatives(lam.to_complex(), 0)
+        return approx(z.real, z.imag)
 
 
 FunctionDescriptor = Union[PolynomialFunction, OracleFunction]
@@ -171,50 +158,38 @@ def named_oracle(name: str) -> OracleFunction:
     return OracleFunction(name, fn)
 
 
-def _check_radius(f: FunctionDescriptor, lam: TotalComplex):
-    if abs(lam.to_complex()) >= f.radius:
-        raise OutsideAnalyticityRadius(
-            f"|lambda| = {abs(lam.to_complex()):.6g} >= radius {f.radius:.6g}"
-        )
-
-
 def f_jordan_block(f: FunctionDescriptor, lam: TotalComplex, n: int) -> Matrix:
     """f(J_n(lambda)): upper triangular Toeplitz with f^(q)(lam)/q! on the
     q-th superdiagonal."""
-    _check_radius(f, lam)
-    derivs = []
-    for q in range(n):
-        v = f.derivative_value(lam, q)
-        factor = Fraction(1, math.factorial(q)) if v.backend == EXACT else 1.0 / math.factorial(q)
-        derivs.append(v.scale_rational(factor))
-    zero = zero_like(derivs[0])
-    rows = [[derivs[j - i] if j >= i else zero for j in range(n)] for i in range(n)]
+    t = f.taylor(lam, n)
+    zero = zero_like(t[0])
+    rows = [[t[j - i] if j >= i else zero for j in range(n)] for i in range(n)]
     return Matrix.from_rows(rows)
 
 
-@dataclass(frozen=True)
-class KappaResult:
-    kappa: int
-    value: TotalComplex  # the first nonvanishing derivative
+def _kappa(t: list) -> int:
+    """First q >= 1 with a nonvanishing Taylor coefficient t[q].
 
-
-def derivative_order_kappa(f: FunctionDescriptor, lam: TotalComplex, max_order: int) -> KappaResult:
-    """Smallest order >= 1 with a nonvanishing derivative at lam.
-
-    Exact coefficients test for exact zero; oracles use |value| > DERIVATIVE_EPS.
-    Raises KappaNotFound past max_order (f locally constant as far as the
-    block sizes can see).
-    """
-    _check_radius(f, lam)
-    for order in range(1, max_order + 1):
-        v = f.derivative_value(lam, order)
+    Exact values test for exact zero; float values use
+    |f^(q)(lam)| = q! |t[q]| > DERIVATIVE_EPS."""
+    for q in range(1, len(t)):
+        v = t[q]
         if v.backend == EXACT:
             nonzero = not v.is_zero()
         else:
-            nonzero = abs(v.to_complex()) > DERIVATIVE_EPS
+            nonzero = abs(v.to_complex()) * math.factorial(q) > DERIVATIVE_EPS
         if nonzero:
-            return KappaResult(order, v)
-    raise KappaNotFound(f"no nonvanishing derivative up to order {max_order}")
+            return q
+    raise KappaNotFound(f"no nonvanishing derivative up to order {len(t) - 1}")
+
+
+def derivative_order_kappa(f: FunctionDescriptor, lam: TotalComplex, highest: int) -> int:
+    """Smallest order >= 1 with a nonvanishing derivative at lam.
+
+    Raises KappaNotFound past order `highest` (f locally constant as far as
+    the block sizes can see).
+    """
+    return _kappa(f.taylor(lam, highest + 1))
 
 
 def split_block(n: int, kappa: int) -> tuple:
@@ -289,16 +264,22 @@ def gdod_two_blocks(n1: int, n2: int, kappa: int, j: int) -> int:
             - ell2 * c2 - (j - kappa - ell2) * (c2 - 1))
 
 
+def _image(f: FunctionDescriptor, lam: TotalComplex, sizes: Partition) -> tuple:
+    """(f(lam), eta) from one Taylor expansion of f at lam; see eta."""
+    sizes = as_partition(sizes)
+    t = f.taylor(lam, max(sizes) + 1)
+    try:
+        kappa = _kappa(t)
+    except KappaNotFound:
+        return t[0], tuple([1] * sum(sizes))
+    return t[0], eta_given_kappa(sizes, kappa)
+
+
 def eta(f: FunctionDescriptor, lam: TotalComplex, sizes: Partition) -> Partition:
     """Block-size partition of the lam-group of f(X) given the block sizes
     of X at lam.  A missing nonzero derivative (f locally constant) maps
     every vector to an eigenvector: all-ones."""
-    sizes = as_partition(sizes)
-    try:
-        kappa = derivative_order_kappa(f, lam, max(sizes)).kappa
-    except KappaNotFound:
-        return tuple([1] * sum(sizes))
-    return eta_given_kappa(sizes, kappa)
+    return _image(f, lam, sizes)[1]
 
 
 def eta_given_kappa(sizes: Partition, kappa: int) -> Partition:
@@ -319,21 +300,13 @@ def repr_of_fx(f: FunctionDescriptor, rx: SNRepresentation):
     """
     items = []
     for lam, part in zip(rx.eigenvalues, rx.partitions):
-        _check_radius(f, lam)
-        mu = f(lam)
-        e = eta(f, lam, part)
+        mu, e = _image(f, lam, part)
         gaps = tuple(prefix(part, j) - prefix(e, j) for j in range(1, len(e) + 1))
         items.append((mu, e, gaps))
     items = _sorted_desc_items(items)
     gap_vectors = tuple(g for _, _, g in items)
-    eigs, parts = [], []
-    for mu, e, _ in items:
-        if eigs and cmp_total(eigs[-1], mu) is OrderOutcome.EQUAL:
-            parts[-1] = merge_desc(parts[-1], e)
-        else:
-            eigs.append(mu)
-            parts.append(e)
-    return SNRepresentation(tuple(eigs), tuple(parts)), gap_vectors
+    rep = canonical_repr(JordanSpec(tuple((mu, e) for mu, e, _ in items)))
+    return rep, gap_vectors
 
 
 def f_of_jordan_spec(f: FunctionDescriptor, rx: SNRepresentation) -> Matrix:
@@ -361,10 +334,10 @@ def gdod_f_g(
     direction does.  Shorter lists are padded with empty partitions.
     """
     fx = _sorted_desc_items(
-        [(f(lam), eta(f, lam, part)) for lam, part in zip(rx.eigenvalues, rx.partitions)]
+        [_image(f, lam, part) for lam, part in zip(rx.eigenvalues, rx.partitions)]
     )
     gy = _sorted_desc_items(
-        [(g(lam), eta(g, lam, part)) for lam, part in zip(ry.eigenvalues, ry.partitions)]
+        [_image(g, lam, part) for lam, part in zip(ry.eigenvalues, ry.partitions)]
     )
     k = max(len(fx), len(gy))
     etas_f = [e for _, e in fx] + [()] * (k - len(fx))

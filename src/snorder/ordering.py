@@ -141,7 +141,7 @@ def _kappas(f: FunctionDescriptor, rep: SNRepresentation) -> list:
     out = []
     for lam, part in zip(rep.eigenvalues, rep.partitions):
         try:
-            out.append(derivative_order_kappa(f, lam, max(part)).kappa)
+            out.append(derivative_order_kappa(f, lam, max(part)))
         except KappaNotFound:
             out.append(None)
     return out

@@ -15,7 +15,13 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import GradientUnavailable, NotWeaklyMajorized
-from .majorization import Majorization, TTransform, majorize_check, t_transform_apply
+from .majorization import (
+    Majorization,
+    TTransform,
+    majorize_check,
+    prefix_sums,
+    t_transform_apply,
+)
 from .scalar import (
     EXACT,
     OrderOutcome,
@@ -357,28 +363,22 @@ def majorization_preserving_check(f, x, y) -> MajorizationPreserveResult:
     fx = [f(v) for v in sx]
     fy = [f(v) for v in sy]
     n = len(sx)
+    diffs = [b - a for a, b in zip(fx, fy)]
 
     if inc:
-        ok = True
-        for i in range(1, n):
-            lhs = fx[i] - fy[i]
-            rhs = None
-            for j in range(i):
-                d = fy[j] - fx[j]
-                rhs = d if rhs is None else rhs + d
-            if cmp_total(lhs, rhs) is OrderOutcome.GREATER:
-                ok = False
-                break
-        if ok:
+        rhs = prefix_sums(diffs)
+        if all(cmp_total(fx[i] - fy[i], rhs[i - 1]) is not OrderOutcome.GREATER
+               for i in range(1, n)):
             return MajorizationPreserveResult(MajorizationCert.CERTIFIED_INCREASING)
     if dec:
         ok = cmp_total(fx[n - 1], fy[n - 1]) is not OrderOutcome.GREATER
         if ok:
             for i in range(n - 1):
                 lhs = fx[i] - fy[i]
+                # Suffix sums stay left to right: summing from the end
+                # would change the float rounding.
                 rhs = None
-                for j in range(i + 1, n):
-                    d = fy[j] - fx[j]
+                for d in diffs[i + 1:]:
                     rhs = d if rhs is None else rhs + d
                 if cmp_total(lhs, rhs) is OrderOutcome.GREATER:
                     ok = False

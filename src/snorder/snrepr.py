@@ -31,7 +31,7 @@ from .linalg import (
     rank,
     rank_gaussian_int_rows,
 )
-from .majorization import Majorization, majorize_check, prefix_sums
+from .majorization import prefix_sums
 from .partitions import Partition, as_partition, dominance_check, merge_desc
 from .scalar import EXACT, OrderOutcome, TotalComplex, cmp_total, one_like, zero_like
 
@@ -83,9 +83,6 @@ class SNRepresentation:
         for lam, part in zip(self.eigenvalues, self.partitions):
             out.extend([lam] * sum(part))
         return tuple(out)
-
-    def multiplicity(self, k: int) -> int:
-        return sum(self.partitions[k])
 
     def max_block(self) -> int:
         return max(max(p) for p in self.partitions)
@@ -252,11 +249,11 @@ def compare_sno(rx: SNRepresentation, ry: SNRepresentation) -> SNOVerdict:
         raise DimensionMismatch(f"dimension {len(sx)} vs {len(sy)}")
     if all(cmp_total(a, b) is OrderOutcome.EQUAL for a, b in zip(sx, sy)):
         return compare_nilpotent(rx.partitions, ry.partitions)
-    verdict = majorize_check(sx, sy)
-    if verdict is Majorization.NONE:
+    # Spectral vectors are non-increasing already, so their prefix sums
+    # decide weak majorization without sorting.
+    outcomes = [cmp_total(a, b) for a, b in zip(prefix_sums(sx), prefix_sums(sy))]
+    if OrderOutcome.GREATER in outcomes:
         return SNOVerdict.INCOMPARABLE
-    # spectral vectors differ and x is weakly below y
-    all_strict = all(
-        cmp_total(a, b) is OrderOutcome.LESS for a, b in zip(prefix_sums(sx), prefix_sums(sy))
-    )
-    return SNOVerdict.STRICT_LESS if all_strict else SNOVerdict.WEAK_LESS
+    if all(c is OrderOutcome.LESS for c in outcomes):
+        return SNOVerdict.STRICT_LESS
+    return SNOVerdict.WEAK_LESS

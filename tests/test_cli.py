@@ -235,6 +235,17 @@ def test_convexity_rejects_weights_outside_unit_interval(tmp_path, capsys, weigh
     assert [p["t"] for p in out["points"]] == ["0", "1"]
 
 
+@pytest.mark.parametrize("a_shape, b_shape", [((1, 2), (3, 3)), ((2, 2), (3, 3))])
+def test_convexity_rejects_shape_mismatch(tmp_path, capsys, a_shape, b_shape):
+    def zeros(m, n):
+        return {"rows": [[sc("0")] * n for _ in range(m)]}
+
+    f = write(tmp_path, "f.json", {"polynomial": {"coefficients": [sc("0"), sc("0"), sc("1")]}})
+    a = write(tmp_path, "a.json", zeros(*a_shape))
+    b = write(tmp_path, "b.json", zeros(*b_shape))
+    assert_input_error(capsys, ["convexity", f, a, b, "-t", "1/2"])
+
+
 def run_fresh(tmp_path, script):
     """Run script in a new interpreter that imports this checkout's snorder;
     return the JSON it prints last."""

@@ -1,11 +1,13 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from snorder import (
     JordanSpec,
+    SNRepresentation,
+    approx,
     canonical_repr,
     derivative_order_kappa,
     dominance_check,
@@ -39,10 +41,9 @@ def test_polynomial_evaluation_and_derivatives():
     f = poly([1, -2, 0, 1])  # 1 - 2z + z^3
     lam = exact(2)
     assert f(lam).to_complex() == 5
-    assert f.derivative_value(lam, 1).to_complex() == 10
-    assert f.derivative_value(lam, 2).to_complex() == 12
-    assert f.derivative_value(lam, 3).to_complex() == 6
-    assert f.derivative_value(lam, 4).is_zero()
+    t = f.taylor(lam, 5)
+    assert [math.factorial(q) * t[q].to_complex() for q in range(4)] == [5, 10, 12, 6]
+    assert t[4].is_zero()
 
 
 def _falling_factorial_sum(coeffs, lam, order):
@@ -57,20 +58,34 @@ def _falling_factorial_sum(coeffs, lam, order):
     return acc
 
 
-def _gaussian_rational(rng):
-    return exact(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-                 Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+small_rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+gaussian_rationals = st.builds(exact, small_rationals, small_rationals)
+polynomials = st.lists(gaussian_rationals, min_size=1, max_size=6).map(poly)
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_exact_derivative_value_matches_falling_factorial_sum(seed):
-    rng = random.Random(seed)
-    f = poly([_gaussian_rational(rng) for _ in range(rng.randint(1, 6))])
-    lam = _gaussian_rational(rng)
-    for order in range(f.degree + 2):
-        v = f.derivative_value(lam, order)
-        expected = _falling_factorial_sum(f.coefficients, lam, order)
+@settings(max_examples=60)
+@given(polynomials, gaussian_rationals, st.integers(1, 3))
+def test_exact_taylor_matches_falling_factorial_sum(f, lam, extra):
+    n = f.degree + 1 + extra
+    t = f.taylor(lam, n)
+    assert len(t) == n
+    for q in range(n):
+        v = t[q].scale_rational(math.factorial(q))
+        expected = _falling_factorial_sum(f.coefficients, lam, q)
         assert (v.backend, v.re, v.im) == (expected.backend, expected.re, expected.im)
+
+
+@settings(max_examples=60)
+@given(polynomials, gaussian_rationals)
+def test_float_taylor_matches_exact(f, lam):
+    n = f.degree + 2
+    exact_t = f.taylor(lam, n)
+    float_f = poly([c.to_complex() for c in f.coefficients], backend="float")
+    float_t = float_f.taylor(lam.to_float_backend(), n)
+    for a, b in zip(float_t, exact_t):
+        assert a.backend == "float"
+        # relative, with a unit floor for coefficients at or near zero
+        assert abs(a.to_complex() - b.to_complex()) <= 1e-9 * max(1.0, abs(b.to_complex()))
 
 
 @pytest.mark.parametrize("f", [
@@ -103,8 +118,6 @@ def test_f_jordan_block_is_toeplitz_in_derivatives():
 
 def test_named_oracle_exp_matches_series():
     f = named_oracle("exp")
-    from snorder import approx
-
     m = f_jordan_block(f, approx(0.0), 4)
     vals = [m.rows[0][q].to_complex() for q in range(4)]
     assert vals == pytest.approx([1, 1, 0.5, 1 / 6])
@@ -112,8 +125,8 @@ def test_named_oracle_exp_matches_series():
 
 def test_kappa_exact_and_not_found():
     f = poly([0, 0, 0, 1])  # z^3
-    assert derivative_order_kappa(f, exact(0), 5).kappa == 3
-    assert derivative_order_kappa(f, exact(1), 5).kappa == 1
+    assert derivative_order_kappa(f, exact(0), 5) == 3
+    assert derivative_order_kappa(f, exact(1), 5) == 1
     const = poly([7])
     with pytest.raises(KappaNotFound):
         derivative_order_kappa(const, exact(0), 4)
@@ -121,10 +134,22 @@ def test_kappa_exact_and_not_found():
 
 def test_radius_enforced_for_oracles():
     f = OracleFunction("toy", lambda z, q: 1.0, radius=1.0)
-    from snorder import approx
-
     with pytest.raises(OutsideAnalyticityRadius):
         f_jordan_block(f, approx(2.0), 2)
+
+
+def test_radius_enforced_by_every_structure_function():
+    f = OracleFunction("toy", lambda z, q: 1.0, radius=1.0)
+    lam = approx(2.0)
+    rx = SNRepresentation((lam,), ((2,),))
+    with pytest.raises(OutsideAnalyticityRadius):
+        derivative_order_kappa(f, lam, 2)
+    with pytest.raises(OutsideAnalyticityRadius):
+        eta(f, lam, (2,))
+    with pytest.raises(OutsideAnalyticityRadius):
+        repr_of_fx(f, rx)
+    with pytest.raises(OutsideAnalyticityRadius):
+        gdod_f_g(f, rx, f, rx)
 
 
 def test_split_block_golden():
