@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,24 @@ def _falling_factorial_sum(coeffs, lam, order):
                 term = term * lam
             acc = acc + term.scale_rational(math.perm(k, order))
     return acc
+
+
+def _gaussian_rational(rng):
+    return exact(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                 Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_exact_derivative_value_matches_falling_factorial_sum(seed):
+    """The q-th derivative read off taylor (q! t[q]) on seeded polynomials."""
+    rng = random.Random(seed)
+    f = poly([_gaussian_rational(rng) for _ in range(rng.randint(1, 6))])
+    lam = _gaussian_rational(rng)
+    t = f.taylor(lam, f.degree + 2)
+    for order in range(f.degree + 2):
+        v = t[order].scale_rational(math.factorial(order))
+        expected = _falling_factorial_sum(f.coefficients, lam, order)
+        assert (v.backend, v.re, v.im) == (expected.backend, expected.re, expected.im)
 
 
 small_rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
