@@ -45,7 +45,7 @@ def _load(path: str, schema: str | None = None):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:  # also bad UTF-8 and oversized integer literals
         raise InputFormatError(f"{path}: {err}")
     if schema is not None:
         import jsonschema
@@ -92,6 +92,8 @@ def cmd_repr(args):
         if not args.eigenvalues:
             raise InputFormatError("--matrix requires --eigenvalues")
         m = ser.matrix_from_json(_load(args.matrix, "matrix"), args.backend)
+        if not m.is_square:
+            raise InputFormatError(f"--matrix must be square, got {m.shape}")
         eigs = ser.vector_from_json(_load(args.eigenvalues, "vector"), args.backend)
         rep = repr_from_matrix(m, eigs)
     else:

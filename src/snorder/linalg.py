@@ -2,10 +2,11 @@
 
 Exact matrices hold Fraction-backed scalars.  Exact kernels work on rows of
 (re, im) Python-int pairs: ``gaussian_int_rows`` clears a matrix's
-denominators once, after which products and fraction-free (Bareiss) ranks
-need no Fraction arithmetic.  Float matrices go through numpy SVD with an
-explicit singular-value gap check; numpy is imported by the float helpers
-only, so exact work never loads it.
+denominators once, after which products, fraction-free (Bareiss) ranks and
+row-space bases (``row_basis_exact``) need no Fraction arithmetic.  The float
+row-space basis (``row_basis_float``) comes from numpy's SVD with an explicit
+singular-value gap check; numpy is imported by the float helpers only, so
+exact work never loads it.
 """
 
 from __future__ import annotations
@@ -46,11 +47,6 @@ class Matrix:
         return Matrix(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
 
     @staticmethod
-    def zeros(m: int, n: int, backend: str = EXACT) -> "Matrix":
-        zero = TotalComplex.zero(backend)
-        return Matrix(tuple(tuple(zero for _ in range(n)) for _ in range(m)))
-
-    @staticmethod
     def from_numpy(a: np.ndarray) -> "Matrix":
         import numpy as np
 
@@ -72,10 +68,6 @@ class Matrix:
     @property
     def backend(self) -> str:
         return self.rows[0][0].backend
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
 
     # -- arithmetic -------------------------------------------------------
 
@@ -157,11 +149,9 @@ def block_diag(blocks: Sequence[Matrix]) -> Matrix:
     rows = [[zero] * n for _ in range(n)]
     off = 0
     for b in blocks:
-        k = b.shape[0]
-        for i in range(k):
-            for j in range(k):
-                rows[off + i][off + j] = b.rows[i][j]
-        off += k
+        for i, row in enumerate(b.rows):
+            rows[off + i][off:off + len(row)] = row
+        off += len(b.rows)
     return Matrix.from_rows(rows)
 
 
@@ -193,10 +183,10 @@ def gaussian_int_rows(mat: Matrix):
 
 
 def gaussian_int_matmul(a, b):
-    """Product of two square matrices of (re, im) Gaussian-integer pairs.
-    Zero entries of a are skipped: structure recovery multiplies sparse,
-    block-diagonal powers."""
-    n = len(a)
+    """Product of an r x m and an m x n matrix of (re, im) Gaussian-integer
+    pairs.  Zero entries of a are skipped: structure recovery multiplies
+    sparse, block-diagonal shifts."""
+    n = len(b[0])
     out = []
     for ai in a:
         sr, si = [0] * n, [0] * n
@@ -245,30 +235,29 @@ def rank_gaussian_int_rows(rows) -> int:
     return r
 
 
-def rank_float(a: np.ndarray) -> int:
-    """SVD rank with threshold SVD_TOL * sigma_max and an explicit gap check:
-    the smallest kept and largest dropped singular values must differ by a
-    factor of at least SVD_GAP."""
+def row_basis_exact(rows) -> list:
+    """The input rows, in input order, whose copies become pivots when
+    rank_gaussian_int_rows eliminates them: a basis of the row space whose
+    entries, unlike echelon rows, do not grow along a chain of products."""
+    copies = [list(row) for row in rows]
+    work = list(copies)
+    pivots = {id(row) for row in work[:rank_gaussian_int_rows(work)]}
+    return [row for row, copy in zip(rows, copies) if id(copy) in pivots]
+
+
+def row_basis_float(rows: np.ndarray, cut: float) -> np.ndarray:
+    """Orthonormal row-space basis: the right singular vectors whose singular
+    values exceed cut.  RankAmbiguous unless the smallest kept and largest
+    dropped singular values differ by a factor of at least SVD_GAP."""
     import numpy as np
 
-    s = np.linalg.svd(np.atleast_2d(a), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    cut = SVD_TOL * s[0]
-    kept = s[s > cut]
-    dropped = s[s <= cut]
-    if kept.size and dropped.size and dropped[0] > 0.0:
-        if kept[-1] / dropped[0] < SVD_GAP:
-            raise RankAmbiguous(
-                f"singular values straddle the threshold: {kept[-1]:.3e} vs {dropped[0]:.3e}"
-            )
-    return int(kept.size)
-
-
-def rank(mat: Matrix) -> int:
-    if mat.backend == EXACT:
-        return rank_exact(mat)
-    return rank_float(mat.to_numpy())
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    r = int((s > cut).sum())
+    if 0 < r < s.size and s[r] > 0.0 and s[r - 1] / s[r] < SVD_GAP:
+        raise RankAmbiguous(
+            f"singular values straddle the threshold: {s[r - 1]:.3e} vs {s[r]:.3e}"
+        )
+    return vh[:r]
 
 
 def spectral_norm(a: np.ndarray) -> float:

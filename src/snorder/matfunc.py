@@ -90,13 +90,12 @@ class PolynomialFunction:
 
     def eval_matrix(self, x: Matrix) -> Matrix:
         """f(X) by Horner's rule in matrix arithmetic."""
-        n = x.shape[0]
-        backend = x.backend
-        result = Matrix.zeros(n, n, backend)
-        ident = Matrix.identity(n, backend)
-        for c in reversed(self.coefficients):
-            c_local = c if c.backend == backend else c.to_float_backend()
-            result = result @ x + ident.scale(c_local)
+        ident = Matrix.identity(x.shape[0], x.backend)
+        top, *rest = [c if c.backend == x.backend else c.to_float_backend()
+                      for c in reversed(self.coefficients)]
+        result = ident.scale(top)
+        for c in rest:
+            result = result @ x + ident.scale(c)
         return result
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -17,7 +18,7 @@ from .linalg import Matrix
 from .majorization import TTransform
 from .matfunc import FunctionDescriptor, PolynomialFunction, named_oracle
 from .partitions import as_partition
-from .scalar import EXACT, TotalComplex, approx, exact
+from .scalar import EXACT, FLOAT, TotalComplex, approx, exact
 from .schur import DomainBox
 from .snrepr import JordanSpec, SNRepresentation
 
@@ -52,6 +53,8 @@ def _component_from_json(v, backend: str):
             raise InputFormatError(f"bad rational literal {v!r}: {err}")
     if isinstance(v, str):
         raise InputFormatError(f"string literal {v!r} is not valid for the float backend")
+    if not abs(v) <= sys.float_info.max:  # NaN, infinities, integers out of float range
+        raise InputFormatError(f"non-finite number {v!r} is not a valid component")
     return float(v)
 
 
@@ -143,7 +146,7 @@ def function_from_json(obj, backend: str) -> FunctionDescriptor:
 
 def domain_box_from_json(obj) -> DomainBox:
     try:
-        return DomainBox(float(obj["c1"]), float(obj["c2"]), float(obj["c3"]))
+        return DomainBox(*(_component_from_json(obj[k], FLOAT) for k in ("c1", "c2", "c3")))
     except (KeyError, TypeError, ValueError) as err:
         raise InputFormatError(f"bad domain box {obj!r}: {err}")
 

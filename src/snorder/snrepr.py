@@ -4,16 +4,17 @@ partial order built from them.
 A representation stores the distinct eigenvalues (strictly decreasing under
 the complex total order) together with one Jordan block-size partition per
 eigenvalue.  Eigenvalues are caller-supplied throughout: structure recovery
-only needs ranks of powers of (X - lambda*I), never a general eigensolver.
-On exact matrices it clears denominators once per matrix and forms each
-shift, its powers and their ranks on Gaussian integers.
+only needs ranks of powers of A = X - lambda*I, never a general eigensolver.
+One loop serves both backends: it never forms A^k but multiplies a basis of
+the row space of A^k by A (exact: pivot rows on Gaussian integers, after
+clearing X's denominators once; float: right singular vectors by SVD).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cmp_to_key, partial
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -24,12 +25,14 @@ from .errors import (
     SpectrumMismatch,
 )
 from .linalg import (
+    SVD_TOL,
     Matrix,
     block_diag,
     gaussian_int_matmul,
     gaussian_int_rows,
-    rank,
-    rank_gaussian_int_rows,
+    row_basis_exact,
+    row_basis_float,
+    spectral_norm,
 )
 from .majorization import prefix_sums
 from .partitions import Partition, as_partition, dominance_check, merge_desc
@@ -154,10 +157,19 @@ def block_sizes_from_ranks(ranks: Iterable[int], m: int) -> Partition:
     )
 
 
-def _exact_shift_ranks(x_int, mul: int, lam: TotalComplex):
-    """Ranks of the powers of X - lambda I, given X_int = mul * X.  With k the
-    lcm of mul and lambda's denominators, the shift k (X - lambda I) is
-    (k / mul) X_int less k lambda on the diagonal: Gaussian integers only."""
+def _image_chain(shift, row_basis, times):
+    """Ranks of the powers of A = X - lambda I without forming them: with
+    B_k a basis of the row space of A^k, rank(A^(k+1)) = rank(B_k A)."""
+    rows = shift
+    while True:
+        rows = row_basis(rows)
+        yield len(rows)
+        rows = times(rows, shift)
+
+
+def _int_shift(x_int, mul: int, lam: TotalComplex):
+    """k (X - lambda I) on Gaussian integers, given X_int = mul * X and k the
+    lcm of mul and lambda's denominators: (k / mul) X_int less k lambda I."""
     k = lcm(mul, lam.re.denominator, lam.im.denominator)
     a = k // mul
     lam_re, lam_im = int(lam.re * k), int(lam.im * k)
@@ -165,43 +177,38 @@ def _exact_shift_ranks(x_int, mul: int, lam: TotalComplex):
     for i, row in enumerate(shift):
         re, im = row[i]
         row[i] = (re - lam_re, im - lam_im)
-    power = shift
-    while True:
-        yield rank_gaussian_int_rows([list(row) for row in power])
-        power = gaussian_int_matmul(power, shift)
-
-
-def _float_shift_ranks(x: Matrix, lam: TotalComplex):
-    """Ranks of the powers of X - lambda I by SVD."""
-    ident = Matrix.identity(x.shape[0], x.backend)
-    shift = x - ident.scale(lam)
-    power = ident
-    while True:
-        power = power @ shift
-        yield rank(power)
+    return shift
 
 
 def repr_from_matrix(x: Matrix, eigenvalues: Sequence[TotalComplex]) -> SNRepresentation:
-    """Recover the SN representation from ranks of powers of (X - lambda*I).
+    """Recover the SN representation from ranks of powers of (X - lambda*I),
+    one image chain per eigenvalue on either backend.
 
-    Exact matrices have their denominators cleared once per call; each
-    shift and its powers are then Gaussian-integer matrices.  Raises
-    SpectrumMismatch when the supplied eigenvalues do not exhaust the
-    dimension of x.
+    Exact matrices have their denominators cleared once per call.  Float
+    ranks use one absolute cut, SVD_TOL * max(||X||_2, |lambda|), so a
+    product that is all round-off reads as rank 0.  Raises SpectrumMismatch
+    when the supplied eigenvalues do not exhaust the dimension of x.
     """
     if not x.is_square:
         raise DimensionMismatch("square matrix required")
     m = x.shape[0]
     if x.backend == EXACT:
         x_int, mul = gaussian_int_rows(x)
+    else:
+        import numpy as np
+
+        a = x.to_numpy()
+        norm = spectral_norm(a)
     blocks = []
     for lam in _dedupe_eigenvalues(eigenvalues):
         if lam.backend != x.backend:
             raise BackendMismatch(f"{x.backend} matrix vs {lam.backend} eigenvalue")
         if x.backend == EXACT:
-            ranks = _exact_shift_ranks(x_int, mul, lam)
+            ranks = _image_chain(_int_shift(x_int, mul, lam), row_basis_exact, gaussian_int_matmul)
         else:
-            ranks = _float_shift_ranks(x, lam)
+            z = lam.to_complex()
+            basis = partial(row_basis_float, cut=SVD_TOL * max(norm, abs(z)))
+            ranks = _image_chain(a - z * np.eye(m), basis, np.matmul)
         part = block_sizes_from_ranks(ranks, m)
         if part:
             blocks.append((lam, part))

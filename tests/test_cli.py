@@ -246,6 +246,39 @@ def test_convexity_rejects_shape_mismatch(tmp_path, capsys, a_shape, b_shape):
     assert_input_error(capsys, ["convexity", f, a, b, "-t", "1/2"])
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
+                         ids=["nan", "inf", "-inf", "1e999", "int-1e400"])
+def test_non_finite_floats_are_input_errors(tmp_path, capsys, literal):
+    def text(name, body):
+        p = tmp_path / name
+        p.write_text(body)
+        return str(p)
+
+    bad = f'{{"re": {literal}, "im": 0}}'
+    x = text("x.json", f'[{bad}, {{"re": 1, "im": 0}}]')
+    y = write(tmp_path, "y.json", [{"re": 1.0, "im": 0.0}, {"re": 1.0, "im": 0.0}])
+    assert_input_error(capsys, ["--backend", "float", "majorize", x, y])
+    m = text("m.json", f'{{"rows": [[{bad}, {{"re": 0, "im": 0}}], [{{"re": 0, "im": 0}}, {bad}]]}}')
+    ev = write(tmp_path, "ev.json", [{"re": 1.0, "im": 0.0}])
+    assert_input_error(capsys, ["--backend", "float", "repr", "--matrix", m, "--eigenvalues", ev])
+    box = text("box.json", f'{{"c1": 1, "c2": {literal}, "c3": 0}}')
+    assert_input_error(capsys, ["schur", "--box", box, "--trials", "1", "--samples", "1"])
+
+
+@pytest.mark.parametrize("body", [b"[" + b"1" * 5000 + b"]", b"\xff\xfe[]"],
+                         ids=["int-5000-digits", "not-utf8"])
+def test_undecodable_json_is_input_error(tmp_path, capsys, body):
+    x = tmp_path / "x.json"
+    x.write_bytes(body)
+    assert_input_error(capsys, ["majorize", str(x), str(x)])
+
+
+def test_repr_rejects_non_square_matrix(tmp_path, capsys):
+    m = write(tmp_path, "m.json", {"rows": [[sc("1"), sc("0")]]})
+    ev = write(tmp_path, "ev.json", [sc("1")])
+    assert_input_error(capsys, ["repr", "--matrix", m, "--eigenvalues", ev])
+
+
 def run_fresh(tmp_path, script):
     """Run script in a new interpreter that imports this checkout's snorder;
     return the JSON it prints last."""
@@ -290,17 +323,19 @@ print(json.dumps({"codes": codes, "after_schur": after_schur,
 def test_float_paths_load_numpy_on_first_use(tmp_path):
     report = run_fresh(tmp_path, """
 import json, sys
-from snorder import linalg, ordering
+from snorder import linalg, ordering, repr_from_matrix
 from snorder.scalar import approx
 before = "numpy" in sys.modules
 m = linalg.Matrix.from_rows([[approx(1.0, 0.0), approx(2.0, 0.0)],
                              [approx(2.0, 0.0), approx(4.0, 0.0)]])
 arr = m.to_numpy()
+rep = repr_from_matrix(m, [approx(0.0), approx(5.0)])
 residuals = ordering.hp_identities_check([[0.5, 0.0], [0.0, 0.25]], [[1.0, 2.0], [0.0, 3.0]], 0.5)
-print(json.dumps({"before": before, "shape": list(arr.shape), "rank": linalg.rank(m),
+print(json.dumps({"before": before, "shape": list(arr.shape),
+                  "partitions": [list(p) for p in rep.partitions],
                   "max_residual": max(residuals.values())}))
 """)
     assert report["before"] is False
     assert report["shape"] == [2, 2]
-    assert report["rank"] == 1
+    assert report["partitions"] == [[1], [1]]
     assert report["max_residual"] < 1e-10

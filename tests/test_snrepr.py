@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from snorder import (
     JordanSpec,
     Matrix,
     SNOVerdict,
+    approx,
     assemble,
     canonical_repr,
     compare_nilpotent,
@@ -23,7 +25,13 @@ from snorder.errors import (
     SingularTransform,
     SpectrumMismatch,
 )
-from snorder.linalg import gaussian_int_matmul, rank_exact, rank_float
+from snorder.linalg import (
+    SVD_TOL,
+    gaussian_int_matmul,
+    rank_exact,
+    row_basis_exact,
+    row_basis_float,
+)
 from snorder.partitions import as_partition
 from snorder.serialization import InputFormatError, jordan_spec_from_json
 from snorder.snrepr import jordan_matrix
@@ -73,9 +81,9 @@ def test_rank_exact_known_values():
     assert rank_exact(n) == 1
 
 
-def _sparse_gaussian_int_rows(rng, n):
+def _sparse_gaussian_int_rows(rng, m, n=None):
     return [[(rng.choice([0, 0, rng.randint(-4, 4)]), rng.choice([0, rng.randint(-4, 4)]))
-             for _ in range(n)] for _ in range(n)]
+             for _ in range(m if n is None else n)] for _ in range(m)]
 
 
 def _as_matrix(rows):
@@ -84,18 +92,40 @@ def _as_matrix(rows):
 
 def test_gaussian_int_matmul_matches_matrix_product():
     rng = random.Random(3)
-    for n in range(1, 7):
-        a, b = _sparse_gaussian_int_rows(rng, n), _sparse_gaussian_int_rows(rng, n)
+    # square shapes, then r x m times m x n as in the image chain
+    shapes = [(n, n, n) for n in range(1, 7)] + [(1, 3, 3), (2, 5, 5), (4, 2, 3), (3, 4, 1)]
+    for r, m, n in shapes:
+        a, b = _sparse_gaussian_int_rows(rng, r, m), _sparse_gaussian_int_rows(rng, m, n)
         product = _as_matrix(a) @ _as_matrix(b)
         assert gaussian_int_matmul(a, b) == [[(z.re, z.im) for z in row] for row in product.rows]
 
 
-def test_rank_float_gap_check():
+@pytest.mark.parametrize("seed", range(20))
+def test_row_basis_exact_is_a_subset_of_input_rows(seed):
+    rng = random.Random(seed)
+    r, n = rng.randint(1, 6), rng.randint(1, 6)
+    rows = _sparse_gaussian_int_rows(rng, r, n)
+    if r > 1:  # make the last row a Gaussian-integer combination of earlier ones
+        c = (rng.randint(-2, 2), rng.randint(-2, 2))
+        rows[-1] = [(xr + c[0] * yr - c[1] * yi, xi + c[0] * yi + c[1] * yr)
+                    for (xr, xi), (yr, yi) in zip(rows[0], rows[1 % (r - 1)])]
+    before = [list(row) for row in rows]
+    basis = row_basis_exact(rows)
+    assert rows == before  # the input is not touched
+    assert len(basis) == rank_exact(_as_matrix(rows))
+    # the basis rows are input rows, in input order
+    positions = [next(i for i, row in enumerate(rows) if row is b) for b in basis]
+    assert positions == sorted(set(positions))
+    if basis:
+        assert rank_exact(_as_matrix(basis)) == len(basis)
+
+
+def test_row_basis_float_gap_check():
     a = np.diag([1.0, 1e-3, 1e-12])
-    assert rank_float(a) == 2
+    assert len(row_basis_float(a, SVD_TOL)) == 2
     with pytest.raises(RankAmbiguous):
         # values straddling the cutoff with ratio < 10
-        rank_float(np.diag([1.0, 3e-8, 0.5e-8]))
+        row_basis_float(np.diag([1.0, 3e-8, 0.5e-8]), SVD_TOL)
 
 
 def test_repr_from_matrix_recovers_jordan_structure():
@@ -206,6 +236,91 @@ def test_float_backend_repr_from_matrix():
     j = jordan_matrix(JordanSpec.of((approx(2.0), (2, 1))))
     rep = repr_from_matrix(j, [approx(2.0)])
     assert rep.partitions == ((2, 1),)
+
+
+def _partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+    for k in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def _float_transform(rng, n, unitary):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return np.linalg.qr(g)[0] if unitary else g
+
+
+def _float_similar(spec, u):
+    """U J U^-1 as a float Matrix, for a spec with float eigenvalues."""
+    return Matrix.from_numpy(u @ jordan_matrix(spec).to_numpy() @ np.linalg.inv(u))
+
+
+@pytest.mark.parametrize("unitary", [True, False])
+def test_float_recovery_single_eigenvalue(unitary):
+    # every power of X - lambda I beyond the largest block is round-off; the
+    # all-ones partitions give X = lambda I up to round-off
+    rng = np.random.default_rng(7)
+    lam = approx(1.0, 0.5)
+    for n in range(1, 9):
+        for part in _partitions(n):
+            spec = JordanSpec.of((lam, part))
+            x = _float_similar(spec, _float_transform(rng, n, unitary))
+            assert repr_from_matrix(x, [lam]) == canonical_repr(spec)
+
+
+@pytest.mark.parametrize("lam", [approx(0.0), approx(2.0, -1.0), approx(1e-3, 1e-3)])
+def test_float_recovery_of_scalar_matrix(lam):
+    spec = JordanSpec.of((lam, (1, 1, 1)))
+    assert repr_from_matrix(jordan_matrix(spec), [lam]).partitions == ((1, 1, 1),)
+
+
+FLOAT_EIGENVALUES = (approx(1.0, 0.5), approx(-0.5, 2.0), approx(0.25, -1.0),
+                     approx(2.0), approx(0.0), approx(-1.5, -0.5))
+
+
+@st.composite
+def float_specs(draw):
+    lams = draw(st.lists(st.sampled_from(FLOAT_EIGENVALUES), min_size=1, max_size=3,
+                         unique=True))
+    blocks = [(lam, sorted(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)),
+                           reverse=True)) for lam in lams]
+    spec = JordanSpec.of(*blocks)
+    assume(spec.dimension <= 8)
+    return spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(float_specs(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_float_recovery_property(spec, unitary, seed):
+    """Float recovery of U J U^-1 gives the spec or refuses with
+    RankAmbiguous: never a wrong partition, never SpectrumMismatch."""
+    u = _float_transform(np.random.default_rng(seed), spec.dimension, unitary)
+    lams = [lam for lam, _ in spec.blocks]
+    try:
+        rep = repr_from_matrix(_float_similar(spec, u), lams)
+    except RankAmbiguous:
+        return
+    assert rep == canonical_repr(spec)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exact_and_float_recovery_agree(seed):
+    rng = random.Random(100 + seed)
+    spec, lams = _rational_spec(rng)
+    while True:
+        u = _rational_transform(rng, spec.dimension)
+        if np.linalg.cond(u.to_numpy()) < 100:
+            break
+    x = assemble(spec, u)
+    exact_rep = repr_from_matrix(x, lams)
+    float_rep = repr_from_matrix(Matrix.from_numpy(x.to_numpy()),
+                                 [approx(*(float(c) for c in (lam.re, lam.im))) for lam in lams])
+    assert exact_rep == canonical_repr(spec)
+    assert float_rep.partitions == exact_rep.partitions
+    assert [z.to_complex() for z in float_rep.eigenvalues] == \
+        [z.to_complex() for z in exact_rep.eigenvalues]
 
 
 # -- nilpotent comparison -----------------------------------------------------
