@@ -6,7 +6,8 @@ restricted to [0, 1].  The decomposition of a strict majorization into
 T-transform steps mirrors the classical Muirhead construction, working on
 non-increasingly sorted copies and re-sorting (via explicit swap steps)
 after every mixing step so that replaying the returned transforms on
-sort_desc(y) reproduces x exactly.
+sort_desc(y) reproduces x exactly.  The matrix replaying a decomposition is
+built by column updates: each T-transform rewrites columns i and j only.
 """
 
 from __future__ import annotations
@@ -40,12 +41,16 @@ def prefix_sums(v: Sequence[TotalComplex]) -> list:
 def majorize_check(x: Sequence[TotalComplex], y: Sequence[TotalComplex]) -> Majorization:
     """Does x majorize-below y?  STRICT needs equal totals, WEAK only needs
     every prefix sum of sort_desc(x) to stay <= the matching prefix of y."""
-    if len(x) != len(y):
-        raise DimensionMismatch(f"{len(x)} vs {len(y)}")
-    if not x:
+    return majorize_sorted(sort_desc(x), sort_desc(y))
+
+
+def majorize_sorted(sx: Sequence[TotalComplex], sy: Sequence[TotalComplex]) -> Majorization:
+    """majorize_check for vectors already sorted non-increasingly."""
+    if len(sx) != len(sy):
+        raise DimensionMismatch(f"{len(sx)} vs {len(sy)}")
+    if not sx:
         raise DimensionMismatch("empty vectors")
-    px = prefix_sums(sort_desc(x))
-    py = prefix_sums(sort_desc(y))
+    px, py = prefix_sums(sx), prefix_sums(sy)
     for a, b in zip(px[:-1], py[:-1]):
         if cmp_total(a, b) is OrderOutcome.GREATER:
             return Majorization.NONE
@@ -78,17 +83,6 @@ class TTransform:
         zero, one = zero_like(self.beta), one_like(self.beta)
         return (cmp_total(self.beta, zero) is not OrderOutcome.LESS
                 and cmp_total(self.beta, one) is not OrderOutcome.GREATER)
-
-    def matrix(self, n: int) -> Matrix:
-        if self.j >= n:
-            raise DimensionMismatch(f"transform indices ({self.i},{self.j}) exceed size {n}")
-        rows = [list(r) for r in Matrix.identity(n, self.beta.backend).rows]
-        comp = one_like(self.beta) - self.beta
-        rows[self.i][self.i] = self.beta
-        rows[self.j][self.j] = self.beta
-        rows[self.i][self.j] = comp
-        rows[self.j][self.i] = comp
-        return Matrix.from_rows(rows)
 
 
 def t_transform_apply(v: Sequence[TotalComplex], t: TTransform) -> tuple:
@@ -168,7 +162,6 @@ def gds_check(m: Matrix) -> bool:
     (entries may be arbitrary complex numbers)."""
     if not m.is_square:
         raise DimensionMismatch("generalized doubly stochastic check needs a square matrix")
-    n = m.shape[0]
     one = one_like(m.rows[0][0])
     for line in itertools.chain(m.rows, zip(*m.rows)):
         acc = line[0]
@@ -181,11 +174,18 @@ def gds_check(m: Matrix) -> bool:
 
 def gds_from_transforms(transforms: Sequence[TTransform], n: int) -> Matrix:
     """Product of the transform matrices, in application order, so that
-    row-vector replay y @ P equals applying the transforms one by one."""
-    p = Matrix.identity(n, transforms[0].beta.backend if transforms else EXACT)
+    row-vector replay y @ P equals applying the transforms one by one.  Each
+    step updates two columns in the dense product's operand order, bit for bit."""
+    backend = transforms[0].beta.backend if transforms else EXACT
+    rows = [list(r) for r in Matrix.identity(n, backend).rows]
     for t in transforms:
-        p = p @ t.matrix(n)
-    return p
+        if t.j >= n:
+            raise DimensionMismatch(f"transform indices ({t.i},{t.j}) exceed size {n}")
+        i, j, beta, comp = t.i, t.j, t.beta, one_like(t.beta) - t.beta
+        for row in rows:
+            a, b = row[i], row[j]
+            row[i], row[j] = a * beta + b * comp, a * comp + b * beta
+    return Matrix.from_rows(rows)
 
 
 def apply_row_vector(v: Sequence[TotalComplex], m: Matrix) -> tuple:

@@ -19,6 +19,7 @@ from .majorization import (
     Majorization,
     TTransform,
     majorize_check,
+    majorize_sorted,
     prefix_sums,
     t_transform_apply,
 )
@@ -329,15 +330,15 @@ class MajorizationPreserveResult:
 
 def _pointwise_monotonicity(f, points):
     """Classify f on the given points: strictly increasing, strictly
-    decreasing, or neither, by comparing f across every ordered pair."""
+    decreasing, or neither, comparing f on every pair, larger point first."""
     inc = dec = True
-    pts = sort_desc(points)
-    for a_idx in range(len(pts)):
-        for b_idx in range(a_idx + 1, len(pts)):
-            a, b = pts[a_idx], pts[b_idx]  # a >= b
-            if cmp_total(a, b) is OrderOutcome.EQUAL:
+    for a_idx in range(len(points)):
+        for b_idx in range(a_idx + 1, len(points)):
+            a, b = points[a_idx], points[b_idx]
+            order = cmp_total(a, b)
+            if order is OrderOutcome.EQUAL:
                 continue
-            c = cmp_total(f(a), f(b))
+            c = cmp_total(f(a), f(b)) if order is OrderOutcome.GREATER else cmp_total(f(b), f(a))
             if c is not OrderOutcome.GREATER:
                 inc = False
             if c is not OrderOutcome.LESS:
@@ -355,10 +356,9 @@ def majorization_preserving_check(f, x, y) -> MajorizationPreserveResult:
     drops the difference-sum conditions (a decreasing f then reverses the
     conclusion).
     """
-    verdict = majorize_check(x, y)
-    if verdict is Majorization.NONE:
-        raise NotWeaklyMajorized("x must be weakly majorized by y")
     sx, sy = sort_desc(x), sort_desc(y)
+    if majorize_sorted(sx, sy) is Majorization.NONE:
+        raise NotWeaklyMajorized("x must be weakly majorized by y")
     inc, dec = _pointwise_monotonicity(f, list(sx) + list(sy))
     fx = [f(v) for v in sx]
     fy = [f(v) for v in sy]

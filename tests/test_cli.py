@@ -48,6 +48,67 @@ def test_majorize_strict_with_decomposition(tmp_path, capsys):
     assert out["transforms"][0]["i"] == 1  # 1-based in files
 
 
+# Reports of `majorize --decompose` on one fixed exact and one fixed float
+# pair; x is y after T(1, 3, 1/3) then T(2, 3, 1/2 + i/4) (0.3 for float).
+DECOMPOSE_CASES = {
+    "exact": (
+        [sc("1/3", "1/3"), sc("1/2", "11/12"), sc("7/6", "7/4")],
+        [sc("3", "1"), sc("0", "2"), sc("-1", "0")],
+        {
+            "all_beta_convex": False,
+            "gds": {"rows": [
+                [sc("19091/71670", "1207/71670"), sc("31/120", "-11/40"),
+                 sc("45419/95560", "74009/286680")],
+                [sc("4069/71670", "-8167/71670"), sc("89/120", "11/40"),
+                 sc("19261/95560", "-46169/286680")],
+                [sc("1617/2389", "232/2389"), sc("0", "0"), sc("772/2389", "-232/2389")],
+            ]},
+            "gds_valid": True,
+            "transforms": [
+                {"i": 1, "j": 2, "beta": sc("89/120", "11/40")},
+                {"i": 1, "j": 3, "beta": sc("1617/2389", "232/2389")},
+                {"i": 1, "j": 3, "beta": sc("0", "0")},
+            ],
+            "verdict": "strict",
+        },
+    ),
+    "float": (
+        [sc(0.19999999999999996, 0.3), sc(0.5749999999999997, 0.9000000000000001),
+         sc(1.2249999999999999, 1.7999999999999998)],
+        [sc(3.0, 1.0), sc(0.0, 2.0), sc(-1.0, 0.0)],
+        {
+            "all_beta_convex": False,
+            "gds": {"rows": [
+                [sc(0.23590513068731844, 0.013678606001936142), sc(0.2825, -0.2725),
+                 sc(0.4815948693126816, 0.25882139399806386)],
+                [sc(0.057763794772507246, -0.10614714424007742), sc(0.7175, 0.2725),
+                 sc(0.2247362052274927, -0.1663528557599226)],
+                [sc(0.7063310745401743, 0.09246853823814127), sc(0.0, 0.0),
+                 sc(0.2936689254598257, -0.09246853823814127)],
+            ]},
+            "gds_valid": True,
+            "transforms": [
+                {"i": 1, "j": 2, "beta": sc(0.7175, 0.2725)},
+                {"i": 1, "j": 3, "beta": sc(0.7063310745401743, 0.09246853823814127)},
+                {"i": 1, "j": 3, "beta": sc(0.0, 0.0)},
+            ],
+            "verdict": "strict",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(DECOMPOSE_CASES))
+def test_majorize_decompose_report_is_unchanged(tmp_path, capsys, backend):
+    xs, ys, expected = DECOMPOSE_CASES[backend]
+    x = write(tmp_path, "x.json", xs)
+    y = write(tmp_path, "y.json", ys)
+    code, out = run(capsys, ["--backend", backend, "majorize", x, y, "--decompose"])
+    assert code == 0
+    # Serialized text, not dict equality, so -0.0 and 0.0 stay apart.
+    assert json.dumps(out, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
 def test_majorize_weak(tmp_path, capsys):
     x = write(tmp_path, "x.json", [sc("1"), sc("0")])
     y = write(tmp_path, "y.json", [sc("3"), sc("1")])

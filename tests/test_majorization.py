@@ -21,6 +21,7 @@ from snorder import (
 from snorder.errors import DimensionMismatch, NotMajorized
 from snorder.linalg import Matrix
 from snorder.majorization import apply_row_vector, t_transform_decompose_trace
+from snorder.scalar import EXACT, FLOAT, approx, one_like
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=4)
 scalars = st.builds(exact, rationals, rationals)
@@ -188,3 +189,64 @@ def test_transform_preserves_majorization_below(entries, data):
     j = data.draw(st.integers(min_value=i + 1, max_value=len(y) - 1))
     x = t_transform_apply(y, TTransform(i, j, beta))
     assert majorize_check(x, y) is Majorization.STRICT
+
+
+def _t_matrix(t, n):
+    """Dense matrix of t: the identity with beta at (i, i) and (j, j) and
+    1 - beta at (i, j) and (j, i)."""
+    rows = [list(r) for r in Matrix.identity(n, t.beta.backend).rows]
+    comp = one_like(t.beta) - t.beta
+    rows[t.i][t.i] = rows[t.j][t.j] = t.beta
+    rows[t.i][t.j] = rows[t.j][t.i] = comp
+    return Matrix.from_rows(rows)
+
+
+def _bits(m):
+    """Exact entries as Fractions, float entries as their exact bit patterns
+    (float.hex tells -0.0 from 0.0)."""
+    return [[tuple(c.hex() if isinstance(c, float) else c for c in (z.re, z.im)) for z in row]
+            for row in m.rows]
+
+
+float_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324]),
+    st.floats(min_value=-4, max_value=4, allow_nan=False),
+)
+betas = {
+    EXACT: st.one_of(st.sampled_from([exact(0), exact(1)]), scalars),
+    FLOAT: st.one_of(st.sampled_from([approx(0.0), approx(1.0)]),
+                     st.builds(approx, float_parts, float_parts)),
+}
+
+
+@st.composite
+def t_transforms(draw, n, backend):
+    i = draw(st.integers(min_value=0, max_value=n - 2))
+    j = draw(st.integers(min_value=i + 1, max_value=n - 1))
+    return TTransform(i, j, draw(betas[backend]))
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gds_from_transforms_matches_dense_product(backend, data):
+    n = data.draw(st.integers(min_value=2, max_value=6))
+    ts = data.draw(st.lists(t_transforms(n, backend), max_size=8))
+    expected = Matrix.identity(n, backend if ts else EXACT)
+    for t in ts:
+        expected = expected @ _t_matrix(t, n)
+    assert _bits(gds_from_transforms(ts, n)) == _bits(expected)
+
+
+def test_gds_from_transforms_rejects_index_beyond_size():
+    with pytest.raises(DimensionMismatch):
+        gds_from_transforms([TTransform(0, 3, exact(Fraction(1, 2)))], 3)
+
+
+def test_gds_from_transforms_makes_no_matrix_product(monkeypatch):
+    def no_matmul(a, b):
+        raise AssertionError("dense matrix product")
+
+    monkeypatch.setattr(Matrix, "__matmul__", no_matmul)
+    ts = t_transform_decompose(vec(4, (1, 1), 3), vec((2, 1), 5, 1))
+    assert gds_check(gds_from_transforms(ts, 3))

@@ -1,11 +1,14 @@
 """Each demo script in scripts/ runs to completion on a small input."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from snorder import exact
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -22,3 +25,16 @@ def test_script_exits_zero(argv):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_decompose_demo_exits_one_on_a_failed_pair(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("decompose_demo",
+                                                  ROOT / "scripts" / "decompose_demo.py")
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    assert demo.main(["--pairs", "3"]) == 0
+    good = demo.gds_from_transforms
+    # Doubling the product breaks both the unit row sums and the replay.
+    monkeypatch.setattr(demo, "gds_from_transforms", lambda ts, n: good(ts, n).scale(exact(2)))
+    assert demo.main(["--pairs", "3"]) == 1
+    assert "gds_valid=False replay_exact=False" in capsys.readouterr().out
