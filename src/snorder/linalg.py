@@ -158,17 +158,6 @@ def block_diag(blocks: Sequence[Matrix]) -> Matrix:
 # -- exact rank via fraction-free elimination over Z[i] -------------------
 
 
-def _cdiv_exact(num, den):
-    a, b = num
-    c, d = den
-    rho = c * c + d * d
-    qr, rr = divmod(a * c + b * d, rho)
-    qi, ri = divmod(b * c - a * d, rho)
-    if rr or ri:
-        raise ArithmeticError("non-exact Gaussian-integer division in Bareiss step")
-    return (qr, qi)
-
-
 def gaussian_int_rows(mat: Matrix):
     """(rows, mul): mat scaled by mul, the lcm of all its entry denominators,
     as rows of (re, im) Gaussian-integer pairs.  Scaling by a nonzero
@@ -205,30 +194,35 @@ def rank_exact(mat: Matrix) -> int:
 
 def rank_gaussian_int_rows(rows) -> int:
     """Bareiss fraction-free rank of a matrix of (re, im) integer pairs.
-    Mutates rows."""
+    Mutates rows.  Divides by the previous pivot q, by q*conj(q) if not real."""
     m = len(rows)
     n = len(rows[0]) if rows else 0
-    prev = (1, 0)
+    qa, qb = 1, 0
     r = 0
     for c in range(n):
         piv = next((i for i in range(r, m) if rows[i][c] != (0, 0)), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        pr, p = rows[r], rows[r][c]
+        pr = rows[r]
+        pa, pb = pr[c]
+        den = qa * qa + qb * qb if qb else qa
         for i in range(r + 1, m):
             ri = rows[i]
-            t = ri[c]
+            ta, tb = ri[c]
             for j in range(c + 1, n):
-                pa, pb = p
                 xa, xb = ri[j]
-                ta, tb = t
                 ya, yb = pr[j]
-                num = (pa * xa - pb * xb - ta * ya + tb * yb,
-                       pa * xb + pb * xa - ta * yb - tb * ya)
-                ri[j] = _cdiv_exact(num, prev)
+                na = pa * xa - pb * xb - ta * ya + tb * yb
+                nb = pa * xb + pb * xa - ta * yb - tb * ya
+                if qb:
+                    na, nb = na * qa + nb * qb, nb * qa - na * qb
+                (ua, ra), (ub, rb) = divmod(na, den), divmod(nb, den)
+                if ra or rb:
+                    raise ArithmeticError("non-exact Gaussian-integer division in Bareiss step")
+                ri[j] = (ua, ub)
             ri[c] = (0, 0)
-        prev = p
+        qa, qb = pa, pb
         r += 1
         if r == m:
             break

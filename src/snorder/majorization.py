@@ -125,10 +125,10 @@ def t_transform_decompose_trace(x, y) -> tuple:
     sort_desc(y) yields x; intermediates are the working vectors after each
     mixing step (each still strictly majorizes x and is majorized by y).
     """
-    if majorize_check(x, y) is not Majorization.STRICT:
+    sx, sy = sort_desc(x), sort_desc(y)
+    if majorize_sorted(sx, sy) is not Majorization.STRICT:
         raise NotMajorized("decomposition requires strict majorization")
-    target = list(sort_desc(x))
-    w = list(sort_desc(y))
+    target, w = list(sx), list(sy)
     n = len(w)
     transforms: list = []
     intermediates: list = []

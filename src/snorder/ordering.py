@@ -178,7 +178,7 @@ def monotonicity_certificate(
             return cert_c
         return None
     # Case II: spectra equal, nilpotent level strictly below
-    inc, dec = _pointwise_monotonicity(f, list(rx.eigenvalues))
+    inc, dec = _pointwise_monotonicity(rx.eigenvalues, [f(z) for z in rx.eigenvalues])
     kx = _kappas(f, rx)
     ky = _kappas(f, ry)
     first_order = all(k == 1 for k in kx) and all(k == 1 for k in ky)

@@ -6,6 +6,10 @@ field: multiplying both sides of an inequality by the same complex number
 need not preserve it.  The predicates ``mul_preserves_order``,
 ``div_preserves_order`` and ``product_nonneg`` give exact case analyses of
 when the order survives those operations.
+
+Exact values compare without forming a difference, and exact arithmetic
+skips the terms of a zero imaginary part; the results are the same values.
+Floats keep the full formulas, bit for bit (signed zeros included).
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ class OrderOutcome(enum.Enum):
 
 def _cmp_raw(a, b, eps: float) -> int:
     """Three-way comparison of two real components under tolerance eps."""
+    if not eps:
+        return (a > b) - (a < b)
     d = a - b
     if d > eps:
         return 1
@@ -85,18 +91,24 @@ class TotalComplex:
         return DEFAULT_EPS if t is float else 0
 
     def __add__(self, other):
-        self._peer(other)
-        return TotalComplex(self.re + other.re, self.im + other.im)
+        if self._peer(other) or (self.im and other.im):
+            return TotalComplex(self.re + other.re, self.im + other.im)
+        return TotalComplex(self.re + other.re, self.im or other.im)  # one is exact 0
 
     def __sub__(self, other):
-        self._peer(other)
-        return TotalComplex(self.re - other.re, self.im - other.im)
+        if self._peer(other) or other.im:
+            return TotalComplex(self.re - other.re, self.im - other.im)
+        return TotalComplex(self.re - other.re, self.im)
 
     def __neg__(self):
         return TotalComplex(-self.re, -self.im)
 
     def __mul__(self, other):
-        self._peer(other)
+        if not self._peer(other):
+            if not other.im:
+                return TotalComplex(self.re * other.re, self.im and self.im * other.re)
+            if not self.im:
+                return TotalComplex(self.re * other.re, self.re * other.im)
         return TotalComplex(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,

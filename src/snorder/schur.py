@@ -328,17 +328,18 @@ class MajorizationPreserveResult:
     reversed_direction: bool = False  # conclusion runs f(y) weakly below f(x)
 
 
-def _pointwise_monotonicity(f, points):
-    """Classify f on the given points: strictly increasing, strictly
-    decreasing, or neither, comparing f on every pair, larger point first."""
+def _pointwise_monotonicity(points, images):
+    """Classify a map on the given points, given their images: strictly
+    increasing, strictly decreasing, or neither, comparing the images of
+    every pair, larger point first."""
     inc = dec = True
     for a_idx in range(len(points)):
         for b_idx in range(a_idx + 1, len(points)):
-            a, b = points[a_idx], points[b_idx]
-            order = cmp_total(a, b)
+            order = cmp_total(points[a_idx], points[b_idx])
             if order is OrderOutcome.EQUAL:
                 continue
-            c = cmp_total(f(a), f(b)) if order is OrderOutcome.GREATER else cmp_total(f(b), f(a))
+            fa, fb = images[a_idx], images[b_idx]
+            c = cmp_total(fa, fb) if order is OrderOutcome.GREATER else cmp_total(fb, fa)
             if c is not OrderOutcome.GREATER:
                 inc = False
             if c is not OrderOutcome.LESS:
@@ -359,10 +360,11 @@ def majorization_preserving_check(f, x, y) -> MajorizationPreserveResult:
     sx, sy = sort_desc(x), sort_desc(y)
     if majorize_sorted(sx, sy) is Majorization.NONE:
         raise NotWeaklyMajorized("x must be weakly majorized by y")
-    inc, dec = _pointwise_monotonicity(f, list(sx) + list(sy))
-    fx = [f(v) for v in sx]
-    fy = [f(v) for v in sy]
+    points = sx + sy
+    images = [f(v) for v in points]
+    inc, dec = _pointwise_monotonicity(points, images)
     n = len(sx)
+    fx, fy = images[:n], images[n:]
     diffs = [b - a for a, b in zip(fx, fy)]
 
     if inc:

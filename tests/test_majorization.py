@@ -250,3 +250,21 @@ def test_gds_from_transforms_makes_no_matrix_product(monkeypatch):
     monkeypatch.setattr(Matrix, "__matmul__", no_matmul)
     ts = t_transform_decompose(vec(4, (1, 1), 3), vec((2, 1), 5, 1))
     assert gds_check(gds_from_transforms(ts, 3))
+
+
+def test_decompose_sorts_each_input_once(monkeypatch):
+    import snorder.majorization as majorization
+
+    calls = []
+    real_sort = majorization.sort_desc
+
+    def counting(v):
+        calls.append(v)
+        return real_sort(v)
+
+    monkeypatch.setattr(majorization, "sort_desc", counting)
+    x, y = (exact(2), exact(2)), (exact(1), exact(3))
+    _, intermediates = t_transform_decompose_trace(x, y)
+    assert len(intermediates) == 1
+    # x and y once each, then one re-sort per mixing step
+    assert len(calls) == 2 + len(intermediates)

@@ -1,4 +1,5 @@
 import itertools
+import struct
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from snorder import (
     sort_desc,
 )
 from snorder.errors import BackendMismatch, DivisionByZero, OrderPreconditionFailed
+from snorder.linalg import rank_gaussian_int_rows
 from snorder.scalar import one_like, zero_like
 
 GRID = [exact(a, b) for a in range(-2, 3) for b in range(-2, 3)]
@@ -175,3 +177,115 @@ def test_sort_desc_is_stable_and_ordered():
     vals = [exact(1, 1), exact(2), exact(1, -1), exact(2)]
     out = sort_desc(vals)
     assert [v.to_complex() for v in out] == [2, 2, (1 + 1j), (1 - 1j)]
+
+
+# -- exact fast paths and float formulas ----------------------------------
+
+# im = 0 in about half the draws, so the zero-imaginary shortcuts run often.
+half_real = st.builds(exact, rationals, st.one_of(st.just(Fraction(0)), rationals))
+finite = st.floats(min_value=-1e100, max_value=1e100)
+half_real_floats = st.builds(approx, finite, st.one_of(st.sampled_from([0.0, -0.0]), finite))
+
+
+def full_formulas(a, b):
+    """+, -, * of a and b by the general component formulas."""
+    (p, q), (r, s) = (a.re, a.im), (b.re, b.im)
+    return {
+        "+": (p + r, q + s),
+        "-": (p - r, q - s),
+        "*": (p * r - q * s, p * s + q * r),
+    }
+
+
+def results(a, b):
+    return {"+": a + b, "-": a - b, "*": a * b}
+
+
+@given(half_real, half_real)
+def test_exact_arithmetic_equals_the_full_formulas(a, b):
+    want = full_formulas(a, b)
+    for op, z in results(a, b).items():
+        assert (z.re, z.im) == want[op]
+        assert type(z.re) is Fraction and type(z.im) is Fraction
+
+
+@given(half_real, half_real)
+def test_exact_cmp_total_is_the_sign_of_the_tuple_comparison(a, b):
+    ka, kb = (a.re, a.im), (b.re, b.im)
+    assert cmp_total(a, b).value == (ka > kb) - (ka < kb)
+
+
+def bits(re, im):
+    return struct.pack("<dd", re, im)
+
+
+@given(half_real_floats, half_real_floats)
+def test_float_arithmetic_is_bit_identical_to_the_full_formulas(a, b):
+    want = full_formulas(a, b)
+    for op, z in results(a, b).items():
+        assert bits(z.re, z.im) == bits(*want[op])
+
+
+@pytest.mark.parametrize("a, b", [
+    (approx(-1.0, 0.0), approx(2.0, -0.0)),
+    (approx(1.0, -0.0), approx(-1.0, 0.0)),
+    (approx(1.0, -0.0), approx(1.0, -0.0)),
+    (approx(1.0, 0.0), approx(1.0, -0.0)),
+])
+def test_float_arithmetic_keeps_signed_zeros(a, b):
+    # A zero-imaginary shortcut would give -0.0 where the formulas give 0.0
+    # (or the reverse) for some of these products and differences.
+    want = full_formulas(a, b)
+    for op, z in results(a, b).items():
+        assert bits(z.re, z.im) == bits(*want[op])
+
+
+@given(half_real, st.sampled_from([approx(1.0), approx(0.0, 2.0)]))
+def test_real_exact_operands_still_reject_other_backends(e, f):
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        for a, b in ((e, f), (f, e)):
+            with pytest.raises(BackendMismatch):
+                op(a, b)
+    with pytest.raises(TypeError):
+        e + 1
+
+
+def fraction_rank(rows):
+    """Rank by Gaussian elimination over Q(i), on (re, im) Fraction pairs."""
+    work = [[(Fraction(a), Fraction(b)) for a, b in row] for row in rows]
+    rank = 0
+    for c in range(len(work[0])):
+        piv = next((i for i in range(rank, len(work)) if work[i][c] != (0, 0)), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        pa, pb = work[rank][c]
+        rho = pa * pa + pb * pb
+        for i in range(rank + 1, len(work)):
+            ta, tb = work[i][c]
+            fa, fb = (ta * pa + tb * pb) / rho, (tb * pa - ta * pb) / rho
+            work[i] = [(xa - (fa * ya - fb * yb), xb - (fa * yb + fb * ya))
+                       for (xa, xb), (ya, yb) in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def gaussian_int_matrices(draw):
+    """1-6 rows of (re, im) integer pairs; a product of an r x k and a k x n
+    factor, so ranks below min(r, n) are common.  All entries are real in
+    about half the draws (real pivots only)."""
+    r, k, n = (draw(st.integers(1, 6)) for _ in range(3))
+    real = draw(st.booleans())
+    entry = st.tuples(st.integers(-3, 3), st.just(0) if real else st.integers(-3, 3))
+    a = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=r, max_size=r))
+    b = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    return [[(sum(x * y - u * v for (x, u), (y, v) in zip(row, col)),
+              sum(x * v + u * y for (x, u), (y, v) in zip(row, col)))
+             for col in zip(*b)] for row in a]
+
+
+@given(gaussian_int_matrices())
+def test_bareiss_rank_equals_the_fraction_rank(rows):
+    want = fraction_rank(rows)
+    assert rank_gaussian_int_rows([list(row) for row in rows]) == want

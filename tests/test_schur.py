@@ -151,3 +151,17 @@ def test_not_certified():
 def test_requires_weak_majorization():
     with pytest.raises(NotWeaklyMajorized):
         majorization_preserving_check(poly([0, 1]), vec(5, 0), vec(3, 1))
+
+
+def test_majorization_preserving_check_evaluates_f_once_per_point():
+    square = poly([0, 0, 1])
+    calls = []
+
+    def counting(z):
+        calls.append(z)
+        return square(z)
+
+    x, y = (exact(2), exact(1, 1), exact(1), exact(0)), (exact(3), exact(1), exact(0), exact(0, 1))
+    res = majorization_preserving_check(counting, x, y)
+    assert len(calls) == len(x) + len(y)
+    assert res == majorization_preserving_check(square, x, y)
