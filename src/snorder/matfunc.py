@@ -20,13 +20,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Callable, Sequence, Union
 
 from .errors import IncomparableNilpotent, KappaNotFound, OutsideAnalyticityRadius
 from .linalg import Matrix, block_diag
 from .partitions import Partition, as_partition, dominance_check, merge_desc, prefix
-from .scalar import EXACT, TotalComplex, approx, cmp_total, exact, zero_like
+from .scalar import EXACT, TotalComplex, approx, exact, order_key, zero_like
 from .snrepr import JordanSpec, SNRepresentation, canonical_repr, repr_from_matrix
 
 DERIVATIVE_EPS = 1e-10
@@ -286,7 +285,7 @@ def eta_given_kappa(sizes: Partition, kappa: int) -> Partition:
 
 
 def _sorted_desc_items(items):
-    return sorted(items, key=cmp_to_key(lambda a, b: cmp_total(b[0], a[0]).value))
+    return sorted(items, key=lambda item: order_key(item[0]), reverse=True)
 
 
 def repr_of_fx(f: FunctionDescriptor, rx: SNRepresentation):

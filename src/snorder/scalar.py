@@ -7,6 +7,10 @@ need not preserve it.  The predicates ``mul_preserves_order``,
 ``div_preserves_order`` and ``product_nonneg`` give exact case analyses of
 when the order survives those operations.
 
+One ordering rule serves both backends: sort on the exact key; eps only in
+merges and in verdict comparisons.  Sorts use :func:`order_key`, so no sorted
+result depends on the input order; ``DEFAULT_EPS`` acts through :func:`cmp_total`.
+
 Exact values compare without forming a difference, and exact arithmetic
 skips the terms of a zero imaginary part; the results are the same values.
 Floats keep the full formulas, bit for bit (signed zeros included).
@@ -17,7 +21,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Iterable, Union
 
 from .errors import BackendMismatch, DivisionByZero, OrderPreconditionFailed
@@ -55,7 +58,8 @@ class TotalComplex:
     for the float backend; build values with :func:`exact` and
     :func:`approx`, which coerce.  Exact values compare exactly; float values
     compare with the fixed tolerance ``DEFAULT_EPS``, so float scalars are
-    compared through :func:`cmp_total`, never via ``==``.
+    compared through :func:`cmp_total`, never via ``==``.  No ``<``: that
+    comparison is not transitive, so sorts use the exact :func:`order_key`.
     """
 
     re: object
@@ -159,20 +163,6 @@ class TotalComplex:
     def to_float_backend(self) -> "TotalComplex":
         return approx(float(self.re), float(self.im))
 
-    # -- ordering sugar ----------------------------------------------
-
-    def __lt__(self, other):
-        return cmp_total(self, other) is OrderOutcome.LESS
-
-    def __le__(self, other):
-        return cmp_total(self, other) is not OrderOutcome.GREATER
-
-    def __gt__(self, other):
-        return cmp_total(self, other) is OrderOutcome.GREATER
-
-    def __ge__(self, other):
-        return cmp_total(self, other) is not OrderOutcome.LESS
-
     def __repr__(self):
         return f"TotalComplex({self.re}, {self.im}, {self.backend})"
 
@@ -210,9 +200,18 @@ def cmp_total(a: TotalComplex, b: TotalComplex) -> OrderOutcome:
     return OrderOutcome(c)
 
 
+def order_key(z: TotalComplex) -> tuple:
+    """The exact sort key (re, im) of the total order, with no tolerance."""
+    return z.re, z.im
+
+
 def sort_desc(values: Iterable[TotalComplex]) -> tuple:
-    """Stable non-increasing sort under the total order."""
-    return tuple(sorted(values, key=cmp_to_key(lambda a, b: cmp_total(b, a).value)))
+    """Stable non-increasing sort on the exact key.  A list mixing backends has
+    sorted neighbours of different backends, which raise BackendMismatch."""
+    out = tuple(sorted(values, key=order_key, reverse=True))
+    for a, b in zip(out, out[1:]):
+        a._peer(b)
+    return out
 
 
 def _require_not_greater(z1: TotalComplex, z2: TotalComplex) -> OrderOutcome:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cmp_to_key, partial
+from functools import partial
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -36,7 +36,7 @@ from .linalg import (
 )
 from .majorization import prefix_sums
 from .partitions import Partition, as_partition, dominance_check, merge_desc
-from .scalar import EXACT, OrderOutcome, TotalComplex, cmp_total, one_like, zero_like
+from .scalar import EXACT, OrderOutcome, TotalComplex, cmp_total, one_like, order_key, zero_like
 
 
 class SNOVerdict(enum.Enum):
@@ -70,7 +70,8 @@ class JordanSpec:
 @dataclass(frozen=True)
 class SNRepresentation:
     """Canonical form: eigenvalues strictly decreasing, partitions
-    non-increasing, aligned index-wise."""
+    non-increasing, aligned index-wise; :func:`merge_equal` makes it
+    independent of the order of the blocks."""
 
     eigenvalues: tuple  # distinct TotalComplex, strictly decreasing
     partitions: tuple   # one Partition per eigenvalue
@@ -91,18 +92,26 @@ class SNRepresentation:
         return max(max(p) for p in self.partitions)
 
 
-def canonical_repr(spec: JordanSpec) -> SNRepresentation:
-    """Merge duplicate eigenvalues and sort both levels canonically."""
-    items = [(lam, as_partition(sizes)) for lam, sizes in spec.blocks]
-    items.sort(key=cmp_to_key(lambda a, b: cmp_total(b[0], a[0]).value))
-    eigs, parts = [], []
-    for lam, part in items:
-        if eigs and cmp_total(eigs[-1], lam) is OrderOutcome.EQUAL:
-            parts[-1] = merge_desc(parts[-1], part)
+def merge_equal(pairs: Iterable[tuple]) -> list:
+    """[(head, [items])] for (value, item) pairs sorted non-increasingly on the
+    exact key: the one place eps merges eigenvalues.  A value joins the current
+    group when cmp_total(head, value) is EQUAL; the head is its first value."""
+    groups = []
+    for lam, item in sorted(pairs, key=lambda p: order_key(p[0]), reverse=True):
+        if groups and cmp_total(groups[-1][0], lam) is OrderOutcome.EQUAL:
+            groups[-1][1].append(item)
         else:
-            eigs.append(lam)
-            parts.append(tuple(sorted(part, reverse=True)))
-    return SNRepresentation(tuple(eigs), tuple(parts))
+            groups.append((lam, [item]))
+    return groups
+
+
+def canonical_repr(spec: JordanSpec) -> SNRepresentation:
+    """Merge equal eigenvalues (:func:`merge_equal`) and their partitions."""
+    groups = merge_equal((lam, as_partition(sizes)) for lam, sizes in spec.blocks)
+    return SNRepresentation(
+        tuple(lam for lam, _ in groups),
+        tuple(parts[0] if len(parts) == 1 else merge_desc(*parts) for _, parts in groups),
+    )
 
 
 def jordan_matrix(spec: JordanSpec) -> Matrix:
@@ -126,14 +135,6 @@ def assemble(spec: JordanSpec, u: Matrix) -> Matrix:
     if u.shape != j.shape:
         raise DimensionMismatch(f"transform {u.shape} vs spec dimension {j.shape}")
     return u @ j @ u.inverse()
-
-
-def _dedupe_eigenvalues(eigenvalues: Sequence[TotalComplex]) -> list:
-    out = []
-    for lam in eigenvalues:
-        if not any(cmp_total(lam, seen) is OrderOutcome.EQUAL for seen in out):
-            out.append(lam)
-    return out
 
 
 def block_sizes_from_ranks(ranks: Iterable[int], m: int) -> Partition:
@@ -187,7 +188,7 @@ def repr_from_matrix(x: Matrix, eigenvalues: Sequence[TotalComplex]) -> SNRepres
     Exact matrices have their denominators cleared once per call.  Float
     ranks use one absolute cut, SVD_TOL * max(||X||_2, |lambda|), so a
     product that is all round-off reads as rank 0.  Raises SpectrumMismatch
-    when the supplied eigenvalues do not exhaust the dimension of x.
+    when the eigenvalues, merged by :func:`merge_equal`, do not exhaust x.
     """
     if not x.is_square:
         raise DimensionMismatch("square matrix required")
@@ -200,7 +201,7 @@ def repr_from_matrix(x: Matrix, eigenvalues: Sequence[TotalComplex]) -> SNRepres
         a = x.to_numpy()
         norm = spectral_norm(a)
     blocks = []
-    for lam in _dedupe_eigenvalues(eigenvalues):
+    for lam, _ in merge_equal((lam, None) for lam in eigenvalues):
         if lam.backend != x.backend:
             raise BackendMismatch(f"{x.backend} matrix vs {lam.backend} eigenvalue")
         if x.backend == EXACT:

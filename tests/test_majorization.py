@@ -154,6 +154,27 @@ def test_decompose_intermediates_stay_sandwiched():
         assert_vec_equal(apply_row_vector(sort_desc(y), p), x)
 
 
+@pytest.mark.parametrize("xs, ys", [
+    ([(-2, Fraction(-5, 3)), (1, Fraction(1, 12)), (1, Fraction(2, 3)), (1, Fraction(5, 4))],
+     [(-2, Fraction(-5, 3)), (4, 6), (1, Fraction(-1, 2)), (-2, Fraction(-7, 2))]),
+    ([(Fraction(11, 3), Fraction(8, 3)), (Fraction(11, 3), Fraction(25, 6)),
+      (Fraction(11, 3), Fraction(25, 6))],
+     [(2, 4), (7, 0), (2, 7)]),
+])
+def test_float_decompose_survives_round_off_in_real_ties(xs, ys):
+    # Mixing gives real parts such as 0.9999999999999998 next to targets with
+    # real part 1.0; sorted on the exact key they would sit below those ties.
+    x = [approx(float(a), float(b)) for a, b in xs]
+    y = [approx(float(a), float(b)) for a, b in ys]
+    ts, intermediates = t_transform_decompose_trace(x, y)
+    for v in intermediates:
+        assert majorize_check(x, v) is Majorization.STRICT
+        assert majorize_check(v, y) is Majorization.STRICT
+    p = gds_from_transforms(ts, len(x))
+    assert gds_check(p)
+    assert_vec_equal(apply_row_vector(sort_desc(y), p), x)
+
+
 def test_gds_check_rejects_non_square():
     m = Matrix.from_rows([[exact(1), exact(0)]])
     with pytest.raises(DimensionMismatch):

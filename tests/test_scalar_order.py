@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from snorder import (
+    JordanSpec,
     OrderOutcome,
     TotalComplex,
     approx,
+    canonical_repr,
     cmp_total,
     div_preserves_order,
     exact,
@@ -151,6 +153,9 @@ MIXED_OPS = [
     lambda a, b: mul_preserves_order(a, a + a, b),
     lambda a, b: div_preserves_order(a, a, b),
     lambda a, b: div_preserves_order(a, a + a, b),
+    # key sorts compare Fraction with float silently; the backend check must not
+    lambda a, b: sort_desc([a, b]),
+    lambda a, b: canonical_repr(JordanSpec.of((a, (1,)), (b, (1,)))),
 ]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -221,6 +222,19 @@ def test_repr_from_matrix_backend_mismatch():
     j = jordan_matrix(JordanSpec.of((exact(1), (2,))))
     with pytest.raises(BackendMismatch):
         repr_from_matrix(j, [approx(1.0)])
+
+
+def test_repr_from_matrix_ignores_eigenvalue_order():
+    # 0 and 1.6e-9 are 1.6 eps apart, 0.8e-9 is within eps of both: the merge
+    # must not depend on which of them the caller lists first.
+    j = jordan_matrix(JordanSpec.of((approx(0.0), (2,))))
+    outcomes = set()
+    for lams in itertools.permutations([approx(0.0), approx(0.8e-9), approx(1.6e-9)]):
+        try:
+            outcomes.add(repr_from_matrix(j, list(lams)))
+        except (SpectrumMismatch, RankAmbiguous) as e:
+            outcomes.add((type(e), str(e)))
+    assert len(outcomes) == 1
 
 
 def test_assemble_rejects_singular_transform():
