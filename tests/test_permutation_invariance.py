@@ -59,21 +59,21 @@ def rep(blocks):
     return canonical_repr(JordanSpec.of(*blocks))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(vector_pairs())
 def test_sort_desc_ignores_input_order(pairs):
     x, _, px, _ = pairs
     assert sort_desc(px) == sort_desc(x)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(vector_pairs())
 def test_majorize_check_ignores_input_order(pairs):
     x, y, px, py = pairs
     assert majorize_check(px, py) is majorize_check(x, y)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(spec_pairs())
 def test_canonical_repr_ignores_block_order(pairs):
     a, _, pa, _ = pairs
@@ -82,14 +82,14 @@ def test_canonical_repr_ignores_block_order(pairs):
     assert sort_desc(out.eigenvalues) == out.eigenvalues
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(spec_pairs())
 def test_compare_sno_ignores_block_order(pairs):
     a, b, pa, pb = pairs
     assert compare_sno(rep(pa), rep(pb)) is compare_sno(rep(a), rep(b))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(spec_pairs(), st.sampled_from([[0, 0, 1], [0, -1, 1], [1, 1]]))
 def test_repr_of_fx_ignores_block_order(pairs, coeffs):
     a, _, pa, _ = pairs
