@@ -113,16 +113,6 @@ def _swap_steps(current: list, target: list) -> list:
     return swaps
 
 
-def _merge_re(z: TotalComplex, refs) -> TotalComplex:
-    """z with the real part of the first of refs whose real part cmp_total
-    ties with its own.  Float mixing leaves ties of real parts an ulp apart,
-    which the exact sort key would order by that ulp instead of by im."""
-    for r in refs:
-        if cmp_total(TotalComplex(z.re, r.im), r) is OrderOutcome.EQUAL:
-            return TotalComplex(r.re, z.im)
-    return z
-
-
 def t_transform_decompose(x, y) -> list:
     transforms, _ = t_transform_decompose_trace(x, y)
     return transforms
@@ -157,7 +147,6 @@ def t_transform_decompose_trace(x, y) -> tuple:
         step = TTransform(i, j, beta)
         transforms.append(step)
         w = list(t_transform_apply(w, step))
-        w[i], w[j] = _merge_re(w[i], target), _merge_re(w[j], target)
         resorted = list(sort_desc(w))
         transforms.extend(_swap_steps(w, resorted))
         w = resorted

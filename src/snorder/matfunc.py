@@ -25,7 +25,7 @@ from typing import Callable, Sequence, Union
 from .errors import IncomparableNilpotent, KappaNotFound, OutsideAnalyticityRadius
 from .linalg import Matrix, block_diag
 from .partitions import Partition, as_partition, dominance_check, merge_desc, prefix
-from .scalar import EXACT, TotalComplex, approx, exact, order_key, zero_like
+from .scalar import EXACT, TotalComplex, approx, exact, sort_desc_items, zero_like
 from .snrepr import JordanSpec, SNRepresentation, canonical_repr, repr_from_matrix
 
 DERIVATIVE_EPS = 1e-10
@@ -284,10 +284,6 @@ def eta_given_kappa(sizes: Partition, kappa: int) -> Partition:
     return merge_desc(*(split_block(n, kappa)[0] for n in sizes))
 
 
-def _sorted_desc_items(items):
-    return sorted(items, key=lambda item: order_key(item[0]), reverse=True)
-
-
 def repr_of_fx(f: FunctionDescriptor, rx: SNRepresentation):
     """SN representation of f(X) from the representation of X.
 
@@ -301,7 +297,7 @@ def repr_of_fx(f: FunctionDescriptor, rx: SNRepresentation):
         mu, e = _image(f, lam, part)
         gaps = tuple(prefix(part, j) - prefix(e, j) for j in range(1, len(e) + 1))
         items.append((mu, e, gaps))
-    items = _sorted_desc_items(items)
+    items = sort_desc_items(items)
     gap_vectors = tuple(g for _, _, g in items)
     rep = canonical_repr(JordanSpec(tuple((mu, e) for mu, e, _ in items)))
     return rep, gap_vectors
@@ -331,10 +327,10 @@ def gdod_f_g(
     holds; IncomparableNilpotent reports the first index where neither
     direction does.  Shorter lists are padded with empty partitions.
     """
-    fx = _sorted_desc_items(
+    fx = sort_desc_items(
         [_image(f, lam, part) for lam, part in zip(rx.eigenvalues, rx.partitions)]
     )
-    gy = _sorted_desc_items(
+    gy = sort_desc_items(
         [_image(g, lam, part) for lam, part in zip(ry.eigenvalues, ry.partitions)]
     )
     k = max(len(fx), len(gy))

@@ -7,9 +7,10 @@ need not preserve it.  The predicates ``mul_preserves_order``,
 ``div_preserves_order`` and ``product_nonneg`` give exact case analyses of
 when the order survives those operations.
 
-One ordering rule serves both backends: sort on the exact key; eps only in
-merges and in verdict comparisons.  Sorts use :func:`order_key`, so no sorted
-result depends on the input order; ``DEFAULT_EPS`` acts through :func:`cmp_total`.
+One ordering rule serves both backends: sort on the exact key, then settle
+float near-ties of real parts by :func:`cmp_total`; eps acts only there, in
+merges and in verdict comparisons.  :func:`sort_desc_items` is the one sort,
+so no sorted result depends on the input order.
 
 Exact values compare without forming a difference, and exact arithmetic
 skips the terms of a zero imaginary part; the results are the same values.
@@ -59,7 +60,7 @@ class TotalComplex:
     :func:`approx`, which coerce.  Exact values compare exactly; float values
     compare with the fixed tolerance ``DEFAULT_EPS``, so float scalars are
     compared through :func:`cmp_total`, never via ``==``.  No ``<``: that
-    comparison is not transitive, so sorts use the exact :func:`order_key`.
+    comparison is not transitive, so sort with :func:`sort_desc`.
     """
 
     re: object
@@ -205,13 +206,29 @@ def order_key(z: TotalComplex) -> tuple:
     return z.re, z.im
 
 
-def sort_desc(values: Iterable[TotalComplex]) -> tuple:
-    """Stable non-increasing sort on the exact key.  A list mixing backends has
-    sorted neighbours of different backends, which raise BackendMismatch."""
-    out = tuple(sorted(values, key=order_key, reverse=True))
-    for a, b in zip(out, out[1:]):
-        a._peer(b)
+def sort_desc_items(items: Iterable[tuple]) -> list:
+    """Tuples in non-increasing order of their first element, a TotalComplex,
+    whatever their input order: sorted on the exact key (mixed backends raise
+    BackendMismatch), then each float run of real parts chained within eps is
+    reordered by how many run members exceed each value under cmp_total."""
+    out = sorted(items, key=lambda item: order_key(item[0]), reverse=True)
+    vals = [item[0] for item in out]
+    eps = max((a._peer(b) for a, b in zip(vals, vals[1:])), default=0)
+    if not eps:
+        return out
+    cuts = [k for k in range(1, len(vals)) if _cmp_raw(vals[k - 1].re, vals[k].re, eps)]
+    for i, j in zip([0] + cuts, cuts + [len(vals)]):
+        if vals[i].re != vals[j - 1].re:
+            run = vals[i:j]
+            losses = [sum(cmp_total(v, w) is OrderOutcome.LESS for w in run) for v in run]
+            out[i:j] = [out[i + k] for k in sorted(range(j - i), key=losses.__getitem__)]
     return out
+
+
+def sort_desc(values: Iterable[TotalComplex]) -> tuple:
+    """Stable non-increasing sort by :func:`sort_desc_items`; wherever cmp_total
+    is transitive on the values, the result is non-increasing under it."""
+    return tuple(item[0] for item in sort_desc_items((z,) for z in values))
 
 
 def _require_not_greater(z1: TotalComplex, z2: TotalComplex) -> OrderOutcome:
@@ -251,29 +268,12 @@ def mul_preserves_order(z1: TotalComplex, z2: TotalComplex, z3: TotalComplex) ->
 
 
 def div_preserves_order(z1: TotalComplex, z2: TotalComplex, z3: TotalComplex) -> bool:
-    """Given z1 <= z2 and z3 != 0, does z1/z3 <= z2/z3 hold?"""
-    eps = z1._peer(z3)
+    """Given z1 <= z2 and z3 != 0, does z1/z3 <= z2/z3 hold?  Dividing by z3
+    multiplies by conj(z3) and then by the positive real 1/|z3|^2."""
+    z1._peer(z3)
     if z3.is_zero():
         raise DivisionByZero("z3 must be nonzero")
-    c = _require_not_greater(z1, z2)
-    if c is OrderOutcome.EQUAL:
-        return True
-    x1, y1, x2, y2, x3, y3 = z1.re, z1.im, z2.re, z2.im, z3.re, z3.im
-    if _cmp_raw(x1, x2, eps) < 0:
-        lhs = (y1 - y2) * y3
-        rhs = x3 * (x2 - x1)
-        c_re = _cmp_raw(lhs, rhs, eps)
-        if c_re < 0:
-            return True
-        if c_re == 0:
-            return _cmp_raw((y2 - y1) * x3, y3 * (x2 - x1), eps) >= 0
-        return False
-    c_y3 = _cmp_raw(y3, 0, eps)
-    if c_y3 > 0:
-        return True
-    if c_y3 == 0:
-        return _cmp_raw(x3, 0, eps) >= 0
-    return False
+    return mul_preserves_order(z1, z2, z3.conjugate())
 
 
 def recip_cmp(z1: TotalComplex, z2: TotalComplex) -> OrderOutcome:

@@ -36,7 +36,9 @@ from .linalg import (
 )
 from .majorization import prefix_sums
 from .partitions import Partition, as_partition, dominance_check, merge_desc
-from .scalar import EXACT, OrderOutcome, TotalComplex, cmp_total, one_like, order_key, zero_like
+from .scalar import (
+    EXACT, OrderOutcome, TotalComplex, cmp_total, one_like, sort_desc_items, zero_like,
+)
 
 
 class SNOVerdict(enum.Enum):
@@ -93,11 +95,12 @@ class SNRepresentation:
 
 
 def merge_equal(pairs: Iterable[tuple]) -> list:
-    """[(head, [items])] for (value, item) pairs sorted non-increasingly on the
-    exact key: the one place eps merges eigenvalues.  A value joins the current
-    group when cmp_total(head, value) is EQUAL; the head is its first value."""
+    """[(head, [items])] for (value, item) pairs in any order: the one place
+    eps merges eigenvalues.  Over the pairs in sort_desc_items order, a value
+    joins the current group when cmp_total(head, value) is EQUAL; the head is
+    the group's first value."""
     groups = []
-    for lam, item in sorted(pairs, key=lambda p: order_key(p[0]), reverse=True):
+    for lam, item in sort_desc_items(pairs):
         if groups and cmp_total(groups[-1][0], lam) is OrderOutcome.EQUAL:
             groups[-1][1].append(item)
         else:

@@ -51,6 +51,16 @@ def test_not_majorized():
     assert majorize_check(vec(5, 0), vec(3, 1)) is Majorization.NONE
 
 
+def test_float_majorize_reads_real_near_ties_by_im():
+    # y sorts as (1, 4), (1+5e-10, 0) under cmp_total; on the exact key alone
+    # the ulp-larger real part would come first and the verdict would be NONE.
+    x = [approx(1 + 2.5e-10, 2.0)] * 2
+    y = [approx(1 + 5e-10, 0.0), approx(1.0, 4.0)]
+    assert majorize_check(x, y) is Majorization.STRICT
+    exact_x = [exact(1, 2)] * 2
+    assert majorize_check(exact_x, [exact(1, 0), exact(1, 4)]) is Majorization.STRICT
+
+
 def test_reflexive_strict():
     v = vec((2, 1), 1)
     assert majorize_check(v, v) is Majorization.STRICT

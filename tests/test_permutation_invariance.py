@@ -1,19 +1,24 @@
 """Results must not depend on the order of the inputs.
 
-Every sort orders by the exact key (re, im); the float tolerance only merges
-values and decides verdicts.  The float draws put values within a few times
-0.4e-9 of each other, inside DEFAULT_EPS = 1e-9, where a tolerance comparator
-is not transitive and a comparator sort gives order-dependent output.
+Every sort orders by the exact key (re, im), then settles float near-ties of
+real parts by cmp_total; the float tolerance otherwise only merges values and
+decides verdicts.  The float draws put values within a few times 0.4e-9 of
+each other, inside DEFAULT_EPS = 1e-9, where the tolerance comparison is not
+transitive and a comparator sort gives order-dependent output.  Where it is
+transitive on the drawn values, sorted output must agree with it.
 """
 
 from fractions import Fraction
+from itertools import combinations, permutations
 
 from hypothesis import given, settings, strategies as st
 
 from snorder import (
     JordanSpec,
+    OrderOutcome,
     approx,
     canonical_repr,
+    cmp_total,
     compare_sno,
     exact,
     majorize_check,
@@ -59,11 +64,30 @@ def rep(blocks):
     return canonical_repr(JordanSpec.of(*blocks))
 
 
+def not_less(a, b):
+    return cmp_total(a, b) is not OrderOutcome.LESS
+
+
+def is_weak_order(values):
+    """cmp_total is transitive on values: no near-tie cycle among them."""
+    return all(
+        not_less(a, c) for a, b, c in permutations(values, 3) if not_less(a, b) and not_less(b, c)
+    )
+
+
 @settings(max_examples=150, deadline=None)
 @given(vector_pairs())
 def test_sort_desc_ignores_input_order(pairs):
     x, _, px, _ = pairs
     assert sort_desc(px) == sort_desc(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector_pairs())
+def test_sort_desc_agrees_with_cmp_total_where_transitive(pairs):
+    x = pairs[0]
+    if is_weak_order(x):
+        assert all(not_less(a, b) for a, b in combinations(sort_desc(x), 2))
 
 
 @settings(max_examples=150, deadline=None)
@@ -80,6 +104,15 @@ def test_canonical_repr_ignores_block_order(pairs):
     out = rep(pa)
     assert out == rep(a)
     assert sort_desc(out.eigenvalues) == out.eigenvalues
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec_pairs())
+def test_canonical_repr_eigenvalues_strictly_decrease_where_transitive(pairs):
+    a = pairs[0]
+    eigs = rep(a).eigenvalues
+    if is_weak_order([lam for lam, _ in a]):
+        assert all(cmp_total(u, v) is OrderOutcome.GREATER for u, v in combinations(eigs, 2))
 
 
 @settings(max_examples=100, deadline=None)

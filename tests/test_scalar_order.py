@@ -184,6 +184,18 @@ def test_sort_desc_is_stable_and_ordered():
     assert [v.to_complex() for v in out] == [2, 2, (1 + 1j), (1 - 1j)]
 
 
+@pytest.mark.parametrize("vals, expected", [
+    # real parts within eps read by im, not by the round-off of re
+    ([(1 + 5e-10, 0.0), (1.0, 3.0), (1.0, 0.0)], [(1.0, 3.0), (1 + 5e-10, 0.0), (1.0, 0.0)]),
+    # 1e-9 and -5e-10 are more than eps apart; 3e-10 is within eps of both
+    ([(1e-9, 10.0), (3e-10, 0.0), (-5e-10, 5.0)], [(1e-9, 10.0), (-5e-10, 5.0), (3e-10, 0.0)]),
+])
+def test_sort_desc_reads_real_near_ties_by_cmp_total(vals, expected):
+    for perm in itertools.permutations(vals):
+        out = sort_desc([approx(*v) for v in perm])
+        assert [(z.re, z.im) for z in out] == expected
+
+
 # -- exact fast paths and float formulas ----------------------------------
 
 # im = 0 in about half the draws, so the zero-imaginary shortcuts run often.

@@ -237,6 +237,14 @@ def test_repr_from_matrix_ignores_eigenvalue_order():
     assert len(outcomes) == 1
 
 
+def test_repr_from_matrix_merges_round_off_below_a_larger_imaginary_part():
+    # 1+5e-10 and 1 are tolerance-equal; 1+3i lies between them on the exact
+    # key, yet must not split them into two eigenvalues.
+    x = jordan_matrix(JordanSpec.of((approx(1.0), (1,)), (approx(1.0, 3.0), (1,))))
+    for lams in itertools.permutations([approx(1.0), approx(1 + 5e-10), approx(1.0, 3.0)]):
+        assert repr_from_matrix(x, list(lams)).partitions == ((1,), (1,))
+
+
 def test_assemble_rejects_singular_transform():
     spec = JordanSpec.of((exact(1), (2,)))
     u = Matrix.from_rows([[exact(1), exact(1)], [exact(1), exact(1)]])
