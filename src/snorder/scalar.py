@@ -212,14 +212,15 @@ def sort_desc_items(items: Iterable[tuple]) -> list:
     BackendMismatch), then each float run of real parts chained within eps is
     reordered by how many run members exceed each value under cmp_total."""
     out = sorted(items, key=lambda item: order_key(item[0]), reverse=True)
-    vals = [item[0] for item in out]
-    eps = max((a._peer(b) for a, b in zip(vals, vals[1:])), default=0)
+    eps = 0
+    for a, b in zip(out, out[1:]):
+        eps = a[0]._peer(b[0])
     if not eps:
         return out
-    cuts = [k for k in range(1, len(vals)) if _cmp_raw(vals[k - 1].re, vals[k].re, eps)]
-    for i, j in zip([0] + cuts, cuts + [len(vals)]):
-        if vals[i].re != vals[j - 1].re:
-            run = vals[i:j]
+    cuts = [k for k in range(1, len(out)) if _cmp_raw(out[k - 1][0].re, out[k][0].re, eps)]
+    for i, j in zip([0] + cuts, cuts + [len(out)]):
+        run = [item[0] for item in out[i:j]]
+        if run[0].re != run[-1].re:
             losses = [sum(cmp_total(v, w) is OrderOutcome.LESS for w in run) for v in run]
             out[i:j] = [out[i + k] for k in sorted(range(j - i), key=losses.__getitem__)]
     return out
