@@ -6,7 +6,6 @@ replay that differs from the smaller vector."""
 import argparse
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from snorder import TTransform, exact, gds_check, gds_from_transforms, sort_desc
@@ -17,25 +16,17 @@ from snorder.majorization import (
 )
 
 
-@dataclass
-class Config:
-    pairs: int = 10
-    n: int = 5
-    seed: int = 0
-    complex_entries: bool = True
-
-
-def random_pair(rng, cfg):
+def random_pair(rng, n, real):
     y = tuple(
         exact(
             Fraction(rng.randint(-20, 20), rng.randint(1, 4)),
-            Fraction(rng.randint(-20, 20), rng.randint(1, 4)) if cfg.complex_entries else 0,
+            0 if real else Fraction(rng.randint(-20, 20), rng.randint(1, 4)),
         )
-        for _ in range(cfg.n)
+        for _ in range(n)
     )
     x = list(y)
     for _ in range(rng.randint(1, 4)):
-        i, j = sorted(rng.sample(range(cfg.n), 2))
+        i, j = sorted(rng.sample(range(n), 2))
         x = list(t_transform_apply(x, TTransform(i, j, exact(Fraction(rng.randint(0, 12), 12)))))
     return tuple(x), y
 
@@ -51,13 +42,12 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--real", action="store_true", help="real entries only")
     args = ap.parse_args(argv)
-    cfg = Config(args.pairs, args.n, args.seed, not args.real)
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     failed = 0
-    for k in range(cfg.pairs):
-        x, y = random_pair(rng, cfg)
+    for k in range(args.pairs):
+        x, y = random_pair(rng, args.n, args.real)
         ts, _ = t_transform_decompose_trace(x, y)
-        p = gds_from_transforms(ts, cfg.n)
+        p = gds_from_transforms(ts, args.n)
         replay = apply_row_vector(sort_desc(y), p)
         exact_match = all(a.re == b.re and a.im == b.im for a, b in zip(replay, x))
         gds_valid = gds_check(p)

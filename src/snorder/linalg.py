@@ -12,7 +12,9 @@ exact work never loads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import lcm
+from operator import add, mul
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DimensionMismatch, RankAmbiguous, SingularTransform
@@ -91,16 +93,8 @@ class Matrix:
         if k != k2:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
         cols = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = row[0] * col[0]
-                for a, b in zip(row[1:], col[1:]):
-                    acc = acc + a * b
-                out_row.append(acc)
-            out.append(tuple(out_row))
-        return Matrix(tuple(out))
+        return Matrix(tuple(tuple(reduce(add, map(mul, row, col)) for col in cols)
+                            for row in self.rows))
 
     def scale(self, c: TotalComplex) -> "Matrix":
         return Matrix(tuple(tuple(c * a for a in row) for row in self.rows))

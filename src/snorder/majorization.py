@@ -13,8 +13,10 @@ built by column updates: each T-transform rewrites columns i and j only.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate, chain
+from operator import add, mul
 from typing import Sequence
 
 from .errors import DimensionMismatch, NotMajorized
@@ -28,14 +30,10 @@ class Majorization(enum.Enum):
     NONE = "none"
 
 
-def prefix_sums(v: Sequence[TotalComplex]) -> list:
-    """Running sums v[0], v[0] + v[1], ..., added left to right."""
-    out = []
-    acc = None
-    for z in v:
-        acc = z if acc is None else acc + z
-        out.append(acc)
-    return out
+def prefix_outcomes(sx: Sequence[TotalComplex], sy: Sequence[TotalComplex]) -> list:
+    """cmp_total of each pair of running sums of sx and sy, each added left
+    to right: the comparisons that decide every prefix-sum verdict."""
+    return list(map(cmp_total, accumulate(sx), accumulate(sy)))
 
 
 def majorize_check(x: Sequence[TotalComplex], y: Sequence[TotalComplex]) -> Majorization:
@@ -50,16 +48,12 @@ def majorize_sorted(sx: Sequence[TotalComplex], sy: Sequence[TotalComplex]) -> M
         raise DimensionMismatch(f"{len(sx)} vs {len(sy)}")
     if not sx:
         raise DimensionMismatch("empty vectors")
-    px, py = prefix_sums(sx), prefix_sums(sy)
-    for a, b in zip(px[:-1], py[:-1]):
-        if cmp_total(a, b) is OrderOutcome.GREATER:
-            return Majorization.NONE
-    total = cmp_total(px[-1], py[-1])
-    if total is OrderOutcome.EQUAL:
+    outcomes = prefix_outcomes(sx, sy)
+    if OrderOutcome.GREATER in outcomes:
+        return Majorization.NONE
+    if outcomes[-1] is OrderOutcome.EQUAL:
         return Majorization.STRICT
-    if total is OrderOutcome.LESS:
-        return Majorization.WEAK
-    return Majorization.NONE
+    return Majorization.WEAK
 
 
 @dataclass(frozen=True)
@@ -163,13 +157,8 @@ def gds_check(m: Matrix) -> bool:
     if not m.is_square:
         raise DimensionMismatch("generalized doubly stochastic check needs a square matrix")
     one = one_like(m.rows[0][0])
-    for line in itertools.chain(m.rows, zip(*m.rows)):
-        acc = line[0]
-        for z in line[1:]:
-            acc = acc + z
-        if cmp_total(acc, one) is not OrderOutcome.EQUAL:
-            return False
-    return True
+    return all(cmp_total(reduce(add, line), one) is OrderOutcome.EQUAL
+               for line in chain(m.rows, zip(*m.rows)))
 
 
 def gds_from_transforms(transforms: Sequence[TTransform], n: int) -> Matrix:
@@ -192,10 +181,4 @@ def apply_row_vector(v: Sequence[TotalComplex], m: Matrix) -> tuple:
     """Row-vector times matrix."""
     if len(v) != m.shape[0]:
         raise DimensionMismatch(f"{len(v)} vs {m.shape}")
-    out = []
-    for col in zip(*m.rows):
-        acc = v[0] * col[0]
-        for a, b in zip(v[1:], col[1:]):
-            acc = acc + a * b
-        out.append(acc)
-    return tuple(out)
+    return tuple(reduce(add, map(mul, v, col)) for col in zip(*m.rows))

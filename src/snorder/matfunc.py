@@ -24,7 +24,7 @@ from typing import Callable, Sequence, Union
 
 from .errors import IncomparableNilpotent, KappaNotFound, OutsideAnalyticityRadius
 from .linalg import Matrix, block_diag
-from .partitions import Partition, as_partition, dominance_check, merge_desc, prefix
+from .partitions import Partition, as_partition, merge_desc, prefix_gaps
 from .scalar import EXACT, TotalComplex, approx, exact, sort_desc_items, zero_like
 from .snrepr import JordanSpec, SNRepresentation, canonical_repr, repr_from_matrix
 
@@ -295,8 +295,7 @@ def repr_of_fx(f: FunctionDescriptor, rx: SNRepresentation):
     items = []
     for lam, part in zip(rx.eigenvalues, rx.partitions):
         mu, e = _image(f, lam, part)
-        gaps = tuple(prefix(part, j) - prefix(e, j) for j in range(1, len(e) + 1))
-        items.append((mu, e, gaps))
+        items.append((mu, e, prefix_gaps(e, part, len(e))))
     items = sort_desc_items(items)
     gap_vectors = tuple(g for _, _, g in items)
     rep = canonical_repr(JordanSpec(tuple((mu, e) for mu, e, _ in items)))
@@ -338,12 +337,11 @@ def gdod_f_g(
     etas_g = [e for _, e in gy] + [()] * (k - len(gy))
     out = []
     for idx, (ef, eg) in enumerate(zip(etas_f, etas_g)):
-        length = max(len(ef), len(eg), 1)
-        if dominance_check(eg, ef):
-            vec = tuple(prefix(ef, j) - prefix(eg, j) for j in range(1, length + 1))
-        elif dominance_check(ef, eg):
-            vec = tuple(prefix(eg, j) - prefix(ef, j) for j in range(1, length + 1))
+        gaps = prefix_gaps(eg, ef, max(len(ef), len(eg), 1))
+        if min(gaps) >= 0:
+            out.append(gaps)
+        elif max(gaps) <= 0:
+            out.append(tuple(-g for g in gaps))
         else:
             raise IncomparableNilpotent(idx)
-        out.append(vec)
     return tuple(out)

@@ -15,6 +15,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import (
@@ -401,38 +403,18 @@ def hp_item_checks(
     """
     results = []
     n = cs[0].shape[0]
-    gram = None
-    for c in cs:
-        term = c.conj_transpose() @ c
-        gram = term if gram is None else gram + term
+    gram = reduce(add, (c.conj_transpose() @ c for c in cs))
     if spectral_norm(gram.to_numpy()) > 1.0 + HP_TOL:
         raise ContractionViolated("sum of C_i* C_i exceeds the identity")
 
-    # The right-hand sides depend on f itself, so build them per function.
-    def rhs_for(fn, item):
-        if item == 2:
-            return cs[0].conj_transpose() @ fn.eval_matrix(xs[0]) @ cs[0]
-        if item == 3:
-            acc = None
-            for c, xm in zip(cs, xs):
-                term = c.conj_transpose() @ fn.eval_matrix(xm) @ c
-                acc = term if acc is None else acc + term
-            return acc
-        # item 4
-        q = Matrix.identity(n, p.backend) - p
-        return (p @ fn.eval_matrix(xs[0]) @ p) + (q @ fn.eval_matrix(xs[1]) @ q)
-
-    def lhs_arg(item):
-        if item == 2:
-            return cs[0].conj_transpose() @ xs[0] @ cs[0]
-        if item == 3:
-            acc = None
-            for c, xm in zip(cs, xs):
-                term = c.conj_transpose() @ xm @ c
-                acc = term if acc is None else acc + term
-            return acc
-        q = Matrix.identity(n, p.backend) - p
-        return (p @ xs[0] @ p) + (q @ xs[1] @ q)
+    def congruence(item, mats):
+        """Item 2's C* M C, item 3's sum of C_i* M_i C_i, or item 4's
+        pinching P M_1 P + Q M_2 Q, taking each M from the iterator mats."""
+        if item == 4:
+            q = Matrix.identity(n, p.backend) - p
+            return (p @ next(mats) @ p) + (q @ next(mats) @ q)
+        return reduce(add, (c.conj_transpose() @ m @ c
+                            for c, m in zip(cs[:1] if item == 2 else cs, mats)))
 
     def _compare_with_rhs(fn, arg, rhs):
         lhs = fn.eval_matrix(arg)
@@ -449,19 +431,16 @@ def hp_item_checks(
         if item == 4 and len(xs) < 2:
             results.append(ItemCheck(4, None, None, error="item 4 needs two matrices"))
             continue
-        arg = lhs_arg(item)
-        try:
-            raw = _compare_with_rhs(f, arg, rhs_for(f, item))
-            err = None
-        except SnorderError as e:
-            raw, err = None, str(e)
-        try:
-            g = _shifted(f)
-            shifted = _compare_with_rhs(g, arg, rhs_for(g, item))
-        except SnorderError as e:
-            shifted = None
-            err = err or str(e)
-        results.append(ItemCheck(item, raw, shifted, error=err))
+        arg = congruence(item, iter(xs))
+        verdicts, err = [], None
+        for fn in (f, _shifted(f)):
+            try:
+                rhs = congruence(item, map(fn.eval_matrix, xs))
+                verdicts.append(_compare_with_rhs(fn, arg, rhs))
+            except SnorderError as e:
+                verdicts.append(None)
+                err = err or str(e)
+        results.append(ItemCheck(item, *verdicts, error=err))
     return results
 
 
@@ -472,8 +451,5 @@ def stacked_assembly_residual(xs: Sequence[Matrix], cs: Sequence[Matrix]) -> flo
 
     cbar = np.vstack([c.to_numpy() for c in cs])
     xbb = block_diag(xs).to_numpy()
-    direct = None
-    for c, xm in zip(cs, xs):
-        term = c.conj_transpose() @ xm @ c
-        direct = term if direct is None else direct + term
+    direct = reduce(add, (c.conj_transpose() @ xm @ c for c, xm in zip(cs, xs)))
     return float(np.linalg.norm(cbar.conj().T @ xbb @ cbar - direct.to_numpy()))

@@ -12,6 +12,9 @@ import enum
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate
+from operator import add
 from typing import Callable, Optional, Sequence
 
 from .errors import GradientUnavailable, NotWeaklyMajorized
@@ -20,7 +23,6 @@ from .majorization import (
     TTransform,
     majorize_check,
     majorize_sorted,
-    prefix_sums,
     t_transform_apply,
 )
 from .scalar import (
@@ -37,6 +39,7 @@ from .scalar import (
 
 DEFAULT_SEED = 987143
 _SIGN_TOL = 1e-12
+FD_STEP = 1e-6  # relative step of the central-difference gradient fallback
 
 
 class Prop(enum.Enum):
@@ -70,13 +73,11 @@ class SymmetricFunction:
     arity: int
     value: Callable[[Sequence[complex]], complex]
     gradient: Optional[Callable[[Sequence[complex], int], complex]] = None
-    fd_step: float = 1e-6
-    name: str = ""
 
     def partial(self, x: Sequence[complex], i: int) -> complex:
         if self.gradient is not None:
             return self.gradient(x, i)
-        h = self.fd_step * max(1.0, abs(x[i]))
+        h = FD_STEP * max(1.0, abs(x[i]))
         up = list(x)
         dn = list(x)
         up[i] += h
@@ -85,15 +86,11 @@ class SymmetricFunction:
 
 
 def sum_of_squares(n: int) -> SymmetricFunction:
-    return SymmetricFunction(
-        n, lambda x: sum(z * z for z in x), lambda x, i: 2 * x[i], name="sum_sq"
-    )
+    return SymmetricFunction(n, lambda x: sum(z * z for z in x), lambda x, i: 2 * x[i])
 
 
 def negative_sum_of_squares(n: int) -> SymmetricFunction:
-    return SymmetricFunction(
-        n, lambda x: -sum(z * z for z in x), lambda x, i: -2 * x[i], name="neg_sum_sq"
-    )
+    return SymmetricFunction(n, lambda x: -sum(z * z for z in x), lambda x, i: -2 * x[i])
 
 
 @dataclass(frozen=True)
@@ -368,23 +365,16 @@ def majorization_preserving_check(f, x, y) -> MajorizationPreserveResult:
     diffs = [b - a for a, b in zip(fx, fy)]
 
     if inc:
-        rhs = prefix_sums(diffs)
+        rhs = list(accumulate(diffs))
         if all(cmp_total(fx[i] - fy[i], rhs[i - 1]) is not OrderOutcome.GREATER
                for i in range(1, n)):
             return MajorizationPreserveResult(MajorizationCert.CERTIFIED_INCREASING)
     if dec:
-        ok = cmp_total(fx[n - 1], fy[n - 1]) is not OrderOutcome.GREATER
-        if ok:
-            for i in range(n - 1):
-                lhs = fx[i] - fy[i]
-                # Suffix sums stay left to right: summing from the end
-                # would change the float rounding.
-                rhs = None
-                for d in diffs[i + 1:]:
-                    rhs = d if rhs is None else rhs + d
-                if cmp_total(lhs, rhs) is OrderOutcome.GREATER:
-                    ok = False
-                    break
+        # Suffix sums stay left to right: summing from the end would change
+        # the float rounding.
+        ok = cmp_total(fx[n - 1], fy[n - 1]) is not OrderOutcome.GREATER and all(
+            cmp_total(fx[i] - fy[i], reduce(add, diffs[i + 1:])) is not OrderOutcome.GREATER
+            for i in range(n - 1))
         if ok:
             return MajorizationPreserveResult(MajorizationCert.CERTIFIED_DECREASING)
     entrywise = all(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -41,15 +42,22 @@ def scalar_to_json(z: TotalComplex) -> dict:
     }
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _component_from_json(v, backend: str):
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+        raise InputFormatError(f"component {v!r} must be a number or a rational string")
     if backend == EXACT:
         if isinstance(v, float):
             raise InputFormatError(
                 f"float literal {v!r} is not valid for the exact backend"
             )
+        if isinstance(v, str) and not _RATIONAL.fullmatch(v):
+            raise InputFormatError(f"bad rational literal {v!r}")
         try:
             return Fraction(v)
-        except (ValueError, ZeroDivisionError) as err:
+        except ZeroDivisionError as err:
             raise InputFormatError(f"bad rational literal {v!r}: {err}")
     if isinstance(v, str):
         raise InputFormatError(f"string literal {v!r} is not valid for the float backend")
@@ -83,7 +91,11 @@ def transform_to_json(t: TTransform) -> dict:
 
 
 def partition_from_json(obj) -> tuple:
-    if not isinstance(obj, list):
+    """Integer parts; integral floats such as 3.0 count as integers, as in
+    JSON Schema."""
+    if not isinstance(obj, list) or not all(
+        type(v) is int or (isinstance(v, float) and v.is_integer()) for v in obj
+    ):
         raise InputFormatError("partition must be an integer array")
     try:
         return as_partition(obj)

@@ -34,7 +34,7 @@ from .linalg import (
     row_basis_float,
     spectral_norm,
 )
-from .majorization import prefix_sums
+from .majorization import prefix_outcomes
 from .partitions import Partition, as_partition, dominance_check, merge_desc
 from .scalar import (
     EXACT, OrderOutcome, TotalComplex, cmp_total, one_like, sort_desc_items, zero_like,
@@ -262,7 +262,7 @@ def compare_sno(rx: SNRepresentation, ry: SNRepresentation) -> SNOVerdict:
         return compare_nilpotent(rx.partitions, ry.partitions)
     # Spectral vectors are non-increasing already, so their prefix sums
     # decide weak majorization without sorting.
-    outcomes = [cmp_total(a, b) for a, b in zip(prefix_sums(sx), prefix_sums(sy))]
+    outcomes = prefix_outcomes(sx, sy)
     if OrderOutcome.GREATER in outcomes:
         return SNOVerdict.INCOMPARABLE
     if all(c is OrderOutcome.LESS for c in outcomes):

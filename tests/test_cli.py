@@ -244,6 +244,36 @@ def test_schema_violation_is_input_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("schema, decode, doc", [
+    ("scalar", "exact", {"re": True}),
+    ("scalar", "exact", {"re": " 3/4 "}),
+    ("scalar", "exact", {"re": "1.5"}),
+    ("scalar", "exact", {"re": "1e3"}),
+    ("scalar", "exact", {"im": "1_000"}),
+    ("scalar", "float", {"re": True}),
+    ("scalar", "float", {"im": [1]}),
+    ("partition", None, [3.5, 1]),
+    ("partition", None, [True, "1"]),
+    ("partition", None, [2, "1"]),
+])
+def test_decoders_reject_what_the_schemas_reject(schema, decode, doc):
+    from snorder import serialization as ser
+
+    assert not ser.make_validator(schema).is_valid(doc)
+    with pytest.raises(ser.InputFormatError):
+        if schema == "partition":
+            ser.partition_from_json(doc)
+        else:
+            ser.scalar_from_json(doc, decode)
+
+
+def test_partition_decoder_accepts_integral_floats_like_the_schema():
+    from snorder import serialization as ser
+
+    assert ser.make_validator("partition").is_valid([3.0, 1])
+    assert ser.partition_from_json([3.0, 1]) == (3, 1)
+
+
 def test_analysis_error_exit_code(tmp_path, capsys):
     # incomparable 2x2 convexity input in exact mode -> analysis completes
     # with per-point errors (exit 0); a backend failure is exit 3

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from snorder import dominance_check, gdod, gdod_vector, merge_desc
 from snorder.errors import NotDominated
-from snorder.partitions import as_partition
+from snorder.partitions import as_partition, prefix
 
 
 def partitions_up_to(total_max):
@@ -78,3 +78,29 @@ def test_merge_is_canonical_and_total_preserving(a, b):
     assert sum(m) == sum(a) + sum(b)
     assert all(x >= y for x, y in zip(m, m[1:]))
     assert sorted(m) == sorted(a + b)
+
+
+PARTITIONS_TO_10 = partitions_up_to(10)
+
+
+@given(st.sampled_from(PARTITIONS_TO_10), st.sampled_from(PARTITIONS_TO_10),
+       st.none() | st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=12))
+def test_dominance_and_gaps_match_their_prefix_definitions(p, q, length, j):
+    n = max(len(p), len(q))
+    dominated = all(prefix(p, i) <= prefix(q, i) for i in range(1, n + 1))
+    assert dominance_check(p, q) is dominated
+    stop = n if length is None else length
+    want = tuple(prefix(q, i) - prefix(p, i) for i in range(1, stop + 1))
+    if dominated:
+        assert gdod_vector(p, q, length) == want
+        assert gdod(p, q, j) == prefix(q, j) - prefix(p, j)
+        return
+    # The two j = 0 edges: an empty gap vector checks nothing, but gdod
+    # checks dominance even at j = 0.
+    if stop == 0:
+        assert gdod_vector(p, q, length) == ()
+    else:
+        with pytest.raises(NotDominated):
+            gdod_vector(p, q, length)
+    with pytest.raises(NotDominated):
+        gdod(p, q, j)
