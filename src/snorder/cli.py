@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Every subcommand reads JSON documents (validated against the bundled
-schemas), prints a JSON report to stdout, and uses exit codes:
+Every subcommand reads JSON documents, which the ``serialization`` decoders
+check in full, prints a JSON report to stdout, and uses exit codes:
 0 = analysis completed, 2 = malformed input, 3 = backend/analysis failure.
 """
 
@@ -41,20 +41,12 @@ from .snrepr import canonical_repr, compare_sno, repr_from_matrix
 _FUNCS = {"sum_sq": sum_of_squares, "neg_sum_sq": negative_sum_of_squares}
 
 
-def _load(path: str, schema: str | None = None):
+def _load(path: str):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, ValueError) as err:  # also bad UTF-8 and oversized integer literals
         raise InputFormatError(f"{path}: {err}")
-    if schema is not None:
-        import jsonschema
-
-        try:
-            ser.make_validator(schema).validate(doc)
-        except jsonschema.ValidationError as err:
-            raise InputFormatError(f"{path}: {err.message}")
-    return doc
 
 
 def _emit(obj, args):
@@ -67,8 +59,8 @@ def _emit(obj, args):
 
 
 def cmd_majorize(args):
-    x = ser.vector_from_json(_load(args.x, "vector"), args.backend)
-    y = ser.vector_from_json(_load(args.y, "vector"), args.backend)
+    x = ser.vector_from_json(_load(args.x), args.backend)
+    y = ser.vector_from_json(_load(args.y), args.backend)
     verdict = majorize_check(x, y)
     out = {"verdict": verdict.value}
     if args.decompose and verdict is Majorization.STRICT:
@@ -82,8 +74,8 @@ def cmd_majorize(args):
 
 
 def cmd_compare(args):
-    rx = canonical_repr(ser.jordan_spec_from_json(_load(args.x, "jordan_spec"), args.backend))
-    ry = canonical_repr(ser.jordan_spec_from_json(_load(args.y, "jordan_spec"), args.backend))
+    rx = canonical_repr(ser.jordan_spec_from_json(_load(args.x), args.backend))
+    ry = canonical_repr(ser.jordan_spec_from_json(_load(args.y), args.backend))
     _emit({"verdict": compare_sno(rx, ry).value}, args)
 
 
@@ -91,32 +83,28 @@ def cmd_repr(args):
     if args.matrix:
         if not args.eigenvalues:
             raise InputFormatError("--matrix requires --eigenvalues")
-        m = ser.matrix_from_json(_load(args.matrix, "matrix"), args.backend)
+        m = ser.matrix_from_json(_load(args.matrix), args.backend)
         if not m.is_square:
             raise InputFormatError(f"--matrix must be square, got {m.shape}")
-        eigs = ser.vector_from_json(_load(args.eigenvalues, "vector"), args.backend)
+        eigs = ser.vector_from_json(_load(args.eigenvalues), args.backend)
         rep = repr_from_matrix(m, eigs)
     else:
         if not args.spec:
             raise InputFormatError("provide --spec or --matrix/--eigenvalues")
-        rep = canonical_repr(
-            ser.jordan_spec_from_json(_load(args.spec, "jordan_spec"), args.backend)
-        )
+        rep = canonical_repr(ser.jordan_spec_from_json(_load(args.spec), args.backend))
     _emit(ser.snrepr_to_json(rep), args)
 
 
 def cmd_fmap(args):
-    f = ser.function_from_json(_load(args.function, "function"), args.backend)
-    rep = canonical_repr(
-        ser.jordan_spec_from_json(_load(args.spec, "jordan_spec"), args.backend)
-    )
+    f = ser.function_from_json(_load(args.function), args.backend)
+    rep = canonical_repr(ser.jordan_spec_from_json(_load(args.spec), args.backend))
     image, gaps = repr_of_fx(f, rep)
     _emit({"repr": ser.snrepr_to_json(image), "gdod": [list(g) for g in gaps]}, args)
 
 
 def cmd_gdod(args):
-    p = ser.partition_from_json(_load(args.p, "partition"))
-    q = ser.partition_from_json(_load(args.q, "partition"))
+    p = ser.partition_from_json(_load(args.p))
+    q = ser.partition_from_json(_load(args.q))
     dominated = dominance_check(p, q)
     out = {"dominated": dominated}
     if dominated:
@@ -131,11 +119,7 @@ def cmd_schur(args):
         if getattr(args, name) < 0:
             raise InputFormatError(f"--{name} must be nonnegative, got {getattr(args, name)}")
     f = _FUNCS[args.func](args.n)
-    box = (
-        ser.domain_box_from_json(_load(args.box, "domain_box"))
-        if args.box
-        else DomainBox(1.0, 0.0, 0.0)
-    )
+    box = ser.domain_box_from_json(_load(args.box)) if args.box else DomainBox(1.0, 0.0, 0.0)
     rng = random.Random(args.seed)
     samples = [
         [complex(rng.uniform(-3, 3), 0.0) for _ in range(args.n)]
@@ -167,9 +151,9 @@ def cmd_convexity(args):
     bad = [str(t) for t in ts if not 0 <= t <= 1]
     if bad:
         raise InputFormatError(f"-t weights must lie in [0, 1], got {', '.join(bad)}")
-    f = ser.function_from_json(_load(args.function, "function"), args.backend)
-    a = ser.matrix_from_json(_load(args.a, "matrix"), args.backend)
-    b = ser.matrix_from_json(_load(args.b, "matrix"), args.backend)
+    f = ser.function_from_json(_load(args.function), args.backend)
+    a = ser.matrix_from_json(_load(args.a), args.backend)
+    b = ser.matrix_from_json(_load(args.b), args.backend)
     if not a.is_square or a.shape != b.shape:
         raise InputFormatError(
             f"A and B must be square of one shape, got {a.shape} and {b.shape}"
@@ -193,13 +177,9 @@ def cmd_convexity(args):
 
 
 def cmd_monotone(args):
-    f = ser.function_from_json(_load(args.function, "function"), args.backend)
-    rx = canonical_repr(
-        ser.jordan_spec_from_json(_load(args.x, "jordan_spec"), args.backend)
-    )
-    ry = canonical_repr(
-        ser.jordan_spec_from_json(_load(args.y, "jordan_spec"), args.backend)
-    )
+    f = ser.function_from_json(_load(args.function), args.backend)
+    rx = canonical_repr(ser.jordan_spec_from_json(_load(args.x), args.backend))
+    ry = canonical_repr(ser.jordan_spec_from_json(_load(args.y), args.backend))
     cert = monotonicity_certificate(f, rx, ry)
     direct = monotonicity_verify_direct(f, rx, ry)
     _emit(

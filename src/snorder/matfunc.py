@@ -141,7 +141,7 @@ def poly(coeffs: Sequence, backend: str = EXACT) -> PolynomialFunction:
     return PolynomialFunction(tuple(out))
 
 
-_NAMED_ORACLES = {
+NAMED_ORACLES = {
     "exp": lambda z, q: cmath.exp(z),
     "sin": lambda z, q: cmath.sin(z + q * math.pi / 2),
     "cos": lambda z, q: cmath.cos(z + q * math.pi / 2),
@@ -150,9 +150,9 @@ _NAMED_ORACLES = {
 
 def named_oracle(name: str) -> OracleFunction:
     try:
-        fn = _NAMED_ORACLES[name]
+        fn = NAMED_ORACLES[name]
     except KeyError:
-        raise KeyError(f"unknown function oracle {name!r}; have {sorted(_NAMED_ORACLES)}")
+        raise KeyError(f"unknown function oracle {name!r}; have {sorted(NAMED_ORACLES)}")
     return OracleFunction(name, fn)
 
 

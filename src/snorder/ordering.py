@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import (
     ContractionViolated,
+    DimensionMismatch,
     KappaNotFound,
     NotAProjection,
     NotSNOrdered,
@@ -400,7 +401,10 @@ def hp_item_checks(
     Item 3: f(sum C_i* X_i C_i) vs sum C_i* f(X_i) C_i for a contractive
     column (checked against the explicit stacked-block assembly).
     Item 4: pinching by a projection P mixing X and Y.
+    Needs at least one C and at least as many Xs as Cs.
     """
+    if not cs or len(xs) < len(cs):
+        raise DimensionMismatch(f"need a C and an X per C, got {len(cs)} Cs and {len(xs)} Xs")
     results = []
     n = cs[0].shape[0]
     gram = reduce(add, (c.conj_transpose() @ c for c in cs))

@@ -3,6 +3,11 @@
 Exact scalars carry their components as rational strings ("3/4"); float
 scalars are plain numbers.  Transform indices are 1-based in files and
 0-based in memory.
+
+The ``*_from_json`` decoders are the runtime validator: each raises
+``InputFormatError`` on every document its bundled schema rejects, and on the
+backend mismatches a schema cannot express.  The schema files stay the
+documented interface; ``make_validator`` checks documents against them.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from importlib import resources
 from .errors import SnorderError
 from .linalg import Matrix
 from .majorization import TTransform
-from .matfunc import FunctionDescriptor, PolynomialFunction, named_oracle
+from .matfunc import NAMED_ORACLES, FunctionDescriptor, PolynomialFunction, named_oracle
 from .partitions import as_partition
 from .scalar import EXACT, FLOAT, TotalComplex, approx, exact
 from .schur import DomainBox
@@ -26,6 +31,23 @@ from .snrepr import JordanSpec, SNRepresentation
 
 class InputFormatError(SnorderError):
     """Malformed or backend-inconsistent JSON input."""
+
+
+def _fields(obj, what: str, required, optional=()) -> dict:
+    """obj, checked to be an object with every key of required and no key
+    outside required and optional (JSON Schema ``type: object``,
+    ``required`` and ``additionalProperties: false``)."""
+    if not isinstance(obj, dict) or not set(required) <= obj.keys() <= {*required, *optional}:
+        got = f"keys {list(obj)}" if isinstance(obj, dict) else type(obj).__name__
+        keys = [*required, *(f"{k} (optional)" for k in optional)]
+        raise InputFormatError(f"{what} must be an object with the keys {keys}, got {got}")
+    return obj
+
+
+def _array(obj, what: str) -> list:
+    if not isinstance(obj, list) or not obj:
+        raise InputFormatError(f"{what} must be a non-empty array")
+    return obj
 
 
 def _component_to_json(v, backend: str):
@@ -67,8 +89,7 @@ def _component_from_json(v, backend: str):
 
 
 def scalar_from_json(obj, backend: str) -> TotalComplex:
-    if not isinstance(obj, dict) or set(obj) - {"re", "im"}:
-        raise InputFormatError(f"scalar object must have keys re/im, got {obj!r}")
+    _fields(obj, "scalar", (), ("re", "im"))
     re = _component_from_json(obj.get("re", 0), backend)
     im = _component_from_json(obj.get("im", 0), backend)
     if backend == EXACT:
@@ -81,9 +102,7 @@ def vector_to_json(v) -> list:
 
 
 def vector_from_json(obj, backend: str) -> tuple:
-    if not isinstance(obj, list) or not obj:
-        raise InputFormatError("vector must be a non-empty array")
-    return tuple(scalar_from_json(z, backend) for z in obj)
+    return tuple(scalar_from_json(z, backend) for z in _array(obj, "vector"))
 
 
 def transform_to_json(t: TTransform) -> dict:
@@ -104,21 +123,13 @@ def partition_from_json(obj) -> tuple:
 
 
 def jordan_spec_from_json(obj, backend: str) -> JordanSpec:
-    if not isinstance(obj, dict) or "blocks" not in obj:
-        raise InputFormatError("spec must be an object with a 'blocks' array")
-    blocks = []
-    for blk in obj["blocks"]:
-        try:
-            lam = scalar_from_json(blk["eigenvalue"], backend)
-            sizes = partition_from_json(blk["sizes"])
-        except (KeyError, TypeError) as err:
-            raise InputFormatError(f"bad block {blk!r}: {err}")
-        if not sizes:
-            raise InputFormatError(f"block {blk!r} needs at least one size")
-        blocks.append((lam, sizes))
-    if not blocks:
-        raise InputFormatError("spec needs at least one block")
-    return JordanSpec(tuple(blocks))
+    blocks = [_fields(blk, "block", ("eigenvalue", "sizes"))
+              for blk in _array(_fields(obj, "spec", ("blocks",))["blocks"], "spec blocks")]
+    return JordanSpec(tuple(
+        (scalar_from_json(blk["eigenvalue"], backend),
+         partition_from_json(_array(blk["sizes"], "block sizes")))
+        for blk in blocks
+    ))
 
 
 def matrix_to_json(m: Matrix) -> dict:
@@ -126,41 +137,40 @@ def matrix_to_json(m: Matrix) -> dict:
 
 
 def matrix_from_json(obj, backend: str) -> Matrix:
-    if not isinstance(obj, dict) or "rows" not in obj:
-        raise InputFormatError("matrix must be an object with a 'rows' array")
-    rows = obj["rows"]
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise InputFormatError("matrix rows must be non-empty and rectangular")
-    return Matrix.from_rows(
-        [[scalar_from_json(z, backend) for z in row] for row in rows]
-    )
+    rows = _array(_fields(obj, "matrix", ("rows",))["rows"], "matrix rows")
+    if any(len(_array(r, "matrix row")) != len(rows[0]) for r in rows):
+        raise InputFormatError("matrix rows must be rectangular")
+    return Matrix.from_rows([[scalar_from_json(z, backend) for z in row] for row in rows])
 
 
 def function_from_json(obj, backend: str) -> FunctionDescriptor:
+    """The schema's oneOf: a document with a 'polynomial' key is a
+    polynomial, valid in full and with no oracle name beside it; otherwise it
+    names an oracle.  Other keys are allowed, as in the schema."""
     if not isinstance(obj, dict):
         raise InputFormatError("function must be an object")
+    oracle = obj.get("oracle")
+    is_oracle = isinstance(oracle, str) and oracle in NAMED_ORACLES
     if "polynomial" in obj:
-        coeffs = obj["polynomial"].get("coefficients")
-        if not coeffs:
-            raise InputFormatError("polynomial needs a non-empty coefficient array")
-        return PolynomialFunction(
-            tuple(scalar_from_json(c, backend) for c in coeffs)
+        poly = obj["polynomial"]
+        if not isinstance(poly, dict) or "coefficients" not in poly:
+            raise InputFormatError("polynomial must be an object with a 'coefficients' array")
+        coeffs = _array(poly["coefficients"], "polynomial coefficients")
+        if is_oracle:
+            raise InputFormatError("function must be a polynomial or an oracle, not both")
+        return PolynomialFunction(tuple(scalar_from_json(c, backend) for c in coeffs))
+    if not is_oracle:
+        raise InputFormatError(
+            f"function needs a polynomial or an oracle of {sorted(NAMED_ORACLES)}"
         )
-    if "oracle" in obj:
-        if backend == EXACT:
-            raise InputFormatError("named oracles are float-backend only")
-        try:
-            return named_oracle(obj["oracle"])
-        except KeyError as err:
-            raise InputFormatError(str(err))
-    raise InputFormatError("function must have a 'polynomial' or 'oracle' key")
+    if backend == EXACT:
+        raise InputFormatError("named oracles are float-backend only")
+    return named_oracle(oracle)
 
 
 def domain_box_from_json(obj) -> DomainBox:
-    try:
-        return DomainBox(*(_component_from_json(obj[k], FLOAT) for k in ("c1", "c2", "c3")))
-    except (KeyError, TypeError, ValueError) as err:
-        raise InputFormatError(f"bad domain box {obj!r}: {err}")
+    box = _fields(obj, "domain box", ("c1", "c2", "c3"))
+    return DomainBox(*(_component_from_json(box[k], FLOAT) for k in ("c1", "c2", "c3")))
 
 
 def snrepr_to_json(rep: SNRepresentation) -> dict:

@@ -1,3 +1,5 @@
+import copy
+import functools
 import json
 import os
 import subprocess
@@ -6,8 +8,10 @@ import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import snorder
+from snorder import serialization as ser
 from snorder.cli import main
 
 
@@ -244,6 +248,29 @@ def test_schema_violation_is_input_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_extra_keys_and_oracle_beside_null_polynomial_are_input_errors(tmp_path, capsys):
+    block = {"eigenvalue": sc("1"), "sizes": [1]}
+    spec = write(tmp_path, "s.json", {"blocks": [block]})
+    extra_spec = write(tmp_path, "xs.json", {"blocks": [block], "note": "x"})
+    extra_matrix = write(tmp_path, "xm.json", {"rows": [[sc("1")]], "note": "x"})
+    ev = write(tmp_path, "ev.json", [sc("1")])
+    assert_input_error(capsys, ["compare", extra_spec, spec])
+    assert_input_error(capsys, ["repr", "--matrix", extra_matrix, "--eigenvalues", ev])
+    f = write(tmp_path, "f.json", {"oracle": "exp", "polynomial": None})
+    fspec = write(tmp_path, "fs.json", {"blocks": [{"eigenvalue": sc(0.0), "sizes": [1]}]})
+    assert_input_error(capsys, ["--backend", "float", "fmap", f, fspec])
+
+
+@functools.lru_cache(maxsize=None)
+def validator(schema):
+    return ser.make_validator(schema)
+
+
+def decode_as(schema, backend, doc):
+    decoder = getattr(ser, f"{schema}_from_json")
+    return decoder(doc) if schema in ("partition", "domain_box") else decoder(doc, backend)
+
+
 @pytest.mark.parametrize("schema, decode, doc", [
     ("scalar", "exact", {"re": True}),
     ("scalar", "exact", {"re": " 3/4 "}),
@@ -255,21 +282,111 @@ def test_schema_violation_is_input_error(tmp_path, capsys):
     ("partition", None, [3.5, 1]),
     ("partition", None, [True, "1"]),
     ("partition", None, [2, "1"]),
+    ("scalar", "exact", [sc("1")]),
+    ("vector", "exact", sc("1")),
+    ("partition", None, {"parts": [1]}),
+    ("jordan_spec", "exact", {"blocks": [{"eigenvalue": sc("1"), "sizes": [1]}], "x": 1}),
+    ("jordan_spec", "exact", {"blocks": [{"eigenvalue": sc("1"), "sizes": [1], "x": 1}]}),
+    ("jordan_spec", "exact", {"blocks": 5}),
+    ("matrix", "exact", {"rows": [[sc("1")]], "x": 1}),
+    ("matrix", "exact", {"rows": [[]]}),
+    ("matrix", "float", {"rows": 5}),
+    ("function", "exact", {"polynomial": [1]}),
+    ("function", "float", {"oracle": ["exp"]}),
+    ("function", "float", {"oracle": "exp", "polynomial": {"coefficients": [sc(1.0, 0.0)]}}),
+    ("domain_box", None, {"c1": 1, "c2": 0, "c3": 0, "c4": 0}),
 ])
 def test_decoders_reject_what_the_schemas_reject(schema, decode, doc):
-    from snorder import serialization as ser
-
-    assert not ser.make_validator(schema).is_valid(doc)
+    assert not validator(schema).is_valid(doc)
     with pytest.raises(ser.InputFormatError):
-        if schema == "partition":
-            ser.partition_from_json(doc)
-        else:
-            ser.scalar_from_json(doc, decode)
+        decode_as(schema, decode, doc)
+
+
+# One or more valid documents per schema and backend, and the pieces that
+# mutations put into them: junk values of every JSON type and the schemas'
+# own keys.
+VALID_DOCS = {
+    (backend, schema): docs
+    for backend, zero, one, half in (("exact", "0", "1", "-1/2"), ("float", 0.0, 1.0, -0.5))
+    for schema, docs in {
+        "scalar": [sc(one, half), {"im": half}, {}],
+        "vector": [[sc(one, zero), sc(half, one)]],
+        "partition": [[3, 2, 1], []],
+        "jordan_spec": [{"blocks": [{"eigenvalue": sc(one, zero), "sizes": [2, 1]},
+                                    {"eigenvalue": sc(half, one), "sizes": [1]}]}],
+        "matrix": [{"rows": [[sc(one, zero), sc(half, one)], [{}, {"re": one}]]}],
+        "function": [{"polynomial": {"coefficients": [sc(half, zero), {"re": one}]}},
+                     {"polynomial": {"coefficients": [{}]}, "oracle": "tan"},
+                     {"oracle": "exp", "x": 1}],
+        "domain_box": [{"c1": 1, "c2": -0.5, "c3": 0.5}],
+    }.items()
+}
+JUNK = [None, True, 0, -1, 1.5, float("nan"), "", "x", "3/4", "1/0", "1.5", "exp",
+        [], [1], {}, {"re": "1"}, {"re": 1.0}, {"coefficients": []}]
+KEYS = ["re", "im", "rows", "blocks", "eigenvalue", "sizes", "polynomial", "coefficients",
+        "oracle", "c1", "c4", "x"]
+
+
+def paths(doc, at=()):
+    """The key paths of doc and of every value inside it, doc itself first."""
+    yield at
+    if isinstance(doc, (dict, list)):
+        for key in doc if isinstance(doc, dict) else range(len(doc)):
+            yield from paths(doc[key], at + (key,))
+
+
+def mutate(doc, draw, at):
+    """doc with one change at the path at: the value there replaced by junk,
+    or, for a container, emptied, given one more key or item, or one less."""
+    if at:
+        out = copy.copy(doc)
+        out[at[0]] = mutate(doc[at[0]], draw, at[1:])
+        return out
+    op = draw(st.sampled_from(["junk", "empty", "add", "drop"]))
+    if op == "junk" or not isinstance(doc, (dict, list)):
+        return draw(st.sampled_from(JUNK))
+    if op == "empty" or (op == "drop" and not doc):
+        return type(doc)()
+    if isinstance(doc, dict):
+        if op == "drop":
+            gone = draw(st.sampled_from(list(doc)))
+            return {k: v for k, v in doc.items() if k != gone}
+        return {**doc, draw(st.sampled_from(KEYS)): draw(st.sampled_from(JUNK))}
+    if op == "drop":
+        return doc[1:]
+    return doc + [draw(st.sampled_from(JUNK + doc))]
+
+
+@pytest.mark.parametrize("backend, schema", sorted(VALID_DOCS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_decoders_refuse_every_mutant_the_schema_refuses(backend, schema, data):
+    # The decoder raises InputFormatError and nothing else, and what it
+    # accepts the schema accepts; it may refuse more (backend mismatches).
+    doc = data.draw(st.sampled_from(VALID_DOCS[backend, schema]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = mutate(doc, data.draw, data.draw(st.sampled_from(list(paths(doc)))))
+    try:
+        decode_as(schema, backend, doc)
+    except ser.InputFormatError:
+        return
+    assert validator(schema).is_valid(doc), doc
+
+
+def test_function_decoder_follows_the_polynomial_key():
+    # The schema's oneOf accepts the oracle branch when the polynomial branch
+    # fails; the decoder reads a 'polynomial' key as a claim to be a
+    # polynomial, so it refuses this document.
+    doc = {"oracle": "exp", "polynomial": None}
+    assert validator("function").is_valid(doc)
+    with pytest.raises(ser.InputFormatError):
+        ser.function_from_json(doc, "float")
+    poly = {"polynomial": {"coefficients": [sc("1")]}, "oracle": "1"}
+    assert validator("function").is_valid(poly)
+    assert ser.function_from_json(poly, "exact").coefficients == (snorder.exact(1),)
 
 
 def test_partition_decoder_accepts_integral_floats_like_the_schema():
-    from snorder import serialization as ser
-
     assert ser.make_validator("partition").is_valid([3.0, 1])
     assert ser.partition_from_json([3.0, 1]) == (3, 1)
 
@@ -387,6 +504,7 @@ def test_exact_cli_runs_do_not_import_numpy(tmp_path):
     write(tmp_path, "y.json", {"blocks": [{"eigenvalue": sc("1"), "sizes": [3]}]})
     write(tmp_path, "m.json", {"rows": [[sc("1"), sc("1")], [sc("0"), sc("1")]]})
     write(tmp_path, "ev.json", [sc("1")])
+    write(tmp_path, "v.json", [sc("2"), sc("1")])
     write(tmp_path, "f.json", {"polynomial": {"coefficients": [sc("0"), sc("0"), sc("1")]}})
     write(tmp_path, "a.json", {"rows": [[sc("0"), sc("0")], [sc("0"), sc("2")]]})
     write(tmp_path, "b.json", {"rows": [[sc("1"), sc("0")], [sc("0"), sc("1")]]})
@@ -394,21 +512,22 @@ def test_exact_cli_runs_do_not_import_numpy(tmp_path):
 import json, sys
 import snorder, snorder.cli as cli
 out = "report.json"
+unwanted = ("numpy", "jsonschema", "referencing")
 codes = [cli.main(["--output", out, "schur", "--n", "2", "--trials", "20", "--samples", "3"])]
-after_schur = sorted(m for m in ("numpy", "jsonschema") if m in sys.modules)
+after_schur = sorted(m for m in unwanted if m in sys.modules)
 codes += [
+    cli.main(["--output", out, "majorize", "v.json", "v.json", "--decompose"]),
     cli.main(["--output", out, "compare", "x.json", "y.json"]),
     cli.main(["--output", out, "repr", "--matrix", "m.json", "--eigenvalues", "ev.json"]),
     cli.main(["--output", out, "convexity", "f.json", "a.json", "b.json"]),
 ]
 print(json.dumps({"codes": codes, "after_schur": after_schur,
-                  "numpy": "numpy" in sys.modules,
-                  "jsonschema": "jsonschema" in sys.modules}))
+                  "loaded": sorted(m for m in unwanted if m in sys.modules)}))
 """)
-    assert report["codes"] == [0, 0, 0, 0]
+    assert report["codes"] == [0, 0, 0, 0, 0]
     assert report["after_schur"] == []
-    assert report["numpy"] is False
-    assert report["jsonschema"] is True  # every input file is still validated
+    # The decoders are the validator, so no run loads jsonschema.
+    assert report["loaded"] == []
 
 
 def test_float_paths_load_numpy_on_first_use(tmp_path):

@@ -11,6 +11,7 @@ from snorder import (
 )
 from snorder.errors import (
     ContractionViolated,
+    DimensionMismatch,
     NotAProjection,
     NotSNOrdered,
     SpectrumUnavailable,
@@ -219,6 +220,15 @@ def test_hp_item_checks_rejects_expanding_family():
     c = diag(2, 2)
     with pytest.raises(ContractionViolated):
         hp_item_checks(f, [x], [c])
+
+
+@pytest.mark.parametrize("n_xs, n_cs", [(0, 1), (1, 0), (0, 0), (1, 2)])
+def test_hp_item_checks_needs_an_x_per_c(n_xs, n_cs):
+    # (1, 2): the Cs sum to 2I, so the count must be checked before the Gram
+    # matrix is, and item 3 would otherwise drop the second C.
+    f = poly([0, 1])
+    with pytest.raises(DimensionMismatch):
+        hp_item_checks(f, [diag(1, 1)] * n_xs, [diag(1, 1)] * n_cs)
 
 
 def test_hp_item_checks_rejects_non_projection():
