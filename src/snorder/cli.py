@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Every subcommand reads JSON documents, which the ``serialization`` decoders
-check in full, prints a JSON report to stdout, and uses exit codes:
-0 = analysis completed, 2 = malformed input, 3 = backend/analysis failure.
+Every subcommand imports only the layers it calls, reads JSON documents,
+which the ``serialization`` decoders check in full, prints a JSON report to
+stdout, and uses exit codes: 0 = analysis completed, 2 = malformed input,
+3 = backend/analysis failure.
 """
 
 from __future__ import annotations
@@ -10,42 +11,28 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from fractions import Fraction
 
 from . import serialization as ser
 from .errors import SnorderError
-from .majorization import (
-    Majorization,
-    gds_check,
-    gds_from_transforms,
-    majorize_check,
-    t_transform_decompose,
-)
-from .matfunc import repr_of_fx
-from .ordering import convexity_check, monotonicity_certificate, monotonicity_verify_direct
-from .partitions import dominance_check, gdod_vector
 from .scalar import EXACT, FLOAT
-from .schur import (
-    DEFAULT_SEED,
-    DomainBox,
-    negative_sum_of_squares,
-    schur_convex_falsify,
-    schur_ostrowski_check,
-    sum_of_squares,
-)
 from .serialization import InputFormatError
-from .snrepr import canonical_repr, compare_sno, repr_from_matrix
 
-_FUNCS = {"sum_sq": sum_of_squares, "neg_sum_sq": negative_sum_of_squares}
+_FUNCS = {"sum_sq": "sum_of_squares", "neg_sum_sq": "negative_sum_of_squares"}
 
 
-def _load(path: str):
+def _load(path: str, decode, *args):
+    """decode(document, *args) of the JSON file at path; every input error
+    in the file names it."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (OSError, ValueError) as err:  # also bad UTF-8 and oversized integer literals
+        raise InputFormatError(f"{path}: {err}")
+    try:
+        return decode(doc, *args)
+    except InputFormatError as err:
         raise InputFormatError(f"{path}: {err}")
 
 
@@ -59,8 +46,11 @@ def _emit(obj, args):
 
 
 def cmd_majorize(args):
-    x = ser.vector_from_json(_load(args.x), args.backend)
-    y = ser.vector_from_json(_load(args.y), args.backend)
+    from .majorization import (Majorization, gds_check, gds_from_transforms, majorize_check,
+                               t_transform_decompose)
+
+    x = _load(args.x, ser.vector_from_json, args.backend)
+    y = _load(args.y, ser.vector_from_json, args.backend)
     verdict = majorize_check(x, y)
     out = {"verdict": verdict.value}
     if args.decompose and verdict is Majorization.STRICT:
@@ -74,37 +64,46 @@ def cmd_majorize(args):
 
 
 def cmd_compare(args):
-    rx = canonical_repr(ser.jordan_spec_from_json(_load(args.x), args.backend))
-    ry = canonical_repr(ser.jordan_spec_from_json(_load(args.y), args.backend))
+    from .snrepr import canonical_repr, compare_sno
+
+    rx = canonical_repr(_load(args.x, ser.jordan_spec_from_json, args.backend))
+    ry = canonical_repr(_load(args.y, ser.jordan_spec_from_json, args.backend))
     _emit({"verdict": compare_sno(rx, ry).value}, args)
 
 
 def cmd_repr(args):
+    from .snrepr import canonical_repr, repr_from_matrix
+
     if args.matrix:
         if not args.eigenvalues:
             raise InputFormatError("--matrix requires --eigenvalues")
-        m = ser.matrix_from_json(_load(args.matrix), args.backend)
+        m = _load(args.matrix, ser.matrix_from_json, args.backend)
         if not m.is_square:
             raise InputFormatError(f"--matrix must be square, got {m.shape}")
-        eigs = ser.vector_from_json(_load(args.eigenvalues), args.backend)
+        eigs = _load(args.eigenvalues, ser.vector_from_json, args.backend)
         rep = repr_from_matrix(m, eigs)
     else:
         if not args.spec:
             raise InputFormatError("provide --spec or --matrix/--eigenvalues")
-        rep = canonical_repr(ser.jordan_spec_from_json(_load(args.spec), args.backend))
+        rep = canonical_repr(_load(args.spec, ser.jordan_spec_from_json, args.backend))
     _emit(ser.snrepr_to_json(rep), args)
 
 
 def cmd_fmap(args):
-    f = ser.function_from_json(_load(args.function), args.backend)
-    rep = canonical_repr(ser.jordan_spec_from_json(_load(args.spec), args.backend))
+    from .matfunc import repr_of_fx
+    from .snrepr import canonical_repr
+
+    f = _load(args.function, ser.function_from_json, args.backend)
+    rep = canonical_repr(_load(args.spec, ser.jordan_spec_from_json, args.backend))
     image, gaps = repr_of_fx(f, rep)
     _emit({"repr": ser.snrepr_to_json(image), "gdod": [list(g) for g in gaps]}, args)
 
 
 def cmd_gdod(args):
-    p = ser.partition_from_json(_load(args.p))
-    q = ser.partition_from_json(_load(args.q))
+    from .partitions import dominance_check, gdod_vector
+
+    p = _load(args.p, ser.partition_from_json)
+    q = _load(args.q, ser.partition_from_json)
     dominated = dominance_check(p, q)
     out = {"dominated": dominated}
     if dominated:
@@ -113,20 +112,25 @@ def cmd_gdod(args):
 
 
 def cmd_schur(args):
+    import random
+
+    from . import schur
+
     if args.n < 1:
         raise InputFormatError(f"--n must be at least 1, got {args.n}")
     for name in ("trials", "samples"):
         if getattr(args, name) < 0:
             raise InputFormatError(f"--{name} must be nonnegative, got {getattr(args, name)}")
-    f = _FUNCS[args.func](args.n)
-    box = ser.domain_box_from_json(_load(args.box)) if args.box else DomainBox(1.0, 0.0, 0.0)
-    rng = random.Random(args.seed)
+    seed = schur.DEFAULT_SEED if args.seed is None else args.seed
+    f = getattr(schur, _FUNCS[args.func])(args.n)
+    box = _load(args.box, ser.domain_box_from_json) if args.box else schur.DomainBox(1.0, 0.0, 0.0)
+    rng = random.Random(seed)
     samples = [
         [complex(rng.uniform(-3, 3), 0.0) for _ in range(args.n)]
         for _ in range(args.samples)
     ]
-    criterion = schur_ostrowski_check(f, box, samples)
-    counter = schur_convex_falsify(f, args.n, trials=args.trials, seed=args.seed)
+    criterion = schur.schur_ostrowski_check(f, box, samples)
+    counter = schur.schur_convex_falsify(f, args.n, trials=args.trials, seed=seed)
     out = {
         "criterion_passed": criterion.passed,
         "criterion_cases": len(criterion.records),
@@ -144,6 +148,8 @@ def cmd_schur(args):
 
 
 def cmd_convexity(args):
+    from .ordering import convexity_check
+
     try:
         ts = [Fraction(t) for t in args.t.split(",")]
     except (ValueError, ZeroDivisionError) as err:
@@ -151,9 +157,9 @@ def cmd_convexity(args):
     bad = [str(t) for t in ts if not 0 <= t <= 1]
     if bad:
         raise InputFormatError(f"-t weights must lie in [0, 1], got {', '.join(bad)}")
-    f = ser.function_from_json(_load(args.function), args.backend)
-    a = ser.matrix_from_json(_load(args.a), args.backend)
-    b = ser.matrix_from_json(_load(args.b), args.backend)
+    f = _load(args.function, ser.function_from_json, args.backend)
+    a = _load(args.a, ser.matrix_from_json, args.backend)
+    b = _load(args.b, ser.matrix_from_json, args.backend)
     if not a.is_square or a.shape != b.shape:
         raise InputFormatError(
             f"A and B must be square of one shape, got {a.shape} and {b.shape}"
@@ -177,9 +183,12 @@ def cmd_convexity(args):
 
 
 def cmd_monotone(args):
-    f = ser.function_from_json(_load(args.function), args.backend)
-    rx = canonical_repr(ser.jordan_spec_from_json(_load(args.x), args.backend))
-    ry = canonical_repr(ser.jordan_spec_from_json(_load(args.y), args.backend))
+    from .ordering import monotonicity_certificate, monotonicity_verify_direct
+    from .snrepr import canonical_repr
+
+    f = _load(args.function, ser.function_from_json, args.backend)
+    rx = canonical_repr(_load(args.x, ser.jordan_spec_from_json, args.backend))
+    ry = canonical_repr(_load(args.y, ser.jordan_spec_from_json, args.backend))
     cert = monotonicity_certificate(f, rx, ry)
     direct = monotonicity_verify_direct(f, rx, ry)
     _emit(
@@ -203,8 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=os.environ.get("SNO_BACKEND", EXACT),
         help="numeric backend (env SNO_BACKEND)",
     )
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for all randomized analyses")
+    parser.add_argument("--seed", type=int, help="seed for all randomized analyses")
     parser.add_argument("--output", help="write the JSON report here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -47,7 +47,6 @@ from .scalar import (
     sort_desc,
     zero_like,
 )
-from .schur import MajorizationCert, _pointwise_monotonicity, majorization_preserving_check
 from .snrepr import SNOVerdict, SNRepresentation, compare_sno, repr_from_matrix
 
 if TYPE_CHECKING:
@@ -163,6 +162,8 @@ def monotonicity_certificate(
     decreasing analogue, which additionally needs entrywise strict block
     dominance so the order survives the spectrum reversal.
     """
+    from .schur import MajorizationCert, _pointwise_monotonicity, majorization_preserving_check
+
     verdict = compare_sno(rx, ry)
     if verdict not in (SNOVerdict.STRICT_LESS, SNOVerdict.WEAK_LESS):
         raise NotSNOrdered(f"representations compare as {verdict.value}")

@@ -8,6 +8,8 @@ The ``*_from_json`` decoders are the runtime validator: each raises
 ``InputFormatError`` on every document its bundled schema rejects, and on the
 backend mismatches a schema cannot express.  The schema files stay the
 documented interface; ``make_validator`` checks documents against them.
+Each decoder imports the layer that builds its value on first use, so a
+``sno`` run loads only the layers its subcommand reads.
 """
 
 from __future__ import annotations
@@ -17,16 +19,17 @@ import json
 import re
 import sys
 from fractions import Fraction
-from importlib import resources
+from typing import TYPE_CHECKING
 
 from .errors import SnorderError
-from .linalg import Matrix
-from .majorization import TTransform
-from .matfunc import NAMED_ORACLES, FunctionDescriptor, PolynomialFunction, named_oracle
-from .partitions import as_partition
 from .scalar import EXACT, FLOAT, TotalComplex, approx, exact
-from .schur import DomainBox
-from .snrepr import JordanSpec, SNRepresentation
+
+if TYPE_CHECKING:
+    from .linalg import Matrix
+    from .majorization import TTransform
+    from .matfunc import FunctionDescriptor
+    from .schur import DomainBox
+    from .snrepr import JordanSpec, SNRepresentation
 
 
 class InputFormatError(SnorderError):
@@ -112,6 +115,8 @@ def transform_to_json(t: TTransform) -> dict:
 def partition_from_json(obj) -> tuple:
     """Integer parts; integral floats such as 3.0 count as integers, as in
     JSON Schema."""
+    from .partitions import as_partition
+
     if not isinstance(obj, list) or not all(
         type(v) is int or (isinstance(v, float) and v.is_integer()) for v in obj
     ):
@@ -123,6 +128,8 @@ def partition_from_json(obj) -> tuple:
 
 
 def jordan_spec_from_json(obj, backend: str) -> JordanSpec:
+    from .snrepr import JordanSpec
+
     blocks = [_fields(blk, "block", ("eigenvalue", "sizes"))
               for blk in _array(_fields(obj, "spec", ("blocks",))["blocks"], "spec blocks")]
     return JordanSpec(tuple(
@@ -137,6 +144,8 @@ def matrix_to_json(m: Matrix) -> dict:
 
 
 def matrix_from_json(obj, backend: str) -> Matrix:
+    from .linalg import Matrix
+
     rows = _array(_fields(obj, "matrix", ("rows",))["rows"], "matrix rows")
     if any(len(_array(r, "matrix row")) != len(rows[0]) for r in rows):
         raise InputFormatError("matrix rows must be rectangular")
@@ -147,6 +156,8 @@ def function_from_json(obj, backend: str) -> FunctionDescriptor:
     """The schema's oneOf: a document with a 'polynomial' key is a
     polynomial, valid in full and with no oracle name beside it; otherwise it
     names an oracle.  Other keys are allowed, as in the schema."""
+    from .matfunc import NAMED_ORACLES, PolynomialFunction, named_oracle
+
     if not isinstance(obj, dict):
         raise InputFormatError("function must be an object")
     oracle = obj.get("oracle")
@@ -169,6 +180,8 @@ def function_from_json(obj, backend: str) -> FunctionDescriptor:
 
 
 def domain_box_from_json(obj) -> DomainBox:
+    from .schur import DomainBox
+
     box = _fields(obj, "domain box", ("c1", "c2", "c3"))
     return DomainBox(*(_component_from_json(box[k], FLOAT) for k in ("c1", "c2", "c3")))
 
@@ -183,6 +196,8 @@ def snrepr_to_json(rep: SNRepresentation) -> dict:
 
 def load_schema(name: str) -> dict:
     """Load one of the bundled JSON schema documents by stem name."""
+    from importlib import resources
+
     text = resources.files("snorder.schemas").joinpath(f"{name}.schema.json").read_text()
     return json.loads(text)
 
@@ -190,6 +205,8 @@ def load_schema(name: str) -> dict:
 @functools.lru_cache(maxsize=None)
 def _schema_registry():
     """Registry of all bundled schemas so cross-file $refs resolve."""
+    from importlib import resources
+
     import referencing
 
     resources_ = []

@@ -1,5 +1,6 @@
 import copy
 import functools
+import importlib
 import json
 import os
 import subprocess
@@ -32,13 +33,15 @@ def sc(re, im="0"):
 
 
 def assert_input_error(capsys, argv):
-    """Exit 2 with one line on stderr, so no traceback, and nothing on stdout."""
+    """Exit 2 with one line on stderr, so no traceback, and nothing on stdout;
+    returns that line."""
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("input error: ")
     assert captured.err.count("\n") == 1
+    return captured.err
 
 
 def test_majorize_strict_with_decomposition(tmp_path, capsys):
@@ -261,6 +264,18 @@ def test_extra_keys_and_oracle_beside_null_polynomial_are_input_errors(tmp_path,
     assert_input_error(capsys, ["--backend", "float", "fmap", f, fspec])
 
 
+@pytest.mark.parametrize("doc", [
+    {"blocks": [{"eigenvalue": sc("1"), "sizes": [1]}], "note": "x"},
+    {"blocks": [{"eigenvalue": sc(1.5), "sizes": [1]}]},  # float literal on the exact backend
+], ids=["extra-key", "backend-mismatch"])
+def test_input_errors_name_their_file(tmp_path, capsys, doc):
+    a = write(tmp_path, "a.json", {"blocks": [{"eigenvalue": sc("1"), "sizes": [1]}]})
+    b = write(tmp_path, "b.json", doc)
+    err = assert_input_error(capsys, ["compare", a, b])
+    assert b in err
+    assert "a.json" not in err
+
+
 @functools.lru_cache(maxsize=None)
 def validator(schema):
     return ser.make_validator(schema)
@@ -295,6 +310,7 @@ def decode_as(schema, backend, doc):
     ("function", "float", {"oracle": ["exp"]}),
     ("function", "float", {"oracle": "exp", "polynomial": {"coefficients": [sc(1.0, 0.0)]}}),
     ("domain_box", None, {"c1": 1, "c2": 0, "c3": 0, "c4": 0}),
+    ("function", "float", {"oracle": "exp", "polynomial": None}),
 ])
 def test_decoders_reject_what_the_schemas_reject(schema, decode, doc):
     assert not validator(schema).is_valid(doc)
@@ -374,13 +390,8 @@ def test_decoders_refuse_every_mutant_the_schema_refuses(backend, schema, data):
 
 
 def test_function_decoder_follows_the_polynomial_key():
-    # The schema's oneOf accepts the oracle branch when the polynomial branch
-    # fails; the decoder reads a 'polynomial' key as a claim to be a
-    # polynomial, so it refuses this document.
-    doc = {"oracle": "exp", "polynomial": None}
-    assert validator("function").is_valid(doc)
-    with pytest.raises(ser.InputFormatError):
-        ser.function_from_json(doc, "float")
+    # A valid polynomial beside an oracle key that names no oracle is a
+    # polynomial, for the schema and the decoder alike.
     poly = {"polynomial": {"coefficients": [sc("1")]}, "oracle": "1"}
     assert validator("function").is_valid(poly)
     assert ser.function_from_json(poly, "exact").coefficients == (snorder.exact(1),)
@@ -416,6 +427,19 @@ def test_package_exports_names_not_submodules():
     assert len(set(snorder.__all__)) == len(snorder.__all__)
     for name in snorder.__all__:
         assert not isinstance(getattr(snorder, name), types.ModuleType), name
+
+
+def test_lazy_namespace_resolves_each_name_from_its_home_module():
+    assert sorted(snorder._HOME) == sorted(snorder.__all__)
+    for name, home in snorder._HOME.items():
+        module = importlib.import_module(f"snorder.{home}")
+        assert getattr(snorder, name) is getattr(module, name), name
+    assert set(snorder.__all__) <= set(dir(snorder))
+    namespace = {}
+    exec("from snorder import *", namespace)
+    assert all(namespace[name] is getattr(snorder, name) for name in snorder.__all__)
+    with pytest.raises(AttributeError):
+        snorder.no_such_name
 
 
 @pytest.mark.parametrize("sub", ["fmap", "compare", "monotone", "repr"])
@@ -528,6 +552,50 @@ print(json.dumps({"codes": codes, "after_schur": after_schur,
     assert report["after_schur"] == []
     # The decoders are the validator, so no run loads jsonschema.
     assert report["loaded"] == []
+
+
+# One small exact run of each subcommand, and the snorder modules it must not
+# load: each subcommand imports only the layers it calls.
+SUBCOMMAND_RUNS = {
+    "gdod": (["gdod", "p.json", "q.json"], {"snrepr", "matfunc", "ordering"}),
+    "majorize": (["majorize", "v.json", "w.json", "--decompose"],
+                 {"snrepr", "matfunc", "ordering"}),
+    "compare": (["compare", "x.json", "y.json"], {"ordering"}),
+    "repr": (["repr", "--matrix", "m.json", "--eigenvalues", "ev.json"], {"ordering"}),
+    "schur": (["schur", "--n", "2", "--trials", "20", "--samples", "3"], {"ordering"}),
+    "fmap": (["fmap", "f.json", "x.json"], {"ordering"}),
+    "convexity": (["convexity", "f.json", "a.json", "b.json"], {"schur"}),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(SUBCOMMAND_RUNS))
+def test_each_subcommand_loads_only_its_layers(tmp_path, sub):
+    write(tmp_path, "p.json", [3, 1])
+    write(tmp_path, "q.json", [4])
+    write(tmp_path, "v.json", [sc("2"), sc("2")])
+    write(tmp_path, "w.json", [sc("3"), sc("1")])
+    write(tmp_path, "x.json", {"blocks": [{"eigenvalue": sc("1"), "sizes": [2, 1]}]})
+    write(tmp_path, "y.json", {"blocks": [{"eigenvalue": sc("1"), "sizes": [3]}]})
+    write(tmp_path, "m.json", {"rows": [[sc("1"), sc("1")], [sc("0"), sc("1")]]})
+    write(tmp_path, "ev.json", [sc("1")])
+    write(tmp_path, "f.json", {"polynomial": {"coefficients": [sc("0"), sc("0"), sc("1")]}})
+    write(tmp_path, "a.json", {"rows": [[sc("0"), sc("0")], [sc("0"), sc("2")]]})
+    write(tmp_path, "b.json", {"rows": [[sc("1"), sc("0")], [sc("0"), sc("1")]]})
+    argv, unwanted = SUBCOMMAND_RUNS[sub]
+    report = run_fresh(tmp_path, f"""
+import json, sys
+def layers():
+    return sorted(m.split(".")[1] for m in sys.modules if m.startswith("snorder."))
+import snorder
+bare = layers()
+import snorder.cli as cli
+code = cli.main(["--output", "report.json"] + {argv!r})
+print(json.dumps({{"bare": bare, "code": code, "loaded": layers()}}))
+""")
+    assert report["bare"] == []
+    assert report["code"] == 0
+    assert "cli" in report["loaded"]
+    assert not unwanted & set(report["loaded"]), report["loaded"]
 
 
 def test_float_paths_load_numpy_on_first_use(tmp_path):
