@@ -165,6 +165,18 @@ def gaussian_int_rows(mat: Matrix):
     return rows, mul
 
 
+def diagonal_blocks(rows) -> list:
+    """Ascending index sets, by least index, of the connected components of
+    the pattern i ~ j when entry (i, j) or (j, i) is nonzero: the matrix is
+    permutation-similar to the direct sum of these principal submatrices."""
+    owner = list(range(len(rows)))
+    for i, row in enumerate(rows):
+        for j, z in enumerate(row):
+            if z != (0, 0) and owner[i] != owner[j]:
+                owner = [owner[i] if o == owner[j] else o for o in owner]
+    return [[i for i, o in enumerate(owner) if o == b] for b in dict.fromkeys(owner)]
+
+
 def gaussian_int_matmul(a, b):
     """Product of an r x m and an m x n matrix of (re, im) Gaussian-integer
     pairs.  Zero entries of a are skipped: structure recovery multiplies

@@ -20,13 +20,15 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Callable, Sequence, Union
 
 from .errors import IncomparableNilpotent, KappaNotFound, OutsideAnalyticityRadius
 from .linalg import Matrix, block_diag
 from .partitions import Partition, as_partition, merge_desc, prefix_gaps
 from .scalar import EXACT, TotalComplex, approx, exact, sort_desc_items, zero_like
-from .snrepr import JordanSpec, SNRepresentation, canonical_repr, repr_from_matrix
+from .snrepr import SNRepresentation, merge_equal, repr_from_matrix
 
 DERIVATIVE_EPS = 1e-10
 
@@ -44,28 +46,35 @@ class PolynomialFunction:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
+    @cached_property
+    def _integral(self) -> tuple:
+        """(D, re, im): D the lcm of the denominators, re and im those of c_k D."""
+        if any(c.backend != EXACT for c in self.coefficients):
+            raise TypeError("float coefficients cannot evaluate at exact points")
+        big_d = math.lcm(*(x.denominator for c in self.coefficients for x in (c.re, c.im)))
+        re = tuple(c.re.numerator * (big_d // c.re.denominator) for c in self.coefficients)
+        im = tuple(c.im.numerator * (big_d // c.im.denominator) for c in self.coefficients)
+        return big_d, re, im
+
     def taylor(self, lam: TotalComplex, n: int) -> list:
         """f^(q)(lam)/q! for q < n, by a Taylor shift (repeated synthetic
         division) of the coefficients to lam; zero past the degree.
 
         At exact points the shift runs on Gaussian integers: with
-        lam = L / d and D the lcm of the coefficient denominators, the
-        scaled coefficients c_k D d^(degree - k) are integers, shifting them
-        by L gives T_q = D d^(degree - q) f^(q)(lam)/q!, and each output is
-        divided once."""
+        lam = L / d and D the lcm of the coefficient denominators (D and the
+        c_k D are computed once per polynomial), the scaled coefficients
+        c_k D d^(degree - k) are integers, shifting them by L gives
+        T_q = D d^(degree - q) f^(q)(lam)/q!, and each output is divided
+        once."""
         deg = self.degree
         if lam.backend == EXACT:
-            if any(c.backend != EXACT for c in self.coefficients):
-                raise TypeError("float coefficients cannot evaluate at exact points")
+            big_d, c_re, c_im = self._integral
             d = math.lcm(lam.re.denominator, lam.im.denominator)
             lr = lam.re.numerator * (d // lam.re.denominator)
             li = lam.im.numerator * (d // lam.im.denominator)
-            big_d = math.lcm(*(x.denominator for c in self.coefficients for x in (c.re, c.im)))
-            re, im = [], []
-            for k, c in enumerate(self.coefficients):
-                w = d ** (deg - k)
-                re.append(c.re.numerator * (big_d // c.re.denominator) * w)
-                im.append(c.im.numerator * (big_d // c.im.denominator) * w)
+            ws = [d ** (deg - k) for k in range(deg + 1)]
+            re = list(map(mul, c_re, ws))
+            im = list(map(mul, c_im, ws))
         else:
             lr, li = lam.re, lam.im
             re = [float(c.re) for c in self.coefficients]
@@ -77,8 +86,7 @@ class PolynomialFunction:
                 im[k] += lr * s + li * r
         m = min(n, deg + 1)
         if lam.backend == EXACT:
-            dens = [big_d * d ** (deg - q) for q in range(m)]
-            out = [TotalComplex(Fraction(re[q], dens[q]), Fraction(im[q], dens[q]))
+            out = [TotalComplex(Fraction(re[q], big_d * ws[q]), Fraction(im[q], big_d * ws[q]))
                    for q in range(m)]
         else:
             out = [TotalComplex(re[q], im[q]) for q in range(m)]
@@ -298,7 +306,7 @@ def repr_of_fx(f: FunctionDescriptor, rx: SNRepresentation):
         items.append((mu, e, prefix_gaps(e, part, len(e))))
     items = sort_desc_items(items)
     gap_vectors = tuple(g for _, _, g in items)
-    rep = canonical_repr(JordanSpec(tuple((mu, e) for mu, e, _ in items)))
+    rep = SNRepresentation.from_groups(merge_equal((mu, e) for mu, e, _ in items))
     return rep, gap_vectors
 
 

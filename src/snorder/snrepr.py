@@ -8,6 +8,9 @@ only needs ranks of powers of A = X - lambda*I, never a general eigensolver.
 One loop serves both backends: it never forms A^k but multiplies a basis of
 the row space of A^k by A (exact: pivot rows on Gaussian integers, after
 clearing X's denominators once; float: right singular vectors by SVD).
+Exact recovery runs per diagonal block of X's nonzero pattern, since X and
+every A^k are permutation-similar to direct sums of those blocks; float stays
+whole-matrix, as its one absolute rank cut must see every singular value.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .linalg import (
     SVD_TOL,
     Matrix,
     block_diag,
+    diagonal_blocks,
     gaussian_int_matmul,
     gaussian_int_rows,
     row_basis_exact,
@@ -72,11 +76,17 @@ class JordanSpec:
 @dataclass(frozen=True)
 class SNRepresentation:
     """Canonical form: eigenvalues strictly decreasing, partitions
-    non-increasing, aligned index-wise; :func:`merge_equal` makes it
-    independent of the order of the blocks."""
+    non-increasing, aligned index-wise; :func:`merge_equal` over
+    sort_desc_items order makes it independent of the order of the blocks."""
 
     eigenvalues: tuple  # distinct TotalComplex, strictly decreasing
     partitions: tuple   # one Partition per eigenvalue
+
+    @staticmethod
+    def from_groups(groups) -> "SNRepresentation":
+        """From :func:`merge_equal` groups [(head, [partitions])]."""
+        return SNRepresentation(tuple(lam for lam, _ in groups), tuple(
+            parts[0] if len(parts) == 1 else merge_desc(*parts) for _, parts in groups))
 
     @property
     def dimension(self) -> int:
@@ -95,12 +105,12 @@ class SNRepresentation:
 
 
 def merge_equal(pairs: Iterable[tuple]) -> list:
-    """[(head, [items])] for (value, item) pairs in any order: the one place
-    eps merges eigenvalues.  Over the pairs in sort_desc_items order, a value
-    joins the current group when cmp_total(head, value) is EQUAL; the head is
-    the group's first value."""
+    """[(head, [items])] for (value, item) pairs already in sort_desc_items
+    order: the one place eps merges eigenvalues.  A value joins the current
+    group when cmp_total(head, value) is EQUAL; the head is the group's first
+    value."""
     groups = []
-    for lam, item in sort_desc_items(pairs):
+    for lam, item in pairs:
         if groups and cmp_total(groups[-1][0], lam) is OrderOutcome.EQUAL:
             groups[-1][1].append(item)
         else:
@@ -110,11 +120,8 @@ def merge_equal(pairs: Iterable[tuple]) -> list:
 
 def canonical_repr(spec: JordanSpec) -> SNRepresentation:
     """Merge equal eigenvalues (:func:`merge_equal`) and their partitions."""
-    groups = merge_equal((lam, as_partition(sizes)) for lam, sizes in spec.blocks)
-    return SNRepresentation(
-        tuple(lam for lam, _ in groups),
-        tuple(parts[0] if len(parts) == 1 else merge_desc(*parts) for _, parts in groups),
-    )
+    pairs = sort_desc_items((lam, as_partition(sizes)) for lam, sizes in spec.blocks)
+    return SNRepresentation.from_groups(merge_equal(pairs))
 
 
 def jordan_matrix(spec: JordanSpec) -> Matrix:
@@ -176,7 +183,7 @@ def _int_shift(x_int, mul: int, lam: TotalComplex):
     lcm of mul and lambda's denominators: (k / mul) X_int less k lambda I."""
     k = lcm(mul, lam.re.denominator, lam.im.denominator)
     a = k // mul
-    lam_re, lam_im = int(lam.re * k), int(lam.im * k)
+    lam_re, lam_im = (x.numerator * (k // x.denominator) for x in (lam.re, lam.im))
     shift = [[(a * re, a * im) for re, im in row] for row in x_int]
     for i, row in enumerate(shift):
         re, im = row[i]
@@ -188,9 +195,10 @@ def repr_from_matrix(x: Matrix, eigenvalues: Sequence[TotalComplex]) -> SNRepres
     """Recover the SN representation from ranks of powers of (X - lambda*I),
     one image chain per eigenvalue on either backend.
 
-    Exact matrices have their denominators cleared once per call.  Float
-    ranks use one absolute cut, SVD_TOL * max(||X||_2, |lambda|), so a
-    product that is all round-off reads as rank 0.  Raises SpectrumMismatch
+    Exact matrices have their denominators cleared and their diagonal blocks
+    split once per call, and chains run per block.  Float ranks use one cut
+    over all of X, SVD_TOL * max(||X||_2, |lambda|), so a product that is all
+    round-off reads as rank 0.  Raises SpectrumMismatch
     when the eigenvalues, merged by :func:`merge_equal`, do not exhaust x.
     """
     if not x.is_square:
@@ -198,30 +206,32 @@ def repr_from_matrix(x: Matrix, eigenvalues: Sequence[TotalComplex]) -> SNRepres
     m = x.shape[0]
     if x.backend == EXACT:
         x_int, mul = gaussian_int_rows(x)
+        subs = [[[x_int[i][j] for j in idx] for i in idx] for idx in diagonal_blocks(x_int)]
     else:
         import numpy as np
 
         a = x.to_numpy()
         norm = spectral_norm(a)
-    blocks = []
-    for lam, _ in merge_equal((lam, None) for lam in eigenvalues):
+    groups = []
+    for lam, _ in merge_equal(sort_desc_items((lam, None) for lam in eigenvalues)):
         if lam.backend != x.backend:
             raise BackendMismatch(f"{x.backend} matrix vs {lam.backend} eigenvalue")
         if x.backend == EXACT:
-            ranks = _image_chain(_int_shift(x_int, mul, lam), row_basis_exact, gaussian_int_matmul)
+            parts = [block_sizes_from_ranks(_image_chain(
+                _int_shift(s, mul, lam), row_basis_exact, gaussian_int_matmul), len(s))
+                for s in subs]
         else:
             z = lam.to_complex()
             basis = partial(row_basis_float, cut=SVD_TOL * max(norm, abs(z)))
-            ranks = _image_chain(a - z * np.eye(m), basis, np.matmul)
-        part = block_sizes_from_ranks(ranks, m)
-        if part:
-            blocks.append((lam, part))
-    covered = sum(sum(part) for _, part in blocks)
+            parts = [block_sizes_from_ranks(_image_chain(a - z * np.eye(m), basis, np.matmul), m)]
+        if any(parts):
+            groups.append((lam, parts))
+    covered = sum(sum(part) for _, parts in groups for part in parts)
     if covered != m:
         raise SpectrumMismatch(
             f"eigenvalues account for dimension {covered} of {m}"
         )
-    return canonical_repr(JordanSpec(tuple(blocks)))
+    return SNRepresentation.from_groups(groups)
 
 
 def _pad_nilpotent(parts: tuple, k: int) -> tuple:

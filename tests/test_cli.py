@@ -165,6 +165,30 @@ def test_repr_from_matrix_path(tmp_path, capsys):
     assert out["partitions"] == [[2]]
 
 
+def test_repr_from_matrix_ignores_a_permutation_of_its_blocks(tmp_path, capsys):
+    # J_2(1), a dense 2 x 2 block with the single Jordan block J_2(2), and i
+    blocks = [[["1", "1"], ["0", "1"]], [["1", "1/2"], ["-2", "3"]], [[("0", "1")]]]
+    n = sum(len(b) for b in blocks)
+    rows = [[sc("0")] * n for _ in range(n)]
+    off = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            for j, z in enumerate(row):
+                rows[off + i][off + j] = sc(*z) if isinstance(z, tuple) else sc(z)
+        off += len(b)
+    perm = [3, 0, 4, 1, 2]
+    permuted = [[rows[i][j] for j in perm] for i in perm]
+    ev = write(tmp_path, "ev.json", [sc("0", "1"), sc("2"), sc("1")])
+    reports = []
+    for name, m in (("m.json", rows), ("p.json", permuted)):
+        code, out = run(capsys, ["repr", "--matrix", write(tmp_path, name, {"rows": m}),
+                                 "--eigenvalues", ev])
+        assert code == 0
+        reports.append(out)
+    assert reports[0] == reports[1]
+    assert reports[0]["partitions"] == [[2], [2], [1]]
+
+
 def test_fmap_golden(tmp_path, capsys):
     f = {"polynomial": {"coefficients": [sc("0"), sc("0"), sc("1")]}}
     spec = {"blocks": [{"eigenvalue": sc("0"), "sizes": [4, 3, 2]}]}

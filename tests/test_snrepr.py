@@ -16,6 +16,7 @@ from snorder import (
     compare_nilpotent,
     compare_sno,
     exact,
+    poly,
     repr_from_matrix,
 )
 from snorder.errors import (
@@ -28,11 +29,14 @@ from snorder.errors import (
 )
 from snorder.linalg import (
     SVD_TOL,
+    block_diag,
+    diagonal_blocks,
     gaussian_int_matmul,
     rank_exact,
     row_basis_exact,
     row_basis_float,
 )
+from snorder.matfunc import f_of_jordan_spec, repr_of_fx
 from snorder.partitions import as_partition
 from snorder.serialization import InputFormatError, jordan_spec_from_json
 from snorder.snrepr import jordan_matrix
@@ -243,6 +247,103 @@ def test_repr_from_matrix_merges_round_off_below_a_larger_imaginary_part():
     x = jordan_matrix(JordanSpec.of((approx(1.0), (1,)), (approx(1.0, 3.0), (1,))))
     for lams in itertools.permutations([approx(1.0), approx(1 + 5e-10), approx(1.0, 3.0)]):
         assert repr_from_matrix(x, list(lams)).partitions == ((1,), (1,))
+
+
+def _pattern(n, *edges):
+    """n x n (re, im) rows, nonzero on the diagonal and at the given (i, j)."""
+    return [[(1, 0) if i == j or (i, j) in edges else (0, 0) for j in range(n)]
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("rows, blocks", [
+    ([[(2, 1), (0, -1)], [(3, 0), (0, 0)]], [[0, 1]]),             # irreducible, dense
+    (_pattern(3, (0, 1), (1, 2), (2, 0)), [[0, 1, 2]]),            # irreducible cycle
+    (_pattern(5, (0, 3), (4, 2)), [[0, 3], [1], [2, 4]]),          # permuted direct sum
+    (_pattern(5, (4, 3), (0, 1), (1, 3)), [[0, 1, 3, 4], [2]]),    # one direction suffices
+    ([[(0, 0)]], [[0]]),
+    ([[(5, -2)]], [[0]]),
+    ([[(0, 0)] * 3 for _ in range(3)], [[0], [1], [2]]),           # all zero
+])
+def test_diagonal_blocks(rows, blocks):
+    assert diagonal_blocks(rows) == blocks
+
+
+EXACT_EIGENVALUES = (exact(0), exact(1), exact(-2), exact(0, 1), exact(1, 1)) + RATIONAL_EIGENVALUES
+SPLIT_POLYNOMIALS = (
+    poly([0, 1]),                               # z: X itself
+    poly([0, 0, 1]),                            # z^2
+    poly([0, exact(-1, -1), exact(1)]),         # z^2 - (1+i)z: image collision
+    poly([-1, 3, -3, 1]),                       # (z-1)^3: kappa 3 at 1
+    poly([Fraction(1, 3), 0, Fraction(-1, 2)]),  # rational coefficients
+)
+
+
+@st.composite
+def exact_specs(draw, max_eigenvalues, max_size, max_dim):
+    lams = draw(st.lists(st.sampled_from(EXACT_EIGENVALUES), min_size=1,
+                         max_size=max_eigenvalues, unique=True))
+    spec = JordanSpec.of(*((lam, sorted(draw(st.lists(st.integers(1, max_size), min_size=1,
+                                                       max_size=2)), reverse=True))
+                           for lam in lams))
+    assume(spec.dimension <= max_dim)
+    return spec
+
+
+def _permuted(x, perm):
+    """P X P^T: entry (i, j) is X[perm[i]][perm[j]]."""
+    return Matrix.from_rows([[x.rows[i][j] for j in perm] for i in perm])
+
+
+def _reference_repr(x, lams):
+    """Partitions from rank_exact of explicit powers of the whole X - lambda I:
+    rank(A^(s-1)) - rank(A^s) blocks have size >= s."""
+    n = x.shape[0]
+    pairs = []
+    for lam in {(lam.re, lam.im): lam for lam in lams}.values():
+        a = x - Matrix.identity(n).scale(lam)
+        power, ranks = a, [n, rank_exact(a)]
+        while ranks[-1] != ranks[-2]:
+            power = power @ a
+            ranks.append(rank_exact(power))
+        at_least = [r - s for r, s in zip(ranks, ranks[1:])]
+        sizes = [s for s in range(1, len(at_least)) for _ in range(at_least[s - 1] - at_least[s])]
+        if sizes:
+            pairs.append((lam, sorted(sizes, reverse=True)))
+    return canonical_repr(JordanSpec.of(*pairs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_specs(3, 4, 7), st.sampled_from(SPLIT_POLYNOMIALS),
+       st.one_of(st.none(), exact_specs(2, 2, 3)), st.data())
+def test_exact_recovery_per_diagonal_block(spec, f, dense_spec, data):
+    """f(J) under a permutation that interleaves its blocks, alone or beside
+    a dense U J U^-1 block: per-block recovery equals the repr_of_fx
+    prediction and the ranks of explicit powers of the whole matrix."""
+    rep = canonical_repr(spec)
+    expected, _ = repr_of_fx(f, rep)
+    x = f_of_jordan_spec(f, rep)
+    lams = [f(lam) for lam in rep.eigenvalues]
+    if dense_spec is not None:
+        u = _rational_transform(data.draw(st.randoms(use_true_random=False)),
+                                dense_spec.dimension)
+        x = block_diag([assemble(dense_spec, u), x])
+        lams += [lam for lam, _ in dense_spec.blocks]
+        expected = canonical_repr(JordanSpec(
+            dense_spec.blocks + tuple(zip(expected.eigenvalues, expected.partitions))))
+    x = _permuted(x, data.draw(st.permutations(range(x.shape[0]))))
+    assert repr_from_matrix(x, lams) == expected
+    assert _reference_repr(x, lams) == expected
+
+
+def test_float_rank_cut_spans_the_whole_matrix():
+    """At 0, the singular values 2e-8 and 5e-9 straddle the one cut
+    SVD_TOL * ||X||_2 = 1e-8 within a factor of 10, so recovery refuses.
+    Each lies in a 1 x 1 diagonal block of its own, where a per-block check
+    would keep one, drop the other and answer."""
+    x = Matrix.from_rows([[approx(v if i == j else 0.0) for j in range(3)]
+                          for i, v in enumerate([1.0, 2e-8, 5e-9])])
+    with pytest.raises(RankAmbiguous):
+        repr_from_matrix(x, [approx(1.0), approx(0.0)])
 
 
 def test_assemble_rejects_singular_transform():
