@@ -66,15 +66,24 @@ def _gaussian_rational(rng):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_exact_derivative_value_matches_falling_factorial_sum(seed):
-    """The q-th derivative read off taylor (q! t[q]) on seeded polynomials."""
+    """The q-th derivative read off taylor (q! t[q]) on seeded polynomials,
+    at three points on one instance, which scales its coefficients once."""
     rng = random.Random(seed)
     f = poly([_gaussian_rational(rng) for _ in range(rng.randint(1, 6))])
-    lam = _gaussian_rational(rng)
-    t = f.taylor(lam, f.degree + 2)
-    for order in range(f.degree + 2):
-        v = t[order].scale_rational(math.factorial(order))
-        expected = _falling_factorial_sum(f.coefficients, lam, order)
-        assert (v.backend, v.re, v.im) == (expected.backend, expected.re, expected.im)
+    for lam in [_gaussian_rational(rng) for _ in range(3)]:
+        t = f.taylor(lam, f.degree + 2)
+        for order in range(f.degree + 2):
+            v = t[order].scale_rational(math.factorial(order))
+            expected = _falling_factorial_sum(f.coefficients, lam, order)
+            assert (v.backend, v.re, v.im) == (expected.backend, expected.re, expected.im)
+
+
+def test_float_polynomial_refuses_exact_points():
+    f = poly([1.5, 2.0], backend="float")
+    for _ in range(2):  # the refusal is not cached away
+        with pytest.raises(TypeError, match="float coefficients cannot evaluate at exact points"):
+            f.taylor(exact(1), 2)
+    assert f.taylor(approx(1.0), 2)[0].to_complex() == 3.5
 
 
 small_rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
