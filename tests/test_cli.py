@@ -167,15 +167,10 @@ def test_repr_from_matrix_path(tmp_path, capsys):
 
 def test_repr_from_matrix_ignores_a_permutation_of_its_blocks(tmp_path, capsys):
     # J_2(1), a dense 2 x 2 block with the single Jordan block J_2(2), and i
-    blocks = [[["1", "1"], ["0", "1"]], [["1", "1/2"], ["-2", "3"]], [[("0", "1")]]]
-    n = sum(len(b) for b in blocks)
-    rows = [[sc("0")] * n for _ in range(n)]
-    off = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            for j, z in enumerate(row):
-                rows[off + i][off + j] = sc(*z) if isinstance(z, tuple) else sc(z)
-        off += len(b)
+    entries = [["1", "1", "0", "0", "0"], ["0", "1", "0", "0", "0"],
+               ["0", "0", "1", "1/2", "0"], ["0", "0", "-2", "3", "0"],
+               ["0", "0", "0", "0", "i"]]
+    rows = [[sc("0", "1") if z == "i" else sc(z) for z in row] for row in entries]
     perm = [3, 0, 4, 1, 2]
     permuted = [[rows[i][j] for j in perm] for i in perm]
     ev = write(tmp_path, "ev.json", [sc("0", "1"), sc("2"), sc("1")])
