@@ -3,7 +3,9 @@
 Everything here is read off one object per (f, lambda): the Taylor
 coefficients f^(q)(lambda)/q!, which `taylor` returns for all q at once
 (a Taylor shift of the coefficients for polynomials, the derivative
-oracle for analytic functions).  Evaluating f on a Jordan block
+oracle for analytic functions).  An exact polynomial is shifted once per
+(f, lambda), into a bounded memo whose prefixes f(lambda), eta and the
+f(J) blocks all read.  Evaluating f on a Jordan block
 J_n(lambda) gives the upper triangular Toeplitz matrix whose q-th
 superdiagonal is the q-th coefficient, and the block structure of f(X)
 depends only on kappa, the first q >= 1 whose coefficient is nonzero:
@@ -20,7 +22,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import mul
 from typing import Callable, Sequence, Union
 
@@ -31,6 +33,10 @@ from .scalar import EXACT, TotalComplex, approx, exact, sort_desc_items, zero_li
 from .snrepr import SNRepresentation, merge_equal, repr_from_matrix
 
 DERIVATIVE_EPS = 1e-10
+# (f, lambda) pairs whose exact Taylor shift is kept: f(lambda), eta and the
+# f(J) blocks of one f at up to 16 eigenvalues, without holding many
+# one-off points.
+_SHIFT_MEMO_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -47,6 +53,14 @@ class PolynomialFunction:
         return len(self.coefficients) - 1
 
     @cached_property
+    def _hash(self) -> int:
+        return hash(self.coefficients)
+
+    def __hash__(self):
+        # Hashed once per polynomial: the Taylor memo hashes f on every call.
+        return self._hash
+
+    @cached_property
     def _integral(self) -> tuple:
         """(D, re, im): D the lcm of the denominators, re and im those of c_k D."""
         if any(c.backend != EXACT for c in self.coefficients):
@@ -57,8 +71,18 @@ class PolynomialFunction:
         return big_d, re, im
 
     def taylor(self, lam: TotalComplex, n: int) -> list:
-        """f^(q)(lam)/q! for q < n, by a Taylor shift (repeated synthetic
-        division) of the coefficients to lam; zero past the degree.
+        """f^(q)(lam)/q! for q < n; zero past the degree.  At exact points a
+        prefix of the full shift, which is computed once per (f, lam)
+        (:func:`_exact_shift`), so f(lam), eta and f(J_n(lam)) share one
+        expansion; float points shift afresh, every call."""
+        out = list(_exact_shift(self, lam)[:n]) if lam.backend == EXACT else self._shift(lam, n)
+        if n > len(out):
+            out += [zero_like(lam)] * (n - len(out))
+        return out
+
+    def _shift(self, lam: TotalComplex, n: int) -> list:
+        """f^(q)(lam)/q! for q < min(n, degree + 1), by a Taylor shift
+        (repeated synthetic division) of the coefficients to lam.
 
         At exact points the shift runs on Gaussian integers: with
         lam = L / d and D the lcm of the coefficient denominators (D and the
@@ -86,11 +110,9 @@ class PolynomialFunction:
                 im[k] += lr * s + li * r
         m = min(n, deg + 1)
         if lam.backend == EXACT:
-            out = [TotalComplex(Fraction(re[q], big_d * ws[q]), Fraction(im[q], big_d * ws[q]))
-                   for q in range(m)]
-        else:
-            out = [TotalComplex(re[q], im[q]) for q in range(m)]
-        return out + [zero_like(lam)] * (n - m)
+            return [TotalComplex(Fraction(re[q], big_d * ws[q]), Fraction(im[q], big_d * ws[q]))
+                    for q in range(m)]
+        return [TotalComplex(re[q], im[q]) for q in range(m)]
 
     def __call__(self, lam: TotalComplex) -> TotalComplex:
         return self.taylor(lam, 1)[0]
@@ -104,6 +126,14 @@ class PolynomialFunction:
         for c in rest:
             result = result @ x + ident.scale(c)
         return result
+
+
+@lru_cache(maxsize=_SHIFT_MEMO_SIZE)
+def _exact_shift(f: PolynomialFunction, lam: TotalComplex) -> tuple:
+    """All degree + 1 Taylor coefficients of f at the exact point lam.  The
+    memo keys on exact values (TotalComplex.__eq__ compares backends too);
+    callers copy what they read, so no caller can change it."""
+    return tuple(f._shift(lam, f.degree + 1))
 
 
 @dataclass(frozen=True)

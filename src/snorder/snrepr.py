@@ -9,8 +9,10 @@ One loop serves both backends: it never forms A^k but multiplies a basis of
 the row space of A^k by A (exact: pivot rows on Gaussian integers, after
 clearing X's denominators once; float: right singular vectors by SVD).
 Exact recovery runs per diagonal block of X's nonzero pattern, since X and
-every A^k are permutation-similar to direct sums of those blocks; float stays
-whole-matrix, as its one absolute rank cut must see every singular value.
+every A^k are permutation-similar to direct sums of those blocks; a
+triangular block reads its eigenvalues off its diagonal, so its chains run
+only at an eigenvalue it holds more than once.  Float stays whole-matrix, as
+its one absolute rank cut must see every singular value.
 """
 
 from __future__ import annotations
@@ -178,12 +180,9 @@ def _image_chain(shift, row_basis, times):
         rows = times(rows, shift)
 
 
-def _int_shift(x_int, mul: int, lam: TotalComplex):
-    """k (X - lambda I) on Gaussian integers, given X_int = mul * X and k the
-    lcm of mul and lambda's denominators: (k / mul) X_int less k lambda I."""
-    k = lcm(mul, lam.re.denominator, lam.im.denominator)
-    a = k // mul
-    lam_re, lam_im = (x.numerator * (k // x.denominator) for x in (lam.re, lam.im))
+def _int_shift(x_int, a: int, lam_re: int, lam_im: int):
+    """k (X - lambda I) on Gaussian integers, given X_int = mul * X,
+    a = k / mul and k lambda = lam_re + i lam_im: a X_int less k lambda I."""
     shift = [[(a * re, a * im) for re, im in row] for row in x_int]
     for i, row in enumerate(shift):
         re, im = row[i]
@@ -191,22 +190,37 @@ def _int_shift(x_int, mul: int, lam: TotalComplex):
     return shift
 
 
+def _triangular_diagonal(block):
+    """The diagonal of a block that is upper or lower triangular in its
+    index order, whose entries are its eigenvalues; else None."""
+    n = len(block)
+    if (all(block[i][j] == (0, 0) for i in range(n) for j in range(i))
+            or all(block[i][j] == (0, 0) for i in range(n) for j in range(i + 1, n))):
+        return [block[i][i] for i in range(n)]
+    return None
+
+
 def repr_from_matrix(x: Matrix, eigenvalues: Sequence[TotalComplex]) -> SNRepresentation:
     """Recover the SN representation from ranks of powers of (X - lambda*I),
     one image chain per eigenvalue on either backend.
 
     Exact matrices have their denominators cleared and their diagonal blocks
-    split once per call, and chains run per block.  Float ranks use one cut
-    over all of X, SVD_TOL * max(||X||_2, |lambda|), so a product that is all
-    round-off reads as rank 0.  Raises SpectrumMismatch
-    when the eigenvalues, merged by :func:`merge_equal`, do not exhaust x.
+    split once per call, and lambda is scaled to an integer once.  A block
+    triangular in its index order has its diagonal as spectrum: lambda off
+    it contributes nothing, lambda on it once is one 1 x 1 block, and only
+    lambda on it more than once runs a chain; other blocks run a chain at
+    every lambda.  Float ranks use one cut over all of X,
+    SVD_TOL * max(||X||_2, |lambda|), so a product that is all round-off
+    reads as rank 0.  Raises SpectrumMismatch when the eigenvalues, merged
+    by :func:`merge_equal`, do not exhaust x.
     """
     if not x.is_square:
         raise DimensionMismatch("square matrix required")
     m = x.shape[0]
     if x.backend == EXACT:
         x_int, mul = gaussian_int_rows(x)
-        subs = [[[x_int[i][j] for j in idx] for i in idx] for idx in diagonal_blocks(x_int)]
+        subs = [(s, _triangular_diagonal(s)) for s in (
+            [[x_int[i][j] for j in idx] for i in idx] for idx in diagonal_blocks(x_int))]
     else:
         import numpy as np
 
@@ -217,9 +231,20 @@ def repr_from_matrix(x: Matrix, eigenvalues: Sequence[TotalComplex]) -> SNRepres
         if lam.backend != x.backend:
             raise BackendMismatch(f"{x.backend} matrix vs {lam.backend} eigenvalue")
         if x.backend == EXACT:
-            parts = [block_sizes_from_ranks(_image_chain(
-                _int_shift(s, mul, lam), row_basis_exact, gaussian_int_matmul), len(s))
-                for s in subs]
+            k = lcm(mul, lam.re.denominator, lam.im.denominator)
+            scale = k // mul
+            lam_re, lam_im = (v.numerator * (k // v.denominator) for v in (lam.re, lam.im))
+            parts = []
+            for s, diag in subs:
+                if diag is not None:
+                    hits = sum(scale * re == lam_re and scale * im == lam_im for re, im in diag)
+                    if hits == 1:
+                        parts.append((1,))  # a simple eigenvalue has one 1 x 1 block
+                    if hits < 2:
+                        continue
+                parts.append(block_sizes_from_ranks(_image_chain(
+                    _int_shift(s, scale, lam_re, lam_im), row_basis_exact, gaussian_int_matmul),
+                    len(s)))
         else:
             z = lam.to_complex()
             basis = partial(row_basis_float, cut=SVD_TOL * max(norm, abs(z)))

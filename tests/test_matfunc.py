@@ -91,6 +91,57 @@ gaussian_rationals = st.builds(exact, small_rationals, small_rationals)
 polynomials = st.lists(gaussian_rationals, min_size=1, max_size=6).map(poly)
 
 
+def _reference_taylor(f, lam, n):
+    """f^(q)(lam)/q! for q < n from the falling-factorial sums."""
+    return [_falling_factorial_sum(f.coefficients, lam, q).scale_rational(
+        Fraction(1, math.factorial(q))) for q in range(n)]
+
+
+def _bits(values):
+    return [(v.backend, repr(v.re), repr(v.im)) for v in values]
+
+
+@settings(max_examples=60)
+@given(polynomials, gaussian_rationals, st.data())
+def test_exact_taylor_prefixes_in_any_order(f, lam, data):
+    """Orders below, at and above degree + 1, asked in a drawn order of one
+    instance, each read the same memoized shift."""
+    orders = data.draw(st.permutations([1, f.degree, f.degree + 1, f.degree + 2, f.degree + 4]))
+    for n in orders:
+        assert _bits(f.taylor(lam, n)) == _bits(_reference_taylor(f, lam, n))
+
+
+def test_exact_taylor_results_are_fresh_lists():
+    f, lam = poly([1, -2, 0, 1]), exact(2)
+    expected = _bits(_reference_taylor(f, lam, 6))
+    first = f.taylor(lam, 6)
+    first[0] = exact(99)
+    first.append(exact(7))
+    f.taylor(lam, 2).clear()
+    assert _bits(f.taylor(lam, 6)) == expected
+    assert _bits(poly([1, -2, 0, 1]).taylor(exact(2), 6)) == expected  # an equal key
+
+
+def test_taylor_keeps_each_backend():
+    """exact(1) and approx(1.0) hash alike; neither polynomial nor point may
+    stand in for the other."""
+    exact_f, float_f = poly([1, 2, 3]), poly([1.0, 2.0, 3.0], backend="float")
+    assert hash(exact_f) == hash(float_f) and exact_f != float_f
+    assert [v.backend for v in exact_f.taylor(exact(1), 4)] == ["exact"] * 4
+    assert [v.backend for v in float_f.taylor(approx(1.0), 4)] == ["float"] * 4
+    assert [v.backend for v in exact_f.taylor(approx(1.0), 4)] == ["float"] * 4
+    with pytest.raises(TypeError):
+        float_f.taylor(exact(1), 4)
+    assert [v.backend for v in exact_f.taylor(exact(1), 4)] == ["exact"] * 4
+
+
+def test_float_taylor_keeps_signed_zero_points_apart():
+    f = poly([-0.0, 1.0], backend="float")
+    assert math.copysign(1.0, f(approx(0.0)).re) == 1.0
+    assert math.copysign(1.0, f(approx(-0.0)).re) == -1.0
+    assert math.copysign(1.0, f(approx(0.0)).re) == 1.0
+
+
 @settings(max_examples=60)
 @given(polynomials, gaussian_rationals, st.integers(1, 3))
 def test_exact_taylor_matches_falling_factorial_sum(f, lam, extra):

@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ["decompose_demo.py", "--pairs", "3"],
     ["falsify_schur.py", "--trials", "200"],
     ["structure_sweep.py", "--dim", "4", "--kappa", "2"],
+    ["recovery_digest.py", "--dim", "4"],
 ])
 def test_script_exits_zero(argv):
     env = dict(os.environ)

@@ -335,6 +335,82 @@ def test_exact_recovery_per_diagonal_block(spec, f, dense_spec, data):
     assert _reference_repr(x, lams) == expected
 
 
+TRIANGULAR_DIAGONAL = (exact(0), exact(1), exact(0, 1), exact(-2),
+                       exact(Fraction(1, 3), Fraction(1, 2)), exact(Fraction(-2, 5)))
+OFF_DIAGONAL = (exact(0), exact(0), exact(1), exact(-1, 2), exact(Fraction(1, 2)),
+                exact(0, Fraction(-3, 4)))
+NON_EIGENVALUES = (exact(3), exact(Fraction(7, 2), -1))
+
+
+@st.composite
+def triangular_block(draw):
+    """(block, its diagonal): upper or lower triangular in index order."""
+    diag = draw(st.lists(st.sampled_from(TRIANGULAR_DIAGONAL), min_size=1, max_size=4))
+    lower = draw(st.booleans())
+    n = len(diag)
+    return Matrix.from_rows([
+        [diag[i] if i == j else draw(st.sampled_from(OFF_DIAGONAL))
+         if (j < i if lower else j > i) else exact(0) for j in range(n)]
+        for i in range(n)]), diag
+
+
+@st.composite
+def mixed_direct_sums(draw):
+    """(X, eigenvalues): triangular and dense U J U^-1 blocks, summed and,
+    half the time, permuted as a whole."""
+    blocks, lams = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            spec = draw(exact_specs(2, 2, 3))
+            block = assemble(spec, _rational_transform(
+                draw(st.randoms(use_true_random=False)), spec.dimension))
+            lams += [lam for lam, _ in spec.blocks]
+        else:
+            block, diag = draw(triangular_block())
+            lams += diag
+        blocks.append(block)
+    x = block_diag(blocks)
+    assume(x.shape[0] <= 8)
+    if draw(st.booleans()):
+        x = _permuted(x, draw(st.permutations(range(x.shape[0]))))
+    return x, list({(lam.re, lam.im): lam for lam in lams}.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_direct_sums(), st.data())
+def test_exact_recovery_skips_lambda_off_a_triangular_diagonal(case, data):
+    """Triangular blocks answer from their diagonal (nothing, or one 1 x 1
+    block for a simple eigenvalue) where other blocks run the chain; both
+    must equal the ranks of explicit powers, drop a listed non-eigenvalue
+    and refuse a list that misses an eigenvalue."""
+    x, lams = case
+    expected = _reference_repr(x, lams)
+    assert repr_from_matrix(x, lams) == expected
+    outsider = data.draw(st.sampled_from(NON_EIGENVALUES))
+    assert repr_from_matrix(x, lams + [outsider]) == expected
+    missing = data.draw(st.sampled_from(lams))
+    with pytest.raises(SpectrumMismatch):
+        repr_from_matrix(x, [lam for lam in lams if lam != missing])
+
+
+def test_triangular_blocks_run_chains_only_at_repeated_diagonal_values(monkeypatch):
+    """diag(1, 2) beside the upper triangular [[3, 1, 0], [0, 0, 1], [0, 0, 3]]:
+    only 3, twice on one diagonal, takes rank work (and finds J_2(3))."""
+    import snorder.linalg as linalg
+
+    calls = []
+    rank = linalg.rank_gaussian_int_rows
+    monkeypatch.setattr(linalg, "rank_gaussian_int_rows", lambda rows: calls.append(
+        len(rows[0])) or rank(rows))
+    x = block_diag([jordan_matrix(JordanSpec.of((exact(1), (1,)), (exact(2), (1,)))),
+                    Matrix.from_rows([[exact(v) for v in row]
+                                      for row in ([3, 1, 0], [0, 0, 1], [0, 0, 3])])])
+    rep = repr_from_matrix(x, [exact(v) for v in (0, 1, 2, 3)])
+    assert rep == canonical_repr(JordanSpec.of(
+        (exact(1), (1,)), (exact(2), (1,)), (exact(3), (2,)), (exact(0), (1,))))
+    assert calls and all(n == 3 for n in calls)  # columns: the 3 x 3 block only
+
+
 def test_float_rank_cut_spans_the_whole_matrix():
     """At 0, the singular values 2e-8 and 5e-9 straddle the one cut
     SVD_TOL * ||X||_2 = 1e-8 within a factor of 10, so recovery refuses.
