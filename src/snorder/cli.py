@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import serialization as ser
-from .errors import NotMajorized, SnorderError
+from .errors import SnorderError
 from .scalar import EXACT, FLOAT
 from .serialization import InputFormatError
 
@@ -51,21 +51,10 @@ def cmd_majorize(args):
 
     x = _load(args.x, ser.vector_from_json, args.backend)
     y = _load(args.y, ser.vector_from_json, args.backend)
-    if args.decompose:
-        # The decomposition sorts x and y and checks x < y strictly itself;
-        # only its refusal needs the verdict worked out apart.
-        try:
-            transforms = t_transform_decompose(x, y)
-        except NotMajorized:
-            transforms, verdict = None, majorize_check(x, y)
-            if verdict is Majorization.STRICT:
-                raise  # x < y strictly, yet the steps did not converge
-        else:
-            verdict = Majorization.STRICT
-    else:
-        transforms, verdict = None, majorize_check(x, y)
+    verdict = majorize_check(x, y)
     out = {"verdict": verdict.value}
-    if transforms is not None:
+    if args.decompose and verdict is Majorization.STRICT:
+        transforms = t_transform_decompose(x, y)
         p = gds_from_transforms(transforms, len(x))
         out["transforms"] = [ser.transform_to_json(t) for t in transforms]
         out["gds"] = ser.matrix_to_json(p)

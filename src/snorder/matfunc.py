@@ -3,9 +3,10 @@
 Everything here is read off one object per (f, lambda): the Taylor
 coefficients f^(q)(lambda)/q!, which `taylor` returns for all q at once
 (a Taylor shift of the coefficients for polynomials, the derivative
-oracle for analytic functions).  An exact polynomial is shifted once per
-(f, lambda), into a bounded memo whose prefixes f(lambda), eta and the
-f(J) blocks all read.  Evaluating f on a Jordan block
+oracle for analytic functions).  At an exact point a bounded memo keeps,
+per (f, lambda), the longest prefix of the shift asked for so far, and
+f(lambda), eta and the f(J) blocks read what it holds.  Evaluating f on a
+Jordan block
 J_n(lambda) gives the upper triangular Toeplitz matrix whose q-th
 superdiagonal is the q-th coefficient, and the block structure of f(X)
 depends only on kappa, the first q >= 1 whose coefficient is nonzero:
@@ -71,11 +72,19 @@ class PolynomialFunction:
         return big_d, re, im
 
     def taylor(self, lam: TotalComplex, n: int) -> list:
-        """f^(q)(lam)/q! for q < n; zero past the degree.  At exact points a
-        prefix of the full shift, which is computed once per (f, lam)
-        (:func:`_exact_shift`), so f(lam), eta and f(J_n(lam)) share one
-        expansion; float points shift afresh, every call."""
-        out = list(_exact_shift(self, lam)[:n]) if lam.backend == EXACT else self._shift(lam, n)
+        """f^(q)(lam)/q! for q < n; zero past the degree.  At exact points
+        they are read from the prefix that :func:`_shift_memo` holds for
+        (f, lam), which is shifted afresh, only as far as n asks, when it is
+        too short; so f(lam), eta and f(J_n(lam)) share one expansion, and
+        a one-off point costs what the shift to n does.  Float points shift
+        afresh, every call."""
+        if lam.backend == EXACT:
+            held = _shift_memo(self, lam)
+            if len(held) < min(n, self.degree + 1):
+                held[:] = self._shift(lam, n)
+            out = held[:n]
+        else:
+            out = self._shift(lam, n)
         if n > len(out):
             out += [zero_like(lam)] * (n - len(out))
         return out
@@ -129,11 +138,12 @@ class PolynomialFunction:
 
 
 @lru_cache(maxsize=_SHIFT_MEMO_SIZE)
-def _exact_shift(f: PolynomialFunction, lam: TotalComplex) -> tuple:
-    """All degree + 1 Taylor coefficients of f at the exact point lam.  The
-    memo keys on exact values (TotalComplex.__eq__ compares backends too);
-    callers copy what they read, so no caller can change it."""
-    return tuple(f._shift(lam, f.degree + 1))
+def _shift_memo(f: PolynomialFunction, lam: TotalComplex) -> list:
+    """The longest prefix of the Taylor shift of f to the exact point lam
+    computed so far; `taylor` replaces it in place when it is too short and
+    returns copies, so no caller can change it.  The memo keys on exact
+    values (TotalComplex.__eq__ compares backends too)."""
+    return []
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,8 @@ from snorder.errors import (
     KappaNotFound,
     OutsideAnalyticityRadius,
 )
+from snorder.matfunc import PolynomialFunction
+from snorder import matfunc
 from snorder.linalg import block_diag
 from snorder.matfunc import (
     OracleFunction,
@@ -120,6 +122,20 @@ def test_exact_taylor_results_are_fresh_lists():
     f.taylor(lam, 2).clear()
     assert _bits(f.taylor(lam, 6)) == expected
     assert _bits(poly([1, -2, 0, 1]).taylor(exact(2), 6)) == expected  # an equal key
+
+
+def test_exact_taylor_shifts_only_as_far_as_asked(monkeypatch):
+    """A miss shifts to the order asked, as without the memo; a longer
+    request extends the held prefix, a shorter one reads it."""
+    f, lam = poly(list(range(1, 17))), exact(Fraction(3, 7), -2)
+    shifts = []
+    shift = PolynomialFunction._shift
+    monkeypatch.setattr(PolynomialFunction, "_shift",
+                        lambda self, z, n: shifts.append(n) or shift(self, z, n))
+    matfunc._shift_memo.cache_clear()
+    for n in (1, 1, 4, 2, 4, 20, 16, 9):
+        assert _bits(f.taylor(lam, n)) == _bits(_reference_taylor(f, lam, n))
+    assert shifts == [1, 4, 20]
 
 
 def test_taylor_keeps_each_backend():

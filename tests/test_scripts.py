@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from snorder import exact
+from snorder import exact, poly
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,6 +26,28 @@ def test_script_exits_zero(argv):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_recovery_digest_enumerates_criterion_08():
+    """The digest covers criterion 08's representations, in its order, under
+    its eigenvalues and polynomials: 4809 x 3 = 14,427 pairs at dim 8."""
+    digest = _load(ROOT / "scripts" / "recovery_digest.py", "recovery_digest")
+    acceptance = _load(ROOT / "tests" / "test_acceptance.py", "acceptance")
+    assert digest.EIGENVALUES == (exact(0), exact(1), exact(0, 1), exact(1, 1))
+    assert digest.POLYNOMIALS == (poly([0, 0, 1]), poly([0, exact(-1, -1), exact(1)]),
+                                  poly([-1, 3, -3, 1]))
+    ours = [(r.eigenvalues, r.partitions) for r in digest.representations(8)]
+    theirs = [(r.eigenvalues, r.partitions)
+              for r in acceptance._all_specs(8, digest.EIGENVALUES)]
+    assert len(ours) * len(digest.POLYNOMIALS) == 14_427
+    assert ours == theirs
 
 
 def test_decompose_demo_exits_one_on_a_failed_pair(monkeypatch, capsys):
