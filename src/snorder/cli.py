@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import serialization as ser
-from .errors import SnorderError
+from .errors import NotMajorized, SnorderError
 from .scalar import EXACT, FLOAT
 from .serialization import InputFormatError
 
@@ -51,16 +51,26 @@ def cmd_majorize(args):
 
     x = _load(args.x, ser.vector_from_json, args.backend)
     y = _load(args.y, ser.vector_from_json, args.backend)
-    verdict = majorize_check(x, y)
-    out = {"verdict": verdict.value}
-    if args.decompose and verdict is Majorization.STRICT:
+    if not args.decompose:
+        _emit({"verdict": majorize_check(x, y).value}, args)
+        return
+    # The decomposition sorts and checks the pair itself; a refused pair
+    # carries its verdict, so x and y are sorted once either way.
+    try:
         transforms = t_transform_decompose(x, y)
-        p = gds_from_transforms(transforms, len(x))
-        out["transforms"] = [ser.transform_to_json(t) for t in transforms]
-        out["gds"] = ser.matrix_to_json(p)
-        out["gds_valid"] = gds_check(p)
-        out["all_beta_convex"] = all(t.beta_in_unit_interval for t in transforms)
-    _emit(out, args)
+    except NotMajorized as err:
+        if err.verdict is None:
+            raise
+        _emit({"verdict": err.verdict.value}, args)
+        return
+    p = gds_from_transforms(transforms, len(x))
+    _emit({
+        "verdict": Majorization.STRICT.value,
+        "transforms": [ser.transform_to_json(t) for t in transforms],
+        "gds": ser.matrix_to_json(p),
+        "gds_valid": gds_check(p),
+        "all_beta_convex": all(t.beta_in_unit_interval for t in transforms),
+    }, args)
 
 
 def cmd_compare(args):

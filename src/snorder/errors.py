@@ -22,7 +22,13 @@ class DimensionMismatch(SnorderError):
 
 
 class NotMajorized(SnorderError):
-    pass
+    """A decomposition needs strict majorization.  ``verdict`` is the
+    Majorization verdict of a pair refused at that test, None when the
+    refusal came later."""
+
+    def __init__(self, message: str, verdict=None):
+        self.verdict = verdict
+        super().__init__(message)
 
 
 class NotDominated(SnorderError):

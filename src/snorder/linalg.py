@@ -156,7 +156,8 @@ def gaussian_int_rows(mat: Matrix):
     """(rows, mul): mat scaled by mul, the lcm of all its entry denominators,
     as rows of (re, im) Gaussian-integer pairs.  Scaling by a nonzero
     constant changes no rank, of mat or of its powers."""
-    mul = lcm(*(d for row in mat.rows for a in row for d in (a.re.denominator, a.im.denominator)))
+    mul = reduce(lcm, (d for row in mat.rows for a in row
+                       for d in (a.re.denominator, a.im.denominator)), 1)
     rows = [
         [(a.re.numerator * (mul // a.re.denominator), a.im.numerator * (mul // a.im.denominator))
          for a in row]

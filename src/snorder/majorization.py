@@ -8,14 +8,21 @@ non-increasingly sorted copies and re-sorting (via explicit swap steps)
 after every mixing step so that replaying the returned transforms on
 sort_desc(y) reproduces x exactly.  The matrix replaying a decomposition is
 built by column updates: each T-transform rewrites columns i and j only.
+
+Every prefix-sum verdict, here and in ``snrepr.compare_sno``, reads
+:func:`prefix_outcomes`.  On exact vectors it compares running sums of
+integer numerators over one common denominator, as (re, im) tuples; float
+vectors add and compare TotalComplex values under cmp_total's eps.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain
+from math import lcm
 from operator import add, mul
 from typing import Sequence
 
@@ -30,10 +37,28 @@ class Majorization(enum.Enum):
     NONE = "none"
 
 
+_BY_SIGN = (OrderOutcome.EQUAL, OrderOutcome.GREATER, OrderOutcome.LESS)
+
+
 def prefix_outcomes(sx: Sequence[TotalComplex], sy: Sequence[TotalComplex]) -> list:
     """cmp_total of each pair of running sums of sx and sy, each added left
-    to right: the comparisons that decide every prefix-sum verdict."""
-    return list(map(cmp_total, accumulate(sx), accumulate(sy)))
+    to right: the comparisons that decide every prefix-sum verdict.
+
+    When every entry is exact, the sums run on integers: all denominators
+    are cleared by one common multiple, the re and im numerators are
+    accumulated, and each outcome is a comparison of (re, im) tuples, which
+    is the lexicographic order itself.  Float and mixed input compare the
+    TotalComplex sums, so float bits are unchanged and a mixed pair raises
+    BackendMismatch."""
+    zs = (*sx, *sy)
+    if not all(type(z.re) is Fraction for z in zs):
+        return list(map(cmp_total, accumulate(sx), accumulate(sy)))
+    parts = [q.as_integer_ratio() for z in zs for q in (z.re, z.im)]
+    d = reduce(lcm, (b for _, b in parts), 1)
+    ints = [a * (d // b) for a, b in parts]
+    n = 2 * len(sx)
+    sums = [zip(accumulate(ints[k:k + n:2]), accumulate(ints[k + 1:k + n:2])) for k in (0, n)]
+    return [_BY_SIGN[(a > b) - (a < b)] for a, b in zip(*sums)]
 
 
 def majorize_check(x: Sequence[TotalComplex], y: Sequence[TotalComplex]) -> Majorization:
@@ -118,10 +143,13 @@ def t_transform_decompose_trace(x, y) -> tuple:
     Returns (transforms, intermediates): replaying the transforms in order on
     sort_desc(y) yields x; intermediates are the working vectors after each
     mixing step (each still strictly majorizes x and is majorized by y).
+    A pair that is not strictly majorized raises NotMajorized carrying the
+    verdict, so a caller needs no second majorize_check.
     """
     sx, sy = sort_desc(x), sort_desc(y)
-    if majorize_sorted(sx, sy) is not Majorization.STRICT:
-        raise NotMajorized("decomposition requires strict majorization")
+    verdict = majorize_sorted(sx, sy)
+    if verdict is not Majorization.STRICT:
+        raise NotMajorized("decomposition requires strict majorization", verdict)
     target, w = list(sx), list(sy)
     n = len(w)
     transforms: list = []

@@ -23,7 +23,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from operator import mul
 from typing import Callable, Sequence, Union
 
@@ -66,7 +66,8 @@ class PolynomialFunction:
         """(D, re, im): D the lcm of the denominators, re and im those of c_k D."""
         if any(c.backend != EXACT for c in self.coefficients):
             raise TypeError("float coefficients cannot evaluate at exact points")
-        big_d = math.lcm(*(x.denominator for c in self.coefficients for x in (c.re, c.im)))
+        big_d = reduce(math.lcm, (x.denominator for c in self.coefficients
+                                  for x in (c.re, c.im)), 1)
         re = tuple(c.re.numerator * (big_d // c.re.denominator) for c in self.coefficients)
         im = tuple(c.im.numerator * (big_d // c.im.denominator) for c in self.coefficients)
         return big_d, re, im

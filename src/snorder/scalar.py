@@ -14,7 +14,10 @@ so no sorted result depends on the input order.
 
 Exact values compare without forming a difference, and exact arithmetic
 skips the terms of a zero imaginary part; the results are the same values.
-Floats keep the full formulas, bit for bit (signed zeros included).
+Running sums of exact vectors skip this class altogether:
+``majorization.prefix_outcomes`` adds integer numerators over one common
+denominator.  Floats keep the full formulas, bit for bit (signed zeros
+included).
 """
 
 from __future__ import annotations

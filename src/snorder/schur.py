@@ -18,13 +18,7 @@ from operator import add
 from typing import Callable, Optional, Sequence
 
 from .errors import GradientUnavailable, NotWeaklyMajorized
-from .majorization import (
-    Majorization,
-    TTransform,
-    majorize_check,
-    majorize_sorted,
-    t_transform_apply,
-)
+from .majorization import Majorization, majorize_check, majorize_sorted
 from .scalar import (
     EXACT,
     OrderOutcome,
@@ -170,21 +164,30 @@ class Counterexample:
 
 def _random_majorized_pair(rng: random.Random, n: int, complex_entries: bool):
     """Exact y and x with x strictly majorized by y, built by applying a few
-    convex mixing steps to y."""
-    def draw():
-        re = Fraction(rng.randint(-40, 40), rng.randint(1, 8))
-        im = Fraction(rng.randint(-40, 40), rng.randint(1, 8)) if complex_entries else 0
-        return exact(re, im)
+    convex mixing steps to y.
 
-    y = tuple(draw() for _ in range(n))
-    x = list(y)
+    Entries are drawn as num/den with den in 1..8 and built on integer
+    numerators: y over the common denominator 840, x over 840 * 16^k after
+    k mixing steps of beta = b/16, each of which rescales x by 16.  The
+    Fractions are made once, at the end; rng is drawn in the same order as
+    by exact arithmetic on Fractions, so each seed gives the same pairs."""
+    def draw():
+        return rng.randint(-40, 40) * (840 // rng.randint(1, 8))
+
+    y = [(draw(), draw() if complex_entries else 0) for _ in range(n)]
+    x, den = y, 840
     for _ in range(rng.randint(1, n)):
         if n < 2:
             break
         i, j = sorted(rng.sample(range(n), 2))
-        beta = exact(Fraction(rng.randint(0, 16), 16))
-        x = list(t_transform_apply(x, TTransform(i, j, beta)))
-    return tuple(x), y
+        b = rng.randint(0, 16)
+        (ri, ii), (rj, ij) = x[i], x[j]
+        x = [(16 * r, 16 * m) for r, m in x]
+        x[i] = (b * ri + (16 - b) * rj, b * ii + (16 - b) * ij)
+        x[j] = (b * rj + (16 - b) * ri, b * ij + (16 - b) * ii)
+        den *= 16
+    return (tuple(TotalComplex(Fraction(r, den), Fraction(m, den)) for r, m in x),
+            tuple(TotalComplex(Fraction(r, 840), Fraction(m, 840)) for r, m in y))
 
 
 def schur_convex_falsify(

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,57 @@ def test_majorize_decompose_report_is_unchanged(tmp_path, capsys, backend):
     assert code == 0
     # Serialized text, not dict equality, so -0.0 and 0.0 stay apart.
     assert json.dumps(out, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+# `majorize --decompose` on a pair that is not strictly majorized prints the
+# verdict alone, as `majorize` does.
+REFUSED_CASES = {
+    "weak": ([("1", "1"), ("0", "0")], [("3", "0"), ("1", "2")]),
+    "none": ([("5", "0"), ("0", "-1")], [("3", "0"), ("1", "0")]),
+}
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("verdict", sorted(REFUSED_CASES))
+def test_majorize_decompose_reports_a_refused_pair(tmp_path, capsys, backend, verdict):
+    conv = (lambda q: float(Fraction(q))) if backend == "float" else str
+    x, y = (write(tmp_path, f"{name}.json", [sc(conv(re), conv(im)) for re, im in v])
+            for name, v in zip("xy", REFUSED_CASES[verdict]))
+    assert main(["--backend", backend, "majorize", x, y, "--decompose"]) == 0
+    assert capsys.readouterr().out == json.dumps({"verdict": verdict}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("xs, ys, sorts", [
+    (["2", "2"], ["3", "1"], 3),  # strict: one mixing step re-sorts once
+    (["1", "0"], ["3", "1"], 2),
+    (["5", "0"], ["3", "1"], 2),
+])
+def test_majorize_decompose_sorts_each_vector_once(tmp_path, capsys, monkeypatch, xs, ys, sorts):
+    from snorder import majorization
+    x = write(tmp_path, "x.json", [sc(v) for v in xs])
+    y = write(tmp_path, "y.json", [sc(v) for v in ys])
+    calls = []
+    sort_desc = majorization.sort_desc
+    monkeypatch.setattr(majorization, "sort_desc", lambda v: calls.append(v) or sort_desc(v))
+    assert main(["majorize", x, y, "--decompose"]) == 0
+    capsys.readouterr()
+    assert len(calls) == sorts
+
+
+def test_majorize_decompose_failure_after_its_check_exits_3(tmp_path, capsys, monkeypatch):
+    from snorder import majorization
+    from snorder.errors import NotMajorized
+
+    def unconverged(x, y):
+        raise NotMajorized("decomposition failed to converge")
+
+    monkeypatch.setattr(majorization, "t_transform_decompose", unconverged)
+    x = write(tmp_path, "x.json", [sc("2"), sc("2")])
+    y = write(tmp_path, "y.json", [sc("3"), sc("1")])
+    assert main(["majorize", x, y, "--decompose"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "failed to converge" in captured.err
 
 
 def test_majorize_weak(tmp_path, capsys):

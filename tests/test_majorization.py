@@ -1,9 +1,11 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from snorder import (
     Majorization,
@@ -18,9 +20,9 @@ from snorder import (
     t_transform_apply,
     t_transform_decompose,
 )
-from snorder.errors import DimensionMismatch, NotMajorized
+from snorder.errors import BackendMismatch, DimensionMismatch, NotMajorized
 from snorder.linalg import Matrix
-from snorder.majorization import apply_row_vector, t_transform_decompose_trace
+from snorder.majorization import apply_row_vector, prefix_outcomes, t_transform_decompose_trace
 from snorder.scalar import EXACT, FLOAT, approx, one_like
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=4)
@@ -131,8 +133,12 @@ def test_decompose_permutation_case_is_swaps_only():
 
 
 def test_decompose_requires_strict():
-    with pytest.raises(NotMajorized):
+    with pytest.raises(NotMajorized) as weak:
         t_transform_decompose(vec(1, 0), vec(3, 1))
+    assert weak.value.verdict is Majorization.WEAK
+    with pytest.raises(NotMajorized) as none:
+        t_transform_decompose(vec(5, 0), vec(3, 1))
+    assert none.value.verdict is Majorization.NONE
 
 
 def _random_pair(rng, n, complex_entries):
@@ -299,3 +305,57 @@ def test_decompose_sorts_each_input_once(monkeypatch):
     assert len(intermediates) == 1
     # x and y once each, then one re-sort per mixing step
     assert len(calls) == 2 + len(intermediates)
+
+
+# -- prefix_outcomes: integer sums against TotalComplex sums -------------------
+
+
+def _reference_outcomes(sx, sy):
+    return list(map(cmp_total, itertools.accumulate(sx), itertools.accumulate(sy)))
+
+
+fine_rationals = st.builds(Fraction, st.integers(-3200, 3200), st.integers(1, 64))
+
+
+@st.composite
+def exact_prefix_pairs(draw):
+    n = draw(st.integers(1, 8))
+    ims = fine_rationals if draw(st.booleans()) else st.just(Fraction(0))
+    entry = st.builds(exact, fine_rationals, ims)
+    sx = draw(st.lists(entry, min_size=n, max_size=n))
+    sy = draw(st.lists(entry, min_size=n, max_size=n))
+    k = draw(st.integers(0, n))  # sy starts with sx[:k]: k equal prefixes
+    sy[:k] = sx[:k]
+    if draw(st.booleans()):  # equal totals
+        sy[-1] = sy[-1] + (reduce(add, sx) - reduce(add, sy))
+    return sx, sy
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_prefix_pairs())
+# Running sums: x 1/3, 1, 1 + i/64, i/64; y 1/3, 1 - i, 1 + i, i/64, so the
+# outcomes are EQUAL, GREATER and LESS on the imaginary tie-break, EQUAL.
+@example((vec(Fraction(1, 3), Fraction(2, 3), (0, Fraction(1, 64)), -1),
+          vec(Fraction(1, 3), (Fraction(2, 3), -1), (0, 2), (-1, Fraction(-63, 64)))))
+def test_prefix_outcomes_matches_total_complex_sums(pair):
+    sx, sy = pair
+    want = _reference_outcomes(sx, sy)
+    assert prefix_outcomes(sx, sy) == want
+    fx = [z.to_float_backend() for z in sx]
+    fy = [z.to_float_backend() for z in sy]
+    assert prefix_outcomes(fx, fy) == _reference_outcomes(fx, fy)
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_prefix_pairs(), st.data())
+def test_prefix_outcomes_refuses_mixed_backends(pair, data):
+    sx, sy = pair
+    v = data.draw(st.sampled_from([0, 1]))
+    k = data.draw(st.integers(0, len(sx) - 1))
+    mixed = [list(sx), list(sy)]
+    mixed[v][k] = mixed[v][k].to_float_backend()
+    with pytest.raises(BackendMismatch):
+        prefix_outcomes(*mixed)
+    with pytest.raises(BackendMismatch):
+        prefix_outcomes(sx, [z.to_float_backend() for z in sy])
+

@@ -1,14 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from snorder import exact, poly
+from snorder import exact, poly, schur
 from snorder.errors import NotWeaklyMajorized
+from snorder.majorization import TTransform, t_transform_apply
 from snorder.schur import (
+    DEFAULT_SEED,
     DomainBox,
     MajorizationCert,
     Prop,
     SymmetricFunction,
+    _random_majorized_pair,
     cdm_condition_check,
     compose_table1,
     compose_table2,
@@ -59,6 +63,62 @@ def test_falsifier_deterministic_given_seed():
     b = schur_convex_falsify(negative_sum_of_squares(2), 2, trials=200, seed=42)
     assert a == b
 
+
+
+def _fraction_majorized_pair(rng, n, complex_entries):
+    """The falsifier's pair generator as written on Fraction arithmetic: the
+    reference the integer-numerator generator must reproduce."""
+    def draw():
+        re = Fraction(rng.randint(-40, 40), rng.randint(1, 8))
+        im = Fraction(rng.randint(-40, 40), rng.randint(1, 8)) if complex_entries else 0
+        return exact(re, im)
+
+    y = tuple(draw() for _ in range(n))
+    x = list(y)
+    for _ in range(rng.randint(1, n)):
+        if n < 2:
+            break
+        i, j = sorted(rng.sample(range(n), 2))
+        beta = exact(Fraction(rng.randint(0, 16), 16))
+        x = list(t_transform_apply(x, TTransform(i, j, beta)))
+    return tuple(x), y
+
+
+def _exact_keys(v):
+    return [(type(z.re), z.re, type(z.im), z.im) for z in v]
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_random_majorized_pair_matches_fraction_reference(complex_entries):
+    for seed in range(200):
+        for n in range(1, 7):
+            ours, ref = random.Random(seed), random.Random(seed)
+            for _ in range(2):
+                x, y = _random_majorized_pair(ours, n, complex_entries)
+                rx, ry = _fraction_majorized_pair(ref, n, complex_entries)
+                assert (_exact_keys(x), _exact_keys(y)) == (_exact_keys(rx), _exact_keys(ry))
+            assert ours.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("make_f, n, trials, seed, complex_entries", [
+    (sum_of_squares, 4, 1_000, DEFAULT_SEED, False),
+    (negative_sum_of_squares, 4, 10_000, DEFAULT_SEED, False),
+    (sum_of_squares, 3, 200, DEFAULT_SEED, True),
+    (negative_sum_of_squares, 5, 200, 7, True),
+    (negative_sum_of_squares, 2, 200, 42, False),
+])
+def test_falsifier_results_match_fraction_reference(monkeypatch, make_f, n, trials, seed,
+                                                    complex_entries):
+    def run():
+        cex = schur_convex_falsify(make_f(n), n, trials=trials, seed=seed,
+                                   complex_entries=complex_entries)
+        return cex and (cex.trial, _exact_keys(cex.x), _exact_keys(cex.y))
+
+    ours = run()
+    monkeypatch.setattr(schur, "_random_majorized_pair", _fraction_majorized_pair)
+    assert ours == run()
+    if make_f is negative_sum_of_squares or complex_entries:
+        assert ours is not None
 
 # -- composition tables --------------------------------------------------------
 

@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ["falsify_schur.py", "--trials", "200"],
     ["structure_sweep.py", "--dim", "4", "--kappa", "2"],
     ["recovery_digest.py", "--dim", "4"],
+    ["order_digest.py", "--dim", "3", "--pairs", "200", "--seeds", "2"],
 ])
 def test_script_exits_zero(argv):
     env = dict(os.environ)
