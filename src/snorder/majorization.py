@@ -11,8 +11,13 @@ built by column updates: each T-transform rewrites columns i and j only.
 
 Every prefix-sum verdict, here and in ``snrepr.compare_sno``, reads
 :func:`prefix_outcomes`.  On exact vectors it compares running sums of
-integer numerators over one common denominator, as (re, im) tuples; float
-vectors add and compare TotalComplex values under cmp_total's eps.
+integer numerators over one common denominator, as (re, im) tuples
+(:func:`int_prefix_outcomes`); float vectors add and compare TotalComplex
+values under cmp_total's eps.  Exact :func:`majorize_check` also sorts on
+those integers: :func:`int_majorization` sorts (re, im) numerator pairs,
+whose tuple order is the lexicographic order, and reads the verdict from
+their running sums.  The falsifier in ``schur`` calls it on the numerators
+it draws.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from functools import reduce
 from itertools import accumulate, chain
 from math import lcm
 from operator import add, mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotMajorized
 from .linalg import Matrix
@@ -40,31 +45,72 @@ class Majorization(enum.Enum):
 _BY_SIGN = (OrderOutcome.EQUAL, OrderOutcome.GREATER, OrderOutcome.LESS)
 
 
+def _numerators(zs) -> list:
+    """re0, im0, re1, im1, ... of exact values zs as integer numerators over
+    the least common multiple of all their denominators."""
+    parts = [q.as_integer_ratio() for z in zs for q in (z.re, z.im)]
+    d = reduce(lcm, (b for _, b in parts), 1)
+    return [a * (d // b) for a, b in parts]
+
+
+def int_prefix_outcomes(xre, xim, yre, yim) -> list:
+    """The outcome of each pair of running sums of x = (xre, xim) and
+    y = (yre, yim), integer numerators over one positive denominator: each
+    pair of sums compares as (re, im) tuples, the lexicographic order."""
+    sums = zip(zip(accumulate(xre), accumulate(xim)), zip(accumulate(yre), accumulate(yim)))
+    return [_BY_SIGN[(a > b) - (a < b)] for a, b in sums]
+
+
 def prefix_outcomes(sx: Sequence[TotalComplex], sy: Sequence[TotalComplex]) -> list:
     """cmp_total of each pair of running sums of sx and sy, each added left
     to right: the comparisons that decide every prefix-sum verdict.
 
     When every entry is exact, the sums run on integers: all denominators
-    are cleared by one common multiple, the re and im numerators are
-    accumulated, and each outcome is a comparison of (re, im) tuples, which
-    is the lexicographic order itself.  Float and mixed input compare the
+    are cleared by one common multiple and :func:`int_prefix_outcomes`
+    compares the numerators.  Float and mixed input compare the
     TotalComplex sums, so float bits are unchanged and a mixed pair raises
     BackendMismatch."""
     zs = (*sx, *sy)
     if not all(type(z.re) is Fraction for z in zs):
         return list(map(cmp_total, accumulate(sx), accumulate(sy)))
-    parts = [q.as_integer_ratio() for z in zs for q in (z.re, z.im)]
-    d = reduce(lcm, (b for _, b in parts), 1)
-    ints = [a * (d // b) for a, b in parts]
+    ints = _numerators(zs)
     n = 2 * len(sx)
-    sums = [zip(accumulate(ints[k:k + n:2]), accumulate(ints[k + 1:k + n:2])) for k in (0, n)]
-    return [_BY_SIGN[(a > b) - (a < b)] for a, b in zip(*sums)]
+    return int_prefix_outcomes(ints[0:n:2], ints[1:n:2], ints[n::2], ints[n + 1::2])
+
+
+def _verdict(outcomes: list) -> Majorization:
+    if OrderOutcome.GREATER in outcomes:
+        return Majorization.NONE
+    if outcomes[-1] is OrderOutcome.EQUAL:
+        return Majorization.STRICT
+    return Majorization.WEAK
+
+
+def int_majorization(x: Iterable[tuple], y: Iterable[tuple]) -> Majorization:
+    """majorize_check on equally many (at least one) (re, im) integer
+    numerator pairs over one common positive denominator, in any order.
+    Tuples sort in the lexicographic order, and a common positive scale
+    keeps both the order and the ties, so the verdict is that of the
+    rationals."""
+    sx, sy = sorted(x, reverse=True), sorted(y, reverse=True)
+    return _verdict(int_prefix_outcomes(*zip(*sx), *zip(*sy)))
 
 
 def majorize_check(x: Sequence[TotalComplex], y: Sequence[TotalComplex]) -> Majorization:
     """Does x majorize-below y?  STRICT needs equal totals, WEAK only needs
-    every prefix sum of sort_desc(x) to stay <= the matching prefix of y."""
-    return majorize_sorted(sort_desc(x), sort_desc(y))
+    every prefix sum of sort_desc(x) to stay <= the matching prefix of y.
+
+    Exact vectors of equal, nonzero length clear their denominators together,
+    once, and go to :func:`int_majorization`.  Float, mixed, empty and
+    unequal-length input runs majorize_sorted(sort_desc(x), sort_desc(y)),
+    which keeps float bits and raises BackendMismatch or DimensionMismatch."""
+    x, y = tuple(x), tuple(y)
+    zs = x + y
+    if len(x) != len(y) or not x or not all(type(z.re) is Fraction for z in zs):
+        return majorize_sorted(sort_desc(x), sort_desc(y))
+    ints = _numerators(zs)
+    n = 2 * len(x)
+    return int_majorization(zip(ints[0:n:2], ints[1:n:2]), zip(ints[n::2], ints[n + 1::2]))
 
 
 def majorize_sorted(sx: Sequence[TotalComplex], sy: Sequence[TotalComplex]) -> Majorization:
@@ -73,12 +119,7 @@ def majorize_sorted(sx: Sequence[TotalComplex], sy: Sequence[TotalComplex]) -> M
         raise DimensionMismatch(f"{len(sx)} vs {len(sy)}")
     if not sx:
         raise DimensionMismatch("empty vectors")
-    outcomes = prefix_outcomes(sx, sy)
-    if OrderOutcome.GREATER in outcomes:
-        return Majorization.NONE
-    if outcomes[-1] is OrderOutcome.EQUAL:
-        return Majorization.STRICT
-    return Majorization.WEAK
+    return _verdict(prefix_outcomes(sx, sy))
 
 
 @dataclass(frozen=True)
@@ -123,10 +164,12 @@ def _swap_steps(current: list, target: list) -> list:
     for pos in range(len(cur)):
         if cmp_total(cur[pos], target[pos]) is OrderOutcome.EQUAL:
             continue
-        src = next(
+        src = next((
             k for k in range(pos + 1, len(cur))
             if cmp_total(cur[k], target[pos]) is OrderOutcome.EQUAL
-        )
+        ), None)
+        if src is None:  # float near-ties: eps-equality is not transitive
+            raise NotMajorized("decomposition found no entry to swap into place", None)
         swaps.append(TTransform(pos, src, zero))
         cur[pos], cur[src] = cur[src], cur[pos]
     return swaps
@@ -144,7 +187,9 @@ def t_transform_decompose_trace(x, y) -> tuple:
     sort_desc(y) yields x; intermediates are the working vectors after each
     mixing step (each still strictly majorizes x and is majorized by y).
     A pair that is not strictly majorized raises NotMajorized carrying the
-    verdict, so a caller needs no second majorize_check.
+    verdict, so a caller needs no second majorize_check.  A float pair whose
+    near-ties leave no pair to mix or no entry to swap into place raises
+    NotMajorized with verdict None, as does one that fails to converge.
     """
     sx, sy = sort_desc(x), sort_desc(y)
     verdict = majorize_sorted(sx, sy)
@@ -158,10 +203,12 @@ def t_transform_decompose_trace(x, y) -> tuple:
     for _ in range(n * n + n + 1):
         if all(cmp_total(a, b) is OrderOutcome.EQUAL for a, b in zip(w, target)):
             break
-        i = max(k for k in range(n) if cmp_total(target[k], w[k]) is OrderOutcome.LESS)
-        j = min(
-            k for k in range(i + 1, n) if cmp_total(target[k], w[k]) is OrderOutcome.GREATER
-        )
+        i = max((k for k in range(n) if cmp_total(target[k], w[k]) is OrderOutcome.LESS),
+                default=-1)
+        j = min((k for k in range(i + 1, n)
+                 if cmp_total(target[k], w[k]) is OrderOutcome.GREATER), default=None)
+        if i < 0 or j is None:  # float near-ties can leave no pair to mix
+            raise NotMajorized("decomposition found no pair of entries to mix", None)
         gap_i = w[i] - target[i]
         gap_j = target[j] - w[j]
         eps_step = gap_i if cmp_total(gap_i, gap_j) is not OrderOutcome.GREATER else gap_j

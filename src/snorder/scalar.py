@@ -14,10 +14,11 @@ so no sorted result depends on the input order.
 
 Exact values compare without forming a difference, and exact arithmetic
 skips the terms of a zero imaginary part; the results are the same values.
-Running sums of exact vectors skip this class altogether:
-``majorization.prefix_outcomes`` adds integer numerators over one common
-denominator.  Floats keep the full formulas, bit for bit (signed zeros
-included).
+Exact majorization skips this class altogether: ``majorization``
+clears the denominators once, then sorts and adds (re, im) integer
+numerator pairs, whose tuple order is this order, and the falsifier in
+``schur`` draws its pairs as such numerators.  Floats keep the full
+formulas, bit for bit (signed zeros included).
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from operator import add
 from typing import Callable, Optional, Sequence
 
 from .errors import GradientUnavailable, NotWeaklyMajorized
-from .majorization import Majorization, majorize_check, majorize_sorted
+from .majorization import Majorization, int_majorization, majorize_check, majorize_sorted
 from .scalar import (
     EXACT,
     OrderOutcome,
@@ -163,14 +163,14 @@ class Counterexample:
 
 
 def _random_majorized_pair(rng: random.Random, n: int, complex_entries: bool):
-    """Exact y and x with x strictly majorized by y, built by applying a few
-    convex mixing steps to y.
+    """Integer numerators of y and x with x strictly majorized by y, built by
+    applying a few convex mixing steps to y.
 
-    Entries are drawn as num/den with den in 1..8 and built on integer
-    numerators: y over the common denominator 840, x over 840 * 16^k after
-    k mixing steps of beta = b/16, each of which rescales x by 16.  The
-    Fractions are made once, at the end; rng is drawn in the same order as
-    by exact arithmetic on Fractions, so each seed gives the same pairs."""
+    Entries are drawn as num/den with den in 1..8: y is held over the common
+    denominator 840, x over den = 840 * 16^k after k mixing steps of
+    beta = b/16, each of which rescales x by 16.  Returns (x, den, y), x and
+    y as lists of (re, im) numerators; rng is drawn in the same order as by
+    exact arithmetic on Fractions, so each seed gives the same pairs."""
     def draw():
         return rng.randint(-40, 40) * (840 // rng.randint(1, 8))
 
@@ -186,8 +186,7 @@ def _random_majorized_pair(rng: random.Random, n: int, complex_entries: bool):
         x[i] = (b * ri + (16 - b) * rj, b * ii + (16 - b) * ij)
         x[j] = (b * rj + (16 - b) * ri, b * ij + (16 - b) * ii)
         den *= 16
-    return (tuple(TotalComplex(Fraction(r, den), Fraction(m, den)) for r, m in x),
-            tuple(TotalComplex(Fraction(r, 840), Fraction(m, 840)) for r, m in y))
+    return x, den, y
 
 
 def schur_convex_falsify(
@@ -198,17 +197,28 @@ def schur_convex_falsify(
     complex_entries: bool = False,
 ) -> Optional[Counterexample]:
     """Search for x strictly majorized by y with f(x) > f(y) in the total
-    order.  Returns None when no counterexample to Schur convexity is found."""
+    order.  Returns None when no counterexample to Schur convexity is found.
+
+    Each trial stays on the integer numerators it draws: y is scaled onto
+    x's denominator and :func:`majorization.int_majorization` gives the
+    verdict; f is evaluated on complex(r / den, m / den), which is the
+    correctly rounded value that TotalComplex.to_complex gives.  Exact
+    TotalComplex vectors are built only for the returned Counterexample."""
     rng = random.Random(seed)
     for trial in range(trials):
-        x, y = _random_majorized_pair(rng, n, complex_entries)
-        if majorize_check(x, y) is not Majorization.STRICT:
+        x, den, y = _random_majorized_pair(rng, n, complex_entries)
+        s = den // 840
+        if int_majorization(x, [(s * r, s * m) for r, m in y]) is not Majorization.STRICT:
             continue
-        fx = complex(f.value([z.to_complex() for z in x]))
-        fy = complex(f.value([z.to_complex() for z in y]))
+        fx = complex(f.value([complex(r / den, m / den) for r, m in x]))
+        fy = complex(f.value([complex(r / 840, m / 840) for r, m in y]))
         if cmp_total(from_complex(fx), from_complex(fy)) is OrderOutcome.GREATER:
-            return Counterexample(x, y, fx, fy, trial)
+            return Counterexample(_exact_vector(x, den), _exact_vector(y, 840), fx, fy, trial)
     return None
+
+
+def _exact_vector(v, den) -> tuple:
+    return tuple(TotalComplex(Fraction(r, den), Fraction(m, den)) for r, m in v)
 
 
 # -- composition tables ---------------------------------------------------

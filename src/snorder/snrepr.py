@@ -43,7 +43,7 @@ from .linalg import (
 from .majorization import prefix_outcomes
 from .partitions import Partition, as_partition, dominance_check, merge_desc
 from .scalar import (
-    EXACT, OrderOutcome, TotalComplex, cmp_total, one_like, sort_desc_items, zero_like,
+    EXACT, FLOAT, OrderOutcome, TotalComplex, cmp_total, one_like, sort_desc_items, zero_like,
 )
 
 
@@ -293,11 +293,18 @@ def compare_sno(rx: SNRepresentation, ry: SNRepresentation) -> SNOVerdict:
     sx, sy = rx.spectral_vector, ry.spectral_vector
     if len(sx) != len(sy):
         raise DimensionMismatch(f"dimension {len(sx)} vs {len(sy)}")
-    if all(cmp_total(a, b) is OrderOutcome.EQUAL for a, b in zip(sx, sy)):
-        return compare_nilpotent(rx.partitions, ry.partitions)
     # Spectral vectors are non-increasing already, so their prefix sums
     # decide weak majorization without sorting.
     outcomes = prefix_outcomes(sx, sy)
+    # Exact entries are differences of consecutive running sums, so all-EQUAL
+    # outcomes mean equal spectra; float eps acts on the sums, not on the
+    # entries, so float spectra are compared entry by entry.
+    if sx and sx[0].backend == FLOAT:
+        same = all(cmp_total(a, b) is OrderOutcome.EQUAL for a, b in zip(sx, sy))
+    else:
+        same = all(c is OrderOutcome.EQUAL for c in outcomes)
+    if same:
+        return compare_nilpotent(rx.partitions, ry.partitions)
     if OrderOutcome.GREATER in outcomes:
         return SNOVerdict.INCOMPARABLE
     if all(c is OrderOutcome.LESS for c in outcomes):

@@ -168,6 +168,20 @@ def test_majorize_decompose_failure_after_its_check_exits_3(tmp_path, capsys, mo
     assert "failed to converge" in captured.err
 
 
+def test_float_decompose_near_tie_exits_3(tmp_path, capsys):
+    # Strict under float majorize, but its near-ties leave the decomposition
+    # no pair of entries to mix.
+    x = write(tmp_path, "x.json", [sc(v, 0.0) for v in (0.7500000007500001, 0.24999999985000002,
+                                                        6e-10, 0.0)])
+    y = write(tmp_path, "y.json", [sc(v, 0.0) for v in (-6e-10, 1.0000000012, 6e-10, 0.0)])
+    assert run(capsys, ["--backend", "float", "majorize", x, y]) == (0, {"verdict": "strict"})
+    assert main(["--backend", "float", "majorize", x, y, "--decompose"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("analysis error: NotMajorized: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_majorize_weak(tmp_path, capsys):
     x = write(tmp_path, "x.json", [sc("1"), sc("0")])
     y = write(tmp_path, "y.json", [sc("3"), sc("1")])

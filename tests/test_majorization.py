@@ -20,9 +20,11 @@ from snorder import (
     t_transform_apply,
     t_transform_decompose,
 )
-from snorder.errors import BackendMismatch, DimensionMismatch, NotMajorized
+from snorder.errors import BackendMismatch, DimensionMismatch, NotMajorized, SnorderError
 from snorder.linalg import Matrix
-from snorder.majorization import apply_row_vector, prefix_outcomes, t_transform_decompose_trace
+from snorder.majorization import (
+    apply_row_vector, majorize_sorted, prefix_outcomes, t_transform_decompose_trace,
+)
 from snorder.scalar import EXACT, FLOAT, approx, one_like
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=4)
@@ -189,6 +191,21 @@ def test_float_decompose_survives_round_off_in_real_ties(xs, ys):
     p = gds_from_transforms(ts, len(x))
     assert gds_check(p)
     assert_vec_equal(apply_row_vector(sort_desc(y), p), x)
+
+
+# Float near-ties, where equality within eps is not transitive: majorize_check
+# reads STRICT, but the decomposition finds no pair of entries to mix (first
+# pair) or no entry to swap into place (second).
+@pytest.mark.parametrize("xs, ys", [
+    ([0.7500000007500001, 0.24999999985000002, 6e-10, 0.0], [-6e-10, 1.0000000012, 6e-10, 0.0]),
+    ([0.2499999988, 0.25], [0.2499999994, 0.2499999988]),
+])
+def test_float_decompose_refuses_near_ties_it_cannot_step(xs, ys):
+    x, y = [approx(v) for v in xs], [approx(v) for v in ys]
+    assert majorize_check(x, y) is Majorization.STRICT
+    with pytest.raises(NotMajorized) as err:
+        t_transform_decompose_trace(x, y)
+    assert err.value.verdict is None
 
 
 def test_gds_check_rejects_non_square():
@@ -359,3 +376,62 @@ def test_prefix_outcomes_refuses_mixed_backends(pair, data):
     with pytest.raises(BackendMismatch):
         prefix_outcomes(sx, [z.to_float_backend() for z in sy])
 
+
+# -- majorize_check: integer sort and sums against sort_desc and TotalComplex --
+
+
+def _reference_check(x, y):
+    """majorize_check on TotalComplex sorts and sums."""
+    return majorize_sorted(sort_desc(x), sort_desc(y))
+
+
+def _verdict_or_error(check, x, y):
+    try:
+        return check(x, y)
+    except SnorderError as err:
+        return type(err), str(err)
+
+
+@st.composite
+def exact_unsorted_pairs(draw):
+    """Exact x and y of one length in 1..8 over denominators 1..64, shuffled:
+    entries drawn from a small pool (ties), y a permutation of x (a quarter
+    of the pairs) or sharing its first k entries, half of those with equal
+    totals."""
+    n = draw(st.integers(1, 8))
+    ims = fine_rationals if draw(st.booleans()) else st.just(Fraction(0))
+    entry = st.builds(exact, fine_rationals, ims)
+    pool = draw(st.lists(entry, min_size=1, max_size=n))
+    x = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    if draw(st.integers(0, 3)) == 0:
+        y = list(x)
+    else:
+        y = draw(st.lists(st.sampled_from(pool) | entry, min_size=n, max_size=n))
+        k = draw(st.integers(0, n))
+        y[:k] = x[:k]
+        if draw(st.booleans()):
+            y[-1] = y[-1] + (reduce(add, x) - reduce(add, y))
+    return draw(st.permutations(x)), draw(st.permutations(y))
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_unsorted_pairs())
+def test_majorize_check_matches_total_complex_reference(pair):
+    x, y = pair
+    assert majorize_check(x, y) is _reference_check(x, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_unsorted_pairs(), st.data())
+def test_majorize_check_errors_match_reference(pair, data):
+    x, y = pair
+    mixed = [list(x), list(y)]
+    v = data.draw(st.sampled_from([0, 1]))
+    k = data.draw(st.integers(0, len(x) - 1))
+    mixed[v][k] = mixed[v][k].to_float_backend()
+    cases = [mixed, [x, [z.to_float_backend() for z in y]], [x, y[:-1]], [x[1:], y], [(), ()],
+             [x, ()]]
+    for a, b in cases:
+        want = _verdict_or_error(_reference_check, a, b)
+        assert isinstance(want, tuple)
+        assert _verdict_or_error(majorize_check, a, b) == want

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from snorder import exact, poly, schur
+from snorder import Majorization, OrderOutcome, cmp_total, exact, poly, schur, sort_desc
 from snorder.errors import NotWeaklyMajorized
-from snorder.majorization import TTransform, t_transform_apply
+from snorder.majorization import TTransform, majorize_sorted, t_transform_apply
+from snorder.scalar import from_complex
 from snorder.schur import (
     DEFAULT_SEED,
     DomainBox,
@@ -88,16 +89,36 @@ def _exact_keys(v):
     return [(type(z.re), z.re, type(z.im), z.im) for z in v]
 
 
+def _fractions(v, den):
+    return tuple(exact(Fraction(r, den), Fraction(m, den)) for r, m in v)
+
+
 @pytest.mark.parametrize("complex_entries", [False, True])
 def test_random_majorized_pair_matches_fraction_reference(complex_entries):
     for seed in range(200):
         for n in range(1, 7):
             ours, ref = random.Random(seed), random.Random(seed)
             for _ in range(2):
-                x, y = _random_majorized_pair(ours, n, complex_entries)
+                x, den, y = _random_majorized_pair(ours, n, complex_entries)
                 rx, ry = _fraction_majorized_pair(ref, n, complex_entries)
-                assert (_exact_keys(x), _exact_keys(y)) == (_exact_keys(rx), _exact_keys(ry))
+                assert (_exact_keys(_fractions(x, den)), _exact_keys(_fractions(y, 840))) \
+                    == (_exact_keys(rx), _exact_keys(ry))
             assert ours.getstate() == ref.getstate()
+
+
+def _fraction_falsify(f, n, trials, seed, complex_entries):
+    """The falsifier on TotalComplex values: Fraction pairs, the verdict of
+    majorize_sorted on sort_desc copies, f on to_complex values."""
+    rng = random.Random(seed)
+    for trial in range(trials):
+        x, y = _fraction_majorized_pair(rng, n, complex_entries)
+        if majorize_sorted(sort_desc(x), sort_desc(y)) is not Majorization.STRICT:
+            continue
+        fx = complex(f.value([z.to_complex() for z in x]))
+        fy = complex(f.value([z.to_complex() for z in y]))
+        if cmp_total(from_complex(fx), from_complex(fy)) is OrderOutcome.GREATER:
+            return schur.Counterexample(x, y, fx, fy, trial)
+    return None
 
 
 @pytest.mark.parametrize("make_f, n, trials, seed, complex_entries", [
@@ -107,16 +128,15 @@ def test_random_majorized_pair_matches_fraction_reference(complex_entries):
     (negative_sum_of_squares, 5, 200, 7, True),
     (negative_sum_of_squares, 2, 200, 42, False),
 ])
-def test_falsifier_results_match_fraction_reference(monkeypatch, make_f, n, trials, seed,
-                                                    complex_entries):
-    def run():
-        cex = schur_convex_falsify(make_f(n), n, trials=trials, seed=seed,
-                                   complex_entries=complex_entries)
-        return cex and (cex.trial, _exact_keys(cex.x), _exact_keys(cex.y))
+def test_falsifier_results_match_fraction_reference(make_f, n, trials, seed, complex_entries):
+    def key(cex):
+        # repr keeps the sign of a zero component of f_x and f_y.
+        return cex and (cex.trial, _exact_keys(cex.x), _exact_keys(cex.y),
+                        repr(cex.f_x), repr(cex.f_y))
 
-    ours = run()
-    monkeypatch.setattr(schur, "_random_majorized_pair", _fraction_majorized_pair)
-    assert ours == run()
+    ours = schur_convex_falsify(make_f(n), n, trials=trials, seed=seed,
+                                complex_entries=complex_entries)
+    assert key(ours) == key(_fraction_falsify(make_f(n), n, trials, seed, complex_entries))
     if make_f is negative_sum_of_squares or complex_entries:
         assert ours is not None
 

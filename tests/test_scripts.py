@@ -13,6 +13,16 @@ from snorder import exact, poly
 ROOT = Path(__file__).resolve().parents[1]
 
 
+# The digests of the small runs below: a change that moves any structure
+# recovery, prefix-sum verdict or falsifier result changes them.
+DIGESTS = {
+    ("recovery_digest.py", "--dim", "4"):
+        "c260d0a0e1aaa1c0ba5a399ce44cba73166b6eae2810195bcae0ba2496d968b3",
+    ("order_digest.py", "--dim", "3", "--pairs", "200", "--seeds", "2"):
+        "42cb4e9a6af2a9416b3ac6ec398e69cfa3f34726de9f052a767a01cca88c2228",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["decompose_demo.py", "--pairs", "3"],
     ["falsify_schur.py", "--trials", "200"],
@@ -27,6 +37,8 @@ def test_script_exits_zero(argv):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    if tuple(argv) in DIGESTS:
+        assert proc.stdout.split()[-1] == f"sha256={DIGESTS[tuple(argv)]}"
 
 
 def _load(path, name):
