@@ -1,24 +1,22 @@
 """Small dense matrices over total-order complex scalars.
 
 Exact matrices hold Fraction-backed scalars.  Exact kernels work on rows of
-(re, im) Python-int pairs: ``gaussian_int_rows`` clears a matrix's
-denominators once, after which products, fraction-free (Bareiss) ranks and
-row-space bases (``row_basis_exact``) need no Fraction arithmetic.  The float
-row-space basis (``row_basis_float``) comes from numpy's SVD with an explicit
-singular-value gap check; numpy is imported by the float helpers only, so
-exact work never loads it.
+the (re, im) integer pairs of :func:`scalar.numerators`, on which products,
+fraction-free (Bareiss) ranks and row-space bases (``row_basis_exact``) need
+no Fraction arithmetic.  The float row-space basis (``row_basis_float``)
+comes from numpy's SVD with an explicit singular-value gap check; numpy is
+imported by the float helpers only, so exact work never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import lcm
 from operator import add, mul
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import DimensionMismatch, RankAmbiguous, SingularTransform
-from .scalar import EXACT, TotalComplex, approx, one_like
+from .errors import BackendMismatch, DimensionMismatch, RankAmbiguous, SingularTransform
+from .scalar import EXACT, TotalComplex, approx, numerators, one_like
 
 if TYPE_CHECKING:
     import numpy as np
@@ -153,17 +151,15 @@ def block_diag(blocks: Sequence[Matrix]) -> Matrix:
 
 
 def gaussian_int_rows(mat: Matrix):
-    """(rows, mul): mat scaled by mul, the lcm of all its entry denominators,
-    as rows of (re, im) Gaussian-integer pairs.  Scaling by a nonzero
+    """(rows, mul): mat scaled by mul, the common denominator of its entries,
+    as rows of :func:`scalar.numerators` pairs.  Scaling by a nonzero
     constant changes no rank, of mat or of its powers."""
-    mul = reduce(lcm, (d for row in mat.rows for a in row
-                       for d in (a.re.denominator, a.im.denominator)), 1)
-    rows = [
-        [(a.re.numerator * (mul // a.re.denominator), a.im.numerator * (mul // a.im.denominator))
-         for a in row]
-        for row in mat.rows
-    ]
-    return rows, mul
+    cleared = numerators(a for row in mat.rows for a in row)
+    if cleared is None:
+        raise BackendMismatch("exact kernel given a float entry")
+    mul, pairs = cleared
+    n = mat.shape[1]
+    return [pairs[i * n:i * n + n] for i in range(len(mat.rows))], mul
 
 
 def diagonal_blocks(rows) -> list:

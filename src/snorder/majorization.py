@@ -10,30 +10,28 @@ sort_desc(y) reproduces x exactly.  The matrix replaying a decomposition is
 built by column updates: each T-transform rewrites columns i and j only.
 
 Every prefix-sum verdict, here and in ``snrepr.compare_sno``, reads
-:func:`prefix_outcomes`.  On exact vectors it compares running sums of
-integer numerators over one common denominator, as (re, im) tuples
-(:func:`int_prefix_outcomes`); float vectors add and compare TotalComplex
-values under cmp_total's eps.  Exact :func:`majorize_check` also sorts on
-those integers: :func:`int_majorization` sorts (re, im) numerator pairs,
-whose tuple order is the lexicographic order, and reads the verdict from
-their running sums.  The falsifier in ``schur`` calls it on the numerators
-it draws.
+:func:`prefix_outcomes`.  On exact vectors it compares running sums of the
+:func:`scalar.numerators` pairs of both vectors (:func:`int_prefix_outcomes`);
+float vectors add and compare TotalComplex values under cmp_total's eps.
+Exact :func:`majorize_check` also sorts those pairs: :func:`int_majorization`
+reads the verdict from their running sums.  The falsifier in ``schur`` calls
+it on the numerators it draws.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain
-from math import lcm
 from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotMajorized
 from .linalg import Matrix
-from .scalar import EXACT, OrderOutcome, TotalComplex, cmp_total, one_like, sort_desc, zero_like
+from .scalar import (
+    EXACT, OrderOutcome, TotalComplex, cmp_total, numerators, one_like, sort_desc, zero_like,
+)
 
 
 class Majorization(enum.Enum):
@@ -43,14 +41,6 @@ class Majorization(enum.Enum):
 
 
 _BY_SIGN = (OrderOutcome.EQUAL, OrderOutcome.GREATER, OrderOutcome.LESS)
-
-
-def _numerators(zs) -> list:
-    """re0, im0, re1, im1, ... of exact values zs as integer numerators over
-    the least common multiple of all their denominators."""
-    parts = [q.as_integer_ratio() for z in zs for q in (z.re, z.im)]
-    d = reduce(lcm, (b for _, b in parts), 1)
-    return [a * (d // b) for a, b in parts]
 
 
 def int_prefix_outcomes(xre, xim, yre, yim) -> list:
@@ -65,17 +55,15 @@ def prefix_outcomes(sx: Sequence[TotalComplex], sy: Sequence[TotalComplex]) -> l
     """cmp_total of each pair of running sums of sx and sy, each added left
     to right: the comparisons that decide every prefix-sum verdict.
 
-    When every entry is exact, the sums run on integers: all denominators
-    are cleared by one common multiple and :func:`int_prefix_outcomes`
-    compares the numerators.  Float and mixed input compare the
-    TotalComplex sums, so float bits are unchanged and a mixed pair raises
-    BackendMismatch."""
-    zs = (*sx, *sy)
-    if not all(type(z.re) is Fraction for z in zs):
+    When every entry is exact, :func:`int_prefix_outcomes` compares the
+    sums of their :func:`scalar.numerators` pairs.  Float and mixed input
+    compare the TotalComplex sums, so float bits are unchanged and a mixed
+    pair raises BackendMismatch."""
+    cleared = numerators((*sx, *sy))
+    if cleared is None:
         return list(map(cmp_total, accumulate(sx), accumulate(sy)))
-    ints = _numerators(zs)
-    n = 2 * len(sx)
-    return int_prefix_outcomes(ints[0:n:2], ints[1:n:2], ints[n::2], ints[n + 1::2])
+    pairs, n = cleared[1], len(sx)
+    return int_prefix_outcomes(*zip(*pairs[:n]), *zip(*pairs[n:])) if sx and sy else []
 
 
 def _verdict(outcomes: list) -> Majorization:
@@ -88,10 +76,9 @@ def _verdict(outcomes: list) -> Majorization:
 
 def int_majorization(x: Iterable[tuple], y: Iterable[tuple]) -> Majorization:
     """majorize_check on equally many (at least one) (re, im) integer
-    numerator pairs over one common positive denominator, in any order.
-    Tuples sort in the lexicographic order, and a common positive scale
-    keeps both the order and the ties, so the verdict is that of the
-    rationals."""
+    numerator pairs over one common positive denominator, in any order: as
+    :func:`scalar.numerators` states, their tuple order is the total order
+    of the rationals, so the verdict is theirs."""
     sx, sy = sorted(x, reverse=True), sorted(y, reverse=True)
     return _verdict(int_prefix_outcomes(*zip(*sx), *zip(*sy)))
 
@@ -100,17 +87,17 @@ def majorize_check(x: Sequence[TotalComplex], y: Sequence[TotalComplex]) -> Majo
     """Does x majorize-below y?  STRICT needs equal totals, WEAK only needs
     every prefix sum of sort_desc(x) to stay <= the matching prefix of y.
 
-    Exact vectors of equal, nonzero length clear their denominators together,
-    once, and go to :func:`int_majorization`.  Float, mixed, empty and
-    unequal-length input runs majorize_sorted(sort_desc(x), sort_desc(y)),
-    which keeps float bits and raises BackendMismatch or DimensionMismatch."""
+    Exact vectors of equal, nonzero length go to :func:`int_majorization` as
+    the :func:`scalar.numerators` pairs of x and y together.  Float, mixed,
+    empty and unequal-length input runs majorize_sorted(sort_desc(x),
+    sort_desc(y)), which keeps float bits and raises BackendMismatch or
+    DimensionMismatch."""
     x, y = tuple(x), tuple(y)
-    zs = x + y
-    if len(x) != len(y) or not x or not all(type(z.re) is Fraction for z in zs):
+    cleared = numerators(x + y) if x and len(x) == len(y) else None
+    if cleared is None:
         return majorize_sorted(sort_desc(x), sort_desc(y))
-    ints = _numerators(zs)
-    n = 2 * len(x)
-    return int_majorization(zip(ints[0:n:2], ints[1:n:2]), zip(ints[n::2], ints[n + 1::2]))
+    pairs, n = cleared[1], len(x)
+    return int_majorization(pairs[:n], pairs[n:])
 
 
 def majorize_sorted(sx: Sequence[TotalComplex], sy: Sequence[TotalComplex]) -> Majorization:

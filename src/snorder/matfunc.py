@@ -23,14 +23,13 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
-from operator import mul
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence, Union
 
 from .errors import IncomparableNilpotent, KappaNotFound, OutsideAnalyticityRadius
 from .linalg import Matrix, block_diag
 from .partitions import Partition, as_partition, merge_desc, prefix_gaps
-from .scalar import EXACT, TotalComplex, approx, exact, sort_desc_items, zero_like
+from .scalar import EXACT, TotalComplex, approx, exact, numerators, sort_desc_items, zero_like
 from .snrepr import SNRepresentation, merge_equal, repr_from_matrix
 
 DERIVATIVE_EPS = 1e-10
@@ -63,14 +62,11 @@ class PolynomialFunction:
 
     @cached_property
     def _integral(self) -> tuple:
-        """(D, re, im): D the lcm of the denominators, re and im those of c_k D."""
-        if any(c.backend != EXACT for c in self.coefficients):
+        """(D, pairs): the :func:`scalar.numerators` of the coefficients."""
+        cleared = numerators(self.coefficients)
+        if cleared is None:
             raise TypeError("float coefficients cannot evaluate at exact points")
-        big_d = reduce(math.lcm, (x.denominator for c in self.coefficients
-                                  for x in (c.re, c.im)), 1)
-        re = tuple(c.re.numerator * (big_d // c.re.denominator) for c in self.coefficients)
-        im = tuple(c.im.numerator * (big_d // c.im.denominator) for c in self.coefficients)
-        return big_d, re, im
+        return cleared
 
     def taylor(self, lam: TotalComplex, n: int) -> list:
         """f^(q)(lam)/q! for q < n; zero past the degree.  At exact points
@@ -95,20 +91,18 @@ class PolynomialFunction:
         (repeated synthetic division) of the coefficients to lam.
 
         At exact points the shift runs on Gaussian integers: with
-        lam = L / d and D the lcm of the coefficient denominators (D and the
-        c_k D are computed once per polynomial), the scaled coefficients
-        c_k D d^(degree - k) are integers, shifting them by L gives
-        T_q = D d^(degree - q) f^(q)(lam)/q!, and each output is divided
-        once."""
+        lam = L / d and the coefficients c_k = C_k / D, both read from
+        :func:`scalar.numerators` (D and the C_k once per polynomial), the
+        scaled coefficients C_k d^(degree - k) are integers, shifting them by
+        L gives T_q = D d^(degree - q) f^(q)(lam)/q!, and each output is
+        divided once."""
         deg = self.degree
         if lam.backend == EXACT:
-            big_d, c_re, c_im = self._integral
-            d = math.lcm(lam.re.denominator, lam.im.denominator)
-            lr = lam.re.numerator * (d // lam.re.denominator)
-            li = lam.im.numerator * (d // lam.im.denominator)
+            big_d, pairs = self._integral
+            d, [(lr, li)] = numerators((lam,))
             ws = [d ** (deg - k) for k in range(deg + 1)]
-            re = list(map(mul, c_re, ws))
-            im = list(map(mul, c_im, ws))
+            re = [r * w for (r, _), w in zip(pairs, ws)]
+            im = [m * w for (_, m), w in zip(pairs, ws)]
         else:
             lr, li = lam.re, lam.im
             re = [float(c.re) for c in self.coefficients]

@@ -41,6 +41,7 @@ from .scalar import (
     OrderOutcome,
     TotalComplex,
     approx,
+    as_scalar,
     cmp_total,
     exact,
     one_like,
@@ -126,6 +127,14 @@ def closed_form_eigenvalues(m: Matrix) -> tuple:
 
 def repr_from_accessible(m: Matrix) -> SNRepresentation:
     return repr_from_matrix(m, closed_form_eigenvalues(m))
+
+
+def _image_reprs(f: PolynomialFunction, arg: Matrix, rhs: Matrix) -> tuple:
+    """The representations of f(arg), recovered at the images under f of
+    arg's closed-form eigenvalues, and of the accessible matrix rhs."""
+    lhs = f.eval_matrix(arg)
+    rep_l = repr_from_matrix(lhs, tuple(f(lam) for lam in closed_form_eigenvalues(arg)))
+    return rep_l, repr_from_accessible(rhs)
 
 
 # -- monotonicity -----------------------------------------------------------
@@ -268,14 +277,6 @@ class ConvexityReport:
         return [p for p in self.points if p.greater]
 
 
-def _as_scalar(t, backend: str) -> TotalComplex:
-    if isinstance(t, TotalComplex):
-        return t
-    if backend == EXACT:
-        return exact(Fraction(t))
-    return approx(float(t))
-
-
 def convexity_check(
     f: PolynomialFunction, a: Matrix, b: Matrix, ts: Sequence
 ) -> ConvexityReport:
@@ -285,15 +286,12 @@ def convexity_check(
     report = ConvexityReport()
     one = one_like(a.rows[0][0])
     for t_raw in ts:
-        t = _as_scalar(t_raw, a.backend)
+        t = as_scalar(t_raw, a.backend)
         comp = one - t
         try:
             mix = a.scale(t) + b.scale(comp)
-            lhs = f.eval_matrix(mix)
-            lhs_eigs = tuple(f(lam) for lam in closed_form_eigenvalues(mix))
             rhs = f.eval_matrix(a).scale(t) + f.eval_matrix(b).scale(comp)
-            rep_l = repr_from_matrix(lhs, lhs_eigs)
-            rep_r = repr_from_matrix(rhs, closed_form_eigenvalues(rhs))
+            rep_l, rep_r = _image_reprs(f, mix, rhs)
             verdict = compare_sno(rep_l, rep_r)
             greater = False
             if verdict is SNOVerdict.INCOMPARABLE:
@@ -421,12 +419,6 @@ def hp_item_checks(
         return reduce(add, (c.conj_transpose() @ m @ c
                             for c, m in zip(cs[:1] if item == 2 else cs, mats)))
 
-    def _compare_with_rhs(fn, arg, rhs):
-        lhs = fn.eval_matrix(arg)
-        rep_l = repr_from_matrix(lhs, tuple(fn(lam) for lam in closed_form_eigenvalues(arg)))
-        rep_r = repr_from_accessible(rhs)
-        return compare_sno(rep_l, rep_r)
-
     items = [2, 3] + ([4] if p is not None else [])
     if p is not None:
         pp = p @ p - p
@@ -441,7 +433,7 @@ def hp_item_checks(
         for fn in (f, _shifted(f)):
             try:
                 rhs = congruence(item, map(fn.eval_matrix, xs))
-                verdicts.append(_compare_with_rhs(fn, arg, rhs))
+                verdicts.append(compare_sno(*_image_reprs(fn, arg, rhs)))
             except SnorderError as e:
                 verdicts.append(None)
                 err = err or str(e)

@@ -14,11 +14,9 @@ so no sorted result depends on the input order.
 
 Exact values compare without forming a difference, and exact arithmetic
 skips the terms of a zero imaginary part; the results are the same values.
-Exact majorization skips this class altogether: ``majorization``
-clears the denominators once, then sorts and adds (re, im) integer
-numerator pairs, whose tuple order is this order, and the falsifier in
-``schur`` draws its pairs as such numerators.  Floats keep the full
-formulas, bit for bit (signed zeros included).
+Floats keep the full formulas, bit for bit (signed zeros included).  Exact
+kernels skip this class altogether: :func:`numerators` is the one place
+that turns exact values into integers, and its docstring states the format.
 """
 
 from __future__ import annotations
@@ -26,7 +24,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from math import lcm
+from typing import Iterable, Optional, Union
 
 from .errors import BackendMismatch, DivisionByZero, OrderPreconditionFailed
 
@@ -182,6 +181,34 @@ def approx(re: float, im: float = 0.0) -> TotalComplex:
 
 def from_complex(z: complex) -> TotalComplex:
     return approx(z.real, z.imag)
+
+
+def as_scalar(t, backend: str) -> TotalComplex:
+    """t itself when it is a TotalComplex, else the real number t in backend."""
+    if isinstance(t, TotalComplex):
+        return t
+    return exact(t) if backend == EXACT else approx(t)
+
+
+def numerators(values: Iterable[TotalComplex]) -> Optional[tuple]:
+    """(d, pairs): exact values as (re, im) integer numerator pairs over d, the
+    least common multiple of all their denominators (1 for no values); None
+    when any value is not exact.
+
+    Every exact kernel reads its integers here: majorization's prefix sums,
+    the rank chains of structure recovery and the Taylor shift.  A common
+    positive denominator keeps both the order and the ties, so the tuple
+    order of the pairs is the lexicographic total order of the values, and
+    sums and products of the pairs are d and d*d times those of the values.
+    """
+    parts = []
+    for z in values:
+        if type(z.re) is not Fraction:
+            return None
+        parts += z.re.as_integer_ratio(), z.im.as_integer_ratio()
+    d = lcm(*[b for _, b in parts])
+    ints = [a * (d // b) for a, b in parts]
+    return d, list(zip(ints[::2], ints[1::2]))
 
 
 def zero_like(z: TotalComplex) -> TotalComplex:

@@ -20,12 +20,10 @@ from typing import Callable, Optional, Sequence
 from .errors import GradientUnavailable, NotWeaklyMajorized
 from .majorization import Majorization, int_majorization, majorize_check, majorize_sorted
 from .scalar import (
-    EXACT,
     OrderOutcome,
     TotalComplex,
-    approx,
+    as_scalar,
     cmp_total,
-    exact,
     from_complex,
     one_like,
     sort_desc,
@@ -311,12 +309,7 @@ def cdm_condition_check(
     """Averaging condition on h: the alpha-mix of (h(y1), h(y2)) with its
     swap must be strictly majorized by (h(y1), h(y2))."""
     h1, h2 = h(y1), h(y2)
-    if isinstance(alpha, TotalComplex):
-        a = alpha
-    elif h1.backend == EXACT:
-        a = exact(Fraction(alpha))
-    else:
-        a = approx(float(alpha))
+    a = as_scalar(alpha, h1.backend)
     comp = one_like(a) - a
     mixed = (a * h1 + comp * h2, a * h2 + comp * h1)
     return majorize_check(mixed, (h1, h2)) is Majorization.STRICT

@@ -7,7 +7,8 @@ eigenvalue.  Eigenvalues are caller-supplied throughout: structure recovery
 only needs ranks of powers of A = X - lambda*I, never a general eigensolver.
 One loop serves both backends: it never forms A^k but multiplies a basis of
 the row space of A^k by A (exact: pivot rows on Gaussian integers, after
-clearing X's denominators once; float: right singular vectors by SVD).
+clearing the denominators of X and of the eigenvalues together, once; float:
+right singular vectors by SVD).
 Exact recovery runs per diagonal block of X's nonzero pattern, since X and
 every A^k are permutation-similar to direct sums of those blocks; a
 triangular block reads its eigenvalues off its diagonal, so its chains run
@@ -20,7 +21,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import partial
-from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -35,7 +35,6 @@ from .linalg import (
     block_diag,
     diagonal_blocks,
     gaussian_int_matmul,
-    gaussian_int_rows,
     row_basis_exact,
     row_basis_float,
     spectral_norm,
@@ -43,7 +42,8 @@ from .linalg import (
 from .majorization import prefix_outcomes
 from .partitions import Partition, as_partition, dominance_check, merge_desc
 from .scalar import (
-    EXACT, FLOAT, OrderOutcome, TotalComplex, cmp_total, one_like, sort_desc_items, zero_like,
+    EXACT, FLOAT, OrderOutcome, TotalComplex, cmp_total, numerators, one_like, sort_desc_items,
+    zero_like,
 )
 
 
@@ -180,10 +180,11 @@ def _image_chain(shift, row_basis, times):
         rows = times(rows, shift)
 
 
-def _int_shift(x_int, a: int, lam_re: int, lam_im: int):
-    """k (X - lambda I) on Gaussian integers, given X_int = mul * X,
-    a = k / mul and k lambda = lam_re + i lam_im: a X_int less k lambda I."""
-    shift = [[(a * re, a * im) for re, im in row] for row in x_int]
+def _int_shift(x_int, lam):
+    """d (X - lambda I) on Gaussian integers, from d X and d lambda = lam,
+    :func:`scalar.numerators` pairs over one common denominator d."""
+    lam_re, lam_im = lam
+    shift = [list(row) for row in x_int]
     for i, row in enumerate(shift):
         re, im = row[i]
         row[i] = (re - lam_re, im - lam_im)
@@ -204,47 +205,50 @@ def repr_from_matrix(x: Matrix, eigenvalues: Sequence[TotalComplex]) -> SNRepres
     """Recover the SN representation from ranks of powers of (X - lambda*I),
     one image chain per eigenvalue on either backend.
 
-    Exact matrices have their denominators cleared and their diagonal blocks
-    split once per call, and lambda is scaled to an integer once.  A block
-    triangular in its index order has its diagonal as spectrum: lambda off
-    it contributes nothing, lambda on it once is one 1 x 1 block, and only
-    lambda on it more than once runs a chain; other blocks run a chain at
-    every lambda.  Float ranks use one cut over all of X,
+    Exact matrices have their denominators cleared together with those of
+    the merged eigenvalues, and their diagonal blocks split, once per call.
+    A block triangular in its index order has its diagonal as spectrum:
+    lambda off it contributes nothing, lambda on it once is one 1 x 1 block,
+    and only lambda on it more than once runs a chain; other blocks run a
+    chain at every lambda.  Float ranks use one cut over all of X,
     SVD_TOL * max(||X||_2, |lambda|), so a product that is all round-off
-    reads as rank 0.  Raises SpectrumMismatch when the eigenvalues, merged
+    reads as rank 0.  Raises BackendMismatch when an entry or eigenvalue is
+    not of X's backend, and SpectrumMismatch when the eigenvalues, merged
     by :func:`merge_equal`, do not exhaust x.
     """
     if not x.is_square:
         raise DimensionMismatch("square matrix required")
     m = x.shape[0]
+    lams = [lam for lam, _ in merge_equal(sort_desc_items((lam, None) for lam in eigenvalues))]
+    values = [a for row in x.rows for a in row] + lams
     if x.backend == EXACT:
-        x_int, mul = gaussian_int_rows(x)
+        cleared = numerators(values)
+        if cleared is None:
+            raise BackendMismatch("exact matrix with a float entry or eigenvalue")
+        pairs = cleared[1]  # X's entries row by row, then the eigenvalues
+        x_int = [pairs[i:i + m] for i in range(0, m * m, m)]
         subs = [(s, _triangular_diagonal(s)) for s in (
             [[x_int[i][j] for j in idx] for i in idx] for idx in diagonal_blocks(x_int))]
     else:
+        if any(z.backend != FLOAT for z in values):
+            raise BackendMismatch("float matrix with an exact entry or eigenvalue")
         import numpy as np
 
         a = x.to_numpy()
         norm = spectral_norm(a)
     groups = []
-    for lam, _ in merge_equal(sort_desc_items((lam, None) for lam in eigenvalues)):
-        if lam.backend != x.backend:
-            raise BackendMismatch(f"{x.backend} matrix vs {lam.backend} eigenvalue")
+    for k, lam in enumerate(lams, m * m):
         if x.backend == EXACT:
-            k = lcm(mul, lam.re.denominator, lam.im.denominator)
-            scale = k // mul
-            lam_re, lam_im = (v.numerator * (k // v.denominator) for v in (lam.re, lam.im))
             parts = []
             for s, diag in subs:
                 if diag is not None:
-                    hits = sum(scale * re == lam_re and scale * im == lam_im for re, im in diag)
+                    hits = diag.count(pairs[k])
                     if hits == 1:
                         parts.append((1,))  # a simple eigenvalue has one 1 x 1 block
                     if hits < 2:
                         continue
                 parts.append(block_sizes_from_ranks(_image_chain(
-                    _int_shift(s, scale, lam_re, lam_im), row_basis_exact, gaussian_int_matmul),
-                    len(s)))
+                    _int_shift(s, pairs[k]), row_basis_exact, gaussian_int_matmul), len(s)))
         else:
             z = lam.to_complex()
             basis = partial(row_basis_float, cut=SVD_TOL * max(norm, abs(z)))

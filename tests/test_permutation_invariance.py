@@ -11,10 +11,12 @@ transitive on the drawn values, sorted output must agree with it.
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from snorder import (
     JordanSpec,
+    Matrix,
     OrderOutcome,
     approx,
     canonical_repr,
@@ -23,9 +25,11 @@ from snorder import (
     exact,
     majorize_check,
     poly,
+    repr_from_matrix,
     repr_of_fx,
     sort_desc,
 )
+from snorder.errors import BackendMismatch
 from snorder.scalar import EXACT, FLOAT
 
 near = st.integers(-4, 4).map(lambda k: k * 0.4e-9)
@@ -128,3 +132,15 @@ def test_repr_of_fx_ignores_block_order(pairs, coeffs):
     a, _, pa, _ = pairs
     f = poly(coeffs, EXACT if a[0][0].backend == EXACT else FLOAT)
     assert repr_of_fx(f, rep(pa)) == repr_of_fx(f, rep(a))
+
+
+def test_repr_from_matrix_refuses_mixed_backends_in_every_order():
+    """A matrix with both exact and float entries is refused whichever
+    entry P X P^T puts first, with exact and with float eigenvalues."""
+    e, f = exact, approx
+    x = [[e(1), f(1.0), e(0)], [e(0), f(1.0), e(0)], [e(0), e(0), e(2)]]
+    for eigenvalues in ([e(1), e(2)], [f(1.0), f(2.0)]):
+        for p in permutations(range(3)):
+            px = Matrix.from_rows([[x[i][j] for j in p] for i in p])
+            with pytest.raises(BackendMismatch):
+                repr_from_matrix(px, eigenvalues)

@@ -1,6 +1,9 @@
 import itertools
+import math
+import re
 import struct
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,7 +24,7 @@ from snorder import (
 )
 from snorder.errors import BackendMismatch, DivisionByZero, OrderPreconditionFailed
 from snorder.linalg import rank_gaussian_int_rows
-from snorder.scalar import one_like, zero_like
+from snorder.scalar import FLOAT, numerators, one_like, zero_like
 
 GRID = [exact(a, b) for a in range(-2, 3) for b in range(-2, 3)]
 
@@ -306,3 +309,38 @@ def gaussian_int_matrices(draw):
 def test_bareiss_rank_equals_the_fraction_rank(rows):
     want = fraction_rank(rows)
     assert rank_gaussian_int_rows([list(row) for row in rows]) == want
+
+
+# -- numerators: the one exact-to-integer conversion -------------------------
+
+exact_or_float = st.one_of(scalars, scalars.map(TotalComplex.to_float_backend))
+
+
+@given(st.lists(exact_or_float, max_size=6))
+def test_numerators_are_the_values_over_the_lcm_of_their_denominators(values):
+    cleared = numerators(values)
+    assert (cleared is None) == any(z.backend == FLOAT for z in values)
+    if cleared is None:
+        return
+    d, pairs = cleared
+    assert d == math.lcm(*(q.denominator for z in values for q in (z.re, z.im)))
+    assert len(pairs) == len(values)
+    for z, (re_, im_) in zip(values, pairs):
+        assert (Fraction(re_, d), Fraction(im_, d)) == (z.re, z.im)
+    ranked = sorted(range(len(values)), key=pairs.__getitem__, reverse=True)
+    assert tuple(values[k] for k in ranked) == sort_desc(values)
+    for a, b in itertools.combinations(range(len(values)), 2):
+        assert (pairs[a] == pairs[b]) == (cmp_total(values[a], values[b]) is OrderOutcome.EQUAL)
+
+
+def test_numerators_of_no_values():
+    assert numerators([]) == (1, [])
+
+
+def test_only_scalar_clears_denominators():
+    """No module but scalar turns exact values into integers on its own, so
+    every exact kernel reads the one format that scalar.numerators states."""
+    src = Path(__file__).resolve().parents[1] / "src" / "snorder"
+    offenders = [p.name for p in sorted(src.glob("*.py"))
+                 if p.name != "scalar.py" and re.search(r"lcm|as_integer_ratio", p.read_text())]
+    assert offenders == []
