@@ -158,6 +158,7 @@ def cmd_schur(args):
 
 
 def cmd_convexity(args):
+    from .matfunc import PolynomialFunction
     from .ordering import convexity_check
 
     try:
@@ -171,9 +172,9 @@ def cmd_convexity(args):
     a = _load(args.a, ser.matrix_from_json, args.backend)
     b = _load(args.b, ser.matrix_from_json, args.backend)
     if not a.is_square or a.shape != b.shape:
-        raise InputFormatError(
-            f"A and B must be square of one shape, got {a.shape} and {b.shape}"
-        )
+        raise InputFormatError(f"A and B must be square of one shape, got {a.shape} and {b.shape}")
+    if not isinstance(f, PolynomialFunction):  # f(A) needs the coefficients
+        raise InputFormatError(f"{args.function}: convexity needs a polynomial, not an oracle")
     report = convexity_check(f, a, b, ts)
     _emit(
         {

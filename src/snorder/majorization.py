@@ -43,12 +43,16 @@ class Majorization(enum.Enum):
 _BY_SIGN = (OrderOutcome.EQUAL, OrderOutcome.GREATER, OrderOutcome.LESS)
 
 
+def sum_outcomes(xre, xim, yre, yim) -> list:
+    """The outcome of each pair of sums x = (xre, xim) and y = (yre, yim),
+    integer numerators over one positive denominator: each pair compares as
+    (re, im) tuples, the lexicographic order."""
+    return [_BY_SIGN[(a > b) - (a < b)] for a, b in zip(zip(xre, xim), zip(yre, yim))]
+
+
 def int_prefix_outcomes(xre, xim, yre, yim) -> list:
-    """The outcome of each pair of running sums of x = (xre, xim) and
-    y = (yre, yim), integer numerators over one positive denominator: each
-    pair of sums compares as (re, im) tuples, the lexicographic order."""
-    sums = zip(zip(accumulate(xre), accumulate(xim)), zip(accumulate(yre), accumulate(yim)))
-    return [_BY_SIGN[(a > b) - (a < b)] for a, b in sums]
+    """:func:`sum_outcomes` of the running sums of x and y."""
+    return sum_outcomes(*map(accumulate, (xre, xim, yre, yim)))
 
 
 def prefix_outcomes(sx: Sequence[TotalComplex], sy: Sequence[TotalComplex]) -> list:

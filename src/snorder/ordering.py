@@ -48,7 +48,7 @@ from .scalar import (
     sort_desc,
     zero_like,
 )
-from .snrepr import SNOVerdict, SNRepresentation, compare_sno, repr_from_matrix
+from .snrepr import SNOVerdict, SNRepresentation, _spectral_outcomes, compare_sno, repr_from_matrix
 
 if TYPE_CHECKING:
     import numpy as np
@@ -176,12 +176,8 @@ def monotonicity_certificate(
     verdict = compare_sno(rx, ry)
     if verdict not in (SNOVerdict.STRICT_LESS, SNOVerdict.WEAK_LESS):
         raise NotSNOrdered(f"representations compare as {verdict.value}")
-    sx, sy = rx.spectral_vector, ry.spectral_vector
-    spectra_equal = all(
-        cmp_total(a, b) is OrderOutcome.EQUAL for a, b in zip(sx, sy)
-    )
-    if not spectra_equal:
-        res = majorization_preserving_check(f, sx, sy)
+    if not _spectral_outcomes(rx, ry)[1]:
+        res = majorization_preserving_check(f, rx.spectral_vector, ry.spectral_vector)
         if res.kind is MajorizationCert.CERTIFIED_INCREASING:
             return MonotonicityCertificate("A")
         if res.kind is MajorizationCert.CERTIFIED_DECREASING:
@@ -212,14 +208,7 @@ def _try_case_c(f, rx, ry) -> Optional[MonotonicityCertificate]:
     fx = [f(v) for v in rx.eigenvalues]
     fy = [f(v) for v in ry.eigenvalues]
     # compare collapsed spectra with multiplicities, both sorted by image
-    def collapsed(images, rep):
-        pairs = list(zip(images, [sum(p) for p in rep.partitions]))
-        expanded = []
-        for mu, mult in pairs:
-            expanded.extend([mu] * mult)
-        return sort_desc(expanded)
-
-    cx, cy = collapsed(fx, rx), collapsed(fy, ry)
+    cx, cy = sort_desc(rx.repeated(fx)), sort_desc(ry.repeated(fy))
     if len(cx) != len(cy) or any(
         cmp_total(a, b) is not OrderOutcome.EQUAL for a, b in zip(cx, cy)
     ):

@@ -13,19 +13,21 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, combinations
 from operator import add
 from typing import Callable, Optional, Sequence
 
 from .errors import GradientUnavailable, NotWeaklyMajorized
 from .majorization import Majorization, int_majorization, majorize_check, majorize_sorted
 from .scalar import (
+    EXACT,
     OrderOutcome,
     TotalComplex,
     as_scalar,
     cmp_total,
     from_complex,
     one_like,
+    order_key,
     sort_desc,
 )
 
@@ -333,20 +335,21 @@ class MajorizationPreserveResult:
 
 def _pointwise_monotonicity(points, images):
     """Classify a map on the given points, given their images: strictly
-    increasing, strictly decreasing, or neither, comparing the images of
-    every pair, larger point first."""
+    increasing, strictly decreasing, or neither.  Exact input is a strict
+    total order, so the images of neighbours among the distinct points,
+    sorted once, decide; float input compares the images of every pair,
+    larger point first, since eps-equality is not transitive."""
+    if all(z.backend == EXACT for z in (*points, *images)):
+        by_point = dict(zip(map(order_key, points), map(order_key, images)))
+        fs = [by_point[p] for p in sorted(by_point, reverse=True)]
+        return all(a > b for a, b in zip(fs, fs[1:])), all(a < b for a, b in zip(fs, fs[1:]))
     inc = dec = True
-    for a_idx in range(len(points)):
-        for b_idx in range(a_idx + 1, len(points)):
-            order = cmp_total(points[a_idx], points[b_idx])
-            if order is OrderOutcome.EQUAL:
-                continue
-            fa, fb = images[a_idx], images[b_idx]
-            c = cmp_total(fa, fb) if order is OrderOutcome.GREATER else cmp_total(fb, fa)
-            if c is not OrderOutcome.GREATER:
-                inc = False
-            if c is not OrderOutcome.LESS:
-                dec = False
+    for (p, fp), (q, fq) in combinations(zip(points, images), 2):
+        order = cmp_total(p, q)
+        if order is not OrderOutcome.EQUAL:
+            c = cmp_total(fp, fq) if order is OrderOutcome.GREATER else cmp_total(fq, fp)
+            inc = inc and c is OrderOutcome.GREATER
+            dec = dec and c is OrderOutcome.LESS
     return inc, dec
 
 

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -39,7 +40,7 @@ from .linalg import (
     row_basis_float,
     spectral_norm,
 )
-from .majorization import prefix_outcomes
+from .majorization import prefix_outcomes, sum_outcomes
 from .partitions import Partition, as_partition, dominance_check, merge_desc
 from .scalar import (
     EXACT, FLOAT, OrderOutcome, TotalComplex, cmp_total, numerators, one_like, sort_desc_items,
@@ -94,13 +95,25 @@ class SNRepresentation:
     def dimension(self) -> int:
         return sum(sum(p) for p in self.partitions)
 
+    def repeated(self, values) -> list:
+        """One value per eigenvalue, each repeated by its algebraic multiplicity."""
+        return [v for v, part in zip(values, self.partitions) for _ in range(sum(part))]
+
     @property
     def spectral_vector(self) -> tuple:
-        """Each eigenvalue repeated by its algebraic multiplicity."""
-        out = []
-        for lam, part in zip(self.eigenvalues, self.partitions):
-            out.extend([lam] * sum(part))
-        return tuple(out)
+        return tuple(self.repeated(self.eigenvalues))
+
+    @cached_property
+    def _int_prefix(self):
+        """(d, running re sums, running im sums) of the spectral vector's
+        :func:`scalar.numerators` pairs over d, or None on the float backend:
+        computed once, and not a field, so ==, hash and JSON are unchanged."""
+        cleared = numerators(self.eigenvalues)
+        if cleared is None:
+            return None
+        entries = self.repeated(cleared[1])
+        return cleared[0], tuple(accumulate(a for a, _ in entries)), tuple(
+            accumulate(b for _, b in entries))
 
     def max_block(self) -> int:
         return max(max(p) for p in self.partitions)
@@ -287,6 +300,28 @@ def compare_nilpotent(a: Sequence[Partition], b: Sequence[Partition]) -> SNOVerd
     return SNOVerdict.EQUAL
 
 
+def _spectral_outcomes(rx: SNRepresentation, ry: SNRepresentation) -> tuple:
+    """(outcomes, spectra_equal) of the running sums of two spectral vectors,
+    which are sorted already.  Exact forms compare (a*d_y, b*d_y) with
+    (c*d_x, e*d_x), and equal spectra have equal forms.  Float and mixed
+    pairs run :func:`majorization.prefix_outcomes`; float eps acts on sums,
+    not entries, so float spectra are compared entry by entry."""
+    px, py = rx._int_prefix, ry._int_prefix
+    if px is None or py is None:
+        sx, sy = rx.spectral_vector, ry.spectral_vector
+        if len(sx) != len(sy):
+            raise DimensionMismatch(f"dimension {len(sx)} vs {len(sy)}")
+        outcomes = prefix_outcomes(sx, sy)
+        return outcomes, all(cmp_total(a, b) is OrderOutcome.EQUAL for a, b in zip(sx, sy))
+    (dx, xre, xim), (dy, yre, yim) = px, py
+    if len(xre) != len(yre):
+        raise DimensionMismatch(f"dimension {len(xre)} vs {len(yre)}")
+    if dx != dy:
+        xre, xim = [a * dy for a in xre], [b * dy for b in xim]
+        yre, yim = [c * dx for c in yre], [e * dx for e in yim]
+    return sum_outcomes(xre, xim, yre, yim), px == py
+
+
 def compare_sno(rx: SNRepresentation, ry: SNRepresentation) -> SNOVerdict:
     """Spectral-then-nilpotent order.
 
@@ -294,19 +329,7 @@ def compare_sno(rx: SNRepresentation, ry: SNRepresentation) -> SNOVerdict:
     to the nilpotent comparison.  STRICT_LESS on the spectral level is
     reserved for strictly smaller prefix sums at every index.
     """
-    sx, sy = rx.spectral_vector, ry.spectral_vector
-    if len(sx) != len(sy):
-        raise DimensionMismatch(f"dimension {len(sx)} vs {len(sy)}")
-    # Spectral vectors are non-increasing already, so their prefix sums
-    # decide weak majorization without sorting.
-    outcomes = prefix_outcomes(sx, sy)
-    # Exact entries are differences of consecutive running sums, so all-EQUAL
-    # outcomes mean equal spectra; float eps acts on the sums, not on the
-    # entries, so float spectra are compared entry by entry.
-    if sx and sx[0].backend == FLOAT:
-        same = all(cmp_total(a, b) is OrderOutcome.EQUAL for a, b in zip(sx, sy))
-    else:
-        same = all(c is OrderOutcome.EQUAL for c in outcomes)
+    outcomes, same = _spectral_outcomes(rx, ry)
     if same:
         return compare_nilpotent(rx.partitions, ry.partitions)
     if OrderOutcome.GREATER in outcomes:

@@ -1,10 +1,13 @@
+import contextlib
 import copy
 import functools
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -552,6 +555,13 @@ def test_convexity_rejects_weights_outside_unit_interval(tmp_path, capsys, weigh
     assert [p["t"] for p in out["points"]] == ["0", "1"]
 
 
+def test_convexity_refuses_an_oracle_function(tmp_path, capsys):
+    f = write(tmp_path, "f.json", {"oracle": "exp"})
+    a = write(tmp_path, "a.json", {"rows": [[sc(0.0, 0.0)]]})
+    err = assert_input_error(capsys, ["--backend", "float", "convexity", f, a, a])
+    assert f in err and "polynomial" in err
+
+
 @pytest.mark.parametrize("a_shape, b_shape", [((1, 2), (3, 3)), ((2, 2), (3, 3))])
 def test_convexity_rejects_shape_mismatch(tmp_path, capsys, a_shape, b_shape):
     def zeros(m, n):
@@ -702,3 +712,141 @@ print(json.dumps({"before": before, "shape": list(arr.shape),
     assert report["shape"] == [2, 2]
     assert report["partitions"] == [[1], [1]]
     assert report["max_residual"] < 1e-10
+
+
+# -- every subcommand on valid documents: exit 0 or 3, never a crash -------
+
+
+def _quarters():
+    return st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 4]))
+
+
+def _values(n):
+    """n complex values with real and imaginary parts in multiples of 1/4."""
+    part = st.one_of(st.just(Fraction(0)), _quarters())
+    return st.lists(st.tuples(_quarters(), part), min_size=n, max_size=n)
+
+
+@st.composite
+def _scalars(draw, backend, values):
+    """values as scalar documents: rational strings on exact; on float, the
+    same values, each part off by a jitter of up to 2e-9."""
+    if backend == "exact":
+        return [sc(str(re), str(im)) for re, im in values]
+    jitter = st.sampled_from([0.0, 0.0, 1e-9, -2e-9, 2.0 ** -40])
+    return [sc(float(re) + draw(jitter), float(im) + draw(jitter)) for re, im in values]
+
+
+@st.composite
+def _spec(draw, backend, n):
+    """A Jordan spec of dimension n; its eigenvalues come from a pool of
+    three, so blocks at one eigenvalue often merge."""
+    pool = draw(_values(3))
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(draw(st.integers(1, n - sum(sizes))))
+    lams = draw(_scalars(backend, [draw(st.sampled_from(pool)) for _ in sizes]))
+    return {"blocks": [{"eigenvalue": lam, "sizes": [s]} for lam, s in zip(lams, sizes)]}
+
+
+@st.composite
+def _function(draw, backend, oracles=True):
+    if backend == "float" and oracles and draw(st.booleans()):
+        return {"oracle": draw(st.sampled_from(["exp", "sin", "cos"]))}
+    coeffs = draw(_scalars(backend, draw(_values(draw(st.integers(1, 3))))))
+    return {"polynomial": {"coefficients": coeffs}}
+
+
+@st.composite
+def _matrix(draw, backend, n, triangular=False):
+    """An n x n matrix; a triangular one, with its indices permuted, comes
+    with its diagonal in random order as its eigenvalues."""
+    vals = draw(_values(n * n))
+    rows = [vals[i * n:(i + 1) * n] for i in range(n)]
+    if triangular:
+        rows = [[z if j >= i else (Fraction(0), Fraction(0)) for j, z in enumerate(row)]
+                for i, row in enumerate(rows)]
+        perm = draw(st.permutations(range(n)))
+        rows = [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    doc = {"rows": [draw(_scalars(backend, row)) for row in rows]}
+    diag = draw(st.permutations([rows[i][i] for i in range(n)]))
+    return doc, draw(_scalars(backend, diag))
+
+
+@st.composite
+def _cli_run(draw, backend, sub):
+    """(argv, files): one valid run of sub, files being the documents that
+    argv names by key."""
+    n = draw(st.integers(1, 4))
+    m = n if draw(st.integers(0, 5)) else draw(st.integers(1, 4))  # mostly equal sizes
+    files = {}
+    if sub == "majorize":
+        y, x = draw(_values(n)), draw(_values(m))
+        if n > 1 and draw(st.booleans()):  # y with two entries averaged: majorized by y
+            i, j = draw(st.permutations(range(n)))[:2]
+            mid = tuple((a + b) / 2 for a, b in zip(y[i], y[j]))
+            x = [mid if k in (i, j) else z for k, z in enumerate(y)]
+        files = {"x": draw(_scalars(backend, x)), "y": draw(_scalars(backend, y))}
+        argv = ["majorize", "x", "y"] + (["--decompose"] if draw(st.booleans()) else [])
+    elif sub in ("compare", "monotone"):
+        files = {"x": draw(_spec(backend, n)), "y": draw(_spec(backend, m))}
+        argv = [sub, "x", "y"]
+        if sub == "monotone":
+            files["f"] = draw(_function(backend))
+            argv = [sub, "f", "x", "y"]
+    elif sub == "repr":
+        if draw(st.booleans()):
+            files = {"s": draw(_spec(backend, n))}
+            argv = ["repr", "--spec", "s"]
+        else:
+            files["m"], files["ev"] = draw(_matrix(backend, n, draw(st.integers(0, 3)) > 0))
+            if draw(st.integers(0, 4)) == 0:
+                files["ev"] = files["ev"][1:] or files["ev"]
+            argv = ["repr", "--matrix", "m", "--eigenvalues", "ev"]
+    elif sub == "fmap":
+        files = {"f": draw(_function(backend)), "s": draw(_spec(backend, n))}
+        argv = ["fmap", "f", "s"]
+    elif sub == "gdod":
+        part = st.lists(st.integers(1, 4), max_size=4).map(lambda p: sorted(p, reverse=True))
+        files = {"p": draw(part), "q": draw(part)}
+        argv = ["gdod", "p", "q"]
+    elif sub == "schur":
+        argv = ["schur", "--func", draw(st.sampled_from(["sum_sq", "neg_sum_sq"])),
+                "--n", str(min(n, 3)), "--trials", str(draw(st.integers(0, 30))),
+                "--samples", str(draw(st.integers(0, 3)))]
+        if draw(st.booleans()):
+            files = {"box": {"c1": draw(st.sampled_from([0, 0.5, 1])),
+                             "c2": draw(st.sampled_from([-1, 0])),
+                             "c3": draw(st.sampled_from([0, 0.5]))}}
+            argv += ["--box", "box"]
+    else:  # convexity, which needs f(A), so a polynomial
+        k = min(n, 2)
+        files = {"f": draw(_function(backend, oracles=False)),
+                 "a": draw(_matrix(backend, k, draw(st.booleans())))[0],
+                 "b": draw(_matrix(backend, k, draw(st.booleans())))[0]}
+        argv = ["convexity", "f", "a", "b"]
+        if draw(st.booleans()):
+            argv += ["-t", ",".join(draw(st.lists(st.sampled_from(["0", "1/4", "1/2", "1"]),
+                                                  min_size=1, max_size=3)))]
+    return argv, files
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("sub", ["majorize", "compare", "repr", "fmap", "gdod", "schur",
+                                 "convexity", "monotone"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_valid_documents_exit_0_or_3_with_one_line_of_stderr(backend, sub, data):
+    # In-process through main(): an exception escaping it fails the test.
+    argv, files = data.draw(_cli_run(backend, sub))
+    with tempfile.TemporaryDirectory() as tmp:
+        for key, doc in files.items():
+            (Path(tmp) / f"{key}.json").write_text(json.dumps(doc))
+        argv = [str(Path(tmp) / f"{a}.json") if a in files else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--backend", backend, *argv])
+    assert code in (0, 3), err.getvalue()
+    assert err.getvalue().count("\n") <= 1
+    if code == 0:
+        json.loads(out.getvalue())

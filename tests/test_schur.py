@@ -2,17 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from snorder import Majorization, OrderOutcome, cmp_total, exact, poly, schur, sort_desc
 from snorder.errors import NotWeaklyMajorized
 from snorder.majorization import TTransform, majorize_sorted, t_transform_apply
-from snorder.scalar import from_complex
+from snorder.scalar import TotalComplex, approx, from_complex, one_like
 from snorder.schur import (
     DEFAULT_SEED,
     DomainBox,
     MajorizationCert,
     Prop,
     SymmetricFunction,
+    _pointwise_monotonicity,
     _random_majorized_pair,
     cdm_condition_check,
     compose_table1,
@@ -245,3 +247,76 @@ def test_majorization_preserving_check_evaluates_f_once_per_point():
     res = majorization_preserving_check(counting, x, y)
     assert len(calls) == len(x) + len(y)
     assert res == majorization_preserving_check(square, x, y)
+
+
+# -- pointwise monotonicity: sorted neighbours on exact points --------------
+
+
+def pairwise_monotonicity(points, images):
+    """The images of every pair of points compared, larger point first."""
+    inc = dec = True
+    for a_idx in range(len(points)):
+        for b_idx in range(a_idx + 1, len(points)):
+            order = cmp_total(points[a_idx], points[b_idx])
+            if order is OrderOutcome.EQUAL:
+                continue
+            fa, fb = images[a_idx], images[b_idx]
+            c = cmp_total(fa, fb) if order is OrderOutcome.GREATER else cmp_total(fb, fa)
+            if c is not OrderOutcome.GREATER:
+                inc = False
+            if c is not OrderOutcome.LESS:
+                dec = False
+    return inc, dec
+
+
+MAPS = {
+    "identity": lambda z: z,
+    "negation": lambda z: -z,
+    "square": lambda z: z * z,
+    "shift": lambda z: z + one_like(z),
+    "constant": lambda z: one_like(z),
+    "real part": lambda z: TotalComplex(z.re, 0 * z.im),  # not injective on complex points
+}
+_QUARTERS = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 4]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=st.lists(st.builds(exact, _QUARTERS, st.one_of(st.just(Fraction(0)), _QUARTERS)),
+                     min_size=1, max_size=5),
+       data=st.data())
+def test_exact_pointwise_monotonicity_matches_the_pairwise_loop(pool, data):
+    points = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))  # duplicates
+    name = data.draw(st.sampled_from([*MAPS, "table"]))
+    if name == "table":  # any map on the pool, constant and non-injective ones included
+        images = dict(zip(pool, data.draw(st.lists(st.sampled_from(pool), min_size=len(pool),
+                                                   max_size=len(pool)))))
+        f = images.__getitem__
+    else:
+        f = MAPS[name]
+    images = [f(z) for z in points]
+    assert _pointwise_monotonicity(points, images) == pairwise_monotonicity(points, images)
+
+
+def test_pointwise_monotonicity_on_one_point_and_its_copies():
+    z = exact(1, -1)
+    assert _pointwise_monotonicity([z], [z * z]) == (True, True)
+    assert _pointwise_monotonicity([z, z, z], [z * z] * 3) == (True, True)
+
+
+def test_float_points_compare_every_pair():
+    # 0 and 1.2e-9 differ by more than eps, each is within eps of 6e-10, so
+    # only that pair counts: sorted neighbours would read (False, False).
+    points = [approx(0.0), approx(6e-10), approx(1.2e-9)]
+    images = [approx(0.0), approx(5.0), approx(1.0)]
+    assert _pointwise_monotonicity(points, images) == (True, False)
+    assert pairwise_monotonicity(points, images) == (True, False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=st.lists(st.tuples(st.integers(-4, 4), st.sampled_from([0.0, 4e-10, -7e-10])),
+                      min_size=1, max_size=6),
+       name=st.sampled_from(sorted(MAPS)))
+def test_float_pointwise_monotonicity_is_the_pairwise_loop(parts, name):
+    points = [approx(k / 2 + jitter, jitter) for k, jitter in parts]
+    images = [MAPS[name](z) for z in points]
+    assert _pointwise_monotonicity(points, images) == pairwise_monotonicity(points, images)

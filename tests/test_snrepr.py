@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +9,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from snorder import (
     JordanSpec,
+    OrderOutcome,
     Matrix,
     SNOVerdict,
     approx,
     assemble,
     canonical_repr,
+    cmp_total,
     compare_nilpotent,
     compare_sno,
     exact,
@@ -36,9 +39,11 @@ from snorder.linalg import (
     row_basis_exact,
     row_basis_float,
 )
+from snorder import scalar
+from snorder.majorization import prefix_outcomes
 from snorder.matfunc import f_of_jordan_spec, repr_of_fx
 from snorder.partitions import as_partition
-from snorder.serialization import InputFormatError, jordan_spec_from_json
+from snorder.serialization import InputFormatError, jordan_spec_from_json, snrepr_to_json
 from snorder.snrepr import jordan_matrix
 
 
@@ -578,3 +583,118 @@ def test_compare_sno_incomparable_spectra():
 def test_compare_sno_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         compare_sno(rep_of((exact(0), (1,))), rep_of((exact(0), (2,))))
+
+
+# -- compare_sno on the integer prefix form ---------------------------------
+
+
+def reference_compare(rx, ry):
+    """compare_sno as decided from the spectral vectors themselves:
+    prefix_outcomes on them, and equal spectra read entry by entry on float,
+    from all-EQUAL outcomes on exact."""
+    sx, sy = rx.spectral_vector, ry.spectral_vector
+    if len(sx) != len(sy):
+        raise DimensionMismatch(f"dimension {len(sx)} vs {len(sy)}")
+    outcomes = prefix_outcomes(sx, sy)
+    if sx and sx[0].backend == "float":
+        same = all(cmp_total(a, b) is OrderOutcome.EQUAL for a, b in zip(sx, sy))
+    else:
+        same = all(c is OrderOutcome.EQUAL for c in outcomes)
+    if same:
+        return compare_nilpotent(rx.partitions, ry.partitions)
+    if OrderOutcome.GREATER in outcomes:
+        return SNOVerdict.INCOMPARABLE
+    if all(c is OrderOutcome.LESS for c in outcomes):
+        return SNOVerdict.STRICT_LESS
+    return SNOVerdict.WEAK_LESS
+
+
+def verdict_or_error(compare, rx, ry):
+    try:
+        return compare(rx, ry)
+    except (BackendMismatch, DimensionMismatch) as err:
+        return type(err), str(err)
+
+
+_PARTS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 6]))
+_EIGENVALUES = st.builds(exact, _PARTS, st.one_of(st.just(Fraction(0)), _PARTS))
+
+
+@st.composite
+def partition_of(draw, n):
+    parts = []
+    while sum(parts) < n:
+        parts.append(draw(st.integers(1, n - sum(parts))))
+    return tuple(sorted(parts, reverse=True))
+
+
+@st.composite
+def exact_spec_pairs(draw):
+    """Two exact specs of one dimension over a shared pool of eigenvalues with
+    mixed denominators; half the time the second has the first's spectrum
+    with each multiplicity split anew."""
+    n = draw(st.integers(1, 6))
+    pool = draw(st.lists(_EIGENVALUES, min_size=1, max_size=3))
+
+    def spec():
+        return JordanSpec.of(*[(draw(st.sampled_from(pool)), (s,)) for s in draw(partition_of(n))])
+
+    x = spec()
+    if draw(st.booleans()):
+        rep = canonical_repr(x)
+        return x, JordanSpec.of(*[(lam, draw(partition_of(sum(part))))
+                                  for lam, part in zip(rep.eigenvalues, rep.partitions)])
+    return x, spec()
+
+
+def as_float_spec(spec):
+    return JordanSpec(tuple((approx(float(lam.re), float(lam.im)), sizes)
+                            for lam, sizes in spec.blocks))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=exact_spec_pairs(), x_first=st.booleans())
+def test_exact_compare_matches_the_spectral_vector_reference(pair, x_first):
+    sx, sy = pair
+    expected = tuple(reference_compare(*p) for p in (
+        (canonical_repr(sx), canonical_repr(sy)), (canonical_repr(sy), canonical_repr(sx))))
+    rx, ry = canonical_repr(sx), canonical_repr(sy)
+    before = [(hash(r), snrepr_to_json(r)) for r in (rx, ry)]
+    if x_first:  # whichever representation's form is read first
+        got = compare_sno(rx, ry), compare_sno(ry, rx)
+    else:
+        got = tuple(reversed((compare_sno(ry, rx), compare_sno(rx, ry))))
+    assert got == expected
+    assert rx == canonical_repr(sx) and ry == canonical_repr(sy)
+    assert [(hash(r), snrepr_to_json(r)) for r in (rx, ry)] == before
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=exact_spec_pairs())
+def test_float_mixed_and_unequal_pairs_answer_as_the_reference_does(pair):
+    sx, sy = pair
+    wider = JordanSpec(sx.blocks + ((exact(0), (1,)),))
+    specs = [sx, sy, as_float_spec(sx), as_float_spec(sy), wider, as_float_spec(wider)]
+    for a, b in itertools.permutations(specs, 2):
+        rx, ry = canonical_repr(a), canonical_repr(b)
+        got = verdict_or_error(compare_sno, rx, ry)
+        assert got == verdict_or_error(reference_compare, canonical_repr(a), canonical_repr(b))
+        assert isinstance(got, SNOVerdict) or got[0] in (BackendMismatch, DimensionMismatch)
+
+
+def test_compare_clears_each_exact_representation_once(monkeypatch):
+    rx = rep_of((exact(Fraction(1, 2), 1), (2, 1)), (exact(Fraction(-1, 3)), (1,)))
+    ry = rep_of((exact(Fraction(3, 4)), (2,)), (exact(0, Fraction(1, 6)), (1, 1)))
+    calls, numerators = [], scalar.numerators
+
+    def counting(values):
+        calls.append(tuple(values))
+        return numerators(calls[-1])
+
+    # Every module that reads numerators, so no route to it goes uncounted.
+    for mod in [m for name, m in sys.modules.items() if name.startswith("snorder")]:
+        if getattr(mod, "numerators", None) is numerators:
+            monkeypatch.setattr(mod, "numerators", counting)
+    verdicts = {(compare_sno(rx, ry), compare_sno(ry, rx)) for _ in range(50)}
+    assert verdicts == {(SNOVerdict.INCOMPARABLE, SNOVerdict.INCOMPARABLE)}
+    assert len(calls) <= 2
