@@ -136,7 +136,12 @@ def merge_equal(pairs: Iterable[tuple]) -> list:
 def canonical_repr(spec: JordanSpec) -> SNRepresentation:
     """Merge equal eigenvalues (:func:`merge_equal`) and their partitions."""
     pairs = sort_desc_items((lam, as_partition(sizes)) for lam, sizes in spec.blocks)
-    return SNRepresentation.from_groups(merge_equal(pairs))
+    groups = merge_equal(pairs)
+    if len(groups) < len(pairs):
+        # Float eps-equality is not transitive, so a merged group's head can
+        # sit out of sort_desc_items order among the other heads: sort again.
+        groups = sort_desc_items(groups)
+    return SNRepresentation.from_groups(groups)
 
 
 def jordan_matrix(spec: JordanSpec) -> Matrix:
