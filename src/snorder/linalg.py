@@ -1,22 +1,27 @@
 """Small dense matrices over total-order complex scalars.
 
-Exact matrices hold Fraction-backed scalars.  Exact kernels work on rows of
-the (re, im) integer pairs of :func:`scalar.numerators`, on which products,
-fraction-free (Bareiss) ranks and row-space bases (``row_basis_exact``) need
-no Fraction arithmetic.  The float row-space basis (``row_basis_float``)
-comes from numpy's SVD with an explicit singular-value gap check; numpy is
-imported by the float helpers only, so exact work never loads it.
+An exact matrix holds rows of Fraction-backed scalars, its
+:func:`scalar.numerators` form (d, rows of (re, im) integer pairs), or both:
+built from either (``from_rows``, ``from_numerators``), it derives the other
+once, on first read.  Exact kernels work on the integer rows, on which
+products, fraction-free (Bareiss) ranks and row-space bases
+(``row_basis_exact``) need no Fraction arithmetic.  The float row-space basis
+(``row_basis_float``) comes from numpy's SVD with an explicit singular-value
+gap check; numpy is imported by the float helpers only, so exact work never
+loads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
+from fractions import Fraction
+from functools import cached_property, reduce
+from itertools import chain
+from math import gcd
 from operator import add, mul
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import BackendMismatch, DimensionMismatch, RankAmbiguous, SingularTransform
-from .scalar import EXACT, TotalComplex, approx, numerators, one_like
+from .scalar import EXACT, TotalComplex, numerators, one_like
 
 if TYPE_CHECKING:
     import numpy as np
@@ -25,14 +30,15 @@ SVD_TOL = 1e-8
 SVD_GAP = 10.0
 
 
-@dataclass(frozen=True)
 class Matrix:
-    rows: tuple
+    """A matrix, never changed once built.  Built from its rows or its
+    integer form, it derives the other on first read and keeps it; matrices
+    compare and hash by their rows, whichever form built them."""
 
-    def __post_init__(self):
-        widths = {len(r) for r in self.rows}
-        if len(widths) > 1:
+    def __init__(self, rows: tuple):
+        if len({len(r) for r in rows}) > 1:
             raise DimensionMismatch("ragged rows")
+        self.rows = rows
 
     # -- constructors --------------------------------------------------
 
@@ -41,24 +47,57 @@ class Matrix:
         return Matrix(tuple(tuple(r) for r in rows))
 
     @staticmethod
+    def from_numerators(d: int, rows) -> "Matrix":
+        """The exact matrix of entries (re + i im) / d for the (re, im)
+        integer pairs of rows; d > 0 need not be the least denominator."""
+        rows = tuple(tuple(row) for row in rows)
+        if len({len(r) for r in rows}) > 1:
+            raise DimensionMismatch("ragged rows")
+        g = gcd(d, *chain.from_iterable(chain.from_iterable(rows))) if d != 1 else 1
+        m = Matrix.__new__(Matrix)
+        m.int_form = d // g, rows if g == 1 else tuple(
+            tuple((a // g, b // g) for a, b in row) for row in rows)
+        return m
+
+    @staticmethod
     def identity(n: int, backend: str = EXACT) -> "Matrix":
         zero = TotalComplex.zero(backend)
         one = one_like(zero)
         return Matrix(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
 
-    @staticmethod
-    def from_numpy(a: np.ndarray) -> "Matrix":
-        import numpy as np
+    # -- the two forms ----------------------------------------------------
 
-        return Matrix.from_rows(
-            [[approx(float(z.real), float(z.imag)) for z in row] for row in np.atleast_2d(a)]
-        )
+    @cached_property
+    def rows(self) -> tuple:
+        d, rows = self.int_form
+        return tuple(tuple(TotalComplex(Fraction(a, d), Fraction(b, d)) for a, b in row)
+                     for row in rows)
+
+    @cached_property
+    def int_form(self):
+        """(d, rows of (re, im) integer pairs): the :func:`scalar.numerators`
+        form of the entries, row by row; None unless every entry is exact."""
+        cleared = numerators(chain.from_iterable(self.rows))
+        if cleared is None:
+            return None
+        n, pairs = self.shape[1], cleared[1]
+        return cleared[0], tuple(tuple(pairs[i * n:i * n + n]) for i in range(len(self.rows)))
+
+    def __eq__(self, other):
+        return isinstance(other, Matrix) and self.rows == other.rows
+
+    def __hash__(self):
+        return hash(self.rows)
+
+    def __repr__(self):
+        return f"Matrix(rows={self.rows!r})"
 
     # -- shape ----------------------------------------------------------
 
     @property
     def shape(self) -> tuple:
-        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
+        rows = self.rows if "rows" in vars(self) else self.int_form[1]
+        return (len(rows), len(rows[0]) if rows else 0)
 
     @property
     def is_square(self) -> bool:
@@ -67,7 +106,7 @@ class Matrix:
 
     @property
     def backend(self) -> str:
-        return self.rows[0][0].backend
+        return self.rows[0][0].backend if "rows" in vars(self) else EXACT
 
     # -- arithmetic -------------------------------------------------------
 
@@ -129,11 +168,6 @@ class Matrix:
 
         return np.array([[a.to_complex() for a in row] for row in self.rows], dtype=complex)
 
-    def frobenius_norm(self) -> float:
-        import numpy as np
-
-        return float(np.linalg.norm(self.to_numpy()))
-
 
 def block_diag(blocks: Sequence[Matrix]) -> Matrix:
     n = sum(b.shape[0] for b in blocks)
@@ -151,15 +185,15 @@ def block_diag(blocks: Sequence[Matrix]) -> Matrix:
 
 
 def gaussian_int_rows(mat: Matrix):
-    """(rows, mul): mat scaled by mul, the common denominator of its entries,
-    as rows of :func:`scalar.numerators` pairs.  Scaling by a nonzero
-    constant changes no rank, of mat or of its powers."""
-    cleared = numerators(a for row in mat.rows for a in row)
-    if cleared is None:
+    """(rows, mul): mat scaled by mul, the least common denominator of its
+    entries, as fresh lists of :func:`scalar.numerators` pairs read from its
+    integer form, so a kernel that mutates them leaves mat as it was.
+    Scaling by a nonzero constant changes no rank, of mat or of its powers."""
+    form = mat.int_form
+    if form is None:
         raise BackendMismatch("exact kernel given a float entry")
-    mul, pairs = cleared
-    n = mat.shape[1]
-    return [pairs[i * n:i * n + n] for i in range(len(mat.rows))], mul
+    mul, rows = form
+    return [list(row) for row in rows], mul
 
 
 def diagonal_blocks(rows) -> list:
@@ -189,10 +223,6 @@ def gaussian_int_matmul(a, b):
                     si[j] += xr * yi + xi * yr
         out.append(list(zip(sr, si)))
     return out
-
-
-def rank_exact(mat: Matrix) -> int:
-    return rank_gaussian_int_rows(gaussian_int_rows(mat)[0])
 
 
 def rank_gaussian_int_rows(rows) -> int:

@@ -4,17 +4,18 @@ Everything here is read off one object per (f, lambda): the Taylor
 coefficients f^(q)(lambda)/q!, which `taylor` returns for all q at once
 (a Taylor shift of the coefficients for polynomials, the derivative
 oracle for analytic functions).  At an exact point a bounded memo keeps,
-per (f, lambda), the longest prefix of the shift asked for so far, and
-f(lambda), eta and the f(J) blocks read what it holds.  Evaluating f on a
-Jordan block
-J_n(lambda) gives the upper triangular Toeplitz matrix whose q-th
-superdiagonal is the q-th coefficient, and the block structure of f(X)
-depends only on kappa, the first q >= 1 whose coefficient is nonzero:
-every block of size n splits into kappa nearly-equal pieces (ceil(n/kappa)
-and floor(n/kappa)).  This module provides the split in closed form, the
-independent rank-based oracle for it, the per-eigenvalue refinement, and
+per (f, lambda), the longest prefix of the shift asked for so far, both as
+the integer pairs the shift computes and as values; f(lambda) and eta read
+the values, and the exact f(J) blocks the integers, so an exact f(J) holds
+no Fraction entry.  Evaluating f on a Jordan block J_n(lambda) gives the
+upper triangular Toeplitz matrix whose q-th superdiagonal is the q-th
+coefficient, and the block structure of f(X) depends only on kappa, the
+first q >= 1 whose coefficient is nonzero: every block of size n splits
+into kappa nearly-equal pieces (ceil(n/kappa) and floor(n/kappa)).  This
+module provides the split in closed form, the per-eigenvalue refinement,
 the representation-level map f(X) together with the prefix-sum gap
-vectors it induces.
+vectors it induces, and the explicit f(J) that structure recovery checks
+it against.
 """
 
 from __future__ import annotations
@@ -29,8 +30,10 @@ from typing import Callable, Sequence, Union
 from .errors import IncomparableNilpotent, KappaNotFound, OutsideAnalyticityRadius
 from .linalg import Matrix, block_diag
 from .partitions import Partition, as_partition, merge_desc, prefix_gaps
-from .scalar import EXACT, TotalComplex, approx, exact, numerators, sort_desc_items, zero_like
-from .snrepr import SNRepresentation, merge_equal, repr_from_matrix
+from .scalar import (
+    EXACT, TotalComplex, approx, common_denominator, exact, numerators, sort_desc_items, zero_like,
+)
+from .snrepr import SNRepresentation, merge_equal
 
 DERIVATIVE_EPS = 1e-10
 # (f, lambda) pairs whose exact Taylor shift is kept: f(lambda), eta and the
@@ -70,32 +73,40 @@ class PolynomialFunction:
 
     def taylor(self, lam: TotalComplex, n: int) -> list:
         """f^(q)(lam)/q! for q < n; zero past the degree.  At exact points
-        they are read from the prefix that :func:`_shift_memo` holds for
-        (f, lam), which is shifted afresh, only as far as n asks, when it is
-        too short; so f(lam), eta and f(J_n(lam)) share one expansion, and
-        a one-off point costs what the shift to n does.  Float points shift
-        afresh, every call."""
+        they are read from the expansion that :func:`_shift_memo` holds for
+        (f, lam); so f(lam), eta and f(J_n(lam)) share one expansion.  Float
+        points shift afresh, every call."""
         if lam.backend == EXACT:
-            held = _shift_memo(self, lam)
-            if len(held) < min(n, self.degree + 1):
-                held[:] = self._shift(lam, n)
-            out = held[:n]
+            out = self._expansion(lam, n)[2][:n]
         else:
-            out = self._shift(lam, n)
+            out = [TotalComplex(a, b) for a, b in self._shift(lam, n)[1]]
         if n > len(out):
             out += [zero_like(lam)] * (n - len(out))
         return out
 
-    def _shift(self, lam: TotalComplex, n: int) -> list:
-        """f^(q)(lam)/q! for q < min(n, degree + 1), by a Taylor shift
-        (repeated synthetic division) of the coefficients to lam.
+    def _expansion(self, lam: TotalComplex, n: int) -> list:
+        """[den, pairs, values]: the longest prefix of the shift to the exact
+        point lam held for (f, lam), as integer pairs over den and as values.
+        When it is shorter than n asks it is shifted afresh, only as far as n
+        asks, so a one-off point costs what the shift to n does."""
+        held = _shift_memo(self, lam)
+        if not held or len(held[1]) < min(n, self.degree + 1):
+            den, pairs = self._shift(lam, n)
+            held[:] = den, pairs, [TotalComplex(Fraction(a, den), Fraction(b, den))
+                                   for a, b in pairs]
+        return held
+
+    def _shift(self, lam: TotalComplex, n: int) -> tuple:
+        """(den, pairs): f^(q)(lam)/q! = (re + i im) / den for the (re, im)
+        pairs, q < min(n, degree + 1), by a Taylor shift (repeated synthetic
+        division) of the coefficients to lam; den is 1 at float points.
 
         At exact points the shift runs on Gaussian integers: with
         lam = L / d and the coefficients c_k = C_k / D, both read from
         :func:`scalar.numerators` (D and the C_k once per polynomial), the
         scaled coefficients C_k d^(degree - k) are integers, shifting them by
-        L gives T_q = D d^(degree - q) f^(q)(lam)/q!, and each output is
-        divided once."""
+        L gives T_q = D d^(degree - q) f^(q)(lam)/q!, and the pairs are
+        T_q d^q over den = D d^degree."""
         deg = self.degree
         if lam.backend == EXACT:
             big_d, pairs = self._integral
@@ -104,7 +115,7 @@ class PolynomialFunction:
             re = [r * w for (r, _), w in zip(pairs, ws)]
             im = [m * w for (_, m), w in zip(pairs, ws)]
         else:
-            lr, li = lam.re, lam.im
+            big_d, ws, lr, li = 1, [1] * (deg + 1), lam.re, lam.im
             re = [float(c.re) for c in self.coefficients]
             im = [float(c.im) for c in self.coefficients]
         for i in range(min(n, deg)):
@@ -112,11 +123,8 @@ class PolynomialFunction:
                 r, s = re[k + 1], im[k + 1]
                 re[k] += lr * r - li * s
                 im[k] += lr * s + li * r
-        m = min(n, deg + 1)
-        if lam.backend == EXACT:
-            return [TotalComplex(Fraction(re[q], big_d * ws[q]), Fraction(im[q], big_d * ws[q]))
-                    for q in range(m)]
-        return [TotalComplex(re[q], im[q]) for q in range(m)]
+        return big_d * ws[0], [(re[q] * ws[deg - q], im[q] * ws[deg - q])
+                               for q in range(min(n, deg + 1))]
 
     def __call__(self, lam: TotalComplex) -> TotalComplex:
         return self.taylor(lam, 1)[0]
@@ -134,10 +142,11 @@ class PolynomialFunction:
 
 @lru_cache(maxsize=_SHIFT_MEMO_SIZE)
 def _shift_memo(f: PolynomialFunction, lam: TotalComplex) -> list:
-    """The longest prefix of the Taylor shift of f to the exact point lam
-    computed so far; `taylor` replaces it in place when it is too short and
-    returns copies, so no caller can change it.  The memo keys on exact
-    values (TotalComplex.__eq__ compares backends too)."""
+    """[den, pairs, values]: the longest prefix of the Taylor shift of f to
+    the exact point lam computed so far, empty at first; `_expansion`
+    replaces it in place when it is too short, and its readers copy or never
+    change it.  The memo keys on exact values (TotalComplex.__eq__ compares
+    backends too)."""
     return []
 
 
@@ -254,17 +263,6 @@ def split_block(n: int, kappa: int) -> tuple:
     return part, gaps
 
 
-def rank_oracle_split(n: int, kappa: int) -> Partition:
-    """Independent check of split_block: build the generic n x n banded
-    matrix whose lowest nonzero superdiagonal sits at offset kappa, and read
-    the block sizes off its rank sequence."""
-    if kappa >= n:
-        return tuple([1] * n)
-    coeffs = [exact(0)] * kappa + [exact(1)] * (n - kappa)
-    m = f_jordan_block(PolynomialFunction(tuple(coeffs)), exact(0), n)
-    return repr_from_matrix(m, [exact(0)]).partitions[0]
-
-
 def gdod_two_blocks(n1: int, n2: int, kappa: int, j: int) -> int:
     """Closed-form prefix-sum gap at index j between the merged split of two
     blocks (n1 >= n2) and the partition (n1, n2), without building either."""
@@ -335,13 +333,13 @@ def repr_of_fx(f: FunctionDescriptor, rx: SNRepresentation):
     group (ordered by decreasing f-image) and its original partition.
     Eigenvalue groups whose f-images collide are merged.
     """
-    items = []
+    groups = []
     for lam, part in zip(rx.eigenvalues, rx.partitions):
         mu, e = _image(f, lam, part)
-        items.append((mu, e, prefix_gaps(e, part, len(e))))
-    items = sort_desc_items(items)
-    gap_vectors = tuple(g for _, _, g in items)
-    rep = SNRepresentation.from_groups(merge_equal((mu, e) for mu, e, _ in items))
+        groups.append((mu, (e, prefix_gaps(e, part, len(e)))))
+    groups = merge_equal(groups)
+    gap_vectors = tuple(g for _, members in groups for _, g in members)
+    rep = SNRepresentation.from_groups([(mu, [e for e, _ in members]) for mu, members in groups])
     return rep, gap_vectors
 
 
@@ -349,12 +347,27 @@ def f_of_jordan_spec(f: FunctionDescriptor, rx: SNRepresentation) -> Matrix:
     """Explicit block-diagonal f(direct sum of Jordan blocks): the matrix
     oracle for repr_of_fx.  f(J_n(lambda)) is upper triangular Toeplitz, so
     each smaller block at lambda is a leading principal sub-block of the
-    largest, which is built once per eigenvalue."""
+    largest, which is built once per eigenvalue.  A polynomial at exact
+    eigenvalues lays out the integer pairs of its held expansions over one
+    common denominator: the matrix holds no Fraction entry until its rows
+    are read."""
+    spec = [(lam, part) for lam, part in zip(rx.eigenvalues, rx.partitions) if part]
+    if isinstance(f, PolynomialFunction) and spec[0][0].backend == EXACT:
+        held = [f._expansion(lam, max(part)) for lam, part in spec]
+        d, scales = common_denominator(*(den for den, _, _ in held))
+        zero, n, off, rows = ((0, 0),), rx.dimension, 0, []
+        for (_, pairs, _), s, (_, part) in zip(held, scales, spec):
+            t = tuple(pairs) if s == 1 else tuple((a * s, b * s) for a, b in pairs)
+            t += zero * max(part)
+            for size in part:
+                rows += [zero * (off + i) + t[:size - i] + zero * (n - off - size)
+                         for i in range(size)]
+                off += size
+        return Matrix.from_numerators(d, rows)
     blocks = []
-    for lam, part in zip(rx.eigenvalues, rx.partitions):
-        if part:
-            rows = f_jordan_block(f, lam, max(part)).rows
-            blocks.extend(Matrix(tuple(row[:size] for row in rows[:size])) for size in part)
+    for lam, part in spec:
+        rows = f_jordan_block(f, lam, max(part)).rows
+        blocks.extend(Matrix(tuple(row[:size] for row in rows[:size])) for size in part)
     return block_diag(blocks)
 
 

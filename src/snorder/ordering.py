@@ -15,20 +15,16 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from operator import add
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import (
     ContractionViolated,
-    DimensionMismatch,
     KappaNotFound,
-    NotAProjection,
     NotSNOrdered,
     SnorderError,
     SpectrumUnavailable,
 )
-from .linalg import Matrix, block_diag, spectral_norm
+from .linalg import Matrix, spectral_norm
 from .matfunc import (
     FunctionDescriptor,
     PolynomialFunction,
@@ -46,7 +42,6 @@ from .scalar import (
     exact,
     one_like,
     sort_desc,
-    zero_like,
 )
 from .snrepr import SNOVerdict, SNRepresentation, _spectral_outcomes, compare_sno, repr_from_matrix
 
@@ -261,10 +256,6 @@ class ConvexityReport:
             for p in self.points
         )
 
-    @property
-    def witnesses(self) -> list:
-        return [p for p in self.points if p.greater]
-
 
 def convexity_check(
     f: PolynomialFunction, a: Matrix, b: Matrix, ts: Sequence
@@ -354,88 +345,3 @@ def hp_identities_check(c: np.ndarray, x: np.ndarray, t: float) -> dict:
         "p_idempotent": float(np.linalg.norm(p @ p - p)),
         "p_hermitian": float(np.linalg.norm(p - p.conj().T)),
     }
-
-
-# -- pinching / congruence item checks ----------------------------------------
-
-
-@dataclass(frozen=True)
-class ItemCheck:
-    item: int
-    verdict_raw: Optional[SNOVerdict]
-    verdict_shifted: Optional[SNOVerdict]
-    error: Optional[str] = None
-
-
-def _shifted(f: PolynomialFunction) -> PolynomialFunction:
-    """f - f(0): pin the origin so congruence by a strict contraction has a
-    chance of preserving the order."""
-    coeffs = list(f.coefficients)
-    coeffs[0] = zero_like(coeffs[0])
-    return PolynomialFunction(tuple(coeffs))
-
-
-def hp_item_checks(
-    f: PolynomialFunction,
-    xs: Sequence[Matrix],
-    cs: Sequence[Matrix],
-    p: Optional[Matrix] = None,
-) -> list:
-    """Probe the three congruence/pinching comparisons that characterize
-    operator convexity on concrete inputs, with both the raw f and the
-    origin-pinned f - f(0).
-
-    Item 2: f(C* X C) vs C* f(X) C for a single contraction.
-    Item 3: f(sum C_i* X_i C_i) vs sum C_i* f(X_i) C_i for a contractive
-    column (checked against the explicit stacked-block assembly).
-    Item 4: pinching by a projection P mixing X and Y.
-    Needs at least one C and at least as many Xs as Cs.
-    """
-    if not cs or len(xs) < len(cs):
-        raise DimensionMismatch(f"need a C and an X per C, got {len(cs)} Cs and {len(xs)} Xs")
-    results = []
-    n = cs[0].shape[0]
-    gram = reduce(add, (c.conj_transpose() @ c for c in cs))
-    if spectral_norm(gram.to_numpy()) > 1.0 + HP_TOL:
-        raise ContractionViolated("sum of C_i* C_i exceeds the identity")
-
-    def congruence(item, mats):
-        """Item 2's C* M C, item 3's sum of C_i* M_i C_i, or item 4's
-        pinching P M_1 P + Q M_2 Q, taking each M from the iterator mats."""
-        if item == 4:
-            q = Matrix.identity(n, p.backend) - p
-            return (p @ next(mats) @ p) + (q @ next(mats) @ q)
-        return reduce(add, (c.conj_transpose() @ m @ c
-                            for c, m in zip(cs[:1] if item == 2 else cs, mats)))
-
-    items = [2, 3] + ([4] if p is not None else [])
-    if p is not None:
-        pp = p @ p - p
-        if pp.frobenius_norm() > HP_TOL or (p - p.conj_transpose()).frobenius_norm() > HP_TOL:
-            raise NotAProjection("p fails P^2 = P = P*")
-    for item in items:
-        if item == 4 and len(xs) < 2:
-            results.append(ItemCheck(4, None, None, error="item 4 needs two matrices"))
-            continue
-        arg = congruence(item, iter(xs))
-        verdicts, err = [], None
-        for fn in (f, _shifted(f)):
-            try:
-                rhs = congruence(item, map(fn.eval_matrix, xs))
-                verdicts.append(compare_sno(*_image_reprs(fn, arg, rhs)))
-            except SnorderError as e:
-                verdicts.append(None)
-                err = err or str(e)
-        results.append(ItemCheck(item, *verdicts, error=err))
-    return results
-
-
-def stacked_assembly_residual(xs: Sequence[Matrix], cs: Sequence[Matrix]) -> float:
-    """Frobenius distance between sum C_i* X_i C_i and the explicit stacked
-    column / block-diagonal assembly of the same expression."""
-    import numpy as np
-
-    cbar = np.vstack([c.to_numpy() for c in cs])
-    xbb = block_diag(xs).to_numpy()
-    direct = reduce(add, (c.conj_transpose() @ xm @ c for c, xm in zip(cs, xs)))
-    return float(np.linalg.norm(cbar.conj().T @ xbb @ cbar - direct.to_numpy()))

@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Optional, Union
 
@@ -79,6 +80,15 @@ class TotalComplex:
         if not isinstance(other, TotalComplex):
             return NotImplemented
         return type(self.re) is type(other.re) and self.re == other.re and self.im == other.im
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.re, self.im))
+
+    def __hash__(self):
+        # Hashed once per value: the Taylor memo hashes each eigenvalue on
+        # every call, and a Fraction hash costs a modular inverse.
+        return self._hash
 
     # -- constructors ------------------------------------------------
 
@@ -209,6 +219,14 @@ def numerators(values: Iterable[TotalComplex]) -> Optional[tuple]:
     d = lcm(*[b for _, b in parts])
     ints = [a * (d // b) for a, b in parts]
     return d, list(zip(ints[::2], ints[1::2]))
+
+
+def common_denominator(*ds: int) -> tuple:
+    """(d, [d // d_k]): d is the lcm of the least denominators d_k of some
+    :func:`numerators` forms, and their pairs times d // d_k are the pairs of
+    :func:`numerators` of all their values at once."""
+    d = lcm(*ds)
+    return d, [d // k for k in ds]
 
 
 def zero_like(z: TotalComplex) -> TotalComplex:

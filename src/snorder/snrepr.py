@@ -6,8 +6,8 @@ the complex total order) together with one Jordan block-size partition per
 eigenvalue.  Eigenvalues are caller-supplied throughout: structure recovery
 only needs ranks of powers of A = X - lambda*I, never a general eigensolver.
 One loop serves both backends: it never forms A^k but multiplies a basis of
-the row space of A^k by A (exact: pivot rows on Gaussian integers, after
-clearing the denominators of X and of the eigenvalues together, once; float:
+the row space of A^k by A (exact: pivot rows on Gaussian integers, read
+from X's integer form over one denominator with the eigenvalues; float:
 right singular vectors by SVD).
 Exact recovery runs per diagonal block of X's nonzero pattern, since X and
 every A^k are permutation-similar to direct sums of those blocks; a
@@ -36,6 +36,7 @@ from .linalg import (
     block_diag,
     diagonal_blocks,
     gaussian_int_matmul,
+    gaussian_int_rows,
     row_basis_exact,
     row_basis_float,
     spectral_norm,
@@ -43,8 +44,8 @@ from .linalg import (
 from .majorization import prefix_outcomes, sum_outcomes
 from .partitions import Partition, as_partition, dominance_check, merge_desc
 from .scalar import (
-    EXACT, FLOAT, OrderOutcome, TotalComplex, cmp_total, numerators, one_like, sort_desc_items,
-    zero_like,
+    EXACT, FLOAT, OrderOutcome, TotalComplex, cmp_total, common_denominator, numerators, one_like,
+    sort_desc_items, zero_like,
 )
 
 
@@ -79,8 +80,8 @@ class JordanSpec:
 @dataclass(frozen=True)
 class SNRepresentation:
     """Canonical form: eigenvalues strictly decreasing, partitions
-    non-increasing, aligned index-wise; :func:`merge_equal` over
-    sort_desc_items order makes it independent of the order of the blocks."""
+    non-increasing, aligned index-wise; :func:`merge_equal` makes it
+    independent of the order of the blocks."""
 
     eigenvalues: tuple  # distinct TotalComplex, strictly decreasing
     partitions: tuple   # one Partition per eigenvalue
@@ -115,33 +116,29 @@ class SNRepresentation:
         return cleared[0], tuple(accumulate(a for a, _ in entries)), tuple(
             accumulate(b for _, b in entries))
 
-    def max_block(self) -> int:
-        return max(max(p) for p in self.partitions)
-
 
 def merge_equal(pairs: Iterable[tuple]) -> list:
-    """[(head, [items])] for (value, item) pairs already in sort_desc_items
-    order: the one place eps merges eigenvalues.  A value joins the current
-    group when cmp_total(head, value) is EQUAL; the head is the group's first
-    value."""
+    """[(head, [items])] for (value, item) pairs in any order: the one place
+    eps merges eigenvalues.  The pairs are sorted by sort_desc_items, and a
+    value joins the current group when cmp_total(head, value) is EQUAL; the
+    head is the group's first value.  Float eps-equality is not transitive,
+    so a merged head can sit out of order among the other heads: when any
+    pair merged, the groups are sorted once more, so the heads are a fixed
+    point of sort_desc whatever the input order."""
+    pairs = sort_desc_items(pairs)
     groups = []
     for lam, item in pairs:
         if groups and cmp_total(groups[-1][0], lam) is OrderOutcome.EQUAL:
             groups[-1][1].append(item)
         else:
             groups.append((lam, [item]))
-    return groups
+    return sort_desc_items(groups) if len(groups) < len(pairs) else groups
 
 
 def canonical_repr(spec: JordanSpec) -> SNRepresentation:
     """Merge equal eigenvalues (:func:`merge_equal`) and their partitions."""
-    pairs = sort_desc_items((lam, as_partition(sizes)) for lam, sizes in spec.blocks)
-    groups = merge_equal(pairs)
-    if len(groups) < len(pairs):
-        # Float eps-equality is not transitive, so a merged group's head can
-        # sit out of sort_desc_items order among the other heads: sort again.
-        groups = sort_desc_items(groups)
-    return SNRepresentation.from_groups(groups)
+    return SNRepresentation.from_groups(
+        merge_equal((lam, as_partition(sizes)) for lam, sizes in spec.blocks))
 
 
 def jordan_matrix(spec: JordanSpec) -> Matrix:
@@ -223,8 +220,10 @@ def repr_from_matrix(x: Matrix, eigenvalues: Sequence[TotalComplex]) -> SNRepres
     """Recover the SN representation from ranks of powers of (X - lambda*I),
     one image chain per eigenvalue on either backend.
 
-    Exact matrices have their denominators cleared together with those of
-    the merged eigenvalues, and their diagonal blocks split, once per call.
+    An exact X is read in its integer form, only the merged eigenvalues are
+    cleared, and both are scaled to one common denominator, which gives the
+    integers of clearing X and the eigenvalues together; its diagonal blocks
+    are split once per call.
     A block triangular in its index order has its diagonal as spectrum:
     lambda off it contributes nothing, lambda on it once is one 1 x 1 block,
     and only lambda on it more than once runs a chain; other blocks run a
@@ -237,36 +236,40 @@ def repr_from_matrix(x: Matrix, eigenvalues: Sequence[TotalComplex]) -> SNRepres
     if not x.is_square:
         raise DimensionMismatch("square matrix required")
     m = x.shape[0]
-    lams = [lam for lam, _ in merge_equal(sort_desc_items((lam, None) for lam in eigenvalues))]
-    values = [a for row in x.rows for a in row] + lams
+    lams = [lam for lam, _ in merge_equal((lam, None) for lam in eigenvalues)]
     if x.backend == EXACT:
-        cleared = numerators(values)
+        x_int, dx = gaussian_int_rows(x)
+        cleared = numerators(lams)
         if cleared is None:
-            raise BackendMismatch("exact matrix with a float entry or eigenvalue")
-        pairs = cleared[1]  # X's entries row by row, then the eigenvalues
-        x_int = [pairs[i:i + m] for i in range(0, m * m, m)]
+            raise BackendMismatch("exact matrix with a float eigenvalue")
+        dl, lam_int = cleared
+        _, (sx, sl) = common_denominator(dx, dl)
+        if sx != 1:
+            x_int = [[(a * sx, b * sx) for a, b in row] for row in x_int]
+        if sl != 1:
+            lam_int = [(a * sl, b * sl) for a, b in lam_int]
         subs = [(s, _triangular_diagonal(s)) for s in (
             [[x_int[i][j] for j in idx] for i in idx] for idx in diagonal_blocks(x_int))]
     else:
-        if any(z.backend != FLOAT for z in values):
+        if any(z.backend != FLOAT for z in [a for row in x.rows for a in row] + lams):
             raise BackendMismatch("float matrix with an exact entry or eigenvalue")
         import numpy as np
 
         a = x.to_numpy()
         norm = spectral_norm(a)
     groups = []
-    for k, lam in enumerate(lams, m * m):
+    for k, lam in enumerate(lams):
         if x.backend == EXACT:
             parts = []
             for s, diag in subs:
                 if diag is not None:
-                    hits = diag.count(pairs[k])
+                    hits = diag.count(lam_int[k])
                     if hits == 1:
                         parts.append((1,))  # a simple eigenvalue has one 1 x 1 block
                     if hits < 2:
                         continue
                 parts.append(block_sizes_from_ranks(_image_chain(
-                    _int_shift(s, pairs[k]), row_basis_exact, gaussian_int_matmul), len(s)))
+                    _int_shift(s, lam_int[k]), row_basis_exact, gaussian_int_matmul), len(s)))
         else:
             z = lam.to_complex()
             basis = partial(row_basis_float, cut=SVD_TOL * max(norm, abs(z)))

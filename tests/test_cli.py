@@ -406,6 +406,15 @@ def test_decoders_reject_what_the_schemas_reject(schema, decode, doc):
         decode_as(schema, decode, doc)
 
 
+def test_partition_schema_describes_the_order_it_cannot_express():
+    """JSON Schema has no keyword for non-increasing items: the schema takes
+    [1, 2] and says so in its description, and the decoder refuses it."""
+    assert validator("partition").is_valid([1, 2])
+    assert "non-increasing" in ser.load_schema("partition")["description"]
+    with pytest.raises(ser.InputFormatError, match="non-increasing"):
+        decode_as("partition", None, [1, 2])
+
+
 # One or more valid documents per schema and backend, and the pieces that
 # mutations put into them: junk values of every JSON type and the schemas'
 # own keys.

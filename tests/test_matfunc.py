@@ -35,9 +35,10 @@ from snorder.matfunc import (
     eta,
     eta_given_kappa,
     f_of_jordan_spec,
-    rank_oracle_split,
 )
 from snorder.partitions import merge_desc, prefix
+
+from matrix_oracles import rank_oracle_split
 
 
 def test_polynomial_evaluation_and_derivatives():

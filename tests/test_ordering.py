@@ -1,3 +1,8 @@
+from dataclasses import dataclass
+from functools import reduce
+from operator import add
+from typing import Optional, Sequence
+
 import numpy as np
 import pytest
 
@@ -14,17 +19,22 @@ from snorder.errors import (
     DimensionMismatch,
     NotAProjection,
     NotSNOrdered,
+    SnorderError,
     SpectrumUnavailable,
 )
+from snorder.linalg import block_diag, spectral_norm
+from snorder.matfunc import PolynomialFunction
 from snorder.ordering import (
+    HP_TOL,
+    _image_reprs,
     closed_form_eigenvalues,
     convexity_check,
     hp_identities_check,
-    hp_item_checks,
     monotonicity_certificate,
     monotonicity_verify_direct,
-    stacked_assembly_residual,
 )
+from snorder.scalar import zero_like
+from snorder.snrepr import compare_sno
 
 
 def rep_of(*pairs):
@@ -164,7 +174,7 @@ def test_convexity_witness_for_concave_map():
     b = diag(1, 1)
     report = convexity_check(f, a, b, ["1/2"])
     assert not report.consistent
-    assert report.witnesses
+    assert [p for p in report.points if p.greater]
 
 
 def test_convexity_records_errors_per_point():
@@ -195,6 +205,91 @@ def test_hp_identities_rejects_expansion():
     c = np.eye(2) * 2.0
     with pytest.raises(ContractionViolated):
         hp_identities_check(c, np.eye(2), 0.5)
+
+
+# -- pinching / congruence item checks ---------------------------------------------
+# Residual checks that only these tests use: items 2-4 of the Hansen-Pedersen
+# characterization probed on concrete inputs, and the stacked assembly behind item 3.
+
+
+@dataclass(frozen=True)
+class ItemCheck:
+    item: int
+    verdict_raw: Optional[SNOVerdict]
+    verdict_shifted: Optional[SNOVerdict]
+    error: Optional[str] = None
+
+
+def _shifted(f: PolynomialFunction) -> PolynomialFunction:
+    """f - f(0): pin the origin so congruence by a strict contraction has a
+    chance of preserving the order."""
+    coeffs = list(f.coefficients)
+    coeffs[0] = zero_like(coeffs[0])
+    return PolynomialFunction(tuple(coeffs))
+
+
+def hp_item_checks(
+    f: PolynomialFunction,
+    xs: Sequence[Matrix],
+    cs: Sequence[Matrix],
+    p: Optional[Matrix] = None,
+) -> list:
+    """Probe the three congruence/pinching comparisons that characterize
+    operator convexity on concrete inputs, with both the raw f and the
+    origin-pinned f - f(0).
+
+    Item 2: f(C* X C) vs C* f(X) C for a single contraction.
+    Item 3: f(sum C_i* X_i C_i) vs sum C_i* f(X_i) C_i for a contractive
+    column (checked against the explicit stacked-block assembly).
+    Item 4: pinching by a projection P mixing X and Y.
+    Needs at least one C and at least as many Xs as Cs.
+    """
+    if not cs or len(xs) < len(cs):
+        raise DimensionMismatch(f"need a C and an X per C, got {len(cs)} Cs and {len(xs)} Xs")
+    results = []
+    n = cs[0].shape[0]
+    gram = reduce(add, (c.conj_transpose() @ c for c in cs))
+    if spectral_norm(gram.to_numpy()) > 1.0 + HP_TOL:
+        raise ContractionViolated("sum of C_i* C_i exceeds the identity")
+
+    def congruence(item, mats):
+        """Item 2's C* M C, item 3's sum of C_i* M_i C_i, or item 4's
+        pinching P M_1 P + Q M_2 Q, taking each M from the iterator mats."""
+        if item == 4:
+            q = Matrix.identity(n, p.backend) - p
+            return (p @ next(mats) @ p) + (q @ next(mats) @ q)
+        return reduce(add, (c.conj_transpose() @ m @ c
+                            for c, m in zip(cs[:1] if item == 2 else cs, mats)))
+
+    items = [2, 3] + ([4] if p is not None else [])
+    if p is not None:
+        pp = p @ p - p
+        if max(np.linalg.norm(m.to_numpy()) for m in (pp, p - p.conj_transpose())) > HP_TOL:
+            raise NotAProjection("p fails P^2 = P = P*")
+    for item in items:
+        if item == 4 and len(xs) < 2:
+            results.append(ItemCheck(4, None, None, error="item 4 needs two matrices"))
+            continue
+        arg = congruence(item, iter(xs))
+        verdicts, err = [], None
+        for fn in (f, _shifted(f)):
+            try:
+                rhs = congruence(item, map(fn.eval_matrix, xs))
+                verdicts.append(compare_sno(*_image_reprs(fn, arg, rhs)))
+            except SnorderError as e:
+                verdicts.append(None)
+                err = err or str(e)
+        results.append(ItemCheck(item, *verdicts, error=err))
+    return results
+
+
+def stacked_assembly_residual(xs: Sequence[Matrix], cs: Sequence[Matrix]) -> float:
+    """Frobenius distance between sum C_i* X_i C_i and the explicit stacked
+    column / block-diagonal assembly of the same expression."""
+    cbar = np.vstack([c.to_numpy() for c in cs])
+    xbb = block_diag(xs).to_numpy()
+    direct = reduce(add, (c.conj_transpose() @ xm @ c for c, xm in zip(cs, xs)))
+    return float(np.linalg.norm(cbar.conj().T @ xbb @ cbar - direct.to_numpy()))
 
 
 def test_hp_item_checks_diagonal_inputs():

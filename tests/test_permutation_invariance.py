@@ -31,6 +31,7 @@ from snorder import (
 )
 from snorder.errors import BackendMismatch
 from snorder.scalar import EXACT, FLOAT
+from snorder.snrepr import merge_equal
 
 near = st.integers(-4, 4).map(lambda k: k * 0.4e-9)
 near_tie_floats = st.builds(
@@ -144,3 +145,30 @@ def test_repr_from_matrix_refuses_mixed_backends_in_every_order():
             px = Matrix.from_rows([[x[i][j] for j in p] for i in p])
             with pytest.raises(BackendMismatch):
                 repr_from_matrix(px, eigenvalues)
+
+
+# A float near-tie run whose count-based order depends on members that the
+# merge folds away: f(z) = 1e-9 z maps these eigenvalues to (0, 0),
+# (0, -1.2e-9), (-4e-10, 0), (-4e-10, 1e-16) and (-1.2e-9, 0).
+NEAR_TIE_EIGENVALUES = [approx(0.0, 0.0), approx(0.0, -1.2), approx(-0.4, 0.0),
+                        approx(-0.4, 1e-7), approx(-1.2, 0.0)]
+NEAR_TIE_F = poly([0, 1e-9], FLOAT)
+FIXED_POINT = [(0.0, 0.0), (0.0, -1.2e-9), (-1.2e-9, 0.0)]
+
+
+def test_merge_equal_heads_are_a_fixed_point_of_sort_desc_in_every_order():
+    """canonical_repr, repr_of_fx and repr_from_matrix all group by merge_equal."""
+    images = [NEAR_TIE_F(lam) for lam in NEAR_TIE_EIGENVALUES]
+    for order in permutations(images):
+        heads = tuple(lam for lam, _ in merge_equal((lam, None) for lam in order))
+        assert [(z.re, z.im) for z in heads] == FIXED_POINT
+        assert sort_desc(heads) == heads
+
+
+def test_repr_of_fx_merged_near_ties_strictly_decrease():
+    for order in permutations(NEAR_TIE_EIGENVALUES):
+        out = repr_of_fx(NEAR_TIE_F, rep([(lam, (1,)) for lam in order]))[0]
+        assert [(z.re, z.im) for z in out.eigenvalues] == FIXED_POINT
+        assert sort_desc(out.eigenvalues) == out.eigenvalues
+        assert out.partitions == ((1, 1, 1), (1,), (1,))
+

@@ -41,6 +41,20 @@ def test_script_exits_zero(argv):
         assert proc.stdout.split()[-1] == f"sha256={DIGESTS[tuple(argv)]}"
 
 
+def test_recovery_digest_is_the_same_under_any_hash_seed():
+    """No recovered structure depends on set or dict order of hashed values."""
+    digests = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "recovery_digest.py"),
+                               "--dim", "5"], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout.split()[-1])
+    assert len(digests) == 1 and digests.pop().startswith("sha256=")
+
+
 def _load(path, name):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)

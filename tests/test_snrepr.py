@@ -28,6 +28,7 @@ from snorder.errors import (
     EmptySpec,
     RankAmbiguous,
     SingularTransform,
+    SnorderError,
     SpectrumMismatch,
 )
 from snorder.linalg import (
@@ -35,16 +36,19 @@ from snorder.linalg import (
     block_diag,
     diagonal_blocks,
     gaussian_int_matmul,
-    rank_exact,
+    gaussian_int_rows,
+    rank_gaussian_int_rows,
     row_basis_exact,
     row_basis_float,
 )
-from snorder import scalar
+from snorder import matfunc, scalar
 from snorder.majorization import prefix_outcomes
 from snorder.matfunc import f_of_jordan_spec, repr_of_fx
 from snorder.partitions import as_partition
 from snorder.serialization import InputFormatError, jordan_spec_from_json, snrepr_to_json
 from snorder.snrepr import jordan_matrix
+
+from matrix_oracles import matrix_from_numpy, rank_exact
 
 
 def test_canonical_repr_merges_and_sorts():
@@ -89,6 +93,76 @@ def test_rank_exact_known_values():
     assert rank_exact(m) == 2
     n = Matrix.from_rows([[exact(Fraction(1, 3)), exact(0)], [exact(0), exact(0)]])
     assert rank_exact(n) == 1
+
+
+@st.composite
+def numerator_forms(draw):
+    """(d, rows, values): one square matrix as (re, im) integer pairs over d
+    and as exact values.  d is a drawn base times a drawn factor, so it is
+    often not the least denominator, and the entries reduce to mixed
+    denominators; half the draws are upper triangular."""
+    n = draw(st.integers(1, 4))
+    base, factor = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    pair = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+    rows = draw(st.lists(st.lists(pair, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows = [[p if j >= i else (0, 0) for j, p in enumerate(row)] for i, row in enumerate(rows)]
+    values = [[exact(Fraction(a, base), Fraction(b, base)) for a, b in row] for row in rows]
+    return base * factor, [[(a * factor, b * factor) for a, b in row] for row in rows], values
+
+
+def _recovered(x, eigenvalues):
+    try:
+        return repr_from_matrix(x, eigenvalues)
+    except SnorderError as err:
+        return type(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(numerator_forms())
+def test_matrix_from_numerators_agrees_with_from_rows(form):
+    d, int_rows, values = form
+    x, y = Matrix.from_numerators(d, int_rows), Matrix.from_rows(values)
+    least, pairs = scalar.numerators(z for row in values for z in row)
+    n = len(values)
+    want = [pairs[i * n:i * n + n] for i in range(n)], least
+    # The integer reads come first, before x derives its rows.
+    assert gaussian_int_rows(x) == gaussian_int_rows(y) == want
+    rows, _ = gaussian_int_rows(x)
+    rank_gaussian_int_rows(rows)  # mutates what it is given, not the matrix
+    assert gaussian_int_rows(x) == want
+    diagonal = [values[i][i] for i in range(n)]
+    assert _recovered(x, diagonal) == _recovered(y, diagonal)
+    assert (x.shape, x.backend) == (y.shape, y.backend) == ((n, n), "exact")
+    assert x.rows == y.rows
+    assert x == y and hash(x) == hash(y)
+
+
+def test_exact_f_of_j_recovery_clears_only_the_eigenvalues(monkeypatch):
+    """f(J) is laid out from the integers of the Taylor shift, so recovering
+    it clears the merged eigenvalues, never the n x n entries."""
+    f = poly([Fraction(1, 2), exact(-1, Fraction(1, 3)), 1])
+    rx = rep_of((exact(Fraction(1, 2), 1), (3, 1)), (exact(Fraction(-1, 3)), (2,)),
+                (exact(0, Fraction(1, 6)), (1, 1)))
+    images = list(dict.fromkeys(f(lam) for lam in rx.eigenvalues))
+    want = repr_of_fx(f, rx)[0]
+    calls, numerators = [], scalar.numerators
+
+    def counting(values):
+        calls.append(tuple(values))
+        return numerators(calls[-1])
+
+    # Every module that reads numerators, so no route to it goes uncounted.
+    for mod in [m for name, m in sys.modules.items() if name.startswith("snorder")]:
+        if getattr(mod, "numerators", None) is numerators:
+            monkeypatch.setattr(mod, "numerators", counting)
+    matfunc._shift_memo.cache_clear()
+    x = f_of_jordan_spec(f, rx)
+    shifted = len(calls)
+    assert repr_from_matrix(x, images) == want
+    allowed = set(rx.eigenvalues) | set(images) | set(f.coefficients)
+    assert all(set(values) <= allowed for values in calls)
+    assert calls[shifted:] == [scalar.sort_desc(images)]
 
 
 def _sparse_gaussian_int_rows(rng, m, n=None):
@@ -458,7 +532,7 @@ def _float_transform(rng, n, unitary):
 
 def _float_similar(spec, u):
     """U J U^-1 as a float Matrix, for a spec with float eigenvalues."""
-    return Matrix.from_numpy(u @ jordan_matrix(spec).to_numpy() @ np.linalg.inv(u))
+    return matrix_from_numpy(u @ jordan_matrix(spec).to_numpy() @ np.linalg.inv(u))
 
 
 @pytest.mark.parametrize("unitary", [True, False])
@@ -519,7 +593,7 @@ def test_exact_and_float_recovery_agree(seed):
             break
     x = assemble(spec, u)
     exact_rep = repr_from_matrix(x, lams)
-    float_rep = repr_from_matrix(Matrix.from_numpy(x.to_numpy()),
+    float_rep = repr_from_matrix(matrix_from_numpy(x.to_numpy()),
                                  [approx(*(float(c) for c in (lam.re, lam.im))) for lam in lams])
     assert exact_rep == canonical_repr(spec)
     assert float_rep.partitions == exact_rep.partitions
