@@ -13,7 +13,6 @@ loads it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain
 from math import gcd
@@ -21,7 +20,7 @@ from operator import add, mul
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import BackendMismatch, DimensionMismatch, RankAmbiguous, SingularTransform
-from .scalar import EXACT, TotalComplex, numerators, one_like
+from .scalar import EXACT, TotalComplex, from_numerators, numerators, one_like
 
 if TYPE_CHECKING:
     import numpy as np
@@ -70,8 +69,7 @@ class Matrix:
     @cached_property
     def rows(self) -> tuple:
         d, rows = self.int_form
-        return tuple(tuple(TotalComplex(Fraction(a, d), Fraction(b, d)) for a, b in row)
-                     for row in rows)
+        return tuple(from_numerators(d, row) for row in rows)
 
     @cached_property
     def int_form(self):

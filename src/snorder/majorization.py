@@ -16,21 +16,27 @@ float vectors add and compare TotalComplex values under cmp_total's eps.
 Exact :func:`majorize_check` also sorts those pairs: :func:`int_majorization`
 reads the verdict from their running sums.  The falsifier in ``schur`` calls
 it on the numerators it draws.
+
+The exact decomposition, its GDS product, the replay and :func:`gds_check`
+run on those integer pairs too, over one denominator each; only each beta
+and each intermediate is built as a value.  Float input keeps its bits.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain
-from operator import add, mul
+from operator import add, eq, mul
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, NotMajorized
-from .linalg import Matrix
+from .errors import BackendMismatch, DimensionMismatch, NotMajorized
+from .linalg import Matrix, gaussian_int_matmul
 from .scalar import (
-    EXACT, OrderOutcome, TotalComplex, cmp_total, numerators, one_like, sort_desc, zero_like,
+    EXACT, OrderOutcome, TotalComplex, cmp_total, exact, from_numerators, numerators, one_like,
+    sort_desc, zero_like,
 )
 
 
@@ -97,11 +103,17 @@ def majorize_check(x: Sequence[TotalComplex], y: Sequence[TotalComplex]) -> Majo
     sort_desc(y)), which keeps float bits and raises BackendMismatch or
     DimensionMismatch."""
     x, y = tuple(x), tuple(y)
-    cleared = numerators(x + y) if x and len(x) == len(y) else None
+    cleared = _cleared_pair(x, y)
     if cleared is None:
         return majorize_sorted(sort_desc(x), sort_desc(y))
-    pairs, n = cleared[1], len(x)
-    return int_majorization(pairs[:n], pairs[n:])
+    return int_majorization(*cleared[1:])
+
+
+def _cleared_pair(x: tuple, y: tuple):
+    """(d, pairs of x, pairs of y): :func:`scalar.numerators` of x and y
+    together, when both are exact and of one nonzero length; else None."""
+    cleared = numerators(x + y) if x and len(x) == len(y) else None
+    return cleared and (cleared[0], cleared[1][:len(x)], cleared[1][len(x):])
 
 
 def majorize_sorted(sx: Sequence[TotalComplex], sy: Sequence[TotalComplex]) -> Majorization:
@@ -146,19 +158,19 @@ def t_transform_apply(v: Sequence[TotalComplex], t: TTransform) -> tuple:
     return tuple(out)
 
 
-def _swap_steps(current: list, target: list) -> list:
-    """Selection-sort style swap transforms (beta = 0) turning current into
-    target, which must be a rearrangement of it."""
+def _tied(a: TotalComplex, b: TotalComplex) -> bool:
+    return cmp_total(a, b) is OrderOutcome.EQUAL
+
+
+def _swap_steps(current: list, target: list, zero, same) -> list:
+    """Selection-sort style swap transforms (beta = zero) turning current into
+    target, which must be a rearrangement of it under the equality same."""
     swaps = []
     cur = list(current)
-    zero = zero_like(cur[0]) if cur else None
     for pos in range(len(cur)):
-        if cmp_total(cur[pos], target[pos]) is OrderOutcome.EQUAL:
+        if same(cur[pos], target[pos]):
             continue
-        src = next((
-            k for k in range(pos + 1, len(cur))
-            if cmp_total(cur[k], target[pos]) is OrderOutcome.EQUAL
-        ), None)
+        src = next((k for k in range(pos + 1, len(cur)) if same(cur[k], target[pos])), None)
         if src is None:  # float near-ties: eps-equality is not transitive
             raise NotMajorized("decomposition found no entry to swap into place", None)
         swaps.append(TTransform(pos, src, zero))
@@ -181,7 +193,13 @@ def t_transform_decompose_trace(x, y) -> tuple:
     verdict, so a caller needs no second majorize_check.  A float pair whose
     near-ties leave no pair to mix or no entry to swap into place raises
     NotMajorized with verdict None, as does one that fails to converge.
+    Exact pairs of one nonzero length run on their numerator pairs
+    (:func:`_int_decompose_trace`).
     """
+    x, y = tuple(x), tuple(y)
+    cleared = _cleared_pair(x, y)
+    if cleared is not None:
+        return _int_decompose_trace(*cleared)
     sx, sy = sort_desc(x), sort_desc(y)
     verdict = majorize_sorted(sx, sy)
     if verdict is not Majorization.STRICT:
@@ -190,9 +208,9 @@ def t_transform_decompose_trace(x, y) -> tuple:
     n = len(w)
     transforms: list = []
     intermediates: list = []
-    one = one_like(w[0])
+    one, zero = one_like(w[0]), zero_like(w[0])
     for _ in range(n * n + n + 1):
-        if all(cmp_total(a, b) is OrderOutcome.EQUAL for a, b in zip(w, target)):
+        if all(_tied(a, b) for a, b in zip(w, target)):
             break
         i = max((k for k in range(n) if cmp_total(target[k], w[k]) is OrderOutcome.LESS),
                 default=-1)
@@ -208,20 +226,61 @@ def t_transform_decompose_trace(x, y) -> tuple:
         transforms.append(step)
         w = list(t_transform_apply(w, step))
         resorted = list(sort_desc(w))
-        transforms.extend(_swap_steps(w, resorted))
+        transforms.extend(_swap_steps(w, resorted, zero, _tied))
         w = resorted
         intermediates.append(tuple(w))
     else:
         raise NotMajorized("decomposition failed to converge")
-    transforms.extend(_swap_steps(w, list(x)))
+    transforms.extend(_swap_steps(w, list(x), zero, _tied))
+    return transforms, intermediates
+
+
+def _int_decompose_trace(d: int, px: list, py: list) -> tuple:
+    """t_transform_decompose_trace on the numerator pairs px and py of x and
+    y over d, sorted as tuples.  With beta = 1 - eps / (w_i - w_j) a mixing
+    step maps w_i to w_i - eps and w_j to w_j + eps, so w stays integer over
+    d.  For a strict pair the loop always finds i and j, and w_i != w_j."""
+    target, w = sorted(px, reverse=True), sorted(py, reverse=True)
+    verdict = _verdict(int_prefix_outcomes(*zip(*target), *zip(*w)))
+    if verdict is not Majorization.STRICT:
+        raise NotMajorized("decomposition requires strict majorization", verdict)
+    n, zero = len(w), exact(0)
+    transforms: list = []
+    intermediates: list = []
+    for _ in range(n * n + n + 1):
+        if w == target:
+            break
+        i = max(k for k in range(n) if target[k] < w[k])
+        j = next(k for k in range(i + 1, n) if target[k] > w[k])
+        (wir, wii), (wjr, wji) = w[i], w[j]
+        er, ei = min((wir - target[i][0], wii - target[i][1]),
+                     (target[j][0] - wjr, target[j][1] - wji))
+        dr, di = wir - wjr, wii - wji
+        rho = dr * dr + di * di
+        beta = TotalComplex(Fraction(rho - er * dr - ei * di, rho),
+                            Fraction(er * di - ei * dr, rho))
+        transforms.append(TTransform(i, j, beta))
+        w[i], w[j] = (wir - er, wii - ei), (wjr + er, wji + ei)
+        resorted = sorted(w, reverse=True)
+        transforms.extend(_swap_steps(w, resorted, zero, eq))
+        w = resorted
+        intermediates.append(from_numerators(d, w))
+    else:
+        raise NotMajorized("decomposition failed to converge")
+    transforms.extend(_swap_steps(w, px, zero, eq))
     return transforms, intermediates
 
 
 def gds_check(m: Matrix) -> bool:
     """Generalized doubly stochastic: every row and column sums to one
-    (entries may be arbitrary complex numbers)."""
+    (entries may be arbitrary complex numbers).  An exact matrix sums the
+    pairs of its integer form over d, so each line must sum to (d, 0)."""
     if not m.is_square:
         raise DimensionMismatch("generalized doubly stochastic check needs a square matrix")
+    form = m.int_form
+    if form is not None:
+        d, rows = form
+        return all(tuple(map(sum, zip(*line))) == (d, 0) for line in chain(rows, zip(*rows)))
     one = one_like(m.rows[0][0])
     return all(cmp_total(reduce(add, line), one) is OrderOutcome.EQUAL
                for line in chain(m.rows, zip(*m.rows)))
@@ -232,6 +291,8 @@ def gds_from_transforms(transforms: Sequence[TTransform], n: int) -> Matrix:
     row-vector replay y @ P equals applying the transforms one by one.  Each
     step updates two columns in the dense product's operand order, bit for bit."""
     backend = transforms[0].beta.backend if transforms else EXACT
+    if backend == EXACT:
+        return _int_gds(transforms, n)
     rows = [list(r) for r in Matrix.identity(n, backend).rows]
     for t in transforms:
         if t.j >= n:
@@ -243,8 +304,40 @@ def gds_from_transforms(transforms: Sequence[TTransform], n: int) -> Matrix:
     return Matrix.from_rows(rows)
 
 
+def _int_gds(transforms: Sequence[TTransform], n: int) -> Matrix:
+    """gds_from_transforms on Gaussian-integer rows over one running d: a swap
+    step (beta = 0) swaps columns i and j, a mixing step scales rows by e."""
+    d = 1
+    rows = [[(int(r == c), 0) for c in range(n)] for r in range(n)]
+    for t in transforms:
+        if t.j >= n:
+            raise DimensionMismatch(f"transform indices ({t.i},{t.j}) exceed size {n}")
+        cleared = numerators([t.beta])
+        if cleared is None:
+            raise BackendMismatch(f"exact vs {t.beta.backend}")
+        (e, (beta,)), i, j = cleared, t.i, t.j
+        if beta == (0, 0):
+            for row in rows:
+                row[i], row[j] = row[j], row[i]
+            continue
+        comp, d = (e - beta[0], -beta[1]), d * e
+        mixed = gaussian_int_matmul([(row[i], row[j]) for row in rows],
+                                    [(beta, comp), (comp, beta)])
+        for row, (a, b) in zip(rows, mixed):
+            if e != 1:
+                row[:] = [(re * e, im * e) for re, im in row]
+            row[i], row[j] = a, b
+    return Matrix.from_numerators(d, rows)
+
+
 def apply_row_vector(v: Sequence[TotalComplex], m: Matrix) -> tuple:
-    """Row-vector times matrix."""
+    """Row-vector times matrix.  An exact vector over d_v and an exact matrix
+    over d multiply their integer pairs, over d_v * d."""
     if len(v) != m.shape[0]:
         raise DimensionMismatch(f"{len(v)} vs {m.shape}")
-    return tuple(reduce(add, map(mul, v, col)) for col in zip(*m.rows))
+    cleared = numerators(v) if v else None
+    form = m.int_form if cleared is not None else None
+    if form is None:
+        return tuple(reduce(add, map(mul, v, col)) for col in zip(*m.rows))
+    (dv, pairs), (d, rows) = cleared, form
+    return from_numerators(dv * d, gaussian_int_matmul([pairs], rows)[0])

@@ -4,9 +4,7 @@ spectral-and-nilpotent order.
 Certificates are hypothesis checks: a non-None certificate is always
 cross-checked against the direct comparison of the two image
 representations (``monotonicity_verify_direct``).  Convexity is probed
-pointwise on eigenvalue-accessible matrices (triangular or 2x2), and the
-unitary-dilation identities behind the Hansen-Pedersen style argument are
-verified numerically.
+pointwise on eigenvalue-accessible matrices (triangular or 2x2).
 """
 
 from __future__ import annotations
@@ -15,16 +13,15 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
-    ContractionViolated,
     KappaNotFound,
     NotSNOrdered,
     SnorderError,
     SpectrumUnavailable,
 )
-from .linalg import Matrix, spectral_norm
+from .linalg import Matrix
 from .matfunc import (
     FunctionDescriptor,
     PolynomialFunction,
@@ -44,12 +41,6 @@ from .scalar import (
     sort_desc,
 )
 from .snrepr import SNOVerdict, SNRepresentation, _spectral_outcomes, compare_sno, repr_from_matrix
-
-if TYPE_CHECKING:
-    import numpy as np
-
-HP_TOL = 1e-8
-
 
 # -- eigenvalue extraction for the supported input classes -----------------
 
@@ -281,67 +272,3 @@ def convexity_check(
         except SnorderError as err:
             report.points.append(ConvexityPoint(t_raw, None, False, error=str(err)))
     return report
-
-
-# -- unitary-dilation identities ---------------------------------------------
-
-
-def _psd_sqrt(h: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    w, v = np.linalg.eigh((h + h.conj().T) / 2)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def hp_identities_check(c: np.ndarray, x: np.ndarray, t: float) -> dict:
-    """Residuals of the dilation identities used in the convexity argument.
-
-    Builds the two unitary dilations of a contraction C, the rotation W3 and
-    the projection P, and reports Frobenius residuals of unitarity, of the
-    defect commutation C (I - C*C)^{1/2} = (I - CC*)^{1/2} C, and of the
-    block expansions of W_i^* diag(X, X) W_i.
-    """
-    import numpy as np
-
-    c = np.asarray(c, dtype=complex)
-    x = np.asarray(x, dtype=complex)
-    n = c.shape[0]
-    if spectral_norm(c) > 1.0 + HP_TOL:
-        raise ContractionViolated(f"spectral norm {spectral_norm(c):.6g} exceeds 1")
-    eye = np.eye(n, dtype=complex)
-    s1 = _psd_sqrt(eye - c.conj().T @ c)  # (I - C*C)^{1/2}
-    s2 = _psd_sqrt(eye - c @ c.conj().T)  # (I - CC*)^{1/2}
-    w1 = np.block([[c, s2], [s1, -c.conj().T]])
-    w2 = np.block([[c, -s2], [s1, c.conj().T]])
-    eye2 = np.eye(2 * n, dtype=complex)
-    xbar = np.block([[x, np.zeros((n, n))], [np.zeros((n, n)), x]])
-
-    def bl(m11, m12, m21, m22):
-        return np.block([[m11, m12], [m21, m22]])
-
-    exp1 = bl(
-        c.conj().T @ x @ c + s1 @ x @ s1,
-        c.conj().T @ x @ s2 - s1 @ x @ c.conj().T,
-        s2 @ x @ c - c @ x @ s1,
-        s2 @ x @ s2 + c @ x @ c.conj().T,
-    )
-    exp2 = bl(
-        c.conj().T @ x @ c + s1 @ x @ s1,
-        -c.conj().T @ x @ s2 + s1 @ x @ c.conj().T,
-        -s2 @ x @ c + c @ x @ s1,
-        s2 @ x @ s2 + c @ x @ c.conj().T,
-    )
-    rt, rt1 = math.sqrt(t), math.sqrt(1.0 - t)
-    w3 = np.block([[rt * eye, -rt1 * eye], [rt1 * eye, rt * eye]])
-    p = np.block([[eye, np.zeros((n, n))], [np.zeros((n, n)), np.zeros((n, n))]])
-    return {
-        "w1_unitary": float(np.linalg.norm(w1.conj().T @ w1 - eye2)),
-        "w2_unitary": float(np.linalg.norm(w2.conj().T @ w2 - eye2)),
-        "w3_unitary": float(np.linalg.norm(w3.conj().T @ w3 - eye2)),
-        "commutation": float(np.linalg.norm(c @ s1 - s2 @ c)),
-        "w1_block_expansion": float(np.linalg.norm(w1.conj().T @ xbar @ w1 - exp1)),
-        "w2_block_expansion": float(np.linalg.norm(w2.conj().T @ xbar @ w2 - exp2)),
-        "p_idempotent": float(np.linalg.norm(p @ p - p)),
-        "p_hermitian": float(np.linalg.norm(p - p.conj().T)),
-    }

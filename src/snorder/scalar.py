@@ -221,6 +221,12 @@ def numerators(values: Iterable[TotalComplex]) -> Optional[tuple]:
     return d, list(zip(ints[::2], ints[1::2]))
 
 
+def from_numerators(d: int, pairs: Iterable[tuple]) -> tuple:
+    """The exact values (re + i im) / d of (re, im) integer pairs, for any
+    positive d: the inverse of :func:`numerators`."""
+    return tuple(TotalComplex(Fraction(a, d), Fraction(b, d)) for a, b in pairs)
+
+
 def common_denominator(*ds: int) -> tuple:
     """(d, [d // d_k]): d is the lcm of the least denominators d_k of some
     :func:`numerators` forms, and their pairs times d // d_k are the pairs of

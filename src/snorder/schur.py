@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, combinations
 from operator import add
@@ -26,6 +25,7 @@ from .scalar import (
     as_scalar,
     cmp_total,
     from_complex,
+    from_numerators,
     one_like,
     order_key,
     sort_desc,
@@ -213,12 +213,8 @@ def schur_convex_falsify(
         fx = complex(f.value([complex(r / den, m / den) for r, m in x]))
         fy = complex(f.value([complex(r / 840, m / 840) for r, m in y]))
         if cmp_total(from_complex(fx), from_complex(fy)) is OrderOutcome.GREATER:
-            return Counterexample(_exact_vector(x, den), _exact_vector(y, 840), fx, fy, trial)
+            return Counterexample(from_numerators(den, x), from_numerators(840, y), fx, fy, trial)
     return None
-
-
-def _exact_vector(v, den) -> tuple:
-    return tuple(TotalComplex(Fraction(r, den), Fraction(m, den)) for r, m in v)
 
 
 # -- composition tables ---------------------------------------------------

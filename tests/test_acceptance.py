@@ -7,6 +7,7 @@ captured output of a failing run).
 
 import contextlib
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -31,6 +32,8 @@ from snorder import (
     repr_from_matrix,
     sort_desc,
 )
+from snorder.errors import ContractionViolated
+from snorder.linalg import spectral_norm
 from snorder.majorization import apply_row_vector, t_transform_apply, t_transform_decompose_trace
 from snorder.matfunc import (
     eta_given_kappa,
@@ -39,11 +42,7 @@ from snorder.matfunc import (
     repr_of_fx,
     split_block,
 )
-from snorder.ordering import (
-    hp_identities_check,
-    monotonicity_certificate,
-    monotonicity_verify_direct,
-)
+from snorder.ordering import monotonicity_certificate, monotonicity_verify_direct
 from snorder.partitions import prefix
 from snorder.scalar import FLOAT, OrderOutcome, cmp_total
 from snorder.schur import negative_sum_of_squares, schur_convex_falsify, sum_of_squares
@@ -307,6 +306,69 @@ def test_criterion_10_spectral_mapping_numerics():
             assert np.linalg.norm(
                 x @ fmat(x.conj().T @ x) - fmat(x @ x.conj().T) @ x
             ) <= 1e-8
+
+
+# Residuals of the unitary-dilation identities behind the Hansen-Pedersen style
+# convexity argument, checked numerically by criterion 11 and tests/test_ordering.py.
+
+HP_TOL = 1e-8
+
+
+def _psd_sqrt(h: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh((h + h.conj().T) / 2)
+    w = np.clip(w, 0.0, None)
+    return (v * np.sqrt(w)) @ v.conj().T
+
+
+def hp_identities_check(c: np.ndarray, x: np.ndarray, t: float) -> dict:
+    """Residuals of the dilation identities used in the convexity argument.
+
+    Builds the two unitary dilations of a contraction C, the rotation W3 and
+    the projection P, and reports Frobenius residuals of unitarity, of the
+    defect commutation C (I - C*C)^{1/2} = (I - CC*)^{1/2} C, and of the
+    block expansions of W_i^* diag(X, X) W_i.
+    """
+    c = np.asarray(c, dtype=complex)
+    x = np.asarray(x, dtype=complex)
+    n = c.shape[0]
+    if spectral_norm(c) > 1.0 + HP_TOL:
+        raise ContractionViolated(f"spectral norm {spectral_norm(c):.6g} exceeds 1")
+    eye = np.eye(n, dtype=complex)
+    s1 = _psd_sqrt(eye - c.conj().T @ c)  # (I - C*C)^{1/2}
+    s2 = _psd_sqrt(eye - c @ c.conj().T)  # (I - CC*)^{1/2}
+    w1 = np.block([[c, s2], [s1, -c.conj().T]])
+    w2 = np.block([[c, -s2], [s1, c.conj().T]])
+    eye2 = np.eye(2 * n, dtype=complex)
+    xbar = np.block([[x, np.zeros((n, n))], [np.zeros((n, n)), x]])
+
+    def bl(m11, m12, m21, m22):
+        return np.block([[m11, m12], [m21, m22]])
+
+    exp1 = bl(
+        c.conj().T @ x @ c + s1 @ x @ s1,
+        c.conj().T @ x @ s2 - s1 @ x @ c.conj().T,
+        s2 @ x @ c - c @ x @ s1,
+        s2 @ x @ s2 + c @ x @ c.conj().T,
+    )
+    exp2 = bl(
+        c.conj().T @ x @ c + s1 @ x @ s1,
+        -c.conj().T @ x @ s2 + s1 @ x @ c.conj().T,
+        -s2 @ x @ c + c @ x @ s1,
+        s2 @ x @ s2 + c @ x @ c.conj().T,
+    )
+    rt, rt1 = math.sqrt(t), math.sqrt(1.0 - t)
+    w3 = np.block([[rt * eye, -rt1 * eye], [rt1 * eye, rt * eye]])
+    p = np.block([[eye, np.zeros((n, n))], [np.zeros((n, n)), np.zeros((n, n))]])
+    return {
+        "w1_unitary": float(np.linalg.norm(w1.conj().T @ w1 - eye2)),
+        "w2_unitary": float(np.linalg.norm(w2.conj().T @ w2 - eye2)),
+        "w3_unitary": float(np.linalg.norm(w3.conj().T @ w3 - eye2)),
+        "commutation": float(np.linalg.norm(c @ s1 - s2 @ c)),
+        "w1_block_expansion": float(np.linalg.norm(w1.conj().T @ xbar @ w1 - exp1)),
+        "w2_block_expansion": float(np.linalg.norm(w2.conj().T @ xbar @ w2 - exp2)),
+        "p_idempotent": float(np.linalg.norm(p @ p - p)),
+        "p_hermitian": float(np.linalg.norm(p - p.conj().T)),
+    }
 
 
 def test_criterion_11_dilation_identities():

@@ -1,8 +1,9 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 from functools import reduce
-from operator import add
+from operator import add, mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,7 +26,7 @@ from snorder.linalg import Matrix
 from snorder.majorization import (
     apply_row_vector, majorize_sorted, prefix_outcomes, t_transform_decompose_trace,
 )
-from snorder.scalar import EXACT, FLOAT, approx, one_like
+from snorder.scalar import EXACT, FLOAT, approx, one_like, zero_like
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=4)
 scalars = st.builds(exact, rationals, rationals)
@@ -317,7 +318,7 @@ def test_decompose_sorts_each_input_once(monkeypatch):
         return real_sort(v)
 
     monkeypatch.setattr(majorization, "sort_desc", counting)
-    x, y = (exact(2), exact(2)), (exact(1), exact(3))
+    x, y = (approx(2.0), approx(2.0)), (approx(1.0), approx(3.0))
     _, intermediates = t_transform_decompose_trace(x, y)
     assert len(intermediates) == 1
     # x and y once each, then one re-sort per mixing step
@@ -435,3 +436,258 @@ def test_majorize_check_errors_match_reference(pair, data):
         want = _verdict_or_error(_reference_check, a, b)
         assert isinstance(want, tuple)
         assert _verdict_or_error(majorize_check, a, b) == want
+
+
+# -- exact decomposition, GDS product, replay and check: integers against Fractions --
+
+
+def _reference_swap_steps(current, target):
+    swaps = []
+    cur = list(current)
+    zero = zero_like(cur[0]) if cur else None
+    for pos in range(len(cur)):
+        if cmp_total(cur[pos], target[pos]) is OrderOutcome.EQUAL:
+            continue
+        src = next((k for k in range(pos + 1, len(cur))
+                    if cmp_total(cur[k], target[pos]) is OrderOutcome.EQUAL), None)
+        if src is None:
+            raise NotMajorized("decomposition found no entry to swap into place", None)
+        swaps.append(TTransform(pos, src, zero))
+        cur[pos], cur[src] = cur[src], cur[pos]
+    return swaps
+
+
+def _reference_decompose_trace(x, y):
+    """t_transform_decompose_trace on TotalComplex sorts and arithmetic."""
+    sx, sy = sort_desc(x), sort_desc(y)
+    verdict = majorize_sorted(sx, sy)
+    if verdict is not Majorization.STRICT:
+        raise NotMajorized("decomposition requires strict majorization", verdict)
+    target, w = list(sx), list(sy)
+    n = len(w)
+    transforms, intermediates = [], []
+    one = one_like(w[0])
+    for _ in range(n * n + n + 1):
+        if all(cmp_total(a, b) is OrderOutcome.EQUAL for a, b in zip(w, target)):
+            break
+        i = max((k for k in range(n) if cmp_total(target[k], w[k]) is OrderOutcome.LESS),
+                default=-1)
+        j = min((k for k in range(i + 1, n)
+                 if cmp_total(target[k], w[k]) is OrderOutcome.GREATER), default=None)
+        if i < 0 or j is None:
+            raise NotMajorized("decomposition found no pair of entries to mix", None)
+        gap_i = w[i] - target[i]
+        gap_j = target[j] - w[j]
+        eps_step = gap_i if cmp_total(gap_i, gap_j) is not OrderOutcome.GREATER else gap_j
+        step = TTransform(i, j, one - eps_step / (w[i] - w[j]))
+        transforms.append(step)
+        w = list(t_transform_apply(w, step))
+        resorted = list(sort_desc(w))
+        transforms.extend(_reference_swap_steps(w, resorted))
+        w = resorted
+        intermediates.append(tuple(w))
+    else:
+        raise NotMajorized("decomposition failed to converge")
+    transforms.extend(_reference_swap_steps(w, list(x)))
+    return transforms, intermediates
+
+
+def _reference_gds_check(m):
+    one = one_like(m.rows[0][0])
+    return all(cmp_total(reduce(add, line), one) is OrderOutcome.EQUAL
+               for line in itertools.chain(m.rows, zip(*m.rows)))
+
+
+def _reference_gds(transforms, n):
+    backend = transforms[0].beta.backend if transforms else EXACT
+    rows = [list(r) for r in Matrix.identity(n, backend).rows]
+    for t in transforms:
+        comp = one_like(t.beta) - t.beta
+        for row in rows:
+            a, b = row[t.i], row[t.j]
+            row[t.i], row[t.j] = a * t.beta + b * comp, a * comp + b * t.beta
+    return Matrix.from_rows(rows)
+
+
+def _reference_apply(v, m):
+    return tuple(reduce(add, map(mul, v, col)) for col in zip(*m.rows))
+
+
+def _chain(decompose, gds, apply, check, x, y):
+    """The decomposition of (x, y), its GDS rows, the replay on sort_desc(y)
+    and the check, or the verdict of a refused pair."""
+    try:
+        ts, intermediates = decompose(x, y)
+    except NotMajorized as err:
+        return "refused", err.verdict
+    p = gds(ts, len(x))
+    return ts, intermediates, p.rows, apply(sort_desc(y), p), check(p)
+
+
+def _ours(x, y):
+    return _chain(t_transform_decompose_trace, gds_from_transforms, apply_row_vector,
+                  gds_check, x, y)
+
+
+def _reference(x, y):
+    return _chain(_reference_decompose_trace, _reference_gds, _reference_apply,
+                  _reference_gds_check, x, y)
+
+
+@st.composite
+def decomposition_pairs(draw):
+    """Exact x and y of one length in 1..8 over denominators 1..64, entries
+    from a small pool (ties): x is y after T-transforms with beta in [0, 1]
+    (strict), or that x with one entry lowered (weak), or drawn at random
+    (mostly refused); both shuffled."""
+    n = draw(st.integers(1, 8))
+    ims = fine_rationals if draw(st.booleans()) else st.just(Fraction(0))
+    entry = st.builds(exact, fine_rationals, ims)
+    pool = draw(st.lists(entry, min_size=1, max_size=n))
+    y = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["strict", "weak", "random"]))
+    if kind == "random":
+        x = draw(st.lists(st.sampled_from(pool) | entry, min_size=n, max_size=n))
+    else:
+        x = list(y)
+        for _ in range(draw(st.integers(0, 4)) if n > 1 else 0):
+            i = draw(st.integers(0, n - 2))
+            j = draw(st.integers(i + 1, n - 1))
+            beta = exact(Fraction(draw(st.integers(0, 12)), 12))
+            x = list(t_transform_apply(x, TTransform(i, j, beta)))
+        if kind == "weak":
+            k = draw(st.integers(0, n - 1))
+            x[k] = x[k] - exact(draw(fine_rationals.filter(lambda q: q > 0)))
+    return tuple(draw(st.permutations(x))), tuple(draw(st.permutations(y)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(decomposition_pairs())
+@example((vec(Fraction(7, 2), (1, 1), (1, 1)), vec((1, 3), 4, (Fraction(3, 2), -1))))
+def test_exact_decomposition_chain_matches_fraction_reference(pair):
+    x, y = pair
+    assert _ours(x, y) == _reference(x, y)
+    # The same values as floats keep their bits (repr tells -0.0 from 0.0)
+    # and their errors.
+    fx, fy = ([z.to_float_backend() for z in v] for v in pair)
+    assert repr(_verdict_or_error(_ours, fx, fy)) == repr(_verdict_or_error(_reference, fx, fy))
+
+
+@st.composite
+def exact_square_matrices(draw):
+    """(v, m): an exact n x n matrix, n in 1..6, over mixed denominators, and
+    an exact vector of length n.  The last column makes every row sum to one,
+    the last row every column, both (a GDS matrix), or neither."""
+    n = draw(st.integers(1, 6))
+    ims = fine_rationals if draw(st.booleans()) else st.just(Fraction(0))
+    entry = st.builds(exact, fine_rationals, ims)
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    fix, one = draw(st.sampled_from(["neither", "rows", "columns", "both"])), exact(1)
+    for row in {"rows": rows, "both": rows[:-1]}.get(fix, []):
+        row[-1] = one - reduce(add, row[:-1], exact(0))
+    if fix in ("columns", "both"):
+        rows[-1] = [one - reduce(add, (row[k] for row in rows[:-1]), exact(0))
+                    for k in range(n)]
+    return tuple(draw(st.lists(entry, min_size=n, max_size=n))), Matrix.from_rows(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_square_matrices())
+def test_gds_check_and_replay_match_fraction_reference(pair):
+    v, m = pair
+    assert gds_check(m) is _reference_gds_check(m)
+    assert apply_row_vector(v, m) == _reference_apply(v, m)
+
+
+def _decomposition_corpus(count=2000, seed=23):
+    rng = random.Random(seed)
+
+    def q():
+        return Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        complex_entries = rng.random() < 0.5
+        pool = [exact(q(), q() if complex_entries else 0) for _ in range(rng.randint(1, n))]
+        y = [rng.choice(pool) for _ in range(n)]
+        kind = rng.randrange(4)
+        if kind == 3:
+            x = [rng.choice(pool) if rng.random() < 0.5 else exact(q()) for _ in range(n)]
+        else:
+            x = list(y)
+            for _ in range(rng.randint(0, 4) if n > 1 else 0):
+                i, j = sorted(rng.sample(range(n), 2))
+                beta = exact(Fraction(rng.randint(0, 12), 12))
+                x = list(t_transform_apply(x, TTransform(i, j, beta)))
+            if kind == 2:
+                k = rng.randrange(n)
+                x[k] = x[k] - exact(Fraction(rng.randint(1, 8), rng.randint(1, 6)))
+        rng.shuffle(x)
+        rng.shuffle(y)
+        yield tuple(x), tuple(y)
+
+
+def _chain_text(result):
+    if result[0] == "refused":
+        return f"refused {result[1]}"
+    ts, intermediates, rows, replay, ok = result
+    return repr(([(t.i, t.j, t.beta) for t in ts], intermediates, rows, replay, ok))
+
+
+def test_decomposition_corpus_digest_is_pinned():
+    """2,000 seeded decompositions with their GDS rows, replays and checks:
+    the same bytes as the TotalComplex implementation gave."""
+    h = hashlib.sha256()
+    for x, y in _decomposition_corpus():
+        h.update((_chain_text(_ours(x, y)) + "\n").encode())
+    assert h.hexdigest() == DECOMPOSITION_DIGEST
+
+
+DECOMPOSITION_DIGEST = "9d62ccf8ad32c1b180769d15e37658f3261d4d61e8932a424a435581dedf103c"
+
+
+# -- mixed backends and what the exact chain calls ---------------------------------
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_gds_from_transforms_refuses_mixed_betas(order):
+    ts = [TTransform(0, 1, exact(Fraction(1, 2))), TTransform(0, 1, approx(0.5))][::order]
+    with pytest.raises(BackendMismatch):
+        gds_from_transforms(ts, 2)
+
+
+def test_apply_row_vector_refuses_mixed_backends():
+    m = Matrix.identity(2, EXACT)
+    f = Matrix.identity(2, FLOAT)
+    with pytest.raises(BackendMismatch):
+        apply_row_vector(vec(1, 2), f)
+    with pytest.raises(BackendMismatch):
+        apply_row_vector((approx(1.0), approx(2.0)), m)
+
+
+def test_exact_chain_makes_no_sort_compare_or_total_complex_arithmetic(monkeypatch):
+    """Exact decompose -> GDS -> replay -> check runs on integers: no
+    sort_desc, no cmp_total and no TotalComplex + - * / anywhere."""
+    import snorder.majorization as majorization
+    import snorder.scalar as scalar
+
+    y = vec((4, 2), Fraction(1, 2), 1, (1, 1))
+    x = t_transform_apply(y, TTransform(0, 2, exact(Fraction(1, 3))))
+    x = t_transform_apply(x, TTransform(1, 3, exact(Fraction(3, 4))))[::-1]
+    sy = sort_desc(y)
+    want = _reference(x, y)
+
+    def forbidden(*args):
+        raise AssertionError("TotalComplex sort, compare or arithmetic")
+
+    for mod in (majorization, scalar):
+        monkeypatch.setattr(mod, "sort_desc", forbidden)
+        monkeypatch.setattr(mod, "cmp_total", forbidden)
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        monkeypatch.setattr(scalar.TotalComplex, op, forbidden)
+    ts, intermediates = t_transform_decompose_trace(x, y)
+    p = gds_from_transforms(ts, len(x))
+    got = ts, intermediates, p.rows, apply_row_vector(sy, p), gds_check(p)
+    assert got[1] and any(not t.beta.is_zero() for t in ts)
+    monkeypatch.undo()
+    assert got == want

@@ -25,16 +25,16 @@ from snorder.errors import (
 from snorder.linalg import block_diag, spectral_norm
 from snorder.matfunc import PolynomialFunction
 from snorder.ordering import (
-    HP_TOL,
     _image_reprs,
     closed_form_eigenvalues,
     convexity_check,
-    hp_identities_check,
     monotonicity_certificate,
     monotonicity_verify_direct,
 )
 from snorder.scalar import zero_like
 from snorder.snrepr import compare_sno
+
+from test_acceptance import HP_TOL, hp_identities_check
 
 
 def rep_of(*pairs):
