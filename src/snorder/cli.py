@@ -63,7 +63,7 @@ def cmd_majorize(args):
             raise
         _emit({"verdict": err.verdict.value}, args)
         return
-    p = gds_from_transforms(transforms, len(x))
+    p = gds_from_transforms(transforms, len(x), args.backend)
     _emit({
         "verdict": Majorization.STRICT.value,
         "transforms": [ser.transform_to_json(t) for t in transforms],

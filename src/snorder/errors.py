@@ -71,14 +71,6 @@ class NotSNOrdered(SnorderError):
     pass
 
 
-class ContractionViolated(SnorderError):
-    pass
-
-
-class NotAProjection(SnorderError):
-    pass
-
-
 class IncomparableNilpotent(SnorderError):
     """Neither block-structure partition dominates the other."""
 

@@ -286,11 +286,12 @@ def gds_check(m: Matrix) -> bool:
                for line in chain(m.rows, zip(*m.rows)))
 
 
-def gds_from_transforms(transforms: Sequence[TTransform], n: int) -> Matrix:
+def gds_from_transforms(transforms: Sequence[TTransform], n: int, backend: str = EXACT) -> Matrix:
     """Product of the transform matrices, in application order, so that
     row-vector replay y @ P equals applying the transforms one by one.  Each
-    step updates two columns in the dense product's operand order, bit for bit."""
-    backend = transforms[0].beta.backend if transforms else EXACT
+    step updates two columns in the dense product's operand order, bit for bit.
+    The betas set the backend; backend names that of the empty product."""
+    backend = transforms[0].beta.backend if transforms else backend
     if backend == EXACT:
         return _int_gds(transforms, n)
     rows = [list(r) for r in Matrix.identity(n, backend).rows]

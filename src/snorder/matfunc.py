@@ -7,9 +7,11 @@ oracle for analytic functions).  At an exact point a bounded memo keeps,
 per (f, lambda), the longest prefix of the shift asked for so far, both as
 the integer pairs the shift computes and as values; f(lambda) and eta read
 the values, and the exact f(J) blocks the integers, so an exact f(J) holds
-no Fraction entry.  Evaluating f on a Jordan block J_n(lambda) gives the
-upper triangular Toeplitz matrix whose q-th superdiagonal is the q-th
-coefficient, and the block structure of f(X) depends only on kappa, the
+no Fraction entry.  `PolynomialFunction.exact_images` evaluates f at many
+exact points at once, outside the memo, for the order certificates.
+Evaluating f on a Jordan block J_n(lambda) gives the upper triangular
+Toeplitz matrix whose q-th superdiagonal is the q-th coefficient, and the
+block structure of f(X) depends only on kappa, the
 first q >= 1 whose coefficient is nonzero: every block of size n splits
 into kappa nearly-equal pieces (ceil(n/kappa) and floor(n/kappa)).  This
 module provides the split in closed form, the per-eigenvalue refinement,
@@ -125,6 +127,24 @@ class PolynomialFunction:
                 im[k] += lr * s + li * r
         return big_d * ws[0], [(re[q] * ws[deg - q], im[q] * ws[deg - q])
                                for q in range(min(n, deg + 1))]
+
+    def exact_images(self, d: int, points: Sequence[tuple]) -> tuple:
+        """(den, pairs): f at the points L / d of the :func:`scalar.numerators`
+        pairs L, as pairs over den = D d^degree, by Horner's rule on the
+        Gaussian integers C_k d^(degree - k) of :meth:`_shift`, with no memo.
+        One den keeps the tuple order of the pairs the total order.  Float
+        coefficients raise the TypeError that f(lam) raises."""
+        big_d, pairs = self._integral
+        deg = self.degree
+        scaled = [(r * d ** (deg - k), m * d ** (deg - k)) for k, (r, m) in enumerate(pairs)]
+        top, rest = scaled[-1], scaled[-2::-1]
+        out = []
+        for lr, li in points:
+            ar, ai = top
+            for cr, ci in rest:
+                ar, ai = ar * lr - ai * li + cr, ar * li + ai * lr + ci
+            out.append((ar, ai))
+        return big_d * d ** deg, out
 
     def __call__(self, lam: TotalComplex) -> TotalComplex:
         return self.taylor(lam, 1)[0]

@@ -37,6 +37,7 @@ from .scalar import (
     as_scalar,
     cmp_total,
     exact,
+    numerators,
     one_like,
     sort_desc,
 )
@@ -157,7 +158,8 @@ def monotonicity_certificate(
     decreasing analogue, which additionally needs entrywise strict block
     dominance so the order survives the spectrum reversal.
     """
-    from .schur import MajorizationCert, _pointwise_monotonicity, majorization_preserving_check
+    from .schur import (MajorizationCert, _exact_monotonicity, _pointwise_monotonicity,
+                        majorization_preserving_check)
 
     verdict = compare_sno(rx, ry)
     if verdict not in (SNOVerdict.STRICT_LESS, SNOVerdict.WEAK_LESS):
@@ -173,7 +175,9 @@ def monotonicity_certificate(
             return cert_c
         return None
     # Case II: spectra equal, nilpotent level strictly below
-    inc, dec = _pointwise_monotonicity(rx.eigenvalues, [f(z) for z in rx.eigenvalues])
+    cleared = _exact_images(f, rx.eigenvalues)
+    inc, dec = _exact_monotonicity(*cleared) if cleared else _pointwise_monotonicity(
+        rx.eigenvalues, [f(z) for z in rx.eigenvalues])
     kx = _kappas(f, rx)
     ky = _kappas(f, ry)
     first_order = all(k == 1 for k in kx) and all(k == 1 for k in ky)
@@ -188,18 +192,28 @@ def monotonicity_certificate(
     return None
 
 
+def _exact_images(f, values) -> Optional[tuple]:
+    """(pairs, images): the :func:`scalar.numerators` pairs of the values and
+    f's :meth:`PolynomialFunction.exact_images` at them, when f is a
+    polynomial and every value is exact; else None."""
+    cleared = numerators(values) if isinstance(f, PolynomialFunction) else None
+    return cleared and (cleared[1], f.exact_images(*cleared)[1])
+
+
 def _try_case_c(f, rx, ry) -> Optional[MonotonicityCertificate]:
     if len(rx.eigenvalues) != len(ry.eigenvalues):
         return None
-    fx = [f(v) for v in rx.eigenvalues]
-    fy = [f(v) for v in ry.eigenvalues]
     # compare collapsed spectra with multiplicities, both sorted by image
-    cx, cy = sort_desc(rx.repeated(fx)), sort_desc(ry.repeated(fy))
-    if len(cx) != len(cy) or any(
-        cmp_total(a, b) is not OrderOutcome.EQUAL for a, b in zip(cx, cy)
-    ):
-        return None
-    if [sum(p) for p in rx.partitions] != [sum(p) for p in ry.partitions]:
+    cleared = _exact_images(f, rx.eigenvalues + ry.eigenvalues)
+    if cleared:
+        k = len(rx.eigenvalues)
+        same = sorted(rx.repeated(cleared[1][:k])) == sorted(ry.repeated(cleared[1][k:]))
+    else:
+        cx = sort_desc(rx.repeated([f(v) for v in rx.eigenvalues]))
+        cy = sort_desc(ry.repeated([f(v) for v in ry.eigenvalues]))
+        same = len(cx) == len(cy) and all(
+            cmp_total(a, b) is OrderOutcome.EQUAL for a, b in zip(cx, cy))
+    if not same or [sum(p) for p in rx.partitions] != [sum(p) for p in ry.partitions]:
         return None
     kx = _kappas(f, rx)
     ky = _kappas(f, ry)

@@ -17,7 +17,8 @@ from operator import add
 from typing import Callable, Optional, Sequence
 
 from .errors import GradientUnavailable, NotWeaklyMajorized
-from .majorization import Majorization, int_majorization, majorize_check, majorize_sorted
+from .majorization import (Majorization, _cleared_pair, _verdict, int_majorization,
+                           int_prefix_outcomes, majorize_check, majorize_sorted)
 from .scalar import (
     EXACT,
     OrderOutcome,
@@ -170,17 +171,23 @@ def _random_majorized_pair(rng: random.Random, n: int, complex_entries: bool):
     denominator 840, x over den = 840 * 16^k after k mixing steps of
     beta = b/16, each of which rescales x by 16.  Returns (x, den, y), x and
     y as lists of (re, im) numerators; rng is drawn in the same order as by
-    exact arithmetic on Fractions, so each seed gives the same pairs."""
+    exact arithmetic on Fractions, so each seed gives the same pairs.  Each
+    bound is one rng._randbelow draw, as randint(a, b) is a + _randbelow(b -
+    a + 1); so is each index of sample(range(n), 2) for n <= 21, where its
+    pool puts n - 1 in place of the first index drawn."""
+    below = rng._randbelow
+
     def draw():
-        return rng.randint(-40, 40) * (840 // rng.randint(1, 8))
+        return (below(81) - 40) * (840 // (1 + below(8)))
 
     y = [(draw(), draw() if complex_entries else 0) for _ in range(n)]
     x, den = y, 840
-    for _ in range(rng.randint(1, n)):
+    for _ in range(1 + below(n)):
         if n < 2:
             break
-        i, j = sorted(rng.sample(range(n), 2))
-        b = rng.randint(0, 16)
+        a, k = (below(n), below(n - 1)) if n <= 21 else rng.sample(range(n), 2)
+        i, j = sorted((a, n - 1 if k == a else k))
+        b = below(17)
         (ri, ii), (rj, ij) = x[i], x[j]
         x = [(16 * r, 16 * m) for r, m in x]
         x[i] = (b * ri + (16 - b) * rj, b * ii + (16 - b) * ij)
@@ -329,6 +336,15 @@ class MajorizationPreserveResult:
     reversed_direction: bool = False  # conclusion runs f(y) weakly below f(x)
 
 
+def _exact_monotonicity(points, images) -> tuple:
+    """_pointwise_monotonicity given keys of exact points and of their
+    images whose tuple order is the total order: the images of neighbours
+    among the distinct points, sorted once, decide."""
+    by_point = dict(zip(points, images))
+    fs = [by_point[p] for p in sorted(by_point, reverse=True)]
+    return all(a > b for a, b in zip(fs, fs[1:])), all(a < b for a, b in zip(fs, fs[1:]))
+
+
 def _pointwise_monotonicity(points, images):
     """Classify a map on the given points, given their images: strictly
     increasing, strictly decreasing, or neither.  Exact input is a strict
@@ -336,9 +352,7 @@ def _pointwise_monotonicity(points, images):
     sorted once, decide; float input compares the images of every pair,
     larger point first, since eps-equality is not transitive."""
     if all(z.backend == EXACT for z in (*points, *images)):
-        by_point = dict(zip(map(order_key, points), map(order_key, images)))
-        fs = [by_point[p] for p in sorted(by_point, reverse=True)]
-        return all(a > b for a, b in zip(fs, fs[1:])), all(a < b for a, b in zip(fs, fs[1:]))
+        return _exact_monotonicity(map(order_key, points), map(order_key, images))
     inc = dec = True
     for (p, fp), (q, fq) in combinations(zip(points, images), 2):
         order = cmp_total(p, q)
@@ -357,8 +371,15 @@ def majorization_preserving_check(f, x, y) -> MajorizationPreserveResult:
     the relevant points plus the difference-sum conditions), the decreasing
     one (tail conditions), then the entrywise special case x_i <= y_i which
     drops the difference-sum conditions (a decreasing f then reverses the
-    conclusion).
+    conclusion).  A polynomial f on exact x and y of one nonzero length
+    runs on integers (:func:`_int_preserving_check`).
     """
+    from .matfunc import PolynomialFunction
+
+    x, y = tuple(x), tuple(y)
+    cleared = _cleared_pair(x, y) if isinstance(f, PolynomialFunction) else None
+    if cleared is not None:
+        return _int_preserving_check(f, *cleared)
     sx, sy = sort_desc(x), sort_desc(y)
     if majorize_sorted(sx, sy) is Majorization.NONE:
         raise NotWeaklyMajorized("x must be weakly majorized by y")
@@ -391,4 +412,29 @@ def majorization_preserving_check(f, x, y) -> MajorizationPreserveResult:
         return MajorizationPreserveResult(
             MajorizationCert.CERTIFIED_ENTRYWISE, reversed_direction=True
         )
+    return MajorizationPreserveResult(MajorizationCert.NOT_CERTIFIED)
+
+
+def _int_preserving_check(f, d: int, px: list, py: list) -> MajorizationPreserveResult:
+    """majorization_preserving_check on the numerator pairs px, py of x, y
+    over d, sorted as tuples, for a polynomial f.  Its images share one
+    denominator (PolynomialFunction.exact_images), so their tuple order is
+    the total order, which adding a pair keeps: with g_i = f(x_i) - f(y_i),
+    the increasing conditions say each running sum of the g_i past the
+    first is <= 0, the decreasing ones that each tail sum is."""
+    sx, sy = sorted(px, reverse=True), sorted(py, reverse=True)
+    if _verdict(int_prefix_outcomes(*zip(*sx), *zip(*sy))) is Majorization.NONE:
+        raise NotWeaklyMajorized("x must be weakly majorized by y")
+    images = f.exact_images(d, sx + sy)[1]
+    inc, dec = _exact_monotonicity(sx + sy, images)
+    n = len(sx)
+    gaps = [(a - c, b - e) for (a, b), (c, e) in zip(images[:n], images[n:])]
+    sums = [(0, 0), *zip(*map(accumulate, zip(*gaps)))]  # sums[i]: the first i gaps
+    if inc and all(s <= (0, 0) for s in sums[2:]):
+        return MajorizationPreserveResult(MajorizationCert.CERTIFIED_INCREASING)
+    if dec and all(sums[-1] <= s for s in sums[:-1]):
+        return MajorizationPreserveResult(MajorizationCert.CERTIFIED_DECREASING)
+    if (inc or dec) and all(a <= b for a, b in zip(sx, sy)):
+        return MajorizationPreserveResult(MajorizationCert.CERTIFIED_ENTRYWISE,
+                                          reversed_direction=not inc)
     return MajorizationPreserveResult(MajorizationCert.NOT_CERTIFIED)

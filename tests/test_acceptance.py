@@ -32,7 +32,7 @@ from snorder import (
     repr_from_matrix,
     sort_desc,
 )
-from snorder.errors import ContractionViolated
+from snorder.errors import SnorderError
 from snorder.linalg import spectral_norm
 from snorder.majorization import apply_row_vector, t_transform_apply, t_transform_decompose_trace
 from snorder.matfunc import (
@@ -312,6 +312,11 @@ def test_criterion_10_spectral_mapping_numerics():
 # convexity argument, checked numerically by criterion 11 and tests/test_ordering.py.
 
 HP_TOL = 1e-8
+
+
+class ContractionViolated(SnorderError):
+    """A matrix, or a family of matrices, the identities need to be a
+    contraction is not one."""
 
 
 def _psd_sqrt(h: np.ndarray) -> np.ndarray:

@@ -120,6 +120,17 @@ def test_majorize_decompose_report_is_unchanged(tmp_path, capsys, backend):
     assert json.dumps(out, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
+def test_float_decompose_with_no_step_prints_a_float_identity(tmp_path, capsys):
+    # x is already sorted, so the decomposition has no step and the GDS
+    # matrix is the empty product, in the backend of the input.
+    x = write(tmp_path, "x.json", [sc(2.0, 0.0), sc(1.0, 0.0)])
+    code, out = run(capsys, ["--backend", "float", "majorize", x, x, "--decompose"])
+    assert (code, out["transforms"], out["gds_valid"]) == (0, [], True)
+    one, zero = sc(1.0, 0.0), sc(0.0, 0.0)
+    assert json.dumps(out["gds"], sort_keys=True) == json.dumps(
+        {"rows": [[one, zero], [zero, one]]}, sort_keys=True)
+
+
 # `majorize --decompose` on a pair that is not strictly majorized prints the
 # verdict alone, as `majorize` does.
 REFUSED_CASES = {

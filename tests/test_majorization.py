@@ -293,6 +293,15 @@ def test_gds_from_transforms_matches_dense_product(backend, data):
     assert _bits(gds_from_transforms(ts, n)) == _bits(expected)
 
 
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_gds_of_no_transforms_is_the_identity_of_the_named_backend(backend):
+    assert _bits(gds_from_transforms([], 3, backend)) == _bits(Matrix.identity(3, backend))
+    assert _bits(gds_from_transforms([], 3)) == _bits(Matrix.identity(3, EXACT))
+    # The betas name the backend of a product with steps.
+    t = TTransform(0, 1, approx(0.25))
+    assert _bits(gds_from_transforms([t], 2, EXACT)) == _bits(gds_from_transforms([t], 2))
+
+
 def test_gds_from_transforms_rejects_index_beyond_size():
     with pytest.raises(DimensionMismatch):
         gds_from_transforms([TTransform(0, 3, exact(Fraction(1, 2)))], 3)

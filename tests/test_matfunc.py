@@ -28,6 +28,7 @@ from snorder.errors import (
     OutsideAnalyticityRadius,
 )
 from snorder.matfunc import PolynomialFunction
+from snorder.scalar import from_numerators, numerators
 from snorder import matfunc
 from snorder.linalg import block_diag
 from snorder.matfunc import (
@@ -112,6 +113,24 @@ def test_exact_taylor_prefixes_in_any_order(f, lam, data):
     orders = data.draw(st.permutations([1, f.degree, f.degree + 1, f.degree + 2, f.degree + 4]))
     for n in orders:
         assert _bits(f.taylor(lam, n)) == _bits(_reference_taylor(f, lam, n))
+
+
+@settings(max_examples=60)
+@given(polynomials, st.lists(gaussian_rationals, max_size=5))
+def test_exact_images_are_the_values_of_f_over_one_denominator(f, points):
+    d, pairs = numerators(points)
+    den, images = f.exact_images(d, pairs)
+    assert _bits(from_numerators(den, images)) == _bits([_reference_taylor(f, z, 1)[0]
+                                                          for z in points])
+
+
+def test_exact_images_of_float_coefficients_raise_what_a_point_evaluation_does():
+    f = poly([1.0, 2.0], backend="float")
+    with pytest.raises(TypeError) as at_point:
+        f(exact(1))
+    with pytest.raises(TypeError) as images:
+        f.exact_images(1, [(1, 0)])
+    assert str(images.value) == str(at_point.value)
 
 
 def test_exact_taylor_results_are_fresh_lists():

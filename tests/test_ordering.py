@@ -1,10 +1,15 @@
+import hashlib
+import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from operator import add
 from typing import Optional, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from snorder import (
     JordanSpec,
@@ -15,26 +20,36 @@ from snorder import (
     poly,
 )
 from snorder.errors import (
-    ContractionViolated,
     DimensionMismatch,
-    NotAProjection,
     NotSNOrdered,
+    NotWeaklyMajorized,
     SnorderError,
     SpectrumUnavailable,
 )
 from snorder.linalg import block_diag, spectral_norm
+from snorder.majorization import Majorization, TTransform, majorize_sorted, t_transform_apply
 from snorder.matfunc import PolynomialFunction
 from snorder.ordering import (
+    MonotonicityCertificate,
     _image_reprs,
+    _kappas,
+    _try_case_c,
     closed_form_eigenvalues,
     convexity_check,
     monotonicity_certificate,
     monotonicity_verify_direct,
 )
-from snorder.scalar import zero_like
-from snorder.snrepr import compare_sno
+from snorder.partitions import dominance_check
+from snorder.scalar import OrderOutcome, cmp_total, sort_desc, zero_like
+from snorder.schur import (
+    MajorizationCert,
+    MajorizationPreserveResult,
+    majorization_preserving_check,
+)
+from snorder.snrepr import _spectral_outcomes, compare_sno
 
-from test_acceptance import HP_TOL, hp_identities_check
+from test_acceptance import HP_TOL, ContractionViolated, hp_identities_check
+from test_schur import pairwise_monotonicity
 
 
 def rep_of(*pairs):
@@ -212,6 +227,10 @@ def test_hp_identities_rejects_expansion():
 # characterization probed on concrete inputs, and the stacked assembly behind item 3.
 
 
+class NotAProjection(SnorderError):
+    """The matrix given as item 4's projection fails P^2 = P = P*."""
+
+
 @dataclass(frozen=True)
 class ItemCheck:
     item: int
@@ -370,3 +389,331 @@ def test_similarity_and_flip_identities():
         lhs2 = x @ _poly_mat(coeffs, x.conj().T @ x)
         rhs2 = _poly_mat(coeffs, x @ x.conj().T) @ x
         assert np.linalg.norm(lhs2 - rhs2) <= 1e-8
+
+
+# -- certificates on exact polynomial images ----------------------------------------
+# Reference copies of the certificate code as it ran on TotalComplex values:
+# f evaluated point by point, sort_desc and cmp_total on the images, and the
+# pairwise monotonicity loop of test_schur.
+
+
+def _reference_preserving_check(f, x, y):
+    sx, sy = sort_desc(x), sort_desc(y)
+    if majorize_sorted(sx, sy) is Majorization.NONE:
+        raise NotWeaklyMajorized("x must be weakly majorized by y")
+    points = sx + sy
+    images = [f(v) for v in points]
+    inc, dec = pairwise_monotonicity(points, images)
+    n = len(sx)
+    fx, fy = images[:n], images[n:]
+    diffs = [b - a for a, b in zip(fx, fy)]
+    if inc:
+        rhs = list(accumulate(diffs))
+        if all(cmp_total(fx[i] - fy[i], rhs[i - 1]) is not OrderOutcome.GREATER
+               for i in range(1, n)):
+            return MajorizationPreserveResult(MajorizationCert.CERTIFIED_INCREASING)
+    if dec:
+        ok = cmp_total(fx[n - 1], fy[n - 1]) is not OrderOutcome.GREATER and all(
+            cmp_total(fx[i] - fy[i], reduce(add, diffs[i + 1:])) is not OrderOutcome.GREATER
+            for i in range(n - 1))
+        if ok:
+            return MajorizationPreserveResult(MajorizationCert.CERTIFIED_DECREASING)
+    entrywise = all(cmp_total(a, b) is not OrderOutcome.GREATER for a, b in zip(sx, sy))
+    if entrywise and inc:
+        return MajorizationPreserveResult(MajorizationCert.CERTIFIED_ENTRYWISE)
+    if entrywise and dec:
+        return MajorizationPreserveResult(MajorizationCert.CERTIFIED_ENTRYWISE,
+                                          reversed_direction=True)
+    return MajorizationPreserveResult(MajorizationCert.NOT_CERTIFIED)
+
+
+def _reference_case_c(f, rx, ry):
+    if len(rx.eigenvalues) != len(ry.eigenvalues):
+        return None
+    fx = [f(v) for v in rx.eigenvalues]
+    fy = [f(v) for v in ry.eigenvalues]
+    cx, cy = sort_desc(rx.repeated(fx)), sort_desc(ry.repeated(fy))
+    if len(cx) != len(cy) or any(
+        cmp_total(a, b) is not OrderOutcome.EQUAL for a, b in zip(cx, cy)
+    ):
+        return None
+    if [sum(p) for p in rx.partitions] != [sum(p) for p in ry.partitions]:
+        return None
+    kx, ky = _kappas(f, rx), _kappas(f, ry)
+    flat_x_ok = all(k is None or k >= max(part) for k, part in zip(kx, rx.partitions))
+    y_first_order = all(k == 1 for k in ky)
+    y_nontrivial = any(max(p) > 1 for p in ry.partitions)
+    if flat_x_ok and y_first_order and y_nontrivial:
+        return MonotonicityCertificate("C", {"kappa_x": kx, "kappa_y": ky})
+    return None
+
+
+def _reference_certificate(f, rx, ry):
+    verdict = compare_sno(rx, ry)
+    if verdict not in (SNOVerdict.STRICT_LESS, SNOVerdict.WEAK_LESS):
+        raise NotSNOrdered(f"representations compare as {verdict.value}")
+    if not _spectral_outcomes(rx, ry)[1]:
+        res = _reference_preserving_check(f, rx.spectral_vector, ry.spectral_vector)
+        if res.kind is MajorizationCert.CERTIFIED_INCREASING:
+            return MonotonicityCertificate("A")
+        if res.kind is MajorizationCert.CERTIFIED_DECREASING:
+            return MonotonicityCertificate("B")
+        return _reference_case_c(f, rx, ry)
+    inc, dec = pairwise_monotonicity(rx.eigenvalues, [f(z) for z in rx.eigenvalues])
+    kx, ky = _kappas(f, rx), _kappas(f, ry)
+    first_order = all(k == 1 for k in kx) and all(k == 1 for k in ky)
+    if inc and first_order:
+        return MonotonicityCertificate("D", {"kappa_x": kx, "kappa_y": ky})
+    entrywise = len(rx.partitions) == len(ry.partitions) and all(
+        dominance_check(px, py) and px != py for px, py in zip(rx.partitions, ry.partitions))
+    if dec and first_order and entrywise:
+        return MonotonicityCertificate("E", {"kappa_x": kx, "kappa_y": ky})
+    return None
+
+
+def _outcome(fn, *args):
+    """fn's result, certificates with their details, or its error type."""
+    try:
+        res = fn(*args)
+    except Exception as err:  # the differential compares error types too
+        return type(err)
+    return (res.case, res.details) if isinstance(res, MonotonicityCertificate) else res
+
+
+_QS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
+_PARTS = {1: [(1,)], 2: [(2,), (1, 1)], 3: [(3,), (2, 1), (1, 1, 1)]}
+
+
+def _entries(draw):
+    """Exact entries, complex or all real, the kind drawn once."""
+    return st.builds(exact, _QS, _QS if draw(st.booleans()) else st.just(Fraction(0)))
+
+
+@st.composite
+def exact_polys(draw, even=False):
+    """Exact polynomials of degree 0..3, complex coefficients or real ones;
+    even ones have only c0 and c2, so f(z) = f(-z)."""
+    coeffs = draw(st.lists(_entries(draw), min_size=1, max_size=4))
+    if even:
+        coeffs = [c if k % 2 == 0 else exact(0) for k, c in enumerate(coeffs[:3])]
+    return PolynomialFunction(tuple(coeffs))
+
+
+def _mixed_down(draw, y):
+    """y after a few T-transforms with beta in [0, 1]: strictly majorized by y."""
+    x = list(y)
+    for _ in range(draw(st.integers(0, 3)) if len(x) > 1 else 0):
+        i = draw(st.integers(0, len(x) - 2))
+        j = draw(st.integers(i + 1, len(x) - 1))
+        beta = exact(Fraction(draw(st.integers(0, 6)), 6))
+        x = list(t_transform_apply(x, TTransform(i, j, beta)))
+    return x
+
+
+@st.composite
+def preserving_inputs(draw):
+    """(f, x, y): unsorted x and y with repeated entries, strictly or weakly
+    majorized, at random or of unequal lengths."""
+    f = draw(exact_polys())
+    n = draw(st.integers(1, 5))
+    pool = draw(st.lists(_entries(draw), min_size=1, max_size=n))
+    y = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["strict", "weak", "random", "unequal"]))
+    if kind in ("random", "unequal"):
+        m = n if kind == "random" else draw(st.integers(0, 6).filter(lambda m: m != n))
+        x = draw(st.lists(st.sampled_from(pool) | _entries(draw), min_size=m, max_size=m))
+    else:
+        x = _mixed_down(draw, y)
+        if kind == "weak":
+            k = draw(st.integers(0, n - 1))
+            x[k] = x[k] - exact(draw(_QS.filter(lambda q: q > 0)))
+    return f, tuple(draw(st.permutations(x))), tuple(draw(st.permutations(y)))
+
+
+@st.composite
+def certificate_inputs(draw):
+    """(f, rx, ry): equal spectra with other block structures (case II),
+    spectra mixed down (case I), spectra an even f may collapse (case C), or
+    two unrelated representations; a pair ordered the other way round is
+    swapped."""
+    kind = draw(st.sampled_from(["same spectrum", "mixed", "collapse", "random"]))
+    f = draw(exact_polys(even=kind == "collapse"))
+    pool = draw(st.lists(_entries(draw), min_size=1, max_size=4, unique=True))
+    blocks = st.tuples(st.sampled_from(pool), st.sampled_from(sum(_PARTS.values(), [])))
+    xs = draw(st.lists(blocks, min_size=1, max_size=3))
+    if kind == "mixed":
+        y = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+        xs, ys = [(z, (1,)) for z in _mixed_down(draw, y)], [(z, (1,)) for z in y]
+    elif kind == "random":
+        ys = draw(st.lists(blocks, min_size=1, max_size=3))
+    else:
+        # _PARTS lists each size's partitions by decreasing dominance, so x
+        # takes the later one of two at every eigenvalue.
+        ks = [draw(st.sampled_from([k for k, q in enumerate(_PARTS[sum(p)]) if q != p] or [0]))
+              for _, p in xs]
+        ys = [(lam, _PARTS[sum(p)][min(k, _PARTS[sum(p)].index(p))])
+              for (lam, p), k in zip(xs, ks)]
+        xs = [(lam, _PARTS[sum(p)][max(k, _PARTS[sum(p)].index(p))])
+              for (lam, p), k in zip(xs, ks)]
+        if kind == "collapse":
+            xs = [(-lam if draw(st.booleans()) else lam, (1,) * sum(p)) for lam, p in xs]
+    rx, ry = rep_of(*xs), rep_of(*ys)
+    if rx.dimension == ry.dimension and compare_sno(ry, rx) in (
+            SNOVerdict.STRICT_LESS, SNOVerdict.WEAK_LESS):
+        rx, ry = ry, rx
+    return f, rx, ry
+
+
+def _float_poly(f):
+    return PolynomialFunction(tuple(c.to_float_backend() for c in f.coefficients))
+
+
+def _float_rep(r):
+    return rep_of(*((lam.to_float_backend(), p) for lam, p in zip(r.eigenvalues, r.partitions)))
+
+
+_VARIANTS = ["exact", "exact", "exact", "float f", "float points", "mixed points"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(preserving_inputs(), st.sampled_from(_VARIANTS))
+def test_preserving_check_matches_total_complex_reference(inputs, variant):
+    f, x, y = inputs
+    if variant == "float f":
+        f = _float_poly(f)
+    elif variant != "exact":
+        y = tuple(z.to_float_backend() for z in y)
+        x = x if variant == "mixed points" else tuple(z.to_float_backend() for z in x)
+    assert _outcome(majorization_preserving_check, f, x, y) \
+        == _outcome(_reference_preserving_check, f, x, y)
+
+
+@settings(max_examples=400, deadline=None)
+@given(certificate_inputs(), st.sampled_from(_VARIANTS))
+def test_certificate_and_case_c_match_total_complex_reference(inputs, variant):
+    f, rx, ry = inputs
+    if variant == "float f":
+        f = _float_poly(f)
+    elif variant != "exact":
+        ry = _float_rep(ry)
+        rx = rx if variant == "mixed points" else _float_rep(rx)
+    assert _outcome(monotonicity_certificate, f, rx, ry) \
+        == _outcome(_reference_certificate, f, rx, ry)
+    assert _outcome(_try_case_c, f, rx, ry) == _outcome(_reference_case_c, f, rx, ry)
+
+
+def _certificate_corpus(count=2000, seed=24):
+    """(f, rx, ry) in four kinds taken in turn: spectra mixed down (case I),
+    one spectrum with x's blocks below y's (case II), spectra an even f
+    collapses (case C), and two unrelated representations; every eighth
+    pair is on the float backend."""
+    rng = random.Random(seed)
+
+    def value(cplx):
+        return exact(*(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(1 + cplx)))
+
+    def any_poly():
+        cplx = rng.random() < 0.3
+        return PolynomialFunction(tuple(value(cplx) for _ in range(rng.randint(1, 4))))
+
+    every_part = sum(_PARTS.values(), [])
+    for k in range(count):
+        cplx, kind = rng.random() < 0.3, k % 4
+        if kind == 0:
+            y = [value(cplx) for _ in range(rng.randint(2, 5))]
+            x = y
+            for _ in range(rng.randint(1, 3)):
+                i, j = sorted(rng.sample(range(len(y)), 2))
+                x = t_transform_apply(x, TTransform(i, j, exact(Fraction(rng.randint(0, 6), 6))))
+            xs, ys = [(z, (1,)) for z in x], [(z, (1,)) for z in y]
+            f = rng.choice([poly([1, 2]), poly([0, -1]), any_poly()])
+        elif kind in (1, 2):
+            lams = dict.fromkeys(value(cplx) if kind == 1 else exact(rng.randint(1, 9))
+                                 for _ in range(rng.randint(1, 3)))
+            xs, ys = [], []
+            for lam in lams:
+                parts = _PARTS[rng.randint(1, 3)]
+                a, b = sorted(rng.sample(range(len(parts)), 2)) if len(parts) > 1 else (0, 0)
+                ys.append((lam, parts[a]))
+                if kind == 2:  # all ones at x, some eigenvalues negated
+                    lam, b = (-lam if rng.random() < 0.7 else lam), len(parts) - 1
+                xs.append((lam, parts[b]))
+            f = (rng.choice([poly([5, 2]), poly([0, -1]), any_poly()]) if kind == 1
+                 else poly([value(False), 0, value(False)]))
+        else:
+            xs, ys = ([(value(cplx), rng.choice(every_part)) for _ in range(rng.randint(1, 3))]
+                      for _ in "xy")
+            f = any_poly()
+        rx, ry = rep_of(*xs), rep_of(*ys)
+        if rx.dimension == ry.dimension and compare_sno(ry, rx) in (
+                SNOVerdict.STRICT_LESS, SNOVerdict.WEAK_LESS):
+            rx, ry = ry, rx
+        yield (f, rx, ry) if k % 8 else (_float_poly(f), _float_rep(rx), _float_rep(ry))
+
+
+def test_certificate_corpus_digest_is_pinned():
+    """2,000 seeded certificates with their direct verdicts: the same bytes
+    as the TotalComplex implementation gave."""
+    h = hashlib.sha256()
+    for f, rx, ry in _certificate_corpus():
+        text = repr((_outcome(monotonicity_certificate, f, rx, ry),
+                     _outcome(monotonicity_verify_direct, f, rx, ry)))
+        h.update((text + "\n").encode())
+    assert h.hexdigest() == CERTIFICATE_DIGEST
+
+
+CERTIFICATE_DIGEST = "a60aea897d0dffb7c178ff61f65f46f1e0ed86dddc14c392ba679f6549394c0a"
+
+
+CASES_A_TO_E = [
+    (poly([1, 2]), rep_of((exact(2), (1,)), (exact(2), (1,))),
+     rep_of((exact(3), (1,)), (exact(1), (1,)))),
+    (poly([0, -1]), rep_of((exact(2), (1,)), (exact(2), (1,))),
+     rep_of((exact(3), (1,)), (exact(1), (1,)))),
+    (poly([0, 0, 1]), rep_of((exact(2), (1, 1)), (exact(-1), (1, 1))),
+     rep_of((exact(2), (2,)), (exact(1), (2,)))),
+    (poly([5, 2]), rep_of((exact(1), (2, 1)), (exact(0), (1,))),
+     rep_of((exact(1), (3,)), (exact(0), (1,)))),
+    (poly([0, -1]), rep_of((exact(1), (2, 1)), (exact(0), (1, 1))),
+     rep_of((exact(1), (3,)), (exact(0), (2,)))),
+]
+
+
+def test_exact_certificates_make_no_point_evaluation_sort_or_compare(monkeypatch):
+    """Exact certificates read f's images from exact_images: no sort_desc,
+    no cmp_total and no f(lam), which is taylor(lam, 1); the preserving
+    check makes no taylor call at all."""
+    import snorder.majorization as majorization
+    import snorder.ordering as ordering
+    import snorder.scalar as scalar
+    import snorder.schur as schur
+    import snorder.snrepr as snrepr
+
+    def key(cert):
+        return cert and (cert.case, cert.details)
+
+    def vec(*vals):
+        return tuple(exact(*v) if isinstance(v, tuple) else exact(v) for v in vals)
+
+    checks = [(poly([1, 2]), vec(2, 2), vec(3, 1)), (poly([0, -1]), vec(2, 2), vec(3, 1)),
+              (poly([0, -1]), vec(1, 0), vec(3, 1)), (poly([0, 0, 1]), vec(1, -1), vec(2, -2)),
+              (poly([1, exact(0, 1), 2]), vec((1, 1), 0, (1, 1)), vec(0, (2, 1), (1, 1)))]
+    want = ([key(_reference_certificate(*c)) for c in CASES_A_TO_E],
+            [_reference_preserving_check(*c) for c in checks])
+    assert [case for case, _ in want[0]] == list("ABCDE")
+
+    def forbidden(*args):
+        raise AssertionError("sort_desc, cmp_total or a point evaluation of f")
+
+    for mod in (majorization, ordering, schur, scalar, snrepr):
+        for name in ("sort_desc", "cmp_total"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, forbidden)
+    taylor = PolynomialFunction.taylor
+    monkeypatch.setattr(PolynomialFunction, "taylor",
+                        lambda f, lam, n: forbidden() if n == 1 else taylor(f, lam, n))
+    certs = [key(monotonicity_certificate(*c)) for c in CASES_A_TO_E]
+    monkeypatch.setattr(PolynomialFunction, "taylor", forbidden)
+    results = [majorization_preserving_check(*c) for c in checks]
+    monkeypatch.undo()
+    assert (certs, results) == want

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -97,15 +98,17 @@ def _fractions(v, den):
 
 @pytest.mark.parametrize("complex_entries", [False, True])
 def test_random_majorized_pair_matches_fraction_reference(complex_entries):
-    for seed in range(200):
-        for n in range(1, 7):
-            ours, ref = random.Random(seed), random.Random(seed)
-            for _ in range(2):
-                x, den, y = _random_majorized_pair(ours, n, complex_entries)
-                rx, ry = _fraction_majorized_pair(ref, n, complex_entries)
-                assert (_exact_keys(_fractions(x, den)), _exact_keys(_fractions(y, 840))) \
-                    == (_exact_keys(rx), _exact_keys(ry))
-            assert ours.getstate() == ref.getstate()
+    # n up to 30 takes both branches of Random.sample: its pool for n <= 21,
+    # its set of draws above; fewer seeds for the longer vectors.
+    for seed, n in [*itertools.product(range(200), range(1, 7)),
+                    *itertools.product(range(20), range(7, 31))]:
+        ours, ref = random.Random(seed), random.Random(seed)
+        for _ in range(2):
+            x, den, y = _random_majorized_pair(ours, n, complex_entries)
+            rx, ry = _fraction_majorized_pair(ref, n, complex_entries)
+            assert (_exact_keys(_fractions(x, den)), _exact_keys(_fractions(y, 840))) \
+                == (_exact_keys(rx), _exact_keys(ry))
+        assert ours.getstate() == ref.getstate()
 
 
 def _fraction_falsify(f, n, trials, seed, complex_entries):
