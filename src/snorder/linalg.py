@@ -16,11 +16,11 @@ from __future__ import annotations
 from functools import cached_property, reduce
 from itertools import chain
 from math import gcd
-from operator import add, mul
+from operator import add, mul, sub
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import BackendMismatch, DimensionMismatch, RankAmbiguous, SingularTransform
-from .scalar import EXACT, TotalComplex, from_numerators, numerators, one_like
+from .scalar import EXACT, TotalComplex, as_scalar, from_numerators, numerators
 
 if TYPE_CHECKING:
     import numpy as np
@@ -60,8 +60,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int, backend: str = EXACT) -> "Matrix":
-        zero = TotalComplex.zero(backend)
-        one = one_like(zero)
+        zero, one = as_scalar(0, backend), as_scalar(1, backend)
         return Matrix(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
 
     # -- the two forms ----------------------------------------------------
@@ -108,19 +107,16 @@ class Matrix:
 
     # -- arithmetic -------------------------------------------------------
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _entrywise(self, other: "Matrix", op) -> "Matrix":
         if self.shape != other.shape:
             raise DimensionMismatch(f"{self.shape} vs {other.shape}")
-        return Matrix(
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
-        )
+        return Matrix(tuple(tuple(map(op, ra, rb)) for ra, rb in zip(self.rows, other.rows)))
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, add)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"{self.shape} vs {other.shape}")
-        return Matrix(
-            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
-        )
+        return self._entrywise(other, sub)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         m, k = self.shape
@@ -133,9 +129,6 @@ class Matrix:
 
     def scale(self, c: TotalComplex) -> "Matrix":
         return Matrix(tuple(tuple(c * a for a in row) for row in self.rows))
-
-    def conj_transpose(self) -> "Matrix":
-        return Matrix(tuple(tuple(a.conjugate() for a in col) for col in zip(*self.rows)))
 
     # -- solves -----------------------------------------------------------
 
@@ -169,7 +162,7 @@ class Matrix:
 
 def block_diag(blocks: Sequence[Matrix]) -> Matrix:
     n = sum(b.shape[0] for b in blocks)
-    zero = TotalComplex.zero(blocks[0].backend)
+    zero = as_scalar(0, blocks[0].backend)
     rows = [[zero] * n for _ in range(n)]
     off = 0
     for b in blocks:

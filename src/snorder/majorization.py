@@ -9,13 +9,13 @@ after every mixing step so that replaying the returned transforms on
 sort_desc(y) reproduces x exactly.  The matrix replaying a decomposition is
 built by column updates: each T-transform rewrites columns i and j only.
 
-Every prefix-sum verdict, here and in ``snrepr.compare_sno``, reads
-:func:`prefix_outcomes`.  On exact vectors it compares running sums of the
-:func:`scalar.numerators` pairs of both vectors (:func:`int_prefix_outcomes`);
-float vectors add and compare TotalComplex values under cmp_total's eps.
-Exact :func:`majorize_check` also sorts those pairs: :func:`int_majorization`
-reads the verdict from their running sums.  The falsifier in ``schur`` calls
-it on the numerators it draws.
+Every exact prefix-sum verdict compares running sums of the
+:func:`scalar.numerators` pairs of both vectors (:func:`int_prefix_outcomes`,
+or :func:`sum_outcomes` on sums ``snrepr.compare_sno`` keeps); float vectors
+add and compare TotalComplex values under cmp_total's eps
+(:func:`prefix_outcomes`).  :func:`int_majorization` is the one integer sort
+and verdict: exact :func:`majorize_check`, the decomposition, and the
+certificate and falsifier in ``schur`` all call it.
 
 The exact decomposition, its GDS product, the replay and :func:`gds_check`
 run on those integer pairs too, over one denominator each; only each beta
@@ -63,17 +63,9 @@ def int_prefix_outcomes(xre, xim, yre, yim) -> list:
 
 def prefix_outcomes(sx: Sequence[TotalComplex], sy: Sequence[TotalComplex]) -> list:
     """cmp_total of each pair of running sums of sx and sy, each added left
-    to right: the comparisons that decide every prefix-sum verdict.
-
-    When every entry is exact, :func:`int_prefix_outcomes` compares the
-    sums of their :func:`scalar.numerators` pairs.  Float and mixed input
-    compare the TotalComplex sums, so float bits are unchanged and a mixed
-    pair raises BackendMismatch."""
-    cleared = numerators((*sx, *sy))
-    if cleared is None:
-        return list(map(cmp_total, accumulate(sx), accumulate(sy)))
-    pairs, n = cleared[1], len(sx)
-    return int_prefix_outcomes(*zip(*pairs[:n]), *zip(*pairs[n:])) if sx and sy else []
+    to right: the float counterpart of :func:`int_prefix_outcomes`, and
+    exact on Fraction sums.  A mixed pair raises BackendMismatch."""
+    return list(map(cmp_total, accumulate(sx), accumulate(sy)))
 
 
 def _verdict(outcomes: list) -> Majorization:
@@ -84,13 +76,13 @@ def _verdict(outcomes: list) -> Majorization:
     return Majorization.WEAK
 
 
-def int_majorization(x: Iterable[tuple], y: Iterable[tuple]) -> Majorization:
-    """majorize_check on equally many (at least one) (re, im) integer
-    numerator pairs over one common positive denominator, in any order: as
-    :func:`scalar.numerators` states, their tuple order is the total order
-    of the rationals, so the verdict is theirs."""
+def int_majorization(x: Iterable[tuple], y: Iterable[tuple]) -> tuple:
+    """(verdict, sorted x, sorted y) of equally many (at least one) (re, im)
+    integer numerator pairs over one common positive denominator, in any
+    order: as :func:`scalar.numerators` states, their tuple order is the
+    total order of the rationals, so the verdict is majorize_check's."""
     sx, sy = sorted(x, reverse=True), sorted(y, reverse=True)
-    return _verdict(int_prefix_outcomes(*zip(*sx), *zip(*sy)))
+    return _verdict(int_prefix_outcomes(*zip(*sx), *zip(*sy))), sx, sy
 
 
 def majorize_check(x: Sequence[TotalComplex], y: Sequence[TotalComplex]) -> Majorization:
@@ -106,7 +98,7 @@ def majorize_check(x: Sequence[TotalComplex], y: Sequence[TotalComplex]) -> Majo
     cleared = _cleared_pair(x, y)
     if cleared is None:
         return majorize_sorted(sort_desc(x), sort_desc(y))
-    return int_majorization(*cleared[1:])
+    return int_majorization(*cleared[1:])[0]
 
 
 def _cleared_pair(x: tuple, y: tuple):
@@ -240,8 +232,7 @@ def _int_decompose_trace(d: int, px: list, py: list) -> tuple:
     y over d, sorted as tuples.  With beta = 1 - eps / (w_i - w_j) a mixing
     step maps w_i to w_i - eps and w_j to w_j + eps, so w stays integer over
     d.  For a strict pair the loop always finds i and j, and w_i != w_j."""
-    target, w = sorted(px, reverse=True), sorted(py, reverse=True)
-    verdict = _verdict(int_prefix_outcomes(*zip(*target), *zip(*w)))
+    verdict, target, w = int_majorization(px, py)
     if verdict is not Majorization.STRICT:
         raise NotMajorized("decomposition requires strict majorization", verdict)
     n, zero = len(w), exact(0)

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import zip_longest
 from typing import Callable, Sequence, Union
 
 from .errors import IncomparableNilpotent, KappaNotFound, OutsideAnalyticityRadius
@@ -178,11 +179,17 @@ class OracleFunction:
     derivatives: Callable[[complex, int], complex]
     radius: float = math.inf
 
-    def taylor(self, lam: TotalComplex, n: int) -> list:
-        """f^(q)(lam)/q! for q < n; lam must lie inside the radius."""
+    def _inside(self, lam: TotalComplex) -> complex:
+        """lam as a complex number; OutsideAnalyticityRadius unless it lies
+        inside the radius."""
         z = lam.to_complex()
         if abs(z) >= self.radius:
             raise OutsideAnalyticityRadius(f"|lambda| = {abs(z):.6g} >= radius {self.radius:.6g}")
+        return z
+
+    def taylor(self, lam: TotalComplex, n: int) -> list:
+        """f^(q)(lam)/q! for q < n; lam must lie inside the radius."""
+        z = self._inside(lam)
         out = []
         for q in range(n):
             v = self.derivatives(z, q) / math.factorial(q)
@@ -190,7 +197,9 @@ class OracleFunction:
         return out
 
     def __call__(self, lam: TotalComplex) -> TotalComplex:
-        z = self.derivatives(lam.to_complex(), 0)
+        """f(lam), inside the radius as taylor requires, with the oracle's
+        bits: no division by 0! that would turn a -0.0 part into 0.0."""
+        z = self.derivatives(self._inside(lam), 0)
         return approx(z.real, z.imag)
 
 
@@ -408,11 +417,9 @@ def gdod_f_g(
     gy = sort_desc_items(
         [_image(g, lam, part) for lam, part in zip(ry.eigenvalues, ry.partitions)]
     )
-    k = max(len(fx), len(gy))
-    etas_f = [e for _, e in fx] + [()] * (k - len(fx))
-    etas_g = [e for _, e in gy] + [()] * (k - len(gy))
     out = []
-    for idx, (ef, eg) in enumerate(zip(etas_f, etas_g)):
+    etas = zip_longest([e for _, e in fx], [e for _, e in gy], fillvalue=())
+    for idx, (ef, eg) in enumerate(etas):
         gaps = prefix_gaps(eg, ef, max(len(ef), len(eg), 1))
         if min(gaps) >= 0:
             out.append(gaps)

@@ -22,13 +22,6 @@ def as_partition(parts: Iterable[int]) -> Partition:
     return p
 
 
-def prefix(p: Partition, j: int) -> int:
-    """Sum of the first j parts, with zero padding past the end."""
-    if j < 0:
-        raise ValueError("prefix length must be nonnegative")
-    return sum(p[:j])
-
-
 def prefix_gaps(p: Partition, q: Partition, length: int | None = None) -> tuple:
     """The gaps sum(q[:j]) - sum(p[:j]) for j = 1..length (default: the
     longer of p and q), in one pass over the zero-padded parts."""

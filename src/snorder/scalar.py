@@ -90,12 +90,6 @@ class TotalComplex:
         # every call, and a Fraction hash costs a modular inverse.
         return self._hash
 
-    # -- constructors ------------------------------------------------
-
-    @staticmethod
-    def zero(backend: str = EXACT) -> "TotalComplex":
-        return exact(0, 0) if backend == EXACT else approx(0.0, 0.0)
-
     # -- arithmetic --------------------------------------------------
 
     def _peer(self, other: "TotalComplex"):

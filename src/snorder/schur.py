@@ -4,6 +4,10 @@ Contains the four-case derivative criterion on box domains, a randomized
 majorization-based falsifier, the two composition tables for building new
 Schur-convex functions, the averaging condition those tables require, and a
 certification routine for single-variable maps preserving weak majorization.
+
+Exact steps run once each, on integer numerator pairs: the sort and verdict
+of ``majorization.int_majorization``, :func:`_exact_monotonicity` and the
+``int_prefix_outcomes`` of f's images; other input compares TotalComplex.
 """
 
 from __future__ import annotations
@@ -17,18 +21,10 @@ from operator import add
 from typing import Callable, Optional, Sequence
 
 from .errors import GradientUnavailable, NotWeaklyMajorized
-from .majorization import (Majorization, _cleared_pair, _verdict, int_majorization,
-                           int_prefix_outcomes, majorize_check, majorize_sorted)
+from .majorization import (Majorization, _cleared_pair, int_majorization, int_prefix_outcomes,
+                           majorize_check, majorize_sorted)
 from .scalar import (
-    EXACT,
-    OrderOutcome,
-    TotalComplex,
-    as_scalar,
-    cmp_total,
-    from_complex,
-    from_numerators,
-    one_like,
-    order_key,
+    OrderOutcome, TotalComplex, as_scalar, cmp_total, from_complex, from_numerators, one_like,
     sort_desc,
 )
 
@@ -38,6 +34,8 @@ FD_STEP = 1e-6  # relative step of the central-difference gradient fallback
 
 
 class Prop(enum.Enum):
+    """A property of a function that the composition tables read and give."""
+
     INCREASING = "increasing"
     DECREASING = "decreasing"
     SCHUR_CONVEX = "schur_convex"
@@ -215,7 +213,7 @@ def schur_convex_falsify(
     for trial in range(trials):
         x, den, y = _random_majorized_pair(rng, n, complex_entries)
         s = den // 840
-        if int_majorization(x, [(s * r, s * m) for r, m in y]) is not Majorization.STRICT:
+        if int_majorization(x, [(s * r, s * m) for r, m in y])[0] is not Majorization.STRICT:
             continue
         fx = complex(f.value([complex(r / den, m / den) for r, m in x]))
         fy = complex(f.value([complex(r / 840, m / 840) for r, m in y]))
@@ -293,13 +291,22 @@ def _lookup(table, g_props, h_props):
 
 
 def compose_table1(g_props, h_props):
-    """Derived properties of g(h(x)), or None when no row applies."""
+    """Table 1, the outer-monotone rule: the properties of g(h(x)) for g of
+    one variable with the properties g_props (increasing or decreasing) and
+    a Schur-convex or Schur-concave h with h_props.  An increasing g keeps
+    h's Schur direction, a decreasing g reverses it (after the classical
+    composition rules, Marshall, Olkin & Arnold, Inequalities, ch. 3).  The
+    first row whose hypotheses hold decides; None when no row applies."""
     return _lookup(_TABLE1, g_props, h_props)
 
 
 def compose_table2(g_props, h_props, cdm_verified: bool):
-    """Derived properties of g(h(x_1), ..., h(x_n)); requires the averaging
-    condition on h to have been verified."""
+    """Table 2, the entrywise rule: the properties of g(h(x_1), ..., h(x_n))
+    for a monotone Schur-convex or Schur-concave g of n variables and an h
+    of one variable that is convex-affine or concave-affine, and increasing
+    or decreasing.  It holds only once h passes the averaging condition
+    (:func:`cdm_condition_check`), so None unless cdm_verified, and None
+    when no row applies."""
     if not cdm_verified:
         return None
     return _lookup(_TABLE2, g_props, h_props)
@@ -311,8 +318,9 @@ def cdm_condition_check(
     y2: TotalComplex,
     alpha,
 ) -> bool:
-    """Averaging condition on h: the alpha-mix of (h(y1), h(y2)) with its
-    swap must be strictly majorized by (h(y1), h(y2))."""
+    """The averaging condition that Table 2 (:func:`compose_table2`) needs
+    of h: the alpha-mix of (h(y1), h(y2)) with its swap must be strictly
+    majorized by (h(y1), h(y2))."""
     h1, h2 = h(y1), h(y2)
     a = as_scalar(alpha, h1.backend)
     comp = one_like(a) - a
@@ -337,9 +345,9 @@ class MajorizationPreserveResult:
 
 
 def _exact_monotonicity(points, images) -> tuple:
-    """_pointwise_monotonicity given keys of exact points and of their
-    images whose tuple order is the total order: the images of neighbours
-    among the distinct points, sorted once, decide."""
+    """_pointwise_monotonicity on keys of exact points and of their images
+    whose tuple order is the total order (numerator pairs over one d): the
+    images of neighbours among the distinct points, sorted once, decide."""
     by_point = dict(zip(points, images))
     fs = [by_point[p] for p in sorted(by_point, reverse=True)]
     return all(a > b for a, b in zip(fs, fs[1:])), all(a < b for a, b in zip(fs, fs[1:]))
@@ -347,12 +355,9 @@ def _exact_monotonicity(points, images) -> tuple:
 
 def _pointwise_monotonicity(points, images):
     """Classify a map on the given points, given their images: strictly
-    increasing, strictly decreasing, or neither.  Exact input is a strict
-    total order, so the images of neighbours among the distinct points,
-    sorted once, decide; float input compares the images of every pair,
-    larger point first, since eps-equality is not transitive."""
-    if all(z.backend == EXACT for z in (*points, *images)):
-        return _exact_monotonicity(map(order_key, points), map(order_key, images))
+    increasing, strictly decreasing, or neither.  The images of every pair
+    are compared, larger point first, since float eps-equality is not
+    transitive; exact numerator pairs take :func:`_exact_monotonicity`."""
     inc = dec = True
     for (p, fp), (q, fq) in combinations(zip(points, images), 2):
         order = cmp_total(p, q)
@@ -417,22 +422,20 @@ def majorization_preserving_check(f, x, y) -> MajorizationPreserveResult:
 
 def _int_preserving_check(f, d: int, px: list, py: list) -> MajorizationPreserveResult:
     """majorization_preserving_check on the numerator pairs px, py of x, y
-    over d, sorted as tuples, for a polynomial f.  Its images share one
-    denominator (PolynomialFunction.exact_images), so their tuple order is
-    the total order, which adding a pair keeps: with g_i = f(x_i) - f(y_i),
-    the increasing conditions say each running sum of the g_i past the
-    first is <= 0, the decreasing ones that each tail sum is."""
-    sx, sy = sorted(px, reverse=True), sorted(py, reverse=True)
-    if _verdict(int_prefix_outcomes(*zip(*sx), *zip(*sy))) is Majorization.NONE:
+    over d, for a polynomial f.  Its images share one denominator
+    (PolynomialFunction.exact_images), so their tuple order is the total
+    order, which translation keeps: a running sum of f(x_i) - f(y_i) is <= 0
+    exactly when that prefix of f(x) is <= f(y)'s.  The decreasing (tail)
+    conditions read the reversed images."""
+    verdict, sx, sy = int_majorization(px, py)
+    if verdict is Majorization.NONE:
         raise NotWeaklyMajorized("x must be weakly majorized by y")
     images = f.exact_images(d, sx + sy)[1]
     inc, dec = _exact_monotonicity(sx + sy, images)
-    n = len(sx)
-    gaps = [(a - c, b - e) for (a, b), (c, e) in zip(images[:n], images[n:])]
-    sums = [(0, 0), *zip(*map(accumulate, zip(*gaps)))]  # sums[i]: the first i gaps
-    if inc and all(s <= (0, 0) for s in sums[2:]):
+    fx, fy = images[:len(sx)], images[len(sx):]
+    if inc and OrderOutcome.GREATER not in int_prefix_outcomes(*zip(*fx), *zip(*fy))[1:]:
         return MajorizationPreserveResult(MajorizationCert.CERTIFIED_INCREASING)
-    if dec and all(sums[-1] <= s for s in sums[:-1]):
+    if dec and OrderOutcome.GREATER not in int_prefix_outcomes(*zip(*fx[::-1]), *zip(*fy[::-1])):
         return MajorizationPreserveResult(MajorizationCert.CERTIFIED_DECREASING)
     if (inc or dec) and all(a <= b for a, b in zip(sx, sy)):
         return MajorizationPreserveResult(MajorizationCert.CERTIFIED_ENTRYWISE,

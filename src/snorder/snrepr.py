@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -284,10 +284,6 @@ def repr_from_matrix(x: Matrix, eigenvalues: Sequence[TotalComplex]) -> SNRepres
     return SNRepresentation.from_groups(groups)
 
 
-def _pad_nilpotent(parts: tuple, k: int) -> tuple:
-    return parts + ((),) * (k - len(parts))
-
-
 def compare_nilpotent(a: Sequence[Partition], b: Sequence[Partition]) -> SNOVerdict:
     """Lexicographic dominance comparison of aligned partition lists.
 
@@ -296,10 +292,7 @@ def compare_nilpotent(a: Sequence[Partition], b: Sequence[Partition]) -> SNOVerd
     incomparable in the <= direction (call with swapped arguments to probe
     the other direction).
     """
-    k = max(len(a), len(b))
-    a = _pad_nilpotent(tuple(a), k)
-    b = _pad_nilpotent(tuple(b), k)
-    for pa, pb in zip(a, b):
+    for pa, pb in zip_longest(a, b, fillvalue=()):
         if tuple(pa) == tuple(pb):
             continue
         if dominance_check(pa, pb):

@@ -43,11 +43,11 @@ from snorder.matfunc import (
     split_block,
 )
 from snorder.ordering import monotonicity_certificate, monotonicity_verify_direct
-from snorder.partitions import prefix
 from snorder.scalar import FLOAT, OrderOutcome, cmp_total
 from snorder.schur import negative_sum_of_squares, schur_convex_falsify, sum_of_squares
 
 from matrix_oracles import matrix_from_numpy, rank_oracle_split
+from test_partitions import prefix
 
 
 @contextlib.contextmanager

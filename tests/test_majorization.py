@@ -24,9 +24,10 @@ from snorder import (
 from snorder.errors import BackendMismatch, DimensionMismatch, NotMajorized, SnorderError
 from snorder.linalg import Matrix
 from snorder.majorization import (
-    apply_row_vector, majorize_sorted, prefix_outcomes, t_transform_decompose_trace,
+    apply_row_vector, int_prefix_outcomes, majorize_sorted, prefix_outcomes,
+    t_transform_decompose_trace,
 )
-from snorder.scalar import EXACT, FLOAT, approx, one_like, zero_like
+from snorder.scalar import EXACT, FLOAT, approx, numerators, one_like, zero_like
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=4)
 scalars = st.builds(exact, rationals, rationals)
@@ -366,8 +367,9 @@ def exact_prefix_pairs(draw):
           vec(Fraction(1, 3), (Fraction(2, 3), -1), (0, 2), (-1, Fraction(-63, 64)))))
 def test_prefix_outcomes_matches_total_complex_sums(pair):
     sx, sy = pair
-    want = _reference_outcomes(sx, sy)
-    assert prefix_outcomes(sx, sy) == want
+    pairs = numerators((*sx, *sy))[1]
+    got = int_prefix_outcomes(*zip(*pairs[:len(sx)]), *zip(*pairs[len(sx):]))
+    assert got == _reference_outcomes(sx, sy)
     fx = [z.to_float_backend() for z in sx]
     fy = [z.to_float_backend() for z in sy]
     assert prefix_outcomes(fx, fy) == _reference_outcomes(fx, fy)

@@ -1,5 +1,7 @@
+import cmath
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -28,18 +30,20 @@ from snorder.errors import (
     OutsideAnalyticityRadius,
 )
 from snorder.matfunc import PolynomialFunction
-from snorder.scalar import from_numerators, numerators
+from snorder.scalar import from_numerators, numerators, order_key
 from snorder import matfunc
 from snorder.linalg import block_diag
 from snorder.matfunc import (
+    NAMED_ORACLES,
     OracleFunction,
     eta,
     eta_given_kappa,
     f_of_jordan_spec,
 )
-from snorder.partitions import merge_desc, prefix
+from snorder.partitions import merge_desc
 
 from matrix_oracles import rank_oracle_split
+from test_partitions import prefix
 
 
 def test_polynomial_evaluation_and_derivatives():
@@ -265,6 +269,21 @@ def test_radius_enforced_by_every_structure_function():
         repr_of_fx(f, rx)
     with pytest.raises(OutsideAnalyticityRadius):
         gdod_f_g(f, rx, f, rx)
+    with pytest.raises(OutsideAnalyticityRadius):
+        f(lam)
+
+
+def test_oracle_value_inside_the_radius_keeps_the_oracle_bits():
+    # exp(0.5 - 0i) has imaginary part -0.0, and the toy oracle a real part
+    # -0.0; dividing by 0! = 1 would turn either into +0.0.
+    exp = OracleFunction("exp", NAMED_ORACLES["exp"], radius=1.0)
+    z = exp(approx(0.5, -0.0))
+    want = cmath.exp(complex(0.5, -0.0))
+    assert struct.pack("<dd", z.re, z.im) == struct.pack("<dd", want.real, want.imag)
+    assert math.copysign(1.0, z.im) == -1.0
+    toy = OracleFunction("toy", lambda z, q: complex(-0.0, 1.0), radius=1.0)
+    w = toy(approx(0.5))
+    assert (math.copysign(1.0, w.re), w.im) == (-1.0, 1.0)
 
 
 def test_split_block_golden():
@@ -360,6 +379,68 @@ def test_gdod_f_g_identity_vs_squaring():
     r4 = canonical_repr(JordanSpec.of((exact(0), (4,))))
     gaps = gdod_f_g(ident, r4, sq, r4)
     assert gaps == ((2, 0),)
+
+
+def _padded_gdod_f_g(f, rx, g, ry):
+    """gdod_f_g from its definition: the etas of each side in decreasing
+    order of their (exact) images, the shorter list padded with empty
+    partitions by hand, and every gap a difference of prefix sums."""
+    def etas(h, rep):
+        pairs = [(order_key(h(lam)), eta(h, lam, part))
+                 for lam, part in zip(rep.eigenvalues, rep.partitions)]
+        return [e for _, e in sorted(pairs, key=lambda p: p[0], reverse=True)]
+
+    ef_all, eg_all = etas(f, rx), etas(g, ry)
+    k = max(len(ef_all), len(eg_all))
+    ef_all += [()] * (k - len(ef_all))
+    eg_all += [()] * (k - len(eg_all))
+    out = []
+    for idx, (ef, eg) in enumerate(zip(ef_all, eg_all)):
+        gaps = tuple(prefix(ef, j) - prefix(eg, j) for j in range(1, max(len(ef), len(eg), 1) + 1))
+        if min(gaps) >= 0:
+            out.append(gaps)
+        elif max(gaps) <= 0:
+            out.append(tuple(-v for v in gaps))
+        else:
+            raise IncomparableNilpotent(idx)
+    return tuple(out)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except IncomparableNilpotent as err:
+        return ("incomparable", err.index)
+
+
+# f = z^2 maps X's eigenvalues 1 and -1 onto 1, where gdod_f_g still sees two
+# eigenvalue groups; g = z keeps Y's apart.  In each case one side has fewer
+# groups, so its etas are padded with empty partitions.
+_SQ, _ID = poly([0, 0, 1]), poly([0, 1])
+_UNEQUAL_GROUPS = {
+    "one group vs two": (
+        _SQ, canonical_repr(JordanSpec.of((exact(0), (3, 1)))),
+        _ID, canonical_repr(JordanSpec.of((exact(1), (2,)), (exact(-1), (2,)))),
+        ((0, 1, 2), (2,))),
+    "two groups onto one image vs three": (
+        _SQ, canonical_repr(JordanSpec.of((exact(1), (2,)), (exact(-1), (1, 1)))),
+        _ID, canonical_repr(JordanSpec.of((exact(2), (1,)), (exact(0), (2,)), (exact(-1), (1,)))),
+        ((1,), (1, 0), (1,))),
+    "incomparable before the padding": (
+        _ID, canonical_repr(JordanSpec.of((exact(2), (1,)), (exact(0), (3, 1, 1, 1)))),
+        _ID, canonical_repr(JordanSpec.of((exact(2), (1,)), (exact(0), (2, 2, 2)),
+                                          (exact(-1), (1,)))),
+        ("incomparable", 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNEQUAL_GROUPS))
+def test_gdod_f_g_pads_the_side_with_fewer_eigenvalue_groups(case):
+    f, rx, g, ry, want = _UNEQUAL_GROUPS[case]
+    assert len(rx.eigenvalues) != len(ry.eigenvalues)
+    assert _outcome(gdod_f_g, f, rx, g, ry) == want
+    for args in ((f, rx, g, ry), (g, ry, f, rx)):
+        assert _outcome(gdod_f_g, *args) == _outcome(_padded_gdod_f_g, *args)
 
 
 def test_gdod_f_g_incomparable():

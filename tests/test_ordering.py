@@ -239,6 +239,11 @@ class ItemCheck:
     error: Optional[str] = None
 
 
+def conj_transpose(m: Matrix) -> Matrix:
+    """C*: the conjugate transpose of m."""
+    return Matrix(tuple(tuple(a.conjugate() for a in col) for col in zip(*m.rows)))
+
+
 def _shifted(f: PolynomialFunction) -> PolynomialFunction:
     """f - f(0): pin the origin so congruence by a strict contraction has a
     chance of preserving the order."""
@@ -267,7 +272,7 @@ def hp_item_checks(
         raise DimensionMismatch(f"need a C and an X per C, got {len(cs)} Cs and {len(xs)} Xs")
     results = []
     n = cs[0].shape[0]
-    gram = reduce(add, (c.conj_transpose() @ c for c in cs))
+    gram = reduce(add, (conj_transpose(c) @ c for c in cs))
     if spectral_norm(gram.to_numpy()) > 1.0 + HP_TOL:
         raise ContractionViolated("sum of C_i* C_i exceeds the identity")
 
@@ -277,13 +282,13 @@ def hp_item_checks(
         if item == 4:
             q = Matrix.identity(n, p.backend) - p
             return (p @ next(mats) @ p) + (q @ next(mats) @ q)
-        return reduce(add, (c.conj_transpose() @ m @ c
+        return reduce(add, (conj_transpose(c) @ m @ c
                             for c, m in zip(cs[:1] if item == 2 else cs, mats)))
 
     items = [2, 3] + ([4] if p is not None else [])
     if p is not None:
         pp = p @ p - p
-        if max(np.linalg.norm(m.to_numpy()) for m in (pp, p - p.conj_transpose())) > HP_TOL:
+        if max(np.linalg.norm(m.to_numpy()) for m in (pp, p - conj_transpose(p))) > HP_TOL:
             raise NotAProjection("p fails P^2 = P = P*")
     for item in items:
         if item == 4 and len(xs) < 2:
@@ -307,7 +312,7 @@ def stacked_assembly_residual(xs: Sequence[Matrix], cs: Sequence[Matrix]) -> flo
     column / block-diagonal assembly of the same expression."""
     cbar = np.vstack([c.to_numpy() for c in cs])
     xbb = block_diag(xs).to_numpy()
-    direct = reduce(add, (c.conj_transpose() @ xm @ c for c, xm in zip(cs, xs)))
+    direct = reduce(add, (conj_transpose(c) @ xm @ c for c, xm in zip(cs, xs)))
     return float(np.linalg.norm(cbar.conj().T @ xbb @ cbar - direct.to_numpy()))
 
 

@@ -5,7 +5,16 @@ from hypothesis import given, strategies as st
 
 from snorder import dominance_check, gdod, gdod_vector, merge_desc
 from snorder.errors import NotDominated
-from snorder.partitions import as_partition, prefix
+from snorder.partitions import Partition, as_partition
+
+
+def prefix(p: Partition, j: int) -> int:
+    """Sum of the first j parts, with zero padding past the end: the
+    definition that the running sums of snorder.partitions are checked
+    against."""
+    if j < 0:
+        raise ValueError("prefix length must be nonnegative")
+    return sum(p[:j])
 
 
 def partitions_up_to(total_max):

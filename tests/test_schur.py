@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 from snorder import Majorization, OrderOutcome, cmp_total, exact, poly, schur, sort_desc
 from snorder.errors import NotWeaklyMajorized
 from snorder.majorization import TTransform, majorize_sorted, t_transform_apply
-from snorder.scalar import TotalComplex, approx, from_complex, one_like
+from snorder.scalar import TotalComplex, approx, from_complex, one_like, order_key
 from snorder.schur import (
     DEFAULT_SEED,
     DomainBox,
     MajorizationCert,
     Prop,
     SymmetricFunction,
+    _exact_monotonicity,
     _pointwise_monotonicity,
     _random_majorized_pair,
     cdm_condition_check,
@@ -252,7 +253,7 @@ def test_majorization_preserving_check_evaluates_f_once_per_point():
     assert res == majorization_preserving_check(square, x, y)
 
 
-# -- pointwise monotonicity: sorted neighbours on exact points --------------
+# -- pointwise monotonicity: sorted neighbours on exact keys -----------------
 
 
 def pairwise_monotonicity(points, images):
@@ -297,7 +298,8 @@ def test_exact_pointwise_monotonicity_matches_the_pairwise_loop(pool, data):
     else:
         f = MAPS[name]
     images = [f(z) for z in points]
-    assert _pointwise_monotonicity(points, images) == pairwise_monotonicity(points, images)
+    keys = map(order_key, points), map(order_key, images)
+    assert _exact_monotonicity(*keys) == pairwise_monotonicity(points, images)
 
 
 def test_pointwise_monotonicity_on_one_point_and_its_copies():
