@@ -180,8 +180,7 @@ class OracleFunction:
     radius: float = math.inf
 
     def _inside(self, lam: TotalComplex) -> complex:
-        """lam as a complex number; OutsideAnalyticityRadius unless it lies
-        inside the radius."""
+        """lam as a complex number, refused outside the radius."""
         z = lam.to_complex()
         if abs(z) >= self.radius:
             raise OutsideAnalyticityRadius(f"|lambda| = {abs(z):.6g} >= radius {self.radius:.6g}")

@@ -24,7 +24,13 @@ from .errors import GradientUnavailable, NotWeaklyMajorized
 from .majorization import (Majorization, _cleared_pair, int_majorization, int_prefix_outcomes,
                            majorize_check, majorize_sorted)
 from .scalar import (
-    OrderOutcome, TotalComplex, as_scalar, cmp_total, from_complex, from_numerators, one_like,
+    OrderOutcome,
+    TotalComplex,
+    as_scalar,
+    cmp_total,
+    from_complex,
+    from_numerators,
+    one_like,
     sort_desc,
 )
 
@@ -292,21 +298,19 @@ def _lookup(table, g_props, h_props):
 
 def compose_table1(g_props, h_props):
     """Table 1, the outer-monotone rule: the properties of g(h(x)) for g of
-    one variable with the properties g_props (increasing or decreasing) and
-    a Schur-convex or Schur-concave h with h_props.  An increasing g keeps
-    h's Schur direction, a decreasing g reverses it (after the classical
-    composition rules, Marshall, Olkin & Arnold, Inequalities, ch. 3).  The
-    first row whose hypotheses hold decides; None when no row applies."""
+    one variable, increasing or decreasing, and h Schur-convex or -concave.
+    An increasing g keeps h's Schur direction, a decreasing g reverses it
+    (Marshall, Olkin & Arnold, Inequalities, ch. 3).  The first row whose
+    hypotheses hold decides; None when none does."""
     return _lookup(_TABLE1, g_props, h_props)
 
 
 def compose_table2(g_props, h_props, cdm_verified: bool):
     """Table 2, the entrywise rule: the properties of g(h(x_1), ..., h(x_n))
-    for a monotone Schur-convex or Schur-concave g of n variables and an h
-    of one variable that is convex-affine or concave-affine, and increasing
-    or decreasing.  It holds only once h passes the averaging condition
-    (:func:`cdm_condition_check`), so None unless cdm_verified, and None
-    when no row applies."""
+    for a monotone, Schur-convex or -concave g and a monotone, convex- or
+    concave-affine h of one variable; None unless cdm_verified says h
+    passes the averaging condition (:func:`cdm_condition_check`), and when
+    no row applies."""
     if not cdm_verified:
         return None
     return _lookup(_TABLE2, g_props, h_props)

@@ -234,6 +234,17 @@ def test_not_certified():
     assert res.kind is MajorizationCert.NOT_CERTIFIED
 
 
+def test_decreasing_certificate_needs_the_last_tail():
+    # f takes 0, -1, -5/2, -3, -31/10 at 0..4, so it is strictly decreasing
+    # on the points.  x = (3, 2, 0) is weakly below y = (4, 1, 1), and the
+    # gaps f(x_i) - f(y_i) are 1/10, -3/2, 1: the tails of length 3 and 2
+    # are <= 0, the last entry alone is not.
+    f = poly([0, Fraction(11, 40), Fraction(-157, 80), Fraction(31, 40), Fraction(-7, 80)])
+    x, y = vec(3, 2, 0), vec(4, 1, 1)
+    for g in (f, lambda z: f(z)):  # the integer and the TotalComplex path
+        assert majorization_preserving_check(g, x, y).kind is MajorizationCert.NOT_CERTIFIED
+
+
 def test_requires_weak_majorization():
     with pytest.raises(NotWeaklyMajorized):
         majorization_preserving_check(poly([0, 1]), vec(5, 0), vec(3, 1))
