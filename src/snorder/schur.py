@@ -307,10 +307,10 @@ def compose_table1(g_props, h_props):
 
 def compose_table2(g_props, h_props, cdm_verified: bool):
     """Table 2, the entrywise rule: the properties of g(h(x_1), ..., h(x_n))
-    for a monotone, Schur-convex or -concave g and a monotone, convex- or
-    concave-affine h of one variable; None unless cdm_verified says h
-    passes the averaging condition (:func:`cdm_condition_check`), and when
-    no row applies."""
+    for a monotone, Schur-convex or -concave g and a convex- or
+    concave-affine h of one variable, monotone where a row asks; None unless
+    cdm_verified says h passes the averaging condition
+    (:func:`cdm_condition_check`), and when no row applies."""
     if not cdm_verified:
         return None
     return _lookup(_TABLE2, g_props, h_props)
