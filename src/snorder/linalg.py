@@ -8,7 +8,8 @@ products, fraction-free (Bareiss) ranks and row-space bases
 (``row_basis_exact``) need no Fraction arithmetic.  The float row-space basis
 (``row_basis_float``) comes from numpy's SVD with an explicit singular-value
 gap check; numpy is imported by the float helpers only, so exact work never
-loads it.
+loads it.  ``toeplitz_rows`` is the one layout of block-diagonal upper
+triangular Toeplitz matrices: Jordan matrices and f(J), on either form.
 """
 
 from __future__ import annotations
@@ -160,16 +161,22 @@ class Matrix:
         return np.array([[a.to_complex() for a in row] for row in self.rows], dtype=complex)
 
 
-def block_diag(blocks: Sequence[Matrix]) -> Matrix:
-    n = sum(b.shape[0] for b in blocks)
-    zero = as_scalar(0, blocks[0].backend)
-    rows = [[zero] * n for _ in range(n)]
-    off = 0
-    for b in blocks:
-        for i, row in enumerate(b.rows):
-            rows[off + i][off:off + len(row)] = row
-        off += len(b.rows)
-    return Matrix.from_rows(rows)
+def toeplitz_rows(heads, zero) -> list:
+    """Rows of the block-diagonal matrix whose blocks are the upper
+    triangular Toeplitz blocks t[:size], one per size of each partition, for
+    the (first row t, partition) heads: row i of a block is i zeros, then
+    t[:size - i].  A t shorter than its largest size is padded with zero,
+    which also fills every entry off the blocks.  The entries are whatever
+    the heads hold: scalars, or the integer pairs of an integer form."""
+    n = sum(sum(part) for _, part in heads)
+    rows, off = [], 0
+    for t, part in heads:
+        t = tuple(t) + (zero,) * (max(part) - len(t))
+        for size in part:
+            rows += [(zero,) * (off + i) + t[:size - i] + (zero,) * (n - off - size)
+                     for i in range(size)]
+            off += size
+    return rows
 
 
 # -- exact rank via fraction-free elimination over Z[i] -------------------

@@ -16,8 +16,10 @@ first q >= 1 whose coefficient is nonzero: every block of size n splits
 into kappa nearly-equal pieces (ceil(n/kappa) and floor(n/kappa)).  This
 module provides the split in closed form, the per-eigenvalue refinement,
 the representation-level map f(X) together with the prefix-sum gap
-vectors it induces, and the explicit f(J) that structure recovery checks
-it against.
+vectors it induces, the gaps between the partitions of two such maps
+(gdod_f_g), and the explicit f(J) that structure recovery checks it
+against, laid out by :func:`linalg.toeplitz_rows` from one first row per
+eigenvalue.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from itertools import zip_longest
 from typing import Callable, Sequence, Union
 
 from .errors import IncomparableNilpotent, KappaNotFound, OutsideAnalyticityRadius
-from .linalg import Matrix, block_diag
+from .linalg import Matrix, toeplitz_rows
 from .partitions import Partition, as_partition, merge_desc, prefix_gaps
 from .scalar import (
-    EXACT, TotalComplex, approx, common_denominator, exact, numerators, sort_desc_items, zero_like,
+    EXACT, TotalComplex, approx, common_denominator, exact, numerators, zero_like,
 )
 from .snrepr import SNRepresentation, merge_equal
 
@@ -240,9 +242,7 @@ def f_jordan_block(f: FunctionDescriptor, lam: TotalComplex, n: int) -> Matrix:
     """f(J_n(lambda)): upper triangular Toeplitz with f^(q)(lam)/q! on the
     q-th superdiagonal."""
     t = f.taylor(lam, n)
-    zero = zero_like(t[0])
-    rows = [[t[j - i] if j >= i else zero for j in range(n)] for i in range(n)]
-    return Matrix.from_rows(rows)
+    return Matrix.from_rows(toeplitz_rows([(t, (n,))], zero_like(t[0])))
 
 
 def _kappa(t: list) -> int:
@@ -373,51 +373,39 @@ def repr_of_fx(f: FunctionDescriptor, rx: SNRepresentation):
 
 def f_of_jordan_spec(f: FunctionDescriptor, rx: SNRepresentation) -> Matrix:
     """Explicit block-diagonal f(direct sum of Jordan blocks): the matrix
-    oracle for repr_of_fx.  f(J_n(lambda)) is upper triangular Toeplitz, so
-    each smaller block at lambda is a leading principal sub-block of the
-    largest, which is built once per eigenvalue.  A polynomial at exact
-    eigenvalues lays out the integer pairs of its held expansions over one
-    common denominator: the matrix holds no Fraction entry until its rows
-    are read."""
+    oracle for repr_of_fx.  f(J_n(lambda)) is upper triangular Toeplitz with
+    first row the Taylor coefficients, read once per eigenvalue for its
+    largest block, and :func:`linalg.toeplitz_rows` lays every block out
+    from that row.  A polynomial at exact eigenvalues lays out the integer
+    pairs of its held expansions over one common denominator: the matrix
+    holds no Fraction entry until its rows are read."""
     spec = [(lam, part) for lam, part in zip(rx.eigenvalues, rx.partitions) if part]
     if isinstance(f, PolynomialFunction) and spec[0][0].backend == EXACT:
         held = [f._expansion(lam, max(part)) for lam, part in spec]
         d, scales = common_denominator(*(den for den, _, _ in held))
-        zero, n, off, rows = ((0, 0),), rx.dimension, 0, []
-        for (_, pairs, _), s, (_, part) in zip(held, scales, spec):
-            t = tuple(pairs) if s == 1 else tuple((a * s, b * s) for a, b in pairs)
-            t += zero * max(part)
-            for size in part:
-                rows += [zero * (off + i) + t[:size - i] + zero * (n - off - size)
-                         for i in range(size)]
-                off += size
-        return Matrix.from_numerators(d, rows)
-    blocks = []
-    for lam, part in spec:
-        rows = f_jordan_block(f, lam, max(part)).rows
-        blocks.extend(Matrix(tuple(row[:size] for row in rows[:size])) for size in part)
-    return block_diag(blocks)
+        heads = [(pairs if s == 1 else [(a * s, b * s) for a, b in pairs], part)
+                 for (_, pairs, _), s, (_, part) in zip(held, scales, spec)]
+        return Matrix.from_numerators(d, toeplitz_rows(heads, (0, 0)))
+    heads = [(f.taylor(lam, max(part)), part) for lam, part in spec]
+    return Matrix.from_rows(toeplitz_rows(heads, zero_like(spec[0][0])))
 
 
 def gdod_f_g(
     f: FunctionDescriptor, rx: SNRepresentation,
     g: FunctionDescriptor, ry: SNRepresentation,
 ) -> tuple:
-    """Per-eigenvalue prefix-sum gaps between the refined structures induced
-    by f on X and g on Y, aligned by decreasing function image.
+    """Prefix-sum gaps between the partitions of repr_of_fx(f, X) and
+    repr_of_fx(g, Y), aligned by index: one per eigenvalue of f(X) and g(Y)
+    in decreasing order, so eigenvalues of X that f maps onto one image are
+    one group.
 
     At each aligned index the gap runs in whichever direction dominance
     holds; IncomparableNilpotent reports the first index where neither
     direction does.  Shorter lists are padded with empty partitions.
     """
-    fx = sort_desc_items(
-        [_image(f, lam, part) for lam, part in zip(rx.eigenvalues, rx.partitions)]
-    )
-    gy = sort_desc_items(
-        [_image(g, lam, part) for lam, part in zip(ry.eigenvalues, ry.partitions)]
-    )
     out = []
-    etas = zip_longest([e for _, e in fx], [e for _, e in gy], fillvalue=())
+    etas = zip_longest(repr_of_fx(f, rx)[0].partitions, repr_of_fx(g, ry)[0].partitions,
+                       fillvalue=())
     for idx, (ef, eg) in enumerate(etas):
         gaps = prefix_gaps(eg, ef, max(len(ef), len(eg), 1))
         if min(gaps) >= 0:

@@ -9,6 +9,8 @@ One loop serves both backends: it never forms A^k but multiplies a basis of
 the row space of A^k by A (exact: pivot rows on Gaussian integers, read
 from X's integer form over one denominator with the eigenvalues; float:
 right singular vectors by SVD).
+The Jordan matrix of a spec is laid out by :func:`linalg.toeplitz_rows`,
+its blocks the Toeplitz blocks of first row (lambda, 1).
 Exact recovery runs per diagonal block of X's nonzero pattern, since X and
 every A^k are permutation-similar to direct sums of those blocks; a
 triangular block reads its eigenvalues off its diagonal, so its chains run
@@ -33,13 +35,13 @@ from .errors import (
 from .linalg import (
     SVD_TOL,
     Matrix,
-    block_diag,
     diagonal_blocks,
     gaussian_int_matmul,
     gaussian_int_rows,
     row_basis_exact,
     row_basis_float,
     spectral_norm,
+    toeplitz_rows,
 )
 from .majorization import prefix_outcomes, sum_outcomes
 from .partitions import Partition, as_partition, dominance_check, merge_desc
@@ -142,18 +144,12 @@ def canonical_repr(spec: JordanSpec) -> SNRepresentation:
 
 
 def jordan_matrix(spec: JordanSpec) -> Matrix:
-    """Direct sum of Jordan blocks in canonical order."""
+    """Direct sum of Jordan blocks in canonical order: the Toeplitz blocks
+    of first row (lambda, 1)."""
     rep = canonical_repr(spec)
     one, zero = one_like(rep.eigenvalues[0]), zero_like(rep.eigenvalues[0])
-    blocks = []
-    for lam, part in zip(rep.eigenvalues, rep.partitions):
-        for size in part:
-            rows = [
-                [lam if i == j else one if j == i + 1 else zero for j in range(size)]
-                for i in range(size)
-            ]
-            blocks.append(Matrix.from_rows(rows))
-    return block_diag(blocks)
+    return Matrix.from_rows(toeplitz_rows(
+        [((lam, one), part) for lam, part in zip(rep.eigenvalues, rep.partitions)], zero))
 
 
 def assemble(spec: JordanSpec, u: Matrix) -> Matrix:

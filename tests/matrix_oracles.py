@@ -1,11 +1,13 @@
 """Reference helpers the tests share: an exact rank, float matrices from
-numpy arrays, and the rank oracle for the block split."""
+numpy arrays, a block-diagonal direct sum, and the rank oracle for the block
+split."""
 
 import numpy as np
 
 from snorder import Matrix, approx, exact, repr_from_matrix
 from snorder.linalg import gaussian_int_rows, rank_gaussian_int_rows
 from snorder.matfunc import PolynomialFunction, f_jordan_block
+from snorder.scalar import as_scalar
 
 
 def rank_exact(mat):
@@ -15,6 +17,20 @@ def rank_exact(mat):
 def matrix_from_numpy(a):
     return Matrix.from_rows(
         [[approx(float(z.real), float(z.imag)) for z in row] for row in np.atleast_2d(a)])
+
+
+def block_diag(blocks):
+    """The direct sum of square blocks, entry by entry: the reference that
+    the Toeplitz layout of f(J) and of Jordan matrices is checked against."""
+    n = sum(b.shape[0] for b in blocks)
+    zero = as_scalar(0, blocks[0].backend)
+    rows = [[zero] * n for _ in range(n)]
+    off = 0
+    for b in blocks:
+        for i, row in enumerate(b.rows):
+            rows[off + i][off:off + len(row)] = row
+        off += len(b.rows)
+    return Matrix.from_rows(rows)
 
 
 def rank_oracle_split(n, kappa):

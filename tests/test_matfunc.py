@@ -3,6 +3,7 @@ import math
 import random
 import struct
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,9 +31,9 @@ from snorder.errors import (
     OutsideAnalyticityRadius,
 )
 from snorder.matfunc import PolynomialFunction
-from snorder.scalar import from_numerators, numerators, order_key
+from snorder.linalg import Matrix
+from snorder.scalar import EXACT, FLOAT, from_numerators, numerators, one_like, order_key, zero_like
 from snorder import matfunc
-from snorder.linalg import block_diag
 from snorder.matfunc import (
     NAMED_ORACLES,
     OracleFunction,
@@ -41,8 +42,9 @@ from snorder.matfunc import (
     f_of_jordan_spec,
 )
 from snorder.partitions import merge_desc
+from snorder.snrepr import jordan_matrix
 
-from matrix_oracles import rank_oracle_split
+from matrix_oracles import block_diag, rank_oracle_split
 from test_partitions import prefix
 
 
@@ -207,23 +209,51 @@ def test_float_taylor_matches_exact(f, lam):
         assert abs(a.to_complex() - b.to_complex()) <= 1e-9 * max(1.0, abs(b.to_complex()))
 
 
+_LAYOUT_SPECS = {
+    EXACT: JordanSpec.of(
+        (exact(0), (3, 2, 2, 1)),
+        (exact(1), (2,)),
+        (exact(Fraction(1, 2), -1), (1, 1)),
+    ),
+    FLOAT: JordanSpec.of(
+        (approx(-0.0, -0.0), (3, 2, 2, 1)),
+        (approx(1.0), (2,)),
+        (approx(0.5, -1.0), (1, 1)),
+    ),
+}
+
+
+def _jordan_block(lam, size):
+    one, zero = one_like(lam), zero_like(lam)
+    return Matrix.from_rows([[lam if j == i else one if j == i + 1 else zero
+                              for j in range(size)] for i in range(size)])
+
+
 @pytest.mark.parametrize("f", [
     poly([0, 0, 1]),
     poly([-1, 3, -3, 1]),
     poly([exact(Fraction(1, 2), 1), 0, exact(0, Fraction(-1, 3)), 1]),
+    pytest.param(poly([0.5, -1, 0.25j, 1], backend="float"), id="float-poly"),
+    pytest.param(named_oracle("exp"), id="exp"),
+    pytest.param(EXACT, id="jordan-exact"),
+    pytest.param(FLOAT, id="jordan-float"),
 ])
 def test_f_of_jordan_spec_is_block_diag_of_per_size_blocks(f):
-    rx = canonical_repr(JordanSpec.of(
-        (exact(0), (3, 2, 2, 1)),
-        (exact(1), (2,)),
-        (exact(Fraction(1, 2), -1), (1, 1)),
-    ))
+    # f(J), or J itself for a backend name, against the direct sum of its
+    # per-size blocks, by repr: Matrix == calls 0.0 and -0.0 equal.
+    if isinstance(f, str):
+        spec, block = _LAYOUT_SPECS[f], _jordan_block
+    else:
+        float_f = isinstance(f, OracleFunction) or f.coefficients[0].backend == FLOAT
+        spec, block = _LAYOUT_SPECS[FLOAT if float_f else EXACT], partial(f_jordan_block, f)
+    rx = canonical_repr(spec)
+    got = jordan_matrix(spec) if isinstance(f, str) else f_of_jordan_spec(f, rx)
     expected = block_diag([
-        f_jordan_block(f, lam, size)
+        block(lam, size)
         for lam, part in zip(rx.eigenvalues, rx.partitions)
         for size in part
     ])
-    assert f_of_jordan_spec(f, rx) == expected
+    assert repr(got.rows) == repr(expected.rows)
 
 
 def test_f_jordan_block_is_toeplitz_in_derivatives():
@@ -381,16 +411,25 @@ def test_gdod_f_g_identity_vs_squaring():
     assert gaps == ((2, 0),)
 
 
-def _padded_gdod_f_g(f, rx, g, ry):
-    """gdod_f_g from its definition: the etas of each side in decreasing
-    order of their (exact) images, the shorter list padded with empty
-    partitions by hand, and every gap a difference of prefix sums."""
-    def etas(h, rep):
-        pairs = [(order_key(h(lam)), eta(h, lam, part))
-                 for lam, part in zip(rep.eigenvalues, rep.partitions)]
-        return [e for _, e in sorted(pairs, key=lambda p: p[0], reverse=True)]
+def _merged_etas(h, rep):
+    """The etas of rep's eigenvalues under h, those with equal (exact)
+    images merged by merge_desc, in decreasing order of image."""
+    groups = {}
+    for lam, part in zip(rep.eigenvalues, rep.partitions):
+        groups.setdefault(order_key(h(lam)), []).append(eta(h, lam, part))
+    return [merge_desc(*groups[key]) for key in sorted(groups, reverse=True)]
 
-    ef_all, eg_all = etas(f, rx), etas(g, ry)
+
+def _padded_gdod_f_g(f, rx, g, ry):
+    """gdod_f_g from its definition, on the merged etas of each side."""
+    return _aligned_gaps(_merged_etas(f, rx), _merged_etas(g, ry))
+
+
+def _aligned_gaps(ef_all, eg_all):
+    """The gaps of two partition lists aligned by index, the shorter padded
+    with empty partitions by hand, and every gap a difference of prefix
+    sums."""
+    ef_all, eg_all = list(ef_all), list(eg_all)
     k = max(len(ef_all), len(eg_all))
     ef_all += [()] * (k - len(ef_all))
     eg_all += [()] * (k - len(eg_all))
@@ -413,9 +452,9 @@ def _outcome(fn, *args):
         return ("incomparable", err.index)
 
 
-# f = z^2 maps X's eigenvalues 1 and -1 onto 1, where gdod_f_g still sees two
-# eigenvalue groups; g = z keeps Y's apart.  In each case one side has fewer
-# groups, so its etas are padded with empty partitions.
+# f = z^2 maps X's eigenvalues 1 and -1 onto 1, one eigenvalue group of f(X)
+# with the merged etas (2,) and (1, 1); g = z keeps Y's apart.  In each case
+# one side has fewer groups, so its etas are padded with empty partitions.
 _SQ, _ID = poly([0, 0, 1]), poly([0, 1])
 _UNEQUAL_GROUPS = {
     "one group vs two": (
@@ -425,7 +464,7 @@ _UNEQUAL_GROUPS = {
     "two groups onto one image vs three": (
         _SQ, canonical_repr(JordanSpec.of((exact(1), (2,)), (exact(-1), (1, 1)))),
         _ID, canonical_repr(JordanSpec.of((exact(2), (1,)), (exact(0), (2,)), (exact(-1), (1,)))),
-        ((1,), (1, 0), (1,))),
+        ((1, 2, 3), (2,), (1,))),
     "incomparable before the padding": (
         _ID, canonical_repr(JordanSpec.of((exact(2), (1,)), (exact(0), (3, 1, 1, 1)))),
         _ID, canonical_repr(JordanSpec.of((exact(2), (1,)), (exact(0), (2, 2, 2)),
@@ -441,6 +480,42 @@ def test_gdod_f_g_pads_the_side_with_fewer_eigenvalue_groups(case):
     assert _outcome(gdod_f_g, f, rx, g, ry) == want
     for args in ((f, rx, g, ry), (g, ry, f, rx)):
         assert _outcome(gdod_f_g, *args) == _outcome(_padded_gdod_f_g, *args)
+
+
+def test_gdod_f_g_aligns_the_groups_of_f_x_not_of_x():
+    # f(X) for X = {1: (2,), -1: (1, 1)} is the one group 1: (2, 1, 1), as is
+    # f(Y) for Y = {1: (2, 1, 1)}.
+    rx = canonical_repr(JordanSpec.of((exact(1), (2,)), (exact(-1), (1, 1))))
+    ry = canonical_repr(JordanSpec.of((exact(1), (2, 1, 1))))
+    assert gdod_f_g(_SQ, rx, _SQ, ry) == ((0, 0, 0),)
+    assert gdod_f_g(_SQ, ry, _SQ, rx) == ((0, 0, 0),)
+
+
+# z^2 and 1 - z^2 merge +-lam, z^4 merges lam * i^k, z^3 and z keep them
+# apart; each side draws its eigenvalues among 0 and those four points.
+_MERGING_FUNCTIONS = [poly([0, 0, 1]), poly([0, 0, 0, 0, 1]), poly([0, 0, 0, 1]),
+                      poly([1, 0, -1]), poly([0, 1])]
+
+
+@st.composite
+def _merging_side(draw, base):
+    points = [exact(0), base, -base, base * exact(0, 1), base * exact(0, -1)]
+    keys = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4, unique=True))
+    parts = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
+        lambda p: tuple(sorted(p, reverse=True)))
+    return (draw(st.sampled_from(_MERGING_FUNCTIONS)),
+            canonical_repr(JordanSpec.of(*((points[k], draw(parts)) for k in keys))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.builds(exact, st.integers(1, 2), st.integers(-1, 1)).flatmap(
+    lambda base: st.tuples(_merging_side(base), _merging_side(base))))
+def test_gdod_f_g_is_the_aligned_gaps_of_the_image_representations(sides):
+    (f, rx), (g, ry) = sides
+    fx, gy = repr_of_fx(f, rx)[0].partitions, repr_of_fx(g, ry)[0].partitions
+    assert list(fx) == _merged_etas(f, rx)
+    assert list(gy) == _merged_etas(g, ry)
+    assert _outcome(gdod_f_g, f, rx, g, ry) == _outcome(_aligned_gaps, fx, gy)
 
 
 def test_gdod_f_g_incomparable():

@@ -26,7 +26,7 @@ from snorder.errors import (
     SnorderError,
     SpectrumUnavailable,
 )
-from snorder.linalg import block_diag, spectral_norm
+from snorder.linalg import spectral_norm
 from snorder.majorization import Majorization, TTransform, majorize_sorted, t_transform_apply
 from snorder.matfunc import PolynomialFunction
 from snorder.ordering import (
@@ -48,6 +48,7 @@ from snorder.schur import (
 )
 from snorder.snrepr import _spectral_outcomes, compare_sno
 
+from matrix_oracles import block_diag
 from test_acceptance import HP_TOL, ContractionViolated, hp_identities_check
 from test_schur import pairwise_monotonicity
 

@@ -144,6 +144,20 @@ def test_float_backend_tolerance():
     assert cmp_total(a, c) is OrderOutcome.LESS
 
 
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("d, want", [
+    (1e-9, OrderOutcome.EQUAL), (-1e-9, OrderOutcome.EQUAL),
+    (2e-9, OrderOutcome.GREATER), (-2e-9, OrderOutcome.LESS),
+])
+def test_float_tolerance_band_edges(part, d, want):
+    # A difference of exactly DEFAULT_EPS on either side is still a tie; twice
+    # it is not.  On the imaginary part the real parts tie exactly.
+    a = approx(d, 0.0) if part == "re" else approx(0.5, d)
+    b = approx(0.0) if part == "re" else approx(0.5)
+    assert cmp_total(a, b) is want
+    assert cmp_total(b, a) is OrderOutcome(-want.value)
+
+
 MIXED_OPS = [
     lambda a, b: a + b,
     lambda a, b: a - b,

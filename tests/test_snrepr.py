@@ -33,7 +33,6 @@ from snorder.errors import (
 )
 from snorder.linalg import (
     SVD_TOL,
-    block_diag,
     diagonal_blocks,
     gaussian_int_matmul,
     gaussian_int_rows,
@@ -48,7 +47,7 @@ from snorder.partitions import as_partition
 from snorder.serialization import InputFormatError, jordan_spec_from_json, snrepr_to_json
 from snorder.snrepr import jordan_matrix
 
-from matrix_oracles import matrix_from_numpy, rank_exact
+from matrix_oracles import block_diag, matrix_from_numpy, rank_exact
 
 
 def test_canonical_repr_merges_and_sorts():
