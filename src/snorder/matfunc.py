@@ -5,8 +5,8 @@ coefficients f^(q)(lambda)/q!, which `taylor` returns for all q at once
 (a Taylor shift of the coefficients for polynomials, the derivative
 oracle for analytic functions).  At an exact point a bounded memo keeps,
 per (f, lambda), the longest prefix of the shift asked for so far, both as
-the integer pairs the shift computes and as values; f(lambda) and eta read
-the values, and the exact f(J) blocks the integers, so an exact f(J) holds
+the integer pairs the shift computes and as values; exact f(J) blocks and
+repr_of_fx's f(lambda), kappa and grouping read the integers, and f(J) holds
 no Fraction entry.  `PolynomialFunction.exact_images` evaluates f at many
 exact points at once, outside the memo, for the order certificates.
 Evaluating f on a Jordan block J_n(lambda) gives the upper triangular
@@ -38,7 +38,7 @@ from .partitions import Partition, as_partition, merge_desc, prefix_gaps
 from .scalar import (
     EXACT, TotalComplex, approx, common_denominator, exact, numerators, zero_like,
 )
-from .snrepr import SNRepresentation, merge_equal
+from .snrepr import SNRepresentation, merge_equal, merge_keyed
 
 DERIVATIVE_EPS = 1e-10
 # (f, lambda) pairs whose exact Taylor shift is kept: f(lambda), eta and the
@@ -359,14 +359,27 @@ def repr_of_fx(f: FunctionDescriptor, rx: SNRepresentation):
     Returns (representation, gap_vectors) where gap_vectors[k] is the
     prefix-sum gap between the refined structure of the k-th eigenvalue
     group (ordered by decreasing f-image) and its original partition.
-    Eigenvalue groups whose f-images collide are merged.
+    Eigenvalue groups whose f-images collide are merged, for a polynomial at
+    exact points on the integer pairs of its held expansions.
     """
-    groups = []
-    for lam, part in zip(rx.eigenvalues, rx.partitions):
-        mu, e = _image(f, lam, part)
-        groups.append((mu, (e, prefix_gaps(e, part, len(e)))))
-    groups = merge_equal(groups)
-    gap_vectors = tuple(g for _, members in groups for _, g in members)
+    spec = list(zip(rx.eigenvalues, rx.partitions))
+    if isinstance(f, PolynomialFunction) and spec and spec[0][0].backend == EXACT:
+        held = [f._expansion(lam, max(part)) for lam, part in spec]
+        _, scales = common_denominator(*(den for den, _, _ in held))
+        keyed = []
+        for (_, pairs, values), s, (_, part) in zip(held, scales, spec):
+            kappa = next((q for q in range(1, min(len(pairs), max(part))) if pairs[q] != (0, 0)),
+                         max(part))  # kappa >= every size splits each block into 1s
+            keyed.append(((pairs[0][0] * s, pairs[0][1] * s), values[0],
+                          (eta_given_kappa(part, kappa), part)))
+        groups = merge_keyed(keyed)
+    else:
+        groups = []
+        for lam, part in spec:
+            mu, e = _image(f, lam, part)
+            groups.append((mu, (e, part)))
+        groups = merge_equal(groups)
+    gap_vectors = tuple(prefix_gaps(e, p, len(e)) for _, members in groups for e, p in members)
     rep = SNRepresentation.from_groups([(mu, [e for e, _ in members]) for mu, members in groups])
     return rep, gap_vectors
 

@@ -7,10 +7,10 @@ need not preserve it.  The predicates ``mul_preserves_order``,
 ``div_preserves_order`` and ``product_nonneg`` give exact case analyses of
 when the order survives those operations.
 
-One ordering rule serves both backends: sort on the exact key, then settle
-float near-ties of real parts by :func:`cmp_total`; eps acts only there, in
-merges and in verdict comparisons.  :func:`sort_desc_items` is the one sort,
-so no sorted result depends on the input order.
+One ordering rule serves both backends: exact values sort on their
+:func:`numerators` pairs, floats on the exact key with real near-ties settled
+by :func:`cmp_total`; eps acts only there, in merges and in verdicts.
+:func:`sort_desc_items` is the one sort, so no result depends on input order.
 
 Exact values compare without forming a difference, and exact arithmetic
 skips the terms of a zero imaginary part; the results are the same values.
@@ -257,16 +257,18 @@ def order_key(z: TotalComplex) -> tuple:
 
 def sort_desc_items(items: Iterable[tuple]) -> list:
     """Tuples in non-increasing order of their first element, a TotalComplex,
-    whatever their input order: sorted on the exact key (mixed backends raise
-    BackendMismatch), then each float run of real parts chained within eps is
-    reordered by how many run members exceed each value under cmp_total."""
+    whatever their input order: exact values sorted on their numerators pairs,
+    floats on the exact key (mixed backends raise BackendMismatch), then each
+    float run of real parts chained within eps reordered by cmp_total losses."""
+    items = list(items)
+    cleared = numerators(item[0] for item in items)
+    if cleared is not None:
+        return [i for _, i in sorted(zip(cleared[1], items), key=lambda p: p[0], reverse=True)]
     out = sorted(items, key=lambda item: order_key(item[0]), reverse=True)
-    eps = 0
     for a, b in zip(out, out[1:]):
-        eps = a[0]._peer(b[0])
-    if not eps:
-        return out
-    cuts = [k for k in range(1, len(out)) if _cmp_raw(out[k - 1][0].re, out[k][0].re, eps)]
+        a[0]._peer(b[0])  # raises BackendMismatch on mixed backends
+    cuts = [k for k in range(1, len(out))
+            if _cmp_raw(out[k - 1][0].re, out[k][0].re, DEFAULT_EPS)]
     for i, j in zip([0] + cuts, cuts + [len(out)]):
         run = [item[0] for item in out[i:j]]
         if run[0].re != run[-1].re:

@@ -24,8 +24,10 @@ from .errors import GradientUnavailable, NotWeaklyMajorized
 from .majorization import (Majorization, _cleared_pair, int_majorization, int_prefix_outcomes,
                            majorize_check, majorize_sorted)
 from .scalar import (
+    DEFAULT_EPS,
     OrderOutcome,
     TotalComplex,
+    _cmp_raw,
     as_scalar,
     cmp_total,
     from_complex,
@@ -213,8 +215,9 @@ def schur_convex_falsify(
     Each trial stays on the integer numerators it draws: y is scaled onto
     x's denominator and :func:`majorization.int_majorization` gives the
     verdict; f is evaluated on complex(r / den, m / den), which is the
-    correctly rounded value that TotalComplex.to_complex gives.  Exact
-    TotalComplex vectors are built only for the returned Counterexample."""
+    correctly rounded value that TotalComplex.to_complex gives, and compared
+    as cmp_total compares floats.  Exact TotalComplex vectors are built only
+    for the returned Counterexample."""
     rng = random.Random(seed)
     for trial in range(trials):
         x, den, y = _random_majorized_pair(rng, n, complex_entries)
@@ -223,7 +226,8 @@ def schur_convex_falsify(
             continue
         fx = complex(f.value([complex(r / den, m / den) for r, m in x]))
         fy = complex(f.value([complex(r / 840, m / 840) for r, m in y]))
-        if cmp_total(from_complex(fx), from_complex(fy)) is OrderOutcome.GREATER:
+        if (_cmp_raw(fx.real, fy.real, DEFAULT_EPS)
+                or _cmp_raw(fx.imag, fy.imag, DEFAULT_EPS)) > 0:
             return Counterexample(from_numerators(den, x), from_numerators(840, y), fx, fy, trial)
     return None
 

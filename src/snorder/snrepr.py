@@ -14,8 +14,8 @@ its blocks the Toeplitz blocks of first row (lambda, 1).
 Exact recovery runs per diagonal block of X's nonzero pattern, since X and
 every A^k are permutation-similar to direct sums of those blocks; a
 triangular block reads its eigenvalues off its diagonal, so its chains run
-only at an eigenvalue it holds more than once.  Float stays whole-matrix, as
-its one absolute rank cut must see every singular value.
+only at an eigenvalue it holds more than once and stop once that count decides
+the rest.  Float stays whole-matrix, as its one rank cut sees every value.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate, zip_longest
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     BackendMismatch,
@@ -119,14 +119,27 @@ class SNRepresentation:
             accumulate(b for _, b in entries))
 
 
+def merge_keyed(triples: Iterable[tuple]) -> list:
+    """:func:`merge_equal` for (key, value, item) triples, keyed by numerators
+    pairs over one denominator: groups of equal keys, keys decreasing."""
+    groups = {}
+    for key, lam, item in triples:
+        groups.setdefault(key, (lam, []))[1].append(item)
+    return [groups[key] for key in sorted(groups, reverse=True)]
+
+
 def merge_equal(pairs: Iterable[tuple]) -> list:
     """[(head, [items])] for (value, item) pairs in any order: the one place
-    eps merges eigenvalues.  The pairs are sorted by sort_desc_items, and a
-    value joins the current group when cmp_total(head, value) is EQUAL; the
-    head is the group's first value.  Float eps-equality is not transitive,
-    so a merged head can sit out of order among the other heads: when any
-    pair merged, the groups are sorted once more, so the heads are a fixed
-    point of sort_desc whatever the input order."""
+    eps merges eigenvalues; exact ones group by :func:`merge_keyed`.  Float
+    pairs are sorted by sort_desc_items, and a value joins the current group
+    when cmp_total(head, value) is EQUAL; the head is its first value.  Float
+    eps-equality is not transitive, so a merged head can sit out of order
+    among the other heads: when any pair merged, the groups are sorted once
+    more, so the heads are a fixed point of sort_desc whatever the order."""
+    pairs = list(pairs)
+    cleared = numerators(lam for lam, _ in pairs)
+    if cleared is not None:
+        return merge_keyed((key, lam, item) for key, (lam, item) in zip(cleared[1], pairs))
     pairs = sort_desc_items(pairs)
     groups = []
     for lam, item in pairs:
@@ -160,11 +173,12 @@ def assemble(spec: JordanSpec, u: Matrix) -> Matrix:
     return u @ j @ u.inverse()
 
 
-def block_sizes_from_ranks(ranks: Iterable[int], m: int) -> Partition:
+def block_sizes_from_ranks(ranks: Iterable[int], m: int, hits: Optional[int] = None) -> Partition:
     """Jordan block sizes at one eigenvalue of an m x m matrix X, read off
     the ranks of (X - lambda I)^s for s = 1, 2, ...: the number of blocks of
     size >= s is rank((X - lambda I)^(s-1)) - rank((X - lambda I)^s).
-    Consumes ranks only until they stop falling."""
+    Consumes ranks until they stop falling; given lambda's multiplicity hits,
+    only until 0 or 1 is left or a count is 1, as the rest are then 1s."""
     counts = []  # counts[s-1] = number of blocks of size >= s
     r_prev = m
     for r in ranks:
@@ -175,6 +189,13 @@ def block_sizes_from_ranks(ranks: Iterable[int], m: int) -> Partition:
         r_prev = r
         if len(counts) > m:
             raise SpectrumMismatch("rank sequence failed to stabilize")
+        if hits is not None:
+            left = hits - sum(counts)
+            if left < 0:
+                raise SpectrumMismatch(f"block counts exceed the multiplicity {hits}")
+            if left <= 1 or c == 1:
+                counts += [1] * left
+                break
     counts.append(0)
     return tuple(
         s for s in range(len(counts) - 1, 0, -1) for _ in range(counts[s - 1] - counts[s])
@@ -216,14 +237,14 @@ def repr_from_matrix(x: Matrix, eigenvalues: Sequence[TotalComplex]) -> SNRepres
     """Recover the SN representation from ranks of powers of (X - lambda*I),
     one image chain per eigenvalue on either backend.
 
-    An exact X is read in its integer form, only the merged eigenvalues are
-    cleared, and both are scaled to one common denominator, which gives the
-    integers of clearing X and the eigenvalues together; its diagonal blocks
-    are split once per call.
-    A block triangular in its index order has its diagonal as spectrum:
-    lambda off it contributes nothing, lambda on it once is one 1 x 1 block,
-    and only lambda on it more than once runs a chain; other blocks run a
-    chain at every lambda.  Float ranks use one cut over all of X,
+    An exact X is read in its integer form, the eigenvalues are cleared once
+    and merged by :func:`merge_keyed`, and both are scaled to one common
+    denominator, the integers of clearing X and the eigenvalues together;
+    its diagonal blocks are split once per call.  A block triangular in its
+    index order has its diagonal as spectrum: lambda off it contributes
+    nothing, lambda on it once is one 1 x 1 block, and only lambda on it
+    more than once runs a chain, cut short by that count; other blocks run a
+    full chain at every lambda.  Float ranks use one cut over all of X,
     SVD_TOL * max(||X||_2, |lambda|), so a product that is all round-off
     reads as rank 0.  Raises BackendMismatch when an entry or eigenvalue is
     not of X's backend, and SpectrumMismatch when the eigenvalues, merged
@@ -232,14 +253,15 @@ def repr_from_matrix(x: Matrix, eigenvalues: Sequence[TotalComplex]) -> SNRepres
     if not x.is_square:
         raise DimensionMismatch("square matrix required")
     m = x.shape[0]
-    lams = [lam for lam, _ in merge_equal((lam, None) for lam in eigenvalues)]
     if x.backend == EXACT:
         x_int, dx = gaussian_int_rows(x)
-        cleared = numerators(lams)
+        eigenvalues = list(eigenvalues)
+        cleared = numerators(eigenvalues)
         if cleared is None:
             raise BackendMismatch("exact matrix with a float eigenvalue")
-        dl, lam_int = cleared
-        _, (sx, sl) = common_denominator(dx, dl)
+        merged = merge_keyed((key, lam, key) for key, lam in zip(cleared[1], eigenvalues))
+        lams, lam_int = [lam for lam, _ in merged], [same[0] for _, same in merged]
+        _, (sx, sl) = common_denominator(dx, cleared[0])
         if sx != 1:
             x_int = [[(a * sx, b * sx) for a, b in row] for row in x_int]
         if sl != 1:
@@ -247,6 +269,7 @@ def repr_from_matrix(x: Matrix, eigenvalues: Sequence[TotalComplex]) -> SNRepres
         subs = [(s, _triangular_diagonal(s)) for s in (
             [[x_int[i][j] for j in idx] for i in idx] for idx in diagonal_blocks(x_int))]
     else:
+        lams = [lam for lam, _ in merge_equal((lam, None) for lam in eigenvalues)]
         if any(z.backend != FLOAT for z in [a for row in x.rows for a in row] + lams):
             raise BackendMismatch("float matrix with an exact entry or eigenvalue")
         import numpy as np
@@ -258,14 +281,12 @@ def repr_from_matrix(x: Matrix, eigenvalues: Sequence[TotalComplex]) -> SNRepres
         if x.backend == EXACT:
             parts = []
             for s, diag in subs:
-                if diag is not None:
-                    hits = diag.count(lam_int[k])
-                    if hits == 1:
-                        parts.append((1,))  # a simple eigenvalue has one 1 x 1 block
-                    if hits < 2:
-                        continue
-                parts.append(block_sizes_from_ranks(_image_chain(
-                    _int_shift(s, lam_int[k]), row_basis_exact, gaussian_int_matmul), len(s)))
+                hits = diag and diag.count(lam_int[k])  # None off a triangular block
+                if hits in (0, 1):
+                    parts += [(1,)] * hits  # a simple eigenvalue has one 1 x 1 block
+                    continue
+                parts.append(block_sizes_from_ranks(_image_chain(_int_shift(
+                    s, lam_int[k]), row_basis_exact, gaussian_int_matmul), len(s), hits))
         else:
             z = lam.to_complex()
             basis = partial(row_basis_float, cut=SVD_TOL * max(norm, abs(z)))

@@ -24,7 +24,8 @@ from snorder import (
 )
 from snorder.errors import BackendMismatch, DivisionByZero, OrderPreconditionFailed
 from snorder.linalg import rank_gaussian_int_rows
-from snorder.scalar import FLOAT, numerators, one_like, zero_like
+from snorder.scalar import FLOAT, numerators, one_like, sort_desc_items, zero_like
+from snorder.snrepr import merge_equal
 
 GRID = [exact(a, b) for a in range(-2, 3) for b in range(-2, 3)]
 
@@ -345,6 +346,19 @@ def test_numerators_are_the_values_over_the_lcm_of_their_denominators(values):
     assert tuple(values[k] for k in ranked) == sort_desc(values)
     for a, b in itertools.combinations(range(len(values)), 2):
         assert (pairs[a] == pairs[b]) == (cmp_total(values[a], values[b]) is OrderOutcome.EQUAL)
+
+
+@given(st.lists(st.sampled_from([exact(1), exact(1, 1), exact(1, -1), exact(Fraction(1, 2)),
+                                  exact(0, Fraction(1, 3)), exact(0), exact(Fraction(-3, 4), 2)]),
+                max_size=7))
+def test_exact_sorts_and_merges_follow_the_fraction_keys(values):
+    """The integer-pair sort and grouping give the stable decreasing order
+    of the Fraction keys (re, im), and groups of equal values in it."""
+    items = [(z, k) for k, z in enumerate(values)]
+    want = sorted(items, key=lambda item: (item[0].re, item[0].im), reverse=True)
+    assert sort_desc_items(items) == want
+    assert merge_equal(items) == [(run[0][0], [k for _, k in run]) for run in (
+        list(run) for _, run in itertools.groupby(want, key=lambda item: item[0]))]
 
 
 def test_numerators_of_no_values():

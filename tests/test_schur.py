@@ -69,6 +69,21 @@ def test_falsifier_deterministic_given_seed():
     assert a == b
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_falsifier_reads_a_nan_real_part_as_cmp_total_does(sign):
+    """A NaN real part is within eps of every value, so the imaginary part
+    decides: the real part of the squares, moved to the imaginary one."""
+    squares = sum_of_squares(3).value
+    f = SymmetricFunction(3, lambda x: complex(float("nan"), sign * squares(x).real))
+    counter = schur_convex_falsify(f, 3, trials=500)
+    if sign == 1:
+        assert counter is None
+    else:
+        want = schur_convex_falsify(negative_sum_of_squares(3), 3, trials=500)
+        assert (counter.trial, counter.x, counter.y) == (want.trial, want.x, want.y)
+        assert cmp_total(from_complex(counter.f_x), from_complex(counter.f_y)) is OrderOutcome.GREATER
+
+
 
 def _fraction_majorized_pair(rng, n, complex_entries):
     """The falsifier's pair generator as written on Fraction arithmetic: the

@@ -45,7 +45,7 @@ from snorder.majorization import prefix_outcomes
 from snorder.matfunc import f_of_jordan_spec, repr_of_fx
 from snorder.partitions import as_partition
 from snorder.serialization import InputFormatError, jordan_spec_from_json, snrepr_to_json
-from snorder.snrepr import jordan_matrix
+from snorder.snrepr import block_sizes_from_ranks, jordan_matrix
 
 from matrix_oracles import block_diag, matrix_from_numpy, rank_exact
 
@@ -161,7 +161,7 @@ def test_exact_f_of_j_recovery_clears_only_the_eigenvalues(monkeypatch):
     assert repr_from_matrix(x, images) == want
     allowed = set(rx.eigenvalues) | set(images) | set(f.coefficients)
     assert all(set(values) <= allowed for values in calls)
-    assert calls[shifted:] == [scalar.sort_desc(images)]
+    assert calls[shifted:] == [tuple(images)]
 
 
 def _sparse_gaussian_int_rows(rng, m, n=None):
@@ -473,20 +473,110 @@ def test_exact_recovery_skips_lambda_off_a_triangular_diagonal(case, data):
 
 def test_triangular_blocks_run_chains_only_at_repeated_diagonal_values(monkeypatch):
     """diag(1, 2) beside the upper triangular [[3, 1, 0], [0, 0, 1], [0, 0, 3]]:
-    only 3, twice on one diagonal, takes rank work (and finds J_2(3))."""
+    only 3, twice on one diagonal, takes rank work (and finds J_2(3)).  z^2
+    on J_6(0) is two J_3(0) components: one rank each gives a count of 1
+    against three zeros on the diagonal, so (1, 1, 1) is forced, with no
+    product formed."""
     import snorder.linalg as linalg
+    import snorder.snrepr as snrepr
 
-    calls = []
+    calls, products = [], []
     rank = linalg.rank_gaussian_int_rows
     monkeypatch.setattr(linalg, "rank_gaussian_int_rows", lambda rows: calls.append(
         len(rows[0])) or rank(rows))
+    monkeypatch.setattr(snrepr, "gaussian_int_matmul", lambda a, b: products.append(
+        len(a)) or gaussian_int_matmul(a, b))
     x = block_diag([jordan_matrix(JordanSpec.of((exact(1), (1,)), (exact(2), (1,)))),
                     Matrix.from_rows([[exact(v) for v in row]
                                       for row in ([3, 1, 0], [0, 0, 1], [0, 0, 3])])])
     rep = repr_from_matrix(x, [exact(v) for v in (0, 1, 2, 3)])
     assert rep == canonical_repr(JordanSpec.of(
         (exact(1), (1,)), (exact(2), (1,)), (exact(3), (2,)), (exact(0), (1,))))
-    assert calls and all(n == 3 for n in calls)  # columns: the 3 x 3 block only
+    assert calls == [3] and products == []  # the 3 x 3 block only: a count of 1 decides
+
+    calls.clear()
+    f, rx = poly([0, 0, 1]), canonical_repr(JordanSpec.of((exact(0), (6,))))
+    x = f_of_jordan_spec(f, rx)
+    assert [len(idx) for idx in diagonal_blocks(gaussian_int_rows(x)[0])] == [3, 3]
+    assert repr_from_matrix(x, [exact(0)]) == repr_of_fx(f, rx)[0] == canonical_repr(
+        JordanSpec.of((exact(0), (3, 3))))
+    assert calls == [3, 3] and products == []
+
+
+def _ranks_of_counts(m, counts):
+    """Ranks of A, A^2, ... for an m x m A whose counts of blocks of size
+    >= s at its eigenvalue are counts, then constant, one per call."""
+    r = m
+    for c in list(counts) + [0] * 4:
+        r -= c
+        yield r
+
+
+@pytest.mark.parametrize("counts, read", [
+    ((3,), 1),           # 0 left
+    ((2, 2), 2),         # 2 left after a count of 2: keeps going, then 0 left
+    ((2, 1), 1),         # 1 left after a count >= 2
+    ((4, 1), 1),
+    ((3, 3, 1), 2),      # keeps going past 3, then 1 left
+    ((2, 2, 2), 3),      # keeps going twice, then 0 left
+    ((1, 1, 1), 1),      # a count of 1
+    ((2, 1, 1, 1), 2),
+    ((3, 2, 1, 1), 3),
+])
+def test_block_sizes_stop_once_the_multiplicity_forces_the_counts(counts, read):
+    """Given the multiplicity, the chain stops where the counts left are
+    forced, and gives the sizes of the full chain; m exceeds it by 2, the
+    dimension of the other eigenvalues."""
+    m = sum(counts) + 2
+    want = block_sizes_from_ranks(_ranks_of_counts(m, counts), m)
+    assert sum(want) == sum(counts)
+    ranks = _ranks_of_counts(m, counts)
+    assert block_sizes_from_ranks(ranks, m, sum(counts)) == want
+    assert len(counts) + 4 - read == len(list(ranks))
+
+
+@pytest.mark.parametrize("counts, hits", [((3,), 2), ((3, 3), 5), ((3, 3, 3), 8)])
+def test_block_counts_beyond_the_multiplicity_raise(counts, hits):
+    m = sum(counts) + 2
+    with pytest.raises(SpectrumMismatch):
+        block_sizes_from_ranks(_ranks_of_counts(m, counts), m, hits)
+
+
+@st.composite
+def repeated_count_specs(draw):
+    """Specs whose every partition has two parts >= 2, so some count of
+    blocks of size >= s repeats a value >= 2: (2, 2), (3, 3), (3, 2, 2)."""
+    lams = draw(st.lists(st.sampled_from(TRIANGULAR_DIAGONAL), min_size=1, max_size=2,
+                         unique=True))
+    pairs = []
+    for lam in lams:
+        sizes = draw(st.lists(st.integers(2, 3), min_size=2, max_size=2))
+        sizes += draw(st.lists(st.integers(1, 2), max_size=1))
+        pairs.append((lam, sorted(sizes, reverse=True)))
+    spec = JordanSpec.of(*pairs)
+    assume(spec.dimension <= 8)
+    return spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(repeated_count_specs(), st.data())
+def test_stopped_chains_recover_unitriangular_similarities(spec, data):
+    """T = U J U^-1 with U upper unitriangular over Z[i]: U^-1 is integral
+    and T is upper triangular with J's diagonal, so its chains stop early;
+    permuted, it runs full chains.  Both equal the spec and the ranks of
+    explicit powers."""
+    n = spec.dimension
+    entry = st.builds(exact, st.integers(-2, 2), st.integers(-1, 1))
+    u = Matrix.from_rows([[exact(1) if i == j else data.draw(entry) if j > i else exact(0)
+                           for j in range(n)] for i in range(n)])
+    t = assemble(spec, u)
+    j = jordan_matrix(spec)
+    assert all(t.rows[i][k] == (j.rows[i][k] if i == k else exact(0))
+               for i in range(n) for k in range(i + 1))
+    lams = [lam for lam, _ in spec.blocks]
+    want = canonical_repr(spec)
+    for x in (t, _permuted(t, data.draw(st.permutations(range(n))))):
+        assert repr_from_matrix(x, lams) == want == _reference_repr(x, lams)
 
 
 def test_float_rank_cut_spans_the_whole_matrix():
