@@ -5,7 +5,9 @@ An exact matrix holds rows of Fraction-backed scalars, its
 built from either (``from_rows``, ``from_numerators``), it derives the other
 once, on first read.  Exact kernels work on the integer rows, on which
 products, fraction-free (Bareiss) ranks and row-space bases
-(``row_basis_exact``) need no Fraction arithmetic.  The float row-space basis
+(``row_basis_exact``) need no Fraction arithmetic, and ``principal_blocks``
+reads their nonzero pattern once into diagonal blocks, with the diagonal
+counts of the triangular ones.  The float row-space basis
 (``row_basis_float``) comes from numpy's SVD with an explicit singular-value
 gap check; numpy is imported by the float helpers only, so exact work never
 loads it.  ``toeplitz_rows`` is the one layout of block-diagonal upper
@@ -20,7 +22,7 @@ from math import gcd
 from operator import add, mul, sub
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import BackendMismatch, DimensionMismatch, RankAmbiguous, SingularTransform
+from .errors import DimensionMismatch, RankAmbiguous, SingularTransform
 from .scalar import EXACT, TotalComplex, as_scalar, from_numerators, numerators
 
 if TYPE_CHECKING:
@@ -182,28 +184,30 @@ def toeplitz_rows(heads, zero) -> list:
 # -- exact rank via fraction-free elimination over Z[i] -------------------
 
 
-def gaussian_int_rows(mat: Matrix):
-    """(rows, mul): mat scaled by mul, the least common denominator of its
-    entries, as fresh lists of :func:`scalar.numerators` pairs read from its
-    integer form, so a kernel that mutates them leaves mat as it was.
-    Scaling by a nonzero constant changes no rank, of mat or of its powers."""
-    form = mat.int_form
-    if form is None:
-        raise BackendMismatch("exact kernel given a float entry")
-    mul, rows = form
-    return [list(row) for row in rows], mul
-
-
-def diagonal_blocks(rows) -> list:
-    """Ascending index sets, by least index, of the connected components of
-    the pattern i ~ j when entry (i, j) or (j, i) is nonzero: the matrix is
-    permutation-similar to the direct sum of these principal submatrices."""
+def principal_blocks(rows) -> list:
+    """(index set, principal block, counts) for each connected component,
+    by least index, of the pattern i ~ j when entry (i, j) or (j, i) of the
+    square rows is nonzero, found in one pass over the entries: rows is
+    permutation-similar to the direct sum of the blocks.  counts
+    maps each diagonal value of a block triangular in its index order (its
+    spectrum) to its multiplicity; it is None for any other block."""
     owner = list(range(len(rows)))
+    above, below = set(), set()  # rows with a nonzero right, left of the diagonal
     for i, row in enumerate(rows):
         for j, z in enumerate(row):
-            if z != (0, 0) and owner[i] != owner[j]:
-                owner = [owner[i] if o == owner[j] else o for o in owner]
-    return [[i for i, o in enumerate(owner) if o == b] for b in dict.fromkeys(owner)]
+            if z != (0, 0) and j != i:
+                (above if j > i else below).add(i)
+                a, b = owner[i], owner[j]
+                if a != b:
+                    owner = [a if o == b else o for o in owner]
+    mixed = {owner[i] for i in above} & {owner[i] for i in below}
+    comps, counts = {}, {}
+    for i, o in enumerate(owner):
+        comps.setdefault(o, []).append(i)
+        c = counts.setdefault(o, {})
+        c[rows[i][i]] = c.get(rows[i][i], 0) + 1
+    return [(idx, [[rows[i][j] for j in idx] for i in idx], None if o in mixed else counts[o])
+            for o, idx in comps.items()]
 
 
 def gaussian_int_matmul(a, b):

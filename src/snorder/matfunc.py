@@ -350,7 +350,8 @@ def eta(f: FunctionDescriptor, lam: TotalComplex, sizes: Partition) -> Partition
 
 
 def eta_given_kappa(sizes: Partition, kappa: int) -> Partition:
-    return merge_desc(*(split_block(n, kappa)[0] for n in sizes))
+    """The merged splits of sizes; kappa 1 splits no block."""
+    return sizes if kappa == 1 else merge_desc(*(split_block(n, kappa)[0] for n in sizes))
 
 
 def repr_of_fx(f: FunctionDescriptor, rx: SNRepresentation):

@@ -11,10 +11,11 @@ from X's integer form over one denominator with the eigenvalues; float:
 right singular vectors by SVD).
 The Jordan matrix of a spec is laid out by :func:`linalg.toeplitz_rows`,
 its blocks the Toeplitz blocks of first row (lambda, 1).
-Exact recovery runs per diagonal block of X's nonzero pattern, since X and
+Exact recovery reads X's nonzero pattern once, by
+:func:`linalg.principal_blocks`, and runs per diagonal block, since X and
 every A^k are permutation-similar to direct sums of those blocks; a
-triangular block reads its eigenvalues off its diagonal, so its chains run
-only at an eigenvalue it holds more than once and stop once that count decides
+triangular block visits only the eigenvalues on its diagonal, so its chains
+run only at one it holds more than once and stop once that count decides
 the rest.  Float stays whole-matrix, as its one rank cut sees every value.
 """
 
@@ -35,9 +36,8 @@ from .errors import (
 from .linalg import (
     SVD_TOL,
     Matrix,
-    diagonal_blocks,
     gaussian_int_matmul,
-    gaussian_int_rows,
+    principal_blocks,
     row_basis_exact,
     row_basis_float,
     spectral_norm,
@@ -223,16 +223,6 @@ def _int_shift(x_int, lam):
     return shift
 
 
-def _triangular_diagonal(block):
-    """The diagonal of a block that is upper or lower triangular in its
-    index order, whose entries are its eigenvalues; else None."""
-    n = len(block)
-    if (all(block[i][j] == (0, 0) for i in range(n) for j in range(i))
-            or all(block[i][j] == (0, 0) for i in range(n) for j in range(i + 1, n))):
-        return [block[i][i] for i in range(n)]
-    return None
-
-
 def repr_from_matrix(x: Matrix, eigenvalues: Sequence[TotalComplex]) -> SNRepresentation:
     """Recover the SN representation from ranks of powers of (X - lambda*I),
     one image chain per eigenvalue on either backend.
@@ -240,11 +230,11 @@ def repr_from_matrix(x: Matrix, eigenvalues: Sequence[TotalComplex]) -> SNRepres
     An exact X is read in its integer form, the eigenvalues are cleared once
     and merged by :func:`merge_keyed`, and both are scaled to one common
     denominator, the integers of clearing X and the eigenvalues together;
-    its diagonal blocks are split once per call.  A block triangular in its
-    index order has its diagonal as spectrum: lambda off it contributes
-    nothing, lambda on it once is one 1 x 1 block, and only lambda on it
-    more than once runs a chain, cut short by that count; other blocks run a
-    full chain at every lambda.  Float ranks use one cut over all of X,
+    one pass over its nonzeros splits it into diagonal blocks.  A block
+    triangular in its index order has its diagonal as spectrum and visits
+    only the lambda there: one on it once is one 1 x 1 block, and only one
+    on it more than once runs a chain, cut short by that count; other blocks
+    run a full chain at every lambda.  Float ranks use one cut over all of X,
     SVD_TOL * max(||X||_2, |lambda|), so a product that is all round-off
     reads as rank 0.  Raises BackendMismatch when an entry or eigenvalue is
     not of X's backend, and SpectrumMismatch when the eigenvalues, merged
@@ -254,7 +244,9 @@ def repr_from_matrix(x: Matrix, eigenvalues: Sequence[TotalComplex]) -> SNRepres
         raise DimensionMismatch("square matrix required")
     m = x.shape[0]
     if x.backend == EXACT:
-        x_int, dx = gaussian_int_rows(x)
+        if x.int_form is None:
+            raise BackendMismatch("exact kernel given a float entry")
+        dx, x_int = x.int_form
         eigenvalues = list(eigenvalues)
         cleared = numerators(eigenvalues)
         if cleared is None:
@@ -266,8 +258,16 @@ def repr_from_matrix(x: Matrix, eigenvalues: Sequence[TotalComplex]) -> SNRepres
             x_int = [[(a * sx, b * sx) for a, b in row] for row in x_int]
         if sl != 1:
             lam_int = [(a * sl, b * sl) for a, b in lam_int]
-        subs = [(s, _triangular_diagonal(s)) for s in (
-            [[x_int[i][j] for j in idx] for i in idx] for idx in diagonal_blocks(x_int))]
+        by_key = {key: [] for key in lam_int}
+        for _, block, counts in principal_blocks(x_int):
+            # a triangular block visits only the lambda on its diagonal, and
+            # a simple one there is one 1 x 1 block
+            for key, hits in (dict.fromkeys(by_key) if counts is None else counts).items():
+                if key in by_key:
+                    by_key[key].append((1,) if hits == 1 else block_sizes_from_ranks(
+                        _image_chain(_int_shift(block, key), row_basis_exact,
+                                     gaussian_int_matmul), len(block), hits))
+        parts = list(by_key.values())
     else:
         lams = [lam for lam, _ in merge_equal((lam, None) for lam in eigenvalues)]
         if any(z.backend != FLOAT for z in [a for row in x.rows for a in row] + lams):
@@ -276,23 +276,13 @@ def repr_from_matrix(x: Matrix, eigenvalues: Sequence[TotalComplex]) -> SNRepres
 
         a = x.to_numpy()
         norm = spectral_norm(a)
-    groups = []
-    for k, lam in enumerate(lams):
-        if x.backend == EXACT:
-            parts = []
-            for s, diag in subs:
-                hits = diag and diag.count(lam_int[k])  # None off a triangular block
-                if hits in (0, 1):
-                    parts += [(1,)] * hits  # a simple eigenvalue has one 1 x 1 block
-                    continue
-                parts.append(block_sizes_from_ranks(_image_chain(_int_shift(
-                    s, lam_int[k]), row_basis_exact, gaussian_int_matmul), len(s), hits))
-        else:
+        parts = []
+        for lam in lams:
             z = lam.to_complex()
             basis = partial(row_basis_float, cut=SVD_TOL * max(norm, abs(z)))
-            parts = [block_sizes_from_ranks(_image_chain(a - z * np.eye(m), basis, np.matmul), m)]
-        if any(parts):
-            groups.append((lam, parts))
+            chain = _image_chain(a - z * np.eye(m), basis, np.matmul)
+            parts.append([block_sizes_from_ranks(chain, m)])
+    groups = [(lam, p) for lam, p in zip(lams, parts) if any(p)]
     covered = sum(sum(part) for _, parts in groups for part in parts)
     if covered != m:
         raise SpectrumMismatch(

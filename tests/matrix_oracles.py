@@ -1,13 +1,39 @@
 """Reference helpers the tests share: an exact rank, float matrices from
-numpy arrays, a block-diagonal direct sum, and the rank oracle for the block
-split."""
+numpy arrays, a block-diagonal direct sum, the components of a nonzero
+pattern, and the rank oracle for the block split."""
 
 import numpy as np
 
 from snorder import Matrix, approx, exact, repr_from_matrix
-from snorder.linalg import gaussian_int_rows, rank_gaussian_int_rows
+from snorder.errors import BackendMismatch
+from snorder.linalg import rank_gaussian_int_rows
 from snorder.matfunc import PolynomialFunction, f_jordan_block
 from snorder.scalar import as_scalar
+
+
+def gaussian_int_rows(mat):
+    """(rows, mul): mat scaled by mul, the least common denominator of its
+    entries, as fresh lists of :func:`scalar.numerators` pairs read from its
+    integer form, so a kernel that mutates them leaves mat as it was.
+    Scaling by a nonzero constant changes no rank, of mat or of its powers."""
+    form = mat.int_form
+    if form is None:
+        raise BackendMismatch("exact kernel given a float entry")
+    mul, rows = form
+    return [list(row) for row in rows], mul
+
+
+def diagonal_blocks(rows):
+    """Ascending index sets, by least index, of the connected components of
+    the pattern i ~ j when entry (i, j) or (j, i) is nonzero: the matrix is
+    permutation-similar to the direct sum of these principal submatrices.
+    The reference for :func:`linalg.principal_blocks`."""
+    owner = list(range(len(rows)))
+    for i, row in enumerate(rows):
+        for j, z in enumerate(row):
+            if z != (0, 0) and owner[i] != owner[j]:
+                owner = [owner[i] if o == owner[j] else o for o in owner]
+    return [[i for i, o in enumerate(owner) if o == b] for b in dict.fromkeys(owner)]
 
 
 def rank_exact(mat):

@@ -45,7 +45,7 @@ from snorder.partitions import merge_desc
 from snorder.snrepr import jordan_matrix
 
 from matrix_oracles import block_diag, rank_oracle_split
-from test_partitions import prefix
+from test_partitions import partitions_up_to, prefix
 
 
 def test_polynomial_evaluation_and_derivatives():
@@ -381,6 +381,29 @@ def test_repr_of_fx_kappa_one_keeps_structure():
     image, gaps = repr_of_fx(f, rx)
     assert image.partitions == rx.partitions
     assert all(all(g == 0 for g in vec) for vec in gaps)
+
+
+def _flat_at_two(kappa, backend):
+    """(z - 2)^kappa on backend, and as a derivative oracle: kappa at 2."""
+    coeffs = [math.comb(kappa, k) * (-2) ** (kappa - k) for k in range(kappa + 1)]
+    oracle = OracleFunction(f"flat{kappa}", lambda z, q: math.perm(kappa, q) * (z - 2) ** (
+        kappa - q) if q <= kappa else 0j)
+    return poly(coeffs, backend), oracle
+
+
+def test_eta_given_kappa_equals_the_merged_splits():
+    """kappa 1 keeps the partition as it is; every kappa, read directly or
+    through exact, float and oracle repr_of_fx at a point where f has that
+    kappa, gives the merged splits of the blocks."""
+    for part in partitions_up_to(6)[1:]:
+        for kappa in range(1, max(part) + 2):
+            want = merge_desc(*(split_block(n, kappa)[0] for n in part))
+            assert eta_given_kappa(part, kappa) == want
+            f_exact, oracle = _flat_at_two(kappa, EXACT)
+            f_float, _ = _flat_at_two(kappa, FLOAT)
+            for f, lam in [(f_exact, exact(2)), (f_float, approx(2.0)), (oracle, approx(2.0))]:
+                rep, _ = repr_of_fx(f, canonical_repr(JordanSpec.of((lam, part))))
+                assert rep.partitions == (want,)
 
 
 def test_repr_of_fx_collision_merges():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import sys
@@ -33,9 +34,8 @@ from snorder.errors import (
 )
 from snorder.linalg import (
     SVD_TOL,
-    diagonal_blocks,
     gaussian_int_matmul,
-    gaussian_int_rows,
+    principal_blocks,
     rank_gaussian_int_rows,
     row_basis_exact,
     row_basis_float,
@@ -47,7 +47,13 @@ from snorder.partitions import as_partition
 from snorder.serialization import InputFormatError, jordan_spec_from_json, snrepr_to_json
 from snorder.snrepr import block_sizes_from_ranks, jordan_matrix
 
-from matrix_oracles import block_diag, matrix_from_numpy, rank_exact
+from matrix_oracles import (
+    block_diag,
+    diagonal_blocks,
+    gaussian_int_rows,
+    matrix_from_numpy,
+    rank_exact,
+)
 
 
 def test_canonical_repr_merges_and_sorts():
@@ -344,6 +350,50 @@ def _pattern(n, *edges):
 ])
 def test_diagonal_blocks(rows, blocks):
     assert diagonal_blocks(rows) == blocks
+    assert [idx for idx, _, _ in principal_blocks(rows)] == blocks
+
+
+def _triangular_counts(block):
+    """Diagonal value counts of a block upper or lower triangular in its
+    index order, else None: the reference read of a block's spectrum."""
+    n = len(block)
+    if (all(block[i][j] == (0, 0) for i in range(n) for j in range(i))
+            or all(block[i][j] == (0, 0) for i in range(n) for j in range(i + 1, n))):
+        return dict(collections.Counter(block[i][i] for i in range(n)))
+    return None
+
+
+GAUSSIAN_PAIRS = st.tuples(st.sampled_from([0, 0, 1, -2, 3]), st.sampled_from([0, 0, -1, 2]))
+
+
+@st.composite
+def sparse_patterns(draw):
+    """Square (re, im) rows: the indices fall into groups with entries only
+    inside each group, which is upper or lower triangular, or neither, in
+    a drawn order of its indices, ascending or not; entries are sparse and
+    diagonal values repeat, so groups split and triangular counts exceed 1."""
+    n = draw(st.integers(1, 8))
+    perm = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    rows = [[(0, 0)] * n for _ in range(n)]
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        idx = perm[lo:hi] if draw(st.booleans()) else sorted(perm[lo:hi])
+        kind = draw(st.sampled_from(["upper", "lower", "full"]))
+        for a, i in enumerate(idx):
+            for b, j in enumerate(idx):
+                if a == b or kind == "full" or (a < b) == (kind == "upper"):
+                    rows[i][j] = draw(GAUSSIAN_PAIRS)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_patterns())
+def test_principal_blocks_match_the_reference(rows):
+    """The one-pass split gives the reference components, their principal
+    blocks, and the diagonal counts of exactly the triangular ones."""
+    want = [(idx, [[rows[i][j] for j in idx] for i in idx]) for idx in diagonal_blocks(rows)]
+    assert principal_blocks(rows) == [(idx, block, _triangular_counts(block))
+                                      for idx, block in want]
 
 
 EXACT_EIGENVALUES = (exact(0), exact(1), exact(-2), exact(0, 1), exact(1, 1)) + RATIONAL_EIGENVALUES
@@ -497,7 +547,7 @@ def test_triangular_blocks_run_chains_only_at_repeated_diagonal_values(monkeypat
     calls.clear()
     f, rx = poly([0, 0, 1]), canonical_repr(JordanSpec.of((exact(0), (6,))))
     x = f_of_jordan_spec(f, rx)
-    assert [len(idx) for idx in diagonal_blocks(gaussian_int_rows(x)[0])] == [3, 3]
+    assert [len(idx) for idx, _, _ in principal_blocks(x.int_form[1])] == [3, 3]
     assert repr_from_matrix(x, [exact(0)]) == repr_of_fx(f, rx)[0] == canonical_repr(
         JordanSpec.of((exact(0), (3, 3))))
     assert calls == [3, 3] and products == []
