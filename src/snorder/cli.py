@@ -28,7 +28,8 @@ def _load(path: str, decode, *args):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, ValueError) as err:  # also bad UTF-8 and oversized integer literals
+    except (OSError, ValueError, RecursionError) as err:  # also bad UTF-8, oversized
+        # integer literals, and arrays or objects nested too deep to parse
         raise InputFormatError(f"{path}: {err}")
     try:
         return decode(doc, *args)

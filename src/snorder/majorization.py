@@ -25,7 +25,6 @@ and each intermediate is built as a value.  Float input keeps its bits.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain
@@ -35,8 +34,8 @@ from typing import Iterable, Sequence
 from .errors import BackendMismatch, DimensionMismatch, NotMajorized
 from .linalg import Matrix, gaussian_int_matmul
 from .scalar import (
-    EXACT, OrderOutcome, TotalComplex, cmp_total, exact, from_numerators, numerators, one_like,
-    sort_desc, zero_like,
+    EXACT, Frozen, OrderOutcome, TotalComplex, cmp_total, exact, from_numerators, numerators,
+    one_like, set_field, sort_desc, zero_like,
 )
 
 
@@ -117,18 +116,27 @@ def majorize_sorted(sx: Sequence[TotalComplex], sy: Sequence[TotalComplex]) -> M
     return _verdict(prefix_outcomes(sx, sy))
 
 
-@dataclass(frozen=True)
-class TTransform:
+class TTransform(Frozen):
     """Affine mixing of coordinates i < j (0-based):
     v_i -> beta*v_i + (1-beta)*v_j,  v_j -> beta*v_j + (1-beta)*v_i."""
 
-    i: int
-    j: int
-    beta: TotalComplex
+    def __init__(self, i: int, j: int, beta: TotalComplex):
+        if not 0 <= i < j:
+            raise DimensionMismatch(f"need 0 <= i < j, got ({i}, {j})")
+        set_field(self, "i", i)
+        set_field(self, "j", j)
+        set_field(self, "beta", beta)
 
-    def __post_init__(self):
-        if not 0 <= self.i < self.j:
-            raise DimensionMismatch(f"need 0 <= i < j, got ({self.i}, {self.j})")
+    def __repr__(self):
+        return f"TTransform(i={self.i!r}, j={self.j!r}, beta={self.beta!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.i, self.j, self.beta) == (other.i, other.j, other.beta)
+
+    def __hash__(self):
+        return hash((self.i, self.j, self.beta))
 
     @property
     def beta_in_unit_interval(self) -> bool:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import zip_longest
@@ -36,7 +35,8 @@ from .errors import IncomparableNilpotent, KappaNotFound, OutsideAnalyticityRadi
 from .linalg import Matrix, toeplitz_rows
 from .partitions import Partition, as_partition, merge_desc, prefix_gaps
 from .scalar import (
-    EXACT, TotalComplex, approx, common_denominator, exact, numerators, zero_like,
+    EXACT, Frozen, TotalComplex, approx, common_denominator, exact, numerators, set_field,
+    zero_like,
 )
 from .snrepr import SNRepresentation, merge_equal, merge_keyed
 
@@ -47,14 +47,22 @@ DERIVATIVE_EPS = 1e-10
 _SHIFT_MEMO_SIZE = 16
 
 
-@dataclass(frozen=True)
-class PolynomialFunction:
+class PolynomialFunction(Frozen):
     """Polynomial with total-complex coefficients, ascending by degree.
 
     Taylor coefficients are exact for exact-backend coefficients.
     """
 
-    coefficients: tuple
+    def __init__(self, coefficients: tuple):
+        set_field(self, "coefficients", coefficients)
+
+    def __repr__(self):
+        return f"PolynomialFunction(coefficients={self.coefficients!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coefficients == other.coefficients
 
     @property
     def degree(self) -> int:
@@ -173,13 +181,27 @@ def _shift_memo(f: PolynomialFunction, lam: TotalComplex) -> list:
     return []
 
 
-@dataclass(frozen=True)
-class OracleFunction:
+class OracleFunction(Frozen):
     """Float-only function given by a derivative oracle (lam, order) -> complex."""
 
-    name: str
-    derivatives: Callable[[complex, int], complex]
-    radius: float = math.inf
+    def __init__(self, name: str, derivatives: Callable[[complex, int], complex],
+                 radius: float = math.inf):
+        set_field(self, "name", name)
+        set_field(self, "derivatives", derivatives)
+        set_field(self, "radius", radius)
+
+    def __repr__(self):
+        return (f"OracleFunction(name={self.name!r}, derivatives={self.derivatives!r}, "
+                f"radius={self.radius!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.derivatives, self.radius)
+                == (other.name, other.derivatives, other.radius))
+
+    def __hash__(self):
+        return hash((self.name, self.derivatives, self.radius))
 
     def _inside(self, lam: TotalComplex) -> complex:
         """lam as a complex number, refused outside the radius."""

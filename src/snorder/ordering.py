@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -31,6 +30,7 @@ from .matfunc import (
 from .partitions import dominance_check
 from .scalar import (
     EXACT,
+    Frozen,
     OrderOutcome,
     TotalComplex,
     approx,
@@ -39,6 +39,7 @@ from .scalar import (
     exact,
     numerators,
     one_like,
+    set_field,
     sort_desc,
 )
 from .snrepr import SNOVerdict, SNRepresentation, _spectral_outcomes, compare_sno, repr_from_matrix
@@ -127,10 +128,24 @@ def _image_reprs(f: PolynomialFunction, arg: Matrix, rhs: Matrix) -> tuple:
 # -- monotonicity -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonotonicityCertificate:
-    case: str  # one of "A".."E"
-    details: dict = field(default_factory=dict, hash=False, compare=False)
+class MonotonicityCertificate(Frozen):
+    """The case ("A".."E") that certifies, and its details, which == and
+    hash skip."""
+
+    def __init__(self, case: str, details: Optional[dict] = None):
+        set_field(self, "case", case)
+        set_field(self, "details", {} if details is None else details)
+
+    def __repr__(self):
+        return f"MonotonicityCertificate(case={self.case!r}, details={self.details!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.case == other.case
+
+    def __hash__(self):
+        return hash((self.case,))
 
 
 def _kappas(f: FunctionDescriptor, rep: SNRepresentation) -> list:
@@ -240,17 +255,18 @@ def monotonicity_verify_direct(
 # -- convexity probing -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConvexityPoint:
-    t: object
-    verdict: Optional[SNOVerdict]
-    greater: bool  # mix image strictly above the average: a falsification
-    error: Optional[str] = None
+class ConvexityPoint(Frozen):
+    def __init__(self, t, verdict: Optional[SNOVerdict], greater: bool,
+                 error: Optional[str] = None):
+        set_field(self, "t", t)
+        set_field(self, "verdict", verdict)
+        set_field(self, "greater", greater)  # mix image strictly above the average: falsified
+        set_field(self, "error", error)
 
 
-@dataclass
 class ConvexityReport:
-    points: list = field(default_factory=list)
+    def __init__(self, points: Optional[list] = None):
+        self.points = [] if points is None else points
 
     @property
     def consistent(self) -> bool:

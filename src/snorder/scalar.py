@@ -22,7 +22,6 @@ that turns exact values into integers, and its docstring states the format.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -55,8 +54,25 @@ def _cmp_raw(a, b, eps: float) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class TotalComplex:
+# The value classes of snorder are written by hand: importing dataclasses
+# (and with it inspect, ast, dis and tokenize) costs more than a tenth of a
+# short `sno` run.  Frozen ones set their fields in __init__ by set_field;
+# writing self.__dict__ instead would build the instance's dict, after which
+# every attribute read takes the slow generic path.
+set_field = object.__setattr__
+
+
+class Frozen:
+    """Base of the value classes whose fields are fixed once built."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TotalComplex(Frozen):
     """A complex number whose component type is its numeric backend.
 
     ``re``/``im`` are both Fractions for the exact backend and both floats
@@ -67,8 +83,9 @@ class TotalComplex:
     comparison is not transitive, so sort with :func:`sort_desc`.
     """
 
-    re: object
-    im: object
+    def __init__(self, re, im):
+        set_field(self, "re", re)
+        set_field(self, "im", im)
 
     @property
     def backend(self) -> str:

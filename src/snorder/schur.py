@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, combinations
 from operator import add
@@ -25,6 +24,7 @@ from .majorization import (Majorization, _cleared_pair, int_majorization, int_pr
                            majorize_check, majorize_sorted)
 from .scalar import (
     DEFAULT_EPS,
+    Frozen,
     OrderOutcome,
     TotalComplex,
     _cmp_raw,
@@ -33,6 +33,7 @@ from .scalar import (
     from_complex,
     from_numerators,
     one_like,
+    set_field,
     sort_desc,
 )
 
@@ -52,28 +53,29 @@ class Prop(enum.Enum):
     CONCAVE_AFFINE = "concave_affine"
 
 
-@dataclass(frozen=True)
-class DomainBox:
+class DomainBox(Frozen):
     """Box constraints on entry differences: for entries within the box,
     0 <= Re(eps) <= c1 and c2 <= Im(eps) <= c3 for the perturbations used in
     the derivative criterion."""
 
-    c1: float
-    c2: float
-    c3: float
+    def __init__(self, c1: float, c2: float, c3: float):
+        set_field(self, "c1", c1)
+        set_field(self, "c2", c2)
+        set_field(self, "c3", c3)
 
 
-@dataclass(frozen=True)
-class SymmetricFunction:
+class SymmetricFunction(Frozen):
     """Symmetric scalar function of n complex variables.
 
     ``gradient(x, i)`` should return the complex partial derivative; when
     omitted it falls back to central finite differences with a real step.
     """
 
-    arity: int
-    value: Callable[[Sequence[complex]], complex]
-    gradient: Optional[Callable[[Sequence[complex], int], complex]] = None
+    def __init__(self, arity: int, value: Callable[[Sequence[complex]], complex],
+                 gradient: Optional[Callable[[Sequence[complex], int], complex]] = None):
+        set_field(self, "arity", arity)
+        set_field(self, "value", value)
+        set_field(self, "gradient", gradient)
 
     def partial(self, x: Sequence[complex], i: int) -> complex:
         if self.gradient is not None:
@@ -94,20 +96,21 @@ def negative_sum_of_squares(n: int) -> SymmetricFunction:
     return SymmetricFunction(n, lambda x: -sum(z * z for z in x), lambda x, i: -2 * x[i])
 
 
-@dataclass(frozen=True)
-class OstrowskiRecord:
-    sample: int
-    i: int
-    j: int
-    d_re: float
-    d_im: float
-    case: int
-    ok: bool
+class OstrowskiRecord(Frozen):
+    def __init__(self, sample: int, i: int, j: int, d_re: float, d_im: float, case: int,
+                 ok: bool):
+        set_field(self, "sample", sample)
+        set_field(self, "i", i)
+        set_field(self, "j", j)
+        set_field(self, "d_re", d_re)
+        set_field(self, "d_im", d_im)
+        set_field(self, "case", case)
+        set_field(self, "ok", ok)
 
 
-@dataclass
 class OstrowskiReport:
-    records: list = field(default_factory=list)
+    def __init__(self, records: Optional[list] = None):
+        self.records = [] if records is None else records
 
     @property
     def passed(self) -> bool:
@@ -160,13 +163,19 @@ def schur_ostrowski_check(
     return report
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    x: tuple
-    y: tuple
-    f_x: complex
-    f_y: complex
-    trial: int
+class Counterexample(Frozen):
+    def __init__(self, x: tuple, y: tuple, f_x: complex, f_y: complex, trial: int):
+        set_field(self, "x", x)
+        set_field(self, "y", y)
+        set_field(self, "f_x", f_x)
+        set_field(self, "f_y", f_y)
+        set_field(self, "trial", trial)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.x, self.y, self.f_x, self.f_y, self.trial)
+                == (other.x, other.y, other.f_x, other.f_y, other.trial))
 
 
 def _random_majorized_pair(rng: random.Random, n: int, complex_entries: bool):
@@ -346,10 +355,17 @@ class MajorizationCert(enum.Enum):
     NOT_CERTIFIED = "not_certified"
 
 
-@dataclass(frozen=True)
-class MajorizationPreserveResult:
-    kind: MajorizationCert
-    reversed_direction: bool = False  # conclusion runs f(y) weakly below f(x)
+class MajorizationPreserveResult(Frozen):
+    def __init__(self, kind: MajorizationCert, reversed_direction: bool = False):
+        set_field(self, "kind", kind)
+        # The conclusion runs f(y) weakly below f(x).
+        set_field(self, "reversed_direction", reversed_direction)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.kind, self.reversed_direction)
+                == (other.kind, other.reversed_direction))
 
 
 def _exact_monotonicity(points, images) -> tuple:

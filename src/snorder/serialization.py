@@ -82,7 +82,7 @@ def _component_from_json(v, backend: str):
             raise InputFormatError(f"bad rational literal {v!r}")
         try:
             return Fraction(v)
-        except ZeroDivisionError as err:
+        except (ValueError, ZeroDivisionError) as err:  # ValueError: over the digit limit
             raise InputFormatError(f"bad rational literal {v!r}: {err}")
     if isinstance(v, str):
         raise InputFormatError(f"string literal {v!r} is not valid for the float backend")

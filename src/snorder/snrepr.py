@@ -22,7 +22,6 @@ the rest.  Float stays whole-matrix, as its one rank cut sees every value.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate, zip_longest
 from typing import Iterable, Optional, Sequence
@@ -46,8 +45,8 @@ from .linalg import (
 from .majorization import prefix_outcomes, sum_outcomes
 from .partitions import Partition, as_partition, dominance_check, merge_desc
 from .scalar import (
-    EXACT, FLOAT, OrderOutcome, TotalComplex, cmp_total, common_denominator, numerators, one_like,
-    sort_desc_items, zero_like,
+    EXACT, FLOAT, Frozen, OrderOutcome, TotalComplex, cmp_total, common_denominator, numerators,
+    one_like, set_field, sort_desc_items, zero_like,
 )
 
 
@@ -58,17 +57,26 @@ class SNOVerdict(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class JordanSpec:
+class JordanSpec(Frozen):
     """Raw (eigenvalue, block sizes) pairs; duplicates allowed."""
 
-    blocks: tuple  # of (TotalComplex, Partition)
-
-    def __post_init__(self):
-        if not self.blocks:
+    def __init__(self, blocks: tuple):  # of (TotalComplex, Partition)
+        if not blocks:
             raise EmptySpec("at least one eigenvalue block is required")
-        if not all(sizes for _, sizes in self.blocks):
+        if not all(sizes for _, sizes in blocks):
             raise EmptySpec("every eigenvalue block needs at least one size")
+        set_field(self, "blocks", blocks)
+
+    def __repr__(self):
+        return f"JordanSpec(blocks={self.blocks!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.blocks == other.blocks
+
+    def __hash__(self):
+        return hash((self.blocks,))
 
     @staticmethod
     def of(*pairs) -> "JordanSpec":
@@ -79,14 +87,25 @@ class JordanSpec:
         return sum(sum(sizes) for _, sizes in self.blocks)
 
 
-@dataclass(frozen=True)
-class SNRepresentation:
+class SNRepresentation(Frozen):
     """Canonical form: eigenvalues strictly decreasing, partitions
     non-increasing, aligned index-wise; :func:`merge_equal` makes it
     independent of the order of the blocks."""
 
-    eigenvalues: tuple  # distinct TotalComplex, strictly decreasing
-    partitions: tuple   # one Partition per eigenvalue
+    def __init__(self, eigenvalues: tuple, partitions: tuple):
+        set_field(self, "eigenvalues", eigenvalues)  # distinct, strictly decreasing
+        set_field(self, "partitions", partitions)  # one Partition per eigenvalue
+
+    def __repr__(self):
+        return f"SNRepresentation(eigenvalues={self.eigenvalues!r}, partitions={self.partitions!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.eigenvalues, self.partitions) == (other.eigenvalues, other.partitions)
+
+    def __hash__(self):
+        return hash((self.eigenvalues, self.partitions))
 
     @staticmethod
     def from_groups(groups) -> "SNRepresentation":

@@ -645,6 +645,26 @@ def run_fresh(tmp_path, script):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def test_deeply_nested_json_is_input_error(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 200_000 + "]" * 200_000)
+    assert str(p) in assert_input_error(capsys, ["compare", str(p), str(p)])
+
+
+@pytest.mark.parametrize("literal", ["1" * 5_000, "1/" + "3" * 5_000, "-7/" + "9" * 4_301],
+                         ids=["integer", "denominator", "negative"])
+def test_rational_literals_over_the_digit_limit_are_input_errors(tmp_path, capsys, literal):
+    """Fraction refuses strings of more than sys.get_int_max_str_digits()
+    digits with a ValueError; both decoders of exact scalars turn it into an
+    input error."""
+    vec = write(tmp_path, "v.json", [sc("1"), {"re": literal}])
+    ok_vec = write(tmp_path, "w.json", [sc("1"), sc("1")])
+    assert "v.json" in assert_input_error(capsys, ["majorize", vec, ok_vec])
+    spec = write(tmp_path, "s.json", {"blocks": [{"eigenvalue": sc("0", literal), "sizes": [1]}]})
+    ok_spec = write(tmp_path, "t.json", {"blocks": [{"eigenvalue": sc("1"), "sizes": [1]}]})
+    assert "s.json" in assert_input_error(capsys, ["compare", ok_spec, spec])
+
+
 def test_exact_cli_runs_do_not_import_numpy(tmp_path):
     write(tmp_path, "x.json", {"blocks": [{"eigenvalue": sc("1"), "sizes": [2, 1]}]})
     write(tmp_path, "y.json", {"blocks": [{"eigenvalue": sc("1"), "sizes": [3]}]})
@@ -677,7 +697,8 @@ print(json.dumps({"codes": codes, "after_schur": after_schur,
 
 
 # One small exact run of each subcommand, and the snorder modules it must not
-# load: each subcommand imports only the layers it calls.
+# load: each subcommand imports only the layers it calls.  No run imports
+# dataclasses or inspect, which cost more than a tenth of a short run.
 SUBCOMMAND_RUNS = {
     "gdod": (["gdod", "p.json", "q.json"], {"snrepr", "matfunc", "ordering"}),
     "majorize": (["majorize", "v.json", "w.json", "--decompose"],
@@ -687,6 +708,7 @@ SUBCOMMAND_RUNS = {
     "schur": (["schur", "--n", "2", "--trials", "20", "--samples", "3"], {"ordering"}),
     "fmap": (["fmap", "f.json", "x.json"], {"ordering"}),
     "convexity": (["convexity", "f.json", "a.json", "b.json"], {"schur"}),
+    "monotone": (["monotone", "f.json", "x.json", "y.json"], set()),
 }
 
 
@@ -712,12 +734,14 @@ import snorder
 bare = layers()
 import snorder.cli as cli
 code = cli.main(["--output", "report.json"] + {argv!r})
-print(json.dumps({{"bare": bare, "code": code, "loaded": layers()}}))
+stdlib = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+print(json.dumps({{"bare": bare, "code": code, "loaded": layers(), "stdlib": stdlib}}))
 """)
     assert report["bare"] == []
     assert report["code"] == 0
     assert "cli" in report["loaded"]
     assert not unwanted & set(report["loaded"]), report["loaded"]
+    assert report["stdlib"] == []
 
 
 def test_float_paths_load_numpy_on_first_use(tmp_path):
