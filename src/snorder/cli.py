@@ -164,8 +164,9 @@ def cmd_convexity(args):
 
     try:
         ts = [Fraction(t) for t in args.t.split(",")]
-    except (ValueError, ZeroDivisionError) as err:
-        raise InputFormatError(f"bad -t list {args.t!r}: {err}")
+    except (ValueError, ZeroDivisionError) as err:  # the latter echoes the numerator
+        reason = "zero denominator" if isinstance(err, ZeroDivisionError) else err
+        raise InputFormatError(f"bad -t list {ser.shown(args.t)}: {reason}")
     bad = [str(t) for t in ts if not 0 <= t <= 1]
     if bad:
         raise InputFormatError(f"-t weights must lie in [0, 1], got {', '.join(bad)}")

@@ -4,14 +4,14 @@ An exact matrix holds rows of Fraction-backed scalars, its
 :func:`scalar.numerators` form (d, rows of (re, im) integer pairs), or both:
 built from either (``from_rows``, ``from_numerators``), it derives the other
 once, on first read.  Exact kernels work on the integer rows, on which
-products, fraction-free (Bareiss) ranks and row-space bases
-(``row_basis_exact``) need no Fraction arithmetic, and ``principal_blocks``
-reads their nonzero pattern once into diagonal blocks, with the diagonal
-counts of the triangular ones.  The float row-space basis
-(``row_basis_float``) comes from numpy's SVD with an explicit singular-value
-gap check; numpy is imported by the float helpers only, so exact work never
-loads it.  ``toeplitz_rows`` is the one layout of block-diagonal upper
-triangular Toeplitz matrices: Jordan matrices and f(J), on either form.
+products, fraction-free (Bareiss) ranks and row-space bases need no Fraction
+arithmetic: ``row_basis_exact`` takes a rank from one elimination and forms
+the basis only when asked; ``principal_blocks`` reads the nonzero pattern
+once into index sets of diagonal blocks, with the diagonal counts of the
+triangular ones, and builds no block.  Float ranks and bases
+(``row_basis_float``) come from numpy's SVD, which only the float helpers
+import, so exact work never loads numpy.  ``toeplitz_rows`` lays out every
+block-diagonal upper triangular Toeplitz matrix: Jordan matrices and f(J).
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ class Matrix:
     def from_numerators(d: int, rows) -> "Matrix":
         """The exact matrix of entries (re + i im) / d for the (re, im)
         integer pairs of rows; d > 0 need not be the least denominator."""
-        rows = tuple(tuple(row) for row in rows)
-        if len({len(r) for r in rows}) > 1:
+        rows = tuple(map(tuple, rows))
+        if len(set(map(len, rows))) > 1:
             raise DimensionMismatch("ragged rows")
         g = gcd(d, *chain.from_iterable(chain.from_iterable(rows))) if d != 1 else 1
         m = Matrix.__new__(Matrix)
@@ -185,12 +185,12 @@ def toeplitz_rows(heads, zero) -> list:
 
 
 def principal_blocks(rows) -> list:
-    """(index set, principal block, counts) for each connected component,
-    by least index, of the pattern i ~ j when entry (i, j) or (j, i) of the
-    square rows is nonzero, found in one pass over the entries: rows is
-    permutation-similar to the direct sum of the blocks.  counts
-    maps each diagonal value of a block triangular in its index order (its
-    spectrum) to its multiplicity; it is None for any other block."""
+    """(index set, counts) for each connected component, by least index, of
+    the pattern i ~ j when entry (i, j) or (j, i) of the square rows is
+    nonzero, found in one pass: rows is permutation-similar to the direct
+    sum of the principal blocks on the index sets, none of which is built.
+    counts maps each diagonal value of a block triangular in its index
+    order (its spectrum) to its multiplicity; it is None for other blocks."""
     owner = list(range(len(rows)))
     above, below = set(), set()  # rows with a nonzero right, left of the diagonal
     for i, row in enumerate(rows):
@@ -201,13 +201,13 @@ def principal_blocks(rows) -> list:
                 if a != b:
                     owner = [a if o == b else o for o in owner]
     mixed = {owner[i] for i in above} & {owner[i] for i in below}
-    comps, counts = {}, {}
+    comps = {}
     for i, o in enumerate(owner):
-        comps.setdefault(o, []).append(i)
-        c = counts.setdefault(o, {})
-        c[rows[i][i]] = c.get(rows[i][i], 0) + 1
-    return [(idx, [[rows[i][j] for j in idx] for i in idx], None if o in mixed else counts[o])
-            for o, idx in comps.items()]
+        idx, counts = comps.setdefault(o, ([], None if o in mixed else {}))
+        idx.append(i)
+        if counts is not None:
+            counts[rows[i][i]] = counts.get(rows[i][i], 0) + 1
+    return list(comps.values())
 
 
 def gaussian_int_matmul(a, b):
@@ -264,20 +264,21 @@ def rank_gaussian_int_rows(rows) -> int:
     return r
 
 
-def row_basis_exact(rows) -> list:
-    """The input rows, in input order, whose copies become pivots when
-    rank_gaussian_int_rows eliminates them: a basis of the row space whose
-    entries, unlike echelon rows, do not grow along a chain of products."""
+def row_basis_exact(rows) -> tuple:
+    """(rank, basis) of rows from one rank_gaussian_int_rows pass on copies:
+    basis() forms the input rows, in input order, whose copies became
+    pivots, a basis of the row space whose entries, unlike echelon rows, do
+    not grow along a chain of products.  Most chains never ask for it."""
     copies = [list(row) for row in rows]
-    work = list(copies)
-    pivots = {id(row) for row in work[:rank_gaussian_int_rows(work)]}
-    return [row for row, copy in zip(rows, copies) if id(copy) in pivots]
+    pivots = copies[:]
+    rank = rank_gaussian_int_rows(pivots)
+    return rank, lambda: [r for r, c in zip(rows, copies) if any(c is p for p in pivots[:rank])]
 
 
-def row_basis_float(rows: np.ndarray, cut: float) -> np.ndarray:
-    """Orthonormal row-space basis: the right singular vectors whose singular
-    values exceed cut.  RankAmbiguous unless the smallest kept and largest
-    dropped singular values differ by a factor of at least SVD_GAP."""
+def row_basis_float(rows: np.ndarray, cut: float) -> tuple:
+    """(rank, basis) of rows: basis() gives the right singular vectors whose
+    singular values exceed cut, an orthonormal row-space basis.  RankAmbiguous
+    unless the smallest kept and largest dropped ones differ by SVD_GAP x."""
     import numpy as np
 
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
@@ -286,7 +287,7 @@ def row_basis_float(rows: np.ndarray, cut: float) -> np.ndarray:
         raise RankAmbiguous(
             f"singular values straddle the threshold: {s[r - 1]:.3e} vs {s[r]:.3e}"
         )
-    return vh[:r]
+    return r, lambda: vh[:r]
 
 
 def spectral_norm(a: np.ndarray) -> float:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import zip_longest
 from typing import Callable, Sequence, Union
 
@@ -36,7 +36,7 @@ from .linalg import Matrix, toeplitz_rows
 from .partitions import Partition, as_partition, merge_desc, prefix_gaps
 from .scalar import (
     EXACT, Frozen, TotalComplex, approx, common_denominator, exact, numerators, set_field,
-    zero_like,
+    set_fields, zero_like,
 )
 from .snrepr import SNRepresentation, merge_equal, merge_keyed
 
@@ -54,7 +54,8 @@ class PolynomialFunction(Frozen):
     """
 
     def __init__(self, coefficients: tuple):
-        set_field(self, "coefficients", coefficients)
+        # _hash and _cleared are filled on first use (see scalar.set_field)
+        set_fields(self, coefficients=coefficients, _hash=None, _cleared=None)
 
     def __repr__(self):
         return f"PolynomialFunction(coefficients={self.coefficients!r})"
@@ -68,21 +69,19 @@ class PolynomialFunction(Frozen):
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self.coefficients)
-
     def __hash__(self):
         # Hashed once per polynomial: the Taylor memo hashes f on every call.
+        if self._hash is None:
+            set_field(self, "_hash", hash(self.coefficients))
         return self._hash
 
-    @cached_property
     def _integral(self) -> tuple:
         """(D, pairs): the :func:`scalar.numerators` of the coefficients."""
-        cleared = numerators(self.coefficients)
-        if cleared is None:
+        if self._cleared is None:
+            set_field(self, "_cleared", numerators(self.coefficients))
+        if self._cleared is None:
             raise TypeError("float coefficients cannot evaluate at exact points")
-        return cleared
+        return self._cleared
 
     def taylor(self, lam: TotalComplex, n: int) -> list:
         """f^(q)(lam)/q! for q < n; zero past the degree.  At exact points
@@ -122,7 +121,7 @@ class PolynomialFunction(Frozen):
         T_q d^q over den = D d^degree."""
         deg = self.degree
         if lam.backend == EXACT:
-            big_d, pairs = self._integral
+            big_d, pairs = self._integral()
             d, [(lr, li)] = numerators((lam,))
             ws = [d ** (deg - k) for k in range(deg + 1)]
             re = [r * w for (r, _), w in zip(pairs, ws)]
@@ -145,7 +144,7 @@ class PolynomialFunction(Frozen):
         Gaussian integers C_k d^(degree - k) of :meth:`_shift`, with no memo.
         One den keeps the tuple order of the pairs the total order.  Float
         coefficients raise the TypeError that f(lam) raises."""
-        big_d, pairs = self._integral
+        big_d, pairs = self._integral()
         deg = self.degree
         scaled = [(r * d ** (deg - k), m * d ** (deg - k)) for k, (r, m) in enumerate(pairs)]
         top, rest = scaled[-1], scaled[-2::-1]
@@ -186,9 +185,7 @@ class OracleFunction(Frozen):
 
     def __init__(self, name: str, derivatives: Callable[[complex, int], complex],
                  radius: float = math.inf):
-        set_field(self, "name", name)
-        set_field(self, "derivatives", derivatives)
-        set_field(self, "radius", radius)
+        set_fields(self, name=name, derivatives=derivatives, radius=radius)
 
     def __repr__(self):
         return (f"OracleFunction(name={self.name!r}, derivatives={self.derivatives!r}, "

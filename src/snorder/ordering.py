@@ -39,7 +39,7 @@ from .scalar import (
     exact,
     numerators,
     one_like,
-    set_field,
+    set_fields,
     sort_desc,
 )
 from .snrepr import SNOVerdict, SNRepresentation, _spectral_outcomes, compare_sno, repr_from_matrix
@@ -133,8 +133,7 @@ class MonotonicityCertificate(Frozen):
     hash skip."""
 
     def __init__(self, case: str, details: Optional[dict] = None):
-        set_field(self, "case", case)
-        set_field(self, "details", {} if details is None else details)
+        set_fields(self, case=case, details={} if details is None else details)
 
     def __repr__(self):
         return f"MonotonicityCertificate(case={self.case!r}, details={self.details!r})"
@@ -258,10 +257,8 @@ def monotonicity_verify_direct(
 class ConvexityPoint(Frozen):
     def __init__(self, t, verdict: Optional[SNOVerdict], greater: bool,
                  error: Optional[str] = None):
-        set_field(self, "t", t)
-        set_field(self, "verdict", verdict)
-        set_field(self, "greater", greater)  # mix image strictly above the average: falsified
-        set_field(self, "error", error)
+        # greater: the mix's image is strictly above the average, so falsified
+        set_fields(self, t=t, verdict=verdict, greater=greater, error=error)
 
 
 class ConvexityReport:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from itertools import accumulate, chain, islice, repeat
 from operator import sub
+from reprlib import repr as shown
 from typing import Iterable, Sequence
 
 from .errors import NotDominated
@@ -16,9 +17,9 @@ Partition = tuple
 def as_partition(parts: Iterable[int]) -> Partition:
     p = tuple(int(v) for v in parts)
     if any(v <= 0 for v in p):
-        raise ValueError(f"partition parts must be positive: {p}")
+        raise ValueError(f"partition parts must be positive: {shown(p)}")
     if any(a < b for a, b in zip(p, p[1:])):
-        raise ValueError(f"partition must be non-increasing: {p}")
+        raise ValueError(f"partition must be non-increasing: {shown(p)}")
     return p
 
 

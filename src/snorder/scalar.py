@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import Iterable, Optional, Union
 
@@ -57,9 +56,20 @@ def _cmp_raw(a, b, eps: float) -> int:
 # The value classes of snorder are written by hand: importing dataclasses
 # (and with it inspect, ast, dis and tokenize) costs more than a tenth of a
 # short `sno` run.  Frozen ones set their fields in __init__ by set_field;
-# writing self.__dict__ instead would build the instance's dict, after which
-# every attribute read takes the slow generic path.
+# writing self.__dict__ instead, as functools.cached_property does, would build
+# the instance's dict, after which every attribute read takes the slow generic
+# path.  A value computed on first read is kept by set_field too, under a name
+# that nothing on the class shadows.  CPython sizes an instance's attribute
+# store when it builds the instance, with room for one more name, so a class
+# that fills two or more such names later sets them in __init__.
 set_field = object.__setattr__
+
+
+def set_fields(obj, **fields):
+    """set_field for each field, in order: the one line of an __init__ that
+    no hot loop runs."""
+    for name, value in fields.items():
+        set_field(obj, name, value)
 
 
 class Frozen:
@@ -98,14 +108,14 @@ class TotalComplex(Frozen):
             return NotImplemented
         return type(self.re) is type(other.re) and self.re == other.re and self.im == other.im
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.re, self.im))
-
     def __hash__(self):
         # Hashed once per value: the Taylor memo hashes each eigenvalue on
         # every call, and a Fraction hash costs a modular inverse.
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            set_field(self, "_hash", hash((self.re, self.im)))
+            return self._hash
 
     # -- arithmetic --------------------------------------------------
 

@@ -33,7 +33,7 @@ from .scalar import (
     from_complex,
     from_numerators,
     one_like,
-    set_field,
+    set_fields,
     sort_desc,
 )
 
@@ -59,9 +59,7 @@ class DomainBox(Frozen):
     the derivative criterion."""
 
     def __init__(self, c1: float, c2: float, c3: float):
-        set_field(self, "c1", c1)
-        set_field(self, "c2", c2)
-        set_field(self, "c3", c3)
+        set_fields(self, c1=c1, c2=c2, c3=c3)
 
 
 class SymmetricFunction(Frozen):
@@ -73,9 +71,7 @@ class SymmetricFunction(Frozen):
 
     def __init__(self, arity: int, value: Callable[[Sequence[complex]], complex],
                  gradient: Optional[Callable[[Sequence[complex], int], complex]] = None):
-        set_field(self, "arity", arity)
-        set_field(self, "value", value)
-        set_field(self, "gradient", gradient)
+        set_fields(self, arity=arity, value=value, gradient=gradient)
 
     def partial(self, x: Sequence[complex], i: int) -> complex:
         if self.gradient is not None:
@@ -99,13 +95,7 @@ def negative_sum_of_squares(n: int) -> SymmetricFunction:
 class OstrowskiRecord(Frozen):
     def __init__(self, sample: int, i: int, j: int, d_re: float, d_im: float, case: int,
                  ok: bool):
-        set_field(self, "sample", sample)
-        set_field(self, "i", i)
-        set_field(self, "j", j)
-        set_field(self, "d_re", d_re)
-        set_field(self, "d_im", d_im)
-        set_field(self, "case", case)
-        set_field(self, "ok", ok)
+        set_fields(self, sample=sample, i=i, j=j, d_re=d_re, d_im=d_im, case=case, ok=ok)
 
 
 class OstrowskiReport:
@@ -165,11 +155,7 @@ def schur_ostrowski_check(
 
 class Counterexample(Frozen):
     def __init__(self, x: tuple, y: tuple, f_x: complex, f_y: complex, trial: int):
-        set_field(self, "x", x)
-        set_field(self, "y", y)
-        set_field(self, "f_x", f_x)
-        set_field(self, "f_y", f_y)
-        set_field(self, "trial", trial)
+        set_fields(self, x=x, y=y, f_x=f_x, f_y=f_y, trial=trial)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -357,9 +343,8 @@ class MajorizationCert(enum.Enum):
 
 class MajorizationPreserveResult(Frozen):
     def __init__(self, kind: MajorizationCert, reversed_direction: bool = False):
-        set_field(self, "kind", kind)
-        # The conclusion runs f(y) weakly below f(x).
-        set_field(self, "reversed_direction", reversed_direction)
+        # reversed_direction: the conclusion runs f(y) weakly below f(x).
+        set_fields(self, kind=kind, reversed_direction=reversed_direction)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -19,6 +19,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from reprlib import repr as shown  # a value in an error message, cut short
 from typing import TYPE_CHECKING
 
 from .errors import SnorderError
@@ -41,7 +42,7 @@ def _fields(obj, what: str, required, optional=()) -> dict:
     outside required and optional (JSON Schema ``type: object``,
     ``required`` and ``additionalProperties: false``)."""
     if not isinstance(obj, dict) or not set(required) <= obj.keys() <= {*required, *optional}:
-        got = f"keys {list(obj)}" if isinstance(obj, dict) else type(obj).__name__
+        got = f"keys {shown(list(obj))}" if isinstance(obj, dict) else type(obj).__name__
         keys = [*required, *(f"{k} (optional)" for k in optional)]
         raise InputFormatError(f"{what} must be an object with the keys {keys}, got {got}")
     return obj
@@ -54,10 +55,16 @@ def _array(obj, what: str) -> list:
 
 
 def _component_to_json(v, backend: str):
-    if backend == EXACT:
-        f = Fraction(v)
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-    return float(v)
+    if backend != EXACT:
+        return float(v)
+    f = Fraction(v)
+    try:
+        parts = [str(f.numerator), str(f.denominator)]
+    except ValueError:  # past the digit limit of str(); Decimal prints any int whole
+        from decimal import Decimal
+
+        parts = [str(Decimal(f.numerator)), str(Decimal(f.denominator))]
+    return parts[0] if f.denominator == 1 else "/".join(parts)
 
 
 def scalar_to_json(z: TotalComplex) -> dict:
@@ -67,27 +74,27 @@ def scalar_to_json(z: TotalComplex) -> dict:
     }
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # no zero denominator
 
 
 def _component_from_json(v, backend: str):
     if isinstance(v, bool) or not isinstance(v, (int, float, str)):
-        raise InputFormatError(f"component {v!r} must be a number or a rational string")
+        raise InputFormatError(f"component {shown(v)} must be a number or a rational string")
     if backend == EXACT:
         if isinstance(v, float):
             raise InputFormatError(
-                f"float literal {v!r} is not valid for the exact backend"
+                f"float literal {shown(v)} is not valid for the exact backend"
             )
         if isinstance(v, str) and not _RATIONAL.fullmatch(v):
-            raise InputFormatError(f"bad rational literal {v!r}")
+            raise InputFormatError(f"bad rational literal {shown(v)}")
         try:
             return Fraction(v)
-        except (ValueError, ZeroDivisionError) as err:  # ValueError: over the digit limit
-            raise InputFormatError(f"bad rational literal {v!r}: {err}")
+        except ValueError as err:  # over the digit limit
+            raise InputFormatError(f"bad rational literal {shown(v)}: {err}")
     if isinstance(v, str):
-        raise InputFormatError(f"string literal {v!r} is not valid for the float backend")
+        raise InputFormatError(f"string literal {shown(v)} is not valid for the float backend")
     if not abs(v) <= sys.float_info.max:  # NaN, infinities, integers out of float range
-        raise InputFormatError(f"non-finite number {v!r} is not a valid component")
+        raise InputFormatError(f"non-finite number {shown(v)} is not a valid component")
     return float(v)
 
 

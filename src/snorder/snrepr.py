@@ -6,9 +6,9 @@ the complex total order) together with one Jordan block-size partition per
 eigenvalue.  Eigenvalues are caller-supplied throughout: structure recovery
 only needs ranks of powers of A = X - lambda*I, never a general eigensolver.
 One loop serves both backends: it never forms A^k but multiplies a basis of
-the row space of A^k by A (exact: pivot rows on Gaussian integers, read
-from X's integer form over one denominator with the eigenvalues; float:
-right singular vectors by SVD).
+the row space of A^k by A, formed only when the chain asks for A^(k+1)
+(exact: pivot rows on Gaussian integers, read from X's integer form over one
+denominator with the eigenvalues; float: right singular vectors by SVD).
 The Jordan matrix of a spec is laid out by :func:`linalg.toeplitz_rows`,
 its blocks the Toeplitz blocks of first row (lambda, 1).
 Exact recovery reads X's nonzero pattern once, by
@@ -16,14 +16,15 @@ Exact recovery reads X's nonzero pattern once, by
 every A^k are permutation-similar to direct sums of those blocks; a
 triangular block visits only the eigenvalues on its diagonal, so its chains
 run only at one it holds more than once and stop once that count decides
-the rest.  Float stays whole-matrix, as its one rank cut sees every value.
+the rest.  A block's shift is built from X's integer rows only for a chain.
+Float stays whole-matrix, as its one rank cut sees every value.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import cached_property, partial
-from itertools import accumulate, zip_longest
+from functools import partial
+from itertools import accumulate, chain, zip_longest
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -125,17 +126,19 @@ class SNRepresentation(Frozen):
     def spectral_vector(self) -> tuple:
         return tuple(self.repeated(self.eigenvalues))
 
-    @cached_property
     def _int_prefix(self):
         """(d, running re sums, running im sums) of the spectral vector's
         :func:`scalar.numerators` pairs over d, or None on the float backend:
-        computed once, and not a field, so ==, hash and JSON are unchanged."""
-        cleared = numerators(self.eigenvalues)
-        if cleared is None:
-            return None
-        entries = self.repeated(cleared[1])
-        return cleared[0], tuple(accumulate(a for a, _ in entries)), tuple(
-            accumulate(b for _, b in entries))
+        computed once and kept by set_field, but not a field, so ==, hash and
+        JSON are unchanged."""
+        try:
+            return self._prefix
+        except AttributeError:
+            cleared = numerators(self.eigenvalues)
+        entries = cleared and self.repeated(cleared[1])
+        set_field(self, "_prefix", cleared and (cleared[0], tuple(accumulate(
+            a for a, _ in entries)), tuple(accumulate(b for _, b in entries))))
+        return self._prefix
 
 
 def merge_keyed(triples: Iterable[tuple]) -> list:
@@ -223,22 +226,22 @@ def block_sizes_from_ranks(ranks: Iterable[int], m: int, hits: Optional[int] = N
 
 def _image_chain(shift, row_basis, times):
     """Ranks of the powers of A = X - lambda I without forming them: with
-    B_k a basis of the row space of A^k, rank(A^(k+1)) = rank(B_k A)."""
+    B_k a basis of the row space of A^k, rank(A^(k+1)) = rank(B_k A).
+    row_basis gives a rank and a call forming B_k, made if the chain goes on."""
     rows = shift
     while True:
-        rows = row_basis(rows)
-        yield len(rows)
-        rows = times(rows, shift)
+        rank, basis = row_basis(rows)
+        yield rank
+        rows = times(basis(), shift)
 
 
-def _int_shift(x_int, lam):
-    """d (X - lambda I) on Gaussian integers, from d X and d lambda = lam,
-    :func:`scalar.numerators` pairs over one common denominator d."""
-    lam_re, lam_im = lam
-    shift = [list(row) for row in x_int]
-    for i, row in enumerate(shift):
-        re, im = row[i]
-        row[i] = (re - lam_re, im - lam_im)
+def _int_shift(x_int, idx, lam):
+    """d (X - lambda I) on the rows and columns idx, from the Gaussian
+    integers d X and d lambda = lam, :func:`scalar.numerators` pairs over
+    one common denominator d."""
+    shift = [[row[j] for j in idx] for row in map(x_int.__getitem__, idx)]
+    for k, row in enumerate(shift):
+        row[k] = (row[k][0] - lam[0], row[k][1] - lam[1])
     return shift
 
 
@@ -247,7 +250,7 @@ def repr_from_matrix(x: Matrix, eigenvalues: Sequence[TotalComplex]) -> SNRepres
     one image chain per eigenvalue on either backend.
 
     An exact X is read in its integer form, the eigenvalues are cleared once
-    and merged by :func:`merge_keyed`, and both are scaled to one common
+    and merged on their integer keys, and both are scaled to one common
     denominator, the integers of clearing X and the eigenvalues together;
     one pass over its nonzeros splits it into diagonal blocks.  A block
     triangular in its index order has its diagonal as spectrum and visits
@@ -259,9 +262,9 @@ def repr_from_matrix(x: Matrix, eigenvalues: Sequence[TotalComplex]) -> SNRepres
     not of X's backend, and SpectrumMismatch when the eigenvalues, merged
     by :func:`merge_equal`, do not exhaust x.
     """
-    if not x.is_square:
+    m, n = x.shape
+    if m != n:
         raise DimensionMismatch("square matrix required")
-    m = x.shape[0]
     if x.backend == EXACT:
         if x.int_form is None:
             raise BackendMismatch("exact kernel given a float entry")
@@ -270,22 +273,21 @@ def repr_from_matrix(x: Matrix, eigenvalues: Sequence[TotalComplex]) -> SNRepres
         cleared = numerators(eigenvalues)
         if cleared is None:
             raise BackendMismatch("exact matrix with a float eigenvalue")
-        merged = merge_keyed((key, lam, key) for key, lam in zip(cleared[1], eigenvalues))
-        lams, lam_int = [lam for lam, _ in merged], [same[0] for _, same in merged]
+        heads = dict(zip(cleared[1], eigenvalues))  # equal keys, equal values
+        keys = sorted(heads, reverse=True)
+        lams = [heads[key] for key in keys]
         _, (sx, sl) = common_denominator(dx, cleared[0])
         if sx != 1:
             x_int = [[(a * sx, b * sx) for a, b in row] for row in x_int]
-        if sl != 1:
-            lam_int = [(a * sl, b * sl) for a, b in lam_int]
-        by_key = {key: [] for key in lam_int}
-        for _, block, counts in principal_blocks(x_int):
+        by_key = {(a * sl, b * sl): [] for a, b in keys}
+        for idx, counts in principal_blocks(x_int):
             # a triangular block visits only the lambda on its diagonal, and
-            # a simple one there is one 1 x 1 block
+            # a simple one there is one 1 x 1 block, built from no entry
             for key, hits in (dict.fromkeys(by_key) if counts is None else counts).items():
                 if key in by_key:
                     by_key[key].append((1,) if hits == 1 else block_sizes_from_ranks(
-                        _image_chain(_int_shift(block, key), row_basis_exact,
-                                     gaussian_int_matmul), len(block), hits))
+                        _image_chain(_int_shift(x_int, idx, key), row_basis_exact,
+                                     gaussian_int_matmul), len(idx), hits))
         parts = list(by_key.values())
     else:
         lams = [lam for lam, _ in merge_equal((lam, None) for lam in eigenvalues)]
@@ -299,15 +301,14 @@ def repr_from_matrix(x: Matrix, eigenvalues: Sequence[TotalComplex]) -> SNRepres
         for lam in lams:
             z = lam.to_complex()
             basis = partial(row_basis_float, cut=SVD_TOL * max(norm, abs(z)))
-            chain = _image_chain(a - z * np.eye(m), basis, np.matmul)
-            parts.append([block_sizes_from_ranks(chain, m)])
-    groups = [(lam, p) for lam, p in zip(lams, parts) if any(p)]
-    covered = sum(sum(part) for _, parts in groups for part in parts)
+            ranks = _image_chain(a - z * np.eye(m), basis, np.matmul)
+            parts.append([block_sizes_from_ranks(ranks, m)])
+    covered = sum(map(sum, chain.from_iterable(parts)))
     if covered != m:
         raise SpectrumMismatch(
             f"eigenvalues account for dimension {covered} of {m}"
         )
-    return SNRepresentation.from_groups(groups)
+    return SNRepresentation.from_groups([(lam, p) for lam, p in zip(lams, parts) if any(p)])
 
 
 def compare_nilpotent(a: Sequence[Partition], b: Sequence[Partition]) -> SNOVerdict:
@@ -333,7 +334,7 @@ def _spectral_outcomes(rx: SNRepresentation, ry: SNRepresentation) -> tuple:
     (c*d_x, e*d_x), and equal spectra have equal forms.  Float and mixed
     pairs run :func:`majorization.prefix_outcomes`; float eps acts on sums,
     not entries, so float spectra are compared entry by entry."""
-    px, py = rx._int_prefix, ry._int_prefix
+    px, py = rx._int_prefix(), ry._int_prefix()
     if px is None or py is None:
         sx, sy = rx.spectral_vector, ry.spectral_vector
         if len(sx) != len(sy):

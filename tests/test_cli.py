@@ -665,6 +665,53 @@ def test_rational_literals_over_the_digit_limit_are_input_errors(tmp_path, capsy
     assert "s.json" in assert_input_error(capsys, ["compare", ok_spec, spec])
 
 
+@pytest.mark.parametrize("subcommand, doc, reason", [
+    ("majorize", [sc("1"), {"re": "1" * 5_000}], "Exceeds the limit"),
+    ("majorize", [sc("1"), {"re": "7" * 4_000 + "/00"}], "bad rational literal"),
+    ("majorize", '[{"re": "1"}, {"re": ' + "[" * 500 + "]" * 500 + "}]",
+     "must be a number or a rational string"),
+    ("majorize", [sc("1"), {f"k{k}": 0 for k in range(5_000)}], "must be an object with the keys"),
+    ("gdod", [2] * 3_000 + [3], "must be non-increasing"),
+], ids=["5000-digits", "zero-denominator", "nested-500", "5000-keys", "partition-3001"])
+def test_input_errors_name_a_long_value_without_echoing_it(tmp_path, capsys, subcommand, doc,
+                                                           reason):
+    """An input error keeps the path and the reason but cuts the value it
+    names short, whatever its length or depth."""
+    bad = tmp_path / "bad.json"  # a str doc is JSON text, nested too deep for json.dumps here
+    bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    bad = str(bad)
+    ok = write(tmp_path, "ok.json", [2, 1] if subcommand == "gdod" else [sc("1"), sc("1")])
+    line = assert_input_error(capsys, [subcommand, bad, ok])
+    assert bad in line and reason in line
+    assert len(line) < len(bad) + 300
+
+
+def test_a_bad_weight_list_is_named_cut_short(tmp_path, capsys):
+    f = write(tmp_path, "f.json", {"polynomial": {"coefficients": [sc("0"), sc("1")]}})
+    a = write(tmp_path, "a.json", {"rows": [[sc("1")]]})
+    line = assert_input_error(capsys, ["convexity", f, a, a, "-t", "7" * 4_000 + "/0"])
+    assert "bad -t list" in line and "zero denominator" in line and len(line) < 300
+
+
+def test_exact_output_past_the_digit_limit(tmp_path, capsys):
+    """An exact result with more digits than str() converts is printed in
+    full: z^2 at a 2,500-digit eigenvalue has a 5,000-digit image."""
+    lam = 2 * 10 ** 2_499 + 3
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        want = str(lam * lam)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(want) > limit
+    f = write(tmp_path, "f.json", {"polynomial": {"coefficients": [sc("0"), sc("0"), sc("1")]}})
+    spec = write(tmp_path, "s.json", {"blocks": [{"eigenvalue": sc("2" + "0" * 2_498 + "3"),
+                                                  "sizes": [2]}]})
+    code, out = run(capsys, ["fmap", f, spec])
+    assert code == 0
+    assert out["repr"]["eigenvalues"] == [sc(want)] and out["repr"]["partitions"] == [[2]]
+
+
 def test_exact_cli_runs_do_not_import_numpy(tmp_path):
     write(tmp_path, "x.json", {"blocks": [{"eigenvalue": sc("1"), "sizes": [2, 1]}]})
     write(tmp_path, "y.json", {"blocks": [{"eigenvalue": sc("1"), "sizes": [3]}]})

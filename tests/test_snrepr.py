@@ -199,9 +199,10 @@ def test_row_basis_exact_is_a_subset_of_input_rows(seed):
         rows[-1] = [(xr + c[0] * yr - c[1] * yi, xi + c[0] * yi + c[1] * yr)
                     for (xr, xi), (yr, yi) in zip(rows[0], rows[1 % (r - 1)])]
     before = [list(row) for row in rows]
-    basis = row_basis_exact(rows)
+    rank, basis = row_basis_exact(rows)
+    basis = basis()
     assert rows == before  # the input is not touched
-    assert len(basis) == rank_exact(_as_matrix(rows))
+    assert rank == len(basis) == rank_exact(_as_matrix(rows))
     # the basis rows are input rows, in input order
     positions = [next(i for i, row in enumerate(rows) if row is b) for b in basis]
     assert positions == sorted(set(positions))
@@ -211,7 +212,8 @@ def test_row_basis_exact_is_a_subset_of_input_rows(seed):
 
 def test_row_basis_float_gap_check():
     a = np.diag([1.0, 1e-3, 1e-12])
-    assert len(row_basis_float(a, SVD_TOL)) == 2
+    rank, basis = row_basis_float(a, SVD_TOL)
+    assert rank == len(basis()) == 2
     with pytest.raises(RankAmbiguous):
         # values straddling the cutoff with ratio < 10
         row_basis_float(np.diag([1.0, 3e-8, 0.5e-8]), SVD_TOL)
@@ -350,7 +352,7 @@ def _pattern(n, *edges):
 ])
 def test_diagonal_blocks(rows, blocks):
     assert diagonal_blocks(rows) == blocks
-    assert [idx for idx, _, _ in principal_blocks(rows)] == blocks
+    assert [idx for idx, _ in principal_blocks(rows)] == blocks
 
 
 def _triangular_counts(block):
@@ -389,11 +391,10 @@ def sparse_patterns(draw):
 @settings(max_examples=200, deadline=None)
 @given(sparse_patterns())
 def test_principal_blocks_match_the_reference(rows):
-    """The one-pass split gives the reference components, their principal
-    blocks, and the diagonal counts of exactly the triangular ones."""
+    """The one-pass split gives the reference components, and the diagonal
+    counts of exactly those whose principal block is triangular."""
     want = [(idx, [[rows[i][j] for j in idx] for i in idx]) for idx in diagonal_blocks(rows)]
-    assert principal_blocks(rows) == [(idx, block, _triangular_counts(block))
-                                      for idx, block in want]
+    assert principal_blocks(rows) == [(idx, _triangular_counts(block)) for idx, block in want]
 
 
 EXACT_EIGENVALUES = (exact(0), exact(1), exact(-2), exact(0, 1), exact(1, 1)) + RATIONAL_EIGENVALUES
@@ -547,10 +548,48 @@ def test_triangular_blocks_run_chains_only_at_repeated_diagonal_values(monkeypat
     calls.clear()
     f, rx = poly([0, 0, 1]), canonical_repr(JordanSpec.of((exact(0), (6,))))
     x = f_of_jordan_spec(f, rx)
-    assert [len(idx) for idx, _, _ in principal_blocks(x.int_form[1])] == [3, 3]
+    assert [len(idx) for idx, _ in principal_blocks(x.int_form[1])] == [3, 3]
     assert repr_from_matrix(x, [exact(0)]) == repr_of_fx(f, rx)[0] == canonical_repr(
         JordanSpec.of((exact(0), (3, 3))))
     assert calls == [3, 3] and products == []
+
+
+def test_recovery_builds_only_what_its_answer_reads(monkeypatch):
+    """A simple eigenvalue on a triangular diagonal builds no block, a chain
+    that stops at its first rank forms no row basis, and a chain that goes
+    on forms one basis per further power, the left factor of its product."""
+    import snorder.snrepr as snrepr
+
+    shifts, bases, products = [], [], []
+    int_shift, row_basis = snrepr._int_shift, snrepr.row_basis_exact
+
+    def counting_basis(rows):
+        rank, basis = row_basis(rows)
+        return rank, lambda: bases.append(rank) or basis()
+
+    monkeypatch.setattr(snrepr, "_int_shift", lambda x_int, idx, lam: shifts.append(
+        len(idx)) or int_shift(x_int, idx, lam))
+    monkeypatch.setattr(snrepr, "row_basis_exact", counting_basis)
+    monkeypatch.setattr(snrepr, "gaussian_int_matmul", lambda a, b: products.append(
+        len(a)) or gaussian_int_matmul(a, b))
+
+    def recovered(rows, eigenvalues):
+        shifts.clear(), bases.clear(), products.clear()
+        x = Matrix.from_rows([[exact(v) for v in row] for row in rows])
+        return repr_from_matrix(x, [exact(v) for v in eigenvalues])
+
+    # simple eigenvalues: three 1 x 1 blocks and a 2 x 2 triangular one
+    rep = recovered([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 5], [0, 0, 0, 4]], [1, 2, 3, 4])
+    assert rep.partitions == ((1,),) * 4
+    assert (shifts, bases, products) == ([], [], [])
+    # 3 twice on a triangular diagonal: one rank decides, with no basis
+    rep = recovered([[3, 1, 0], [0, 0, 1], [0, 0, 3]], [0, 3])
+    assert rep == canonical_repr(JordanSpec.of((exact(3), (2,)), (exact(0), (1,))))
+    assert (shifts, bases, products) == ([3], [], [])
+    # e2 -> e0 -> e1 -> 0, neither triangular: ranks 2, 1, 0, 0 of the powers
+    rep = recovered([[0, 0, 1], [1, 0, 0], [0, 0, 0]], [0])
+    assert rep == canonical_repr(JordanSpec.of((exact(0), (3,))))
+    assert (shifts, bases, products) == ([3], [2, 1, 0], [2, 1, 0])
 
 
 def _ranks_of_counts(m, counts):

@@ -1,6 +1,9 @@
 """Value semantics of the exported value classes: repr, equality, hashing
 and immutability, pinned as they are observed."""
 
+import copy
+import gc
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -56,6 +59,31 @@ def test_value_semantics(value, same, other, text, field):
     with pytest.raises(AttributeError):
         delattr(value, field)
     assert repr(value) == text
+
+
+def _has_dict(value):
+    """Whether value's instance __dict__ has been built, read without
+    building it."""
+    return any(type(r) is dict for r in gc.get_referents(value))
+
+
+@pytest.mark.parametrize("build, compute", [
+    (lambda: exact(Fraction(1, 3), -2), hash),
+    (lambda: poly([1, 0, Fraction(2, 3)]), hash),
+    (lambda: poly([1, exact(0, Fraction(1, 2))]), lambda f: (hash(f), f._integral())),
+    (lambda: canonical_repr(SPEC), lambda r: r._int_prefix()),
+    (lambda: canonical_repr(JordanSpec.of((approx(1.0), (2,)))), lambda r: r._int_prefix()),
+], ids=["TotalComplex", "PolynomialFunction", "integral", "int_prefix", "float_int_prefix"])
+def test_values_computed_on_first_read_build_no_dict(build, compute):
+    """A hash or integer form computed on first read is kept without
+    building the instance's __dict__, and the value still copies, pickles,
+    compares and hashes as before."""
+    value = build()
+    built = _has_dict(value)  # True on interpreters with no inline values
+    first = compute(value)
+    assert compute(value) == first and _has_dict(value) == built
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert twin == value and hash(twin) == hash(value) and compute(twin) == first
 
 
 def test_defaults_are_fresh_per_instance():
