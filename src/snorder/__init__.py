@@ -27,7 +27,7 @@ _EXPORTS = {
     "scalar": ("OrderOutcome", "TotalComplex", "approx", "cmp_total", "div_preserves_order",
                "exact", "mul_preserves_order", "product_nonneg", "recip_cmp", "sort_desc"),
     "schur": ("Prop", "cdm_condition_check", "compose_table1", "compose_table2"),
-    "snrepr": ("JordanSpec", "SNOVerdict", "SNRepresentation", "assemble", "canonical_repr",
+    "snrepr": ("JordanSpec", "SNOVerdict", "SNRepresentation", "canonical_repr",
                "compare_nilpotent", "compare_sno", "repr_from_matrix"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -47,10 +47,6 @@ class RankAmbiguous(SnorderError):
     """Float-backend rank decision has no clear singular-value gap."""
 
 
-class SingularTransform(SnorderError):
-    pass
-
-
 class OutsideAnalyticityRadius(SnorderError):
     pass
 

@@ -10,8 +10,8 @@ the basis only when asked; ``principal_blocks`` reads the nonzero pattern
 once into index sets of diagonal blocks, with the diagonal counts of the
 triangular ones, and builds no block.  Float ranks and bases
 (``row_basis_float``) come from numpy's SVD, which only the float helpers
-import, so exact work never loads numpy.  ``toeplitz_rows`` lays out every
-block-diagonal upper triangular Toeplitz matrix: Jordan matrices and f(J).
+import, so exact work never loads numpy.  ``toeplitz_rows`` lays out f(J),
+a block-diagonal upper triangular Toeplitz matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from math import gcd
 from operator import add, mul, sub
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import DimensionMismatch, RankAmbiguous, SingularTransform
+from .errors import DimensionMismatch, RankAmbiguous
 from .scalar import EXACT, TotalComplex, as_scalar, from_numerators, numerators
 
 if TYPE_CHECKING:
@@ -132,28 +132,6 @@ class Matrix:
 
     def scale(self, c: TotalComplex) -> "Matrix":
         return Matrix(tuple(tuple(c * a for a in row) for row in self.rows))
-
-    # -- solves -----------------------------------------------------------
-
-    def inverse(self) -> "Matrix":
-        """Gauss-Jordan inverse; raises SingularTransform when singular."""
-        if not self.is_square:
-            raise DimensionMismatch("inverse of non-square matrix")
-        n = self.shape[0]
-        aug = [list(row) + list(irow) for row, irow in
-               zip(self.rows, Matrix.identity(n, self.backend).rows)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-            if piv is None:
-                raise SingularTransform("matrix is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            p = aug[col][col]
-            aug[col] = [a / p for a in aug[col]]
-            for r in range(n):
-                if r != col and not aug[r][col].is_zero():
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        return Matrix.from_rows([row[n:] for row in aug])
 
     # -- conversions --------------------------------------------------------
 

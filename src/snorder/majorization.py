@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 from .errors import BackendMismatch, DimensionMismatch, NotMajorized
 from .linalg import Matrix, gaussian_int_matmul
 from .scalar import (
-    EXACT, Frozen, OrderOutcome, TotalComplex, cmp_total, exact, from_numerators, numerators,
+    EXACT, OrderOutcome, TotalComplex, Value, cmp_total, exact, from_numerators, numerators,
     one_like, set_field, sort_desc, zero_like,
 )
 
@@ -116,9 +116,11 @@ def majorize_sorted(sx: Sequence[TotalComplex], sy: Sequence[TotalComplex]) -> M
     return _verdict(prefix_outcomes(sx, sy))
 
 
-class TTransform(Frozen):
+class TTransform(Value):
     """Affine mixing of coordinates i < j (0-based):
     v_i -> beta*v_i + (1-beta)*v_j,  v_j -> beta*v_j + (1-beta)*v_i."""
+
+    __slots__ = _fields = ("i", "j", "beta")
 
     def __init__(self, i: int, j: int, beta: TotalComplex):
         if not 0 <= i < j:
@@ -126,17 +128,6 @@ class TTransform(Frozen):
         set_field(self, "i", i)
         set_field(self, "j", j)
         set_field(self, "beta", beta)
-
-    def __repr__(self):
-        return f"TTransform(i={self.i!r}, j={self.j!r}, beta={self.beta!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.i, self.j, self.beta) == (other.i, other.j, other.beta)
-
-    def __hash__(self):
-        return hash((self.i, self.j, self.beta))
 
     @property
     def beta_in_unit_interval(self) -> bool:

@@ -35,7 +35,7 @@ from .errors import IncomparableNilpotent, KappaNotFound, OutsideAnalyticityRadi
 from .linalg import Matrix, toeplitz_rows
 from .partitions import Partition, as_partition, merge_desc, prefix_gaps
 from .scalar import (
-    EXACT, Frozen, TotalComplex, approx, common_denominator, exact, numerators, set_field,
+    EXACT, TotalComplex, Value, approx, common_denominator, exact, numerators, set_field,
     set_fields, zero_like,
 )
 from .snrepr import SNRepresentation, merge_equal, merge_keyed
@@ -47,23 +47,17 @@ DERIVATIVE_EPS = 1e-10
 _SHIFT_MEMO_SIZE = 16
 
 
-class PolynomialFunction(Frozen):
+class PolynomialFunction(Value):
     """Polynomial with total-complex coefficients, ascending by degree.
 
     Taylor coefficients are exact for exact-backend coefficients.
     """
 
+    __slots__ = ("coefficients", "_hash", "_cleared")  # the last two filled on first use
+    _fields = ("coefficients",)
+
     def __init__(self, coefficients: tuple):
-        # _hash and _cleared are filled on first use (see scalar.set_field)
-        set_fields(self, coefficients=coefficients, _hash=None, _cleared=None)
-
-    def __repr__(self):
-        return f"PolynomialFunction(coefficients={self.coefficients!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coefficients == other.coefficients
+        set_field(self, "coefficients", coefficients)
 
     @property
     def degree(self) -> int:
@@ -71,17 +65,22 @@ class PolynomialFunction(Frozen):
 
     def __hash__(self):
         # Hashed once per polynomial: the Taylor memo hashes f on every call.
-        if self._hash is None:
+        try:
+            return self._hash
+        except AttributeError:
             set_field(self, "_hash", hash(self.coefficients))
-        return self._hash
+            return self._hash
 
     def _integral(self) -> tuple:
         """(D, pairs): the :func:`scalar.numerators` of the coefficients."""
-        if self._cleared is None:
-            set_field(self, "_cleared", numerators(self.coefficients))
-        if self._cleared is None:
+        try:
+            cleared = self._cleared
+        except AttributeError:
+            cleared = numerators(self.coefficients)
+            set_field(self, "_cleared", cleared)
+        if cleared is None:
             raise TypeError("float coefficients cannot evaluate at exact points")
-        return self._cleared
+        return cleared
 
     def taylor(self, lam: TotalComplex, n: int) -> list:
         """f^(q)(lam)/q! for q < n; zero past the degree.  At exact points
@@ -180,25 +179,14 @@ def _shift_memo(f: PolynomialFunction, lam: TotalComplex) -> list:
     return []
 
 
-class OracleFunction(Frozen):
+class OracleFunction(Value):
     """Float-only function given by a derivative oracle (lam, order) -> complex."""
+
+    __slots__ = _fields = ("name", "derivatives", "radius")
 
     def __init__(self, name: str, derivatives: Callable[[complex, int], complex],
                  radius: float = math.inf):
         set_fields(self, name=name, derivatives=derivatives, radius=radius)
-
-    def __repr__(self):
-        return (f"OracleFunction(name={self.name!r}, derivatives={self.derivatives!r}, "
-                f"radius={self.radius!r})")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.name, self.derivatives, self.radius)
-                == (other.name, other.derivatives, other.radius))
-
-    def __hash__(self):
-        return hash((self.name, self.derivatives, self.radius))
 
     def _inside(self, lam: TotalComplex) -> complex:
         """lam as a complex number, refused outside the radius."""

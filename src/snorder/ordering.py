@@ -132,11 +132,10 @@ class MonotonicityCertificate(Frozen):
     """The case ("A".."E") that certifies, and its details, which == and
     hash skip."""
 
+    __slots__ = _fields = ("case", "details")
+
     def __init__(self, case: str, details: Optional[dict] = None):
         set_fields(self, case=case, details={} if details is None else details)
-
-    def __repr__(self):
-        return f"MonotonicityCertificate(case={self.case!r}, details={self.details!r})"
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -255,6 +254,8 @@ def monotonicity_verify_direct(
 
 
 class ConvexityPoint(Frozen):
+    __slots__ = _fields = ("t", "verdict", "greater", "error")
+
     def __init__(self, t, verdict: Optional[SNOVerdict], greater: bool,
                  error: Optional[str] = None):
         # greater: the mix's image is strictly above the average, so falsified

@@ -55,13 +55,11 @@ def _cmp_raw(a, b, eps: float) -> int:
 
 # The value classes of snorder are written by hand: importing dataclasses
 # (and with it inspect, ast, dis and tokenize) costs more than a tenth of a
-# short `sno` run.  Frozen ones set their fields in __init__ by set_field;
-# writing self.__dict__ instead, as functools.cached_property does, would build
-# the instance's dict, after which every attribute read takes the slow generic
-# path.  A value computed on first read is kept by set_field too, under a name
-# that nothing on the class shadows.  CPython sizes an instance's attribute
-# store when it builds the instance, with room for one more name, so a class
-# that fills two or more such names later sets them in __init__.
+# short `sno` run.  Each declares __slots__, so no instance has a __dict__,
+# and _fields, its fields in the order of its __init__'s arguments, from which
+# Frozen and Value derive repr, copy, pickle, == and hash.  __init__ sets the
+# fields by set_field, and a value computed on first read is kept by
+# set_field in a slot of its own.
 set_field = object.__setattr__
 
 
@@ -73,13 +71,40 @@ def set_fields(obj, **fields):
 
 
 class Frozen:
-    """Base of the value classes whose fields are fixed once built."""
+    """Base of the value classes whose fields are fixed once built: their
+    repr, and a copy or pickle that rebuilds them, read the _fields."""
+
+    __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Value(Frozen):
+    """A Frozen class whose instances compare and hash by their fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 class TotalComplex(Frozen):
@@ -92,6 +117,9 @@ class TotalComplex(Frozen):
     compared through :func:`cmp_total`, never via ``==``.  No ``<``: that
     comparison is not transitive, so sort with :func:`sort_desc`.
     """
+
+    __slots__ = ("re", "im", "_hash")
+    _fields = ("re", "im")
 
     def __init__(self, re, im):
         set_field(self, "re", re)

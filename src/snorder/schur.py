@@ -27,6 +27,7 @@ from .scalar import (
     Frozen,
     OrderOutcome,
     TotalComplex,
+    Value,
     _cmp_raw,
     as_scalar,
     cmp_total,
@@ -58,6 +59,8 @@ class DomainBox(Frozen):
     0 <= Re(eps) <= c1 and c2 <= Im(eps) <= c3 for the perturbations used in
     the derivative criterion."""
 
+    __slots__ = _fields = ("c1", "c2", "c3")
+
     def __init__(self, c1: float, c2: float, c3: float):
         set_fields(self, c1=c1, c2=c2, c3=c3)
 
@@ -68,6 +71,8 @@ class SymmetricFunction(Frozen):
     ``gradient(x, i)`` should return the complex partial derivative; when
     omitted it falls back to central finite differences with a real step.
     """
+
+    __slots__ = _fields = ("arity", "value", "gradient")
 
     def __init__(self, arity: int, value: Callable[[Sequence[complex]], complex],
                  gradient: Optional[Callable[[Sequence[complex], int], complex]] = None):
@@ -93,6 +98,8 @@ def negative_sum_of_squares(n: int) -> SymmetricFunction:
 
 
 class OstrowskiRecord(Frozen):
+    __slots__ = _fields = ("sample", "i", "j", "d_re", "d_im", "case", "ok")
+
     def __init__(self, sample: int, i: int, j: int, d_re: float, d_im: float, case: int,
                  ok: bool):
         set_fields(self, sample=sample, i=i, j=j, d_re=d_re, d_im=d_im, case=case, ok=ok)
@@ -153,15 +160,12 @@ def schur_ostrowski_check(
     return report
 
 
-class Counterexample(Frozen):
+class Counterexample(Value):
+    __slots__ = _fields = ("x", "y", "f_x", "f_y", "trial")
+    __hash__ = None
+
     def __init__(self, x: tuple, y: tuple, f_x: complex, f_y: complex, trial: int):
         set_fields(self, x=x, y=y, f_x=f_x, f_y=f_y, trial=trial)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.x, self.y, self.f_x, self.f_y, self.trial)
-                == (other.x, other.y, other.f_x, other.f_y, other.trial))
 
 
 def _random_majorized_pair(rng: random.Random, n: int, complex_entries: bool):
@@ -341,16 +345,13 @@ class MajorizationCert(enum.Enum):
     NOT_CERTIFIED = "not_certified"
 
 
-class MajorizationPreserveResult(Frozen):
+class MajorizationPreserveResult(Value):
+    __slots__ = _fields = ("kind", "reversed_direction")
+    __hash__ = None
+
     def __init__(self, kind: MajorizationCert, reversed_direction: bool = False):
         # reversed_direction: the conclusion runs f(y) weakly below f(x).
         set_fields(self, kind=kind, reversed_direction=reversed_direction)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.kind, self.reversed_direction)
-                == (other.kind, other.reversed_direction))
 
 
 def _exact_monotonicity(points, images) -> tuple:

@@ -9,8 +9,6 @@ One loop serves both backends: it never forms A^k but multiplies a basis of
 the row space of A^k by A, formed only when the chain asks for A^(k+1)
 (exact: pivot rows on Gaussian integers, read from X's integer form over one
 denominator with the eigenvalues; float: right singular vectors by SVD).
-The Jordan matrix of a spec is laid out by :func:`linalg.toeplitz_rows`,
-its blocks the Toeplitz blocks of first row (lambda, 1).
 Exact recovery reads X's nonzero pattern once, by
 :func:`linalg.principal_blocks`, and runs per diagonal block, since X and
 every A^k are permutation-similar to direct sums of those blocks; a
@@ -41,13 +39,12 @@ from .linalg import (
     row_basis_exact,
     row_basis_float,
     spectral_norm,
-    toeplitz_rows,
 )
 from .majorization import prefix_outcomes, sum_outcomes
 from .partitions import Partition, as_partition, dominance_check, merge_desc
 from .scalar import (
-    EXACT, FLOAT, Frozen, OrderOutcome, TotalComplex, cmp_total, common_denominator, numerators,
-    one_like, set_field, sort_desc_items, zero_like,
+    EXACT, FLOAT, OrderOutcome, TotalComplex, Value, cmp_total, common_denominator, numerators,
+    set_field, sort_desc_items,
 )
 
 
@@ -58,8 +55,10 @@ class SNOVerdict(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-class JordanSpec(Frozen):
+class JordanSpec(Value):
     """Raw (eigenvalue, block sizes) pairs; duplicates allowed."""
+
+    __slots__ = _fields = ("blocks",)
 
     def __init__(self, blocks: tuple):  # of (TotalComplex, Partition)
         if not blocks:
@@ -67,17 +66,6 @@ class JordanSpec(Frozen):
         if not all(sizes for _, sizes in blocks):
             raise EmptySpec("every eigenvalue block needs at least one size")
         set_field(self, "blocks", blocks)
-
-    def __repr__(self):
-        return f"JordanSpec(blocks={self.blocks!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash((self.blocks,))
 
     @staticmethod
     def of(*pairs) -> "JordanSpec":
@@ -88,25 +76,17 @@ class JordanSpec(Frozen):
         return sum(sum(sizes) for _, sizes in self.blocks)
 
 
-class SNRepresentation(Frozen):
+class SNRepresentation(Value):
     """Canonical form: eigenvalues strictly decreasing, partitions
     non-increasing, aligned index-wise; :func:`merge_equal` makes it
     independent of the order of the blocks."""
 
+    __slots__ = ("eigenvalues", "partitions", "_prefix")
+    _fields = ("eigenvalues", "partitions")
+
     def __init__(self, eigenvalues: tuple, partitions: tuple):
         set_field(self, "eigenvalues", eigenvalues)  # distinct, strictly decreasing
         set_field(self, "partitions", partitions)  # one Partition per eigenvalue
-
-    def __repr__(self):
-        return f"SNRepresentation(eigenvalues={self.eigenvalues!r}, partitions={self.partitions!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.eigenvalues, self.partitions) == (other.eigenvalues, other.partitions)
-
-    def __hash__(self):
-        return hash((self.eigenvalues, self.partitions))
 
     @staticmethod
     def from_groups(groups) -> "SNRepresentation":
@@ -129,8 +109,8 @@ class SNRepresentation(Frozen):
     def _int_prefix(self):
         """(d, running re sums, running im sums) of the spectral vector's
         :func:`scalar.numerators` pairs over d, or None on the float backend:
-        computed once and kept by set_field, but not a field, so ==, hash and
-        JSON are unchanged."""
+        computed once and kept in a slot of its own, not in _fields, so ==,
+        hash, repr and JSON are unchanged."""
         try:
             return self._prefix
         except AttributeError:
@@ -176,23 +156,6 @@ def canonical_repr(spec: JordanSpec) -> SNRepresentation:
     """Merge equal eigenvalues (:func:`merge_equal`) and their partitions."""
     return SNRepresentation.from_groups(
         merge_equal((lam, as_partition(sizes)) for lam, sizes in spec.blocks))
-
-
-def jordan_matrix(spec: JordanSpec) -> Matrix:
-    """Direct sum of Jordan blocks in canonical order: the Toeplitz blocks
-    of first row (lambda, 1)."""
-    rep = canonical_repr(spec)
-    one, zero = one_like(rep.eigenvalues[0]), zero_like(rep.eigenvalues[0])
-    return Matrix.from_rows(toeplitz_rows(
-        [((lam, one), part) for lam, part in zip(rep.eigenvalues, rep.partitions)], zero))
-
-
-def assemble(spec: JordanSpec, u: Matrix) -> Matrix:
-    """Similarity transform U J U^{-1} of the canonical Jordan matrix."""
-    j = jordan_matrix(spec)
-    if u.shape != j.shape:
-        raise DimensionMismatch(f"transform {u.shape} vs spec dimension {j.shape}")
-    return u @ j @ u.inverse()
 
 
 def block_sizes_from_ranks(ranks: Iterable[int], m: int, hits: Optional[int] = None) -> Partition:

@@ -1,14 +1,19 @@
 """Reference helpers the tests share: an exact rank, float matrices from
-numpy arrays, a block-diagonal direct sum, the components of a nonzero
-pattern, and the rank oracle for the block split."""
+numpy arrays, a block-diagonal direct sum, Jordan matrices and their
+similarity transforms U J U^-1, the components of a nonzero pattern, and the
+rank oracle for the block split."""
 
 import numpy as np
 
-from snorder import Matrix, approx, exact, repr_from_matrix
-from snorder.errors import BackendMismatch
-from snorder.linalg import rank_gaussian_int_rows
+from snorder import Matrix, approx, canonical_repr, exact, repr_from_matrix
+from snorder.errors import BackendMismatch, DimensionMismatch, SnorderError
+from snorder.linalg import rank_gaussian_int_rows, toeplitz_rows
 from snorder.matfunc import PolynomialFunction, f_jordan_block
-from snorder.scalar import as_scalar
+from snorder.scalar import as_scalar, one_like, zero_like
+
+
+class SingularTransform(SnorderError):
+    """The transform U of :func:`assemble` has no inverse."""
 
 
 def gaussian_int_rows(mat):
@@ -57,6 +62,44 @@ def block_diag(blocks):
             rows[off + i][off:off + len(row)] = row
         off += len(b.rows)
     return Matrix.from_rows(rows)
+
+
+def inverse(mat):
+    """Gauss-Jordan inverse; raises SingularTransform when singular."""
+    if not mat.is_square:
+        raise DimensionMismatch("inverse of non-square matrix")
+    n = mat.shape[0]
+    aug = [list(row) + list(irow) for row, irow in
+           zip(mat.rows, Matrix.identity(n, mat.backend).rows)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
+        if piv is None:
+            raise SingularTransform("matrix is singular")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        p = aug[col][col]
+        aug[col] = [a / p for a in aug[col]]
+        for r in range(n):
+            if r != col and not aug[r][col].is_zero():
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return Matrix.from_rows([row[n:] for row in aug])
+
+
+def jordan_matrix(spec):
+    """Direct sum of Jordan blocks in canonical order: the Toeplitz blocks
+    of first row (lambda, 1)."""
+    rep = canonical_repr(spec)
+    one, zero = one_like(rep.eigenvalues[0]), zero_like(rep.eigenvalues[0])
+    return Matrix.from_rows(toeplitz_rows(
+        [((lam, one), part) for lam, part in zip(rep.eigenvalues, rep.partitions)], zero))
+
+
+def assemble(spec, u):
+    """Similarity transform U J U^{-1} of the canonical Jordan matrix."""
+    j = jordan_matrix(spec)
+    if u.shape != j.shape:
+        raise DimensionMismatch(f"transform {u.shape} vs spec dimension {j.shape}")
+    return u @ j @ inverse(u)
 
 
 def rank_oracle_split(n, kappa):

@@ -42,9 +42,8 @@ from snorder.matfunc import (
     f_of_jordan_spec,
 )
 from snorder.partitions import merge_desc
-from snorder.snrepr import jordan_matrix
 
-from matrix_oracles import block_diag, rank_oracle_split
+from matrix_oracles import block_diag, jordan_matrix, rank_oracle_split
 from test_partitions import partitions_up_to, prefix
 
 

@@ -1,7 +1,9 @@
 """Each demo script in scripts/ runs to completion on a small input."""
 
 import importlib.util
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -88,3 +90,32 @@ def test_decompose_demo_exits_one_on_a_failed_pair(monkeypatch, capsys):
     monkeypatch.setattr(demo, "gds_from_transforms", lambda ts, n: good(ts, n).scale(exact(2)))
     assert demo.main(["--pairs", "3"]) == 1
     assert "gds_valid=False replay_exact=False" in capsys.readouterr().out
+
+
+def test_bench_pairs_compares_a_commit_with_itself(tmp_path):
+    """One pair of 1-s order_queries runs of a commit against itself: both
+    runs give a result line, and the summary has every end-to-end metric.
+    The commit is made in a fresh repository, so the test needs no checkout."""
+    repo = tmp_path / "repo"
+    ignore = shutil.ignore_patterns("__pycache__", "out")
+    for folder in ("src", "perfbench"):
+        shutil.copytree(ROOT / folder, repo / folder, ignore=ignore)
+    shutil.copy(ROOT / "BENCHMARK.json", repo)
+    for argv in (["init", "-q"], ["add", "-A"], ["-c", "user.name=t", "-c", "user.email=t@t",
+                                                 "commit", "-q", "-m", "tree"]):
+        subprocess.run(["git", *argv], cwd=repo, check=True, capture_output=True)
+    out = tmp_path / "pairs.json"
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), "HEAD",
+                           "--pairs", "1", "--seconds", "1", "--workload", "order_queries",
+                           "--out", str(out)],
+                          cwd=repo, capture_output=True, text=True, timeout=120)
+    report = json.loads(out.read_text())
+    assert report["parent"] == report["head"] and len(report["runs"]) == 2
+    assert all(run["result"]["correct"] for run in report["runs"]), proc.stdout
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    summary = report["summary"]["order_queries"]
+    assert set(summary) == {m["name"] for m in metrics}
+    # A bound crossed by noise is the only problem a commit can have with itself.
+    assert all("worse than the parent" in p for p in report["problems"])
+    assert proc.returncode == (1 if report["problems"] else 0)
+    assert "order_queries  ops_per_s" in proc.stdout

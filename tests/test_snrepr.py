@@ -14,7 +14,6 @@ from snorder import (
     Matrix,
     SNOVerdict,
     approx,
-    assemble,
     canonical_repr,
     cmp_total,
     compare_nilpotent,
@@ -28,7 +27,6 @@ from snorder.errors import (
     DimensionMismatch,
     EmptySpec,
     RankAmbiguous,
-    SingularTransform,
     SnorderError,
     SpectrumMismatch,
 )
@@ -45,12 +43,15 @@ from snorder.majorization import prefix_outcomes
 from snorder.matfunc import f_of_jordan_spec, repr_of_fx
 from snorder.partitions import as_partition
 from snorder.serialization import InputFormatError, jordan_spec_from_json, snrepr_to_json
-from snorder.snrepr import block_sizes_from_ranks, jordan_matrix
+from snorder.snrepr import block_sizes_from_ranks
 
 from matrix_oracles import (
+    SingularTransform,
+    assemble,
     block_diag,
     diagonal_blocks,
     gaussian_int_rows,
+    jordan_matrix,
     matrix_from_numpy,
     rank_exact,
 )
