@@ -14,7 +14,8 @@ Prints, per workload and end-to-end metric of BENCHMARK.json: both medians,
 the parent's interquartile range (IQR), HEAD's wins out of the pairs (ties
 count for neither side), whether HEAD's median is better than the parent's
 by more than that IQR, and whether it is worse by more than the metric's
-bound.  Writes one JSON file with every run's result line and stderr.  Exits
+bound.  Writes one JSON file with every run's result line, report line and
+stderr.  Exits
 1 when a run printed no result line, gave a wrong answer or failed a larger
 share of its ops than its pair's parent run, or a bound is crossed.
 """
@@ -46,26 +47,35 @@ def export(rev: str, dest: Path) -> str:
     return commit
 
 
+def parse(line: str):
+    """The JSON value of one output line, or None."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError:
+        return None
+
+
 def bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One run of perfbench/run.py in tree: its result line (None when it
-    printed none), exit code and stderr."""
+    """One run of perfbench/run.py in tree: its result line and its
+    {"report": ...} line (each None when it printed none), exit code and
+    stderr.  The report carries the realized op mix, reference_ms and wall
+    times, so a metric's move can be traced to an op kind."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     try:
         proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
                               timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired as err:
-        return {"result": None, "returncode": None, "stderr": f"timed out: {err}"}
-    result = None
-    lines = proc.stdout.strip().splitlines()
-    if lines:
-        try:
-            result = json.loads(lines[-1])
-        except json.JSONDecodeError:
-            pass
+        return {"result": None, "report": None, "returncode": None,
+                "stderr": f"timed out: {err}"}
+    docs = [parse(line) for line in proc.stdout.strip().splitlines()]
+    result = docs[-1] if docs else None
+    report = next((doc["report"] for doc in docs if isinstance(doc, dict) and "report" in doc),
+                  None)
     if not isinstance(result, dict) or "metrics" not in result:
         result = None
-    return {"result": result, "returncode": proc.returncode, "stderr": proc.stderr}
+    return {"result": result, "report": report, "returncode": proc.returncode,
+            "stderr": proc.stderr}
 
 
 def quartiles(values: list) -> tuple:

@@ -9,10 +9,10 @@ after every mixing step so that replaying the returned transforms on
 sort_desc(y) reproduces x exactly.  The matrix replaying a decomposition is
 built by column updates: each T-transform rewrites columns i and j only.
 
-Every exact prefix-sum verdict compares running sums of the
-:func:`scalar.numerators` pairs of both vectors (:func:`int_prefix_outcomes`,
-or :func:`sum_outcomes` on sums ``snrepr.compare_sno`` keeps); float vectors
-add and compare TotalComplex values under cmp_total's eps
+Every exact prefix-sum verdict compares the :func:`running_pairs` of the
+:func:`scalar.numerators` pairs of both vectors as tuples, up to the first
+prefix that decides (``snrepr`` keeps them per representation); float
+vectors add and compare TotalComplex values under cmp_total's eps
 (:func:`prefix_outcomes`).  :func:`int_majorization` is the one integer sort
 and verdict: exact :func:`majorize_check`, the decomposition, and the
 certificate and falsifier in ``schur`` all call it.
@@ -28,7 +28,7 @@ import enum
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain
-from operator import add, eq, mul
+from operator import add, eq, gt, itemgetter, mul
 from typing import Iterable, Sequence
 
 from .errors import BackendMismatch, DimensionMismatch, NotMajorized
@@ -45,25 +45,20 @@ class Majorization(enum.Enum):
     NONE = "none"
 
 
-_BY_SIGN = (OrderOutcome.EQUAL, OrderOutcome.GREATER, OrderOutcome.LESS)
+_RE, _IM = itemgetter(0), itemgetter(1)
 
 
-def sum_outcomes(xre, xim, yre, yim) -> list:
-    """The outcome of each pair of sums x = (xre, xim) and y = (yre, yim),
-    integer numerators over one positive denominator: each pair compares as
-    (re, im) tuples, the lexicographic order."""
-    return [_BY_SIGN[(a > b) - (a < b)] for a, b in zip(zip(xre, xim), zip(yre, yim))]
-
-
-def int_prefix_outcomes(xre, xim, yre, yim) -> list:
-    """:func:`sum_outcomes` of the running sums of x and y."""
-    return sum_outcomes(*map(accumulate, (xre, xim, yre, yim)))
+def running_pairs(pairs: Sequence[tuple]) -> list:
+    """The running sums of (re, im) integer pairs, as (re, im) pairs.  Over
+    one positive denominator their tuple order is the total order of the
+    rationals, as :func:`scalar.numerators` states."""
+    return list(zip(accumulate(map(_RE, pairs)), accumulate(map(_IM, pairs))))
 
 
 def prefix_outcomes(sx: Sequence[TotalComplex], sy: Sequence[TotalComplex]) -> list:
     """cmp_total of each pair of running sums of sx and sy, each added left
-    to right: the float counterpart of :func:`int_prefix_outcomes`, and
-    exact on Fraction sums.  A mixed pair raises BackendMismatch."""
+    to right: the float counterpart of comparing :func:`running_pairs`,
+    and exact on Fraction sums.  A mixed pair raises BackendMismatch."""
     return list(map(cmp_total, accumulate(sx), accumulate(sy)))
 
 
@@ -81,7 +76,10 @@ def int_majorization(x: Iterable[tuple], y: Iterable[tuple]) -> tuple:
     order: as :func:`scalar.numerators` states, their tuple order is the
     total order of the rationals, so the verdict is majorize_check's."""
     sx, sy = sorted(x, reverse=True), sorted(y, reverse=True)
-    return _verdict(int_prefix_outcomes(*zip(*sx), *zip(*sy))), sx, sy
+    rx, ry = running_pairs(sx), running_pairs(sy)
+    if any(map(gt, rx, ry)):
+        return Majorization.NONE, sx, sy
+    return Majorization.STRICT if rx[-1] == ry[-1] else Majorization.WEAK, sx, sy
 
 
 def majorize_check(x: Sequence[TotalComplex], y: Sequence[TotalComplex]) -> Majorization:

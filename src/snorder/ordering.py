@@ -42,7 +42,8 @@ from .scalar import (
     set_fields,
     sort_desc,
 )
-from .snrepr import SNOVerdict, SNRepresentation, _spectral_outcomes, compare_sno, repr_from_matrix
+from .snrepr import (SNOVerdict, SNRepresentation, compare_nilpotent, compare_spectra, compare_sno,
+                     repr_from_matrix)
 
 # -- eigenvalue extraction for the supported input classes -----------------
 
@@ -174,10 +175,11 @@ def monotonicity_certificate(
     from .schur import (MajorizationCert, _exact_monotonicity, _pointwise_monotonicity,
                         majorization_preserving_check)
 
-    verdict = compare_sno(rx, ry)
+    spectral = compare_spectra(rx, ry)
+    verdict = compare_nilpotent(rx.partitions, ry.partitions) if spectral is None else spectral
     if verdict not in (SNOVerdict.STRICT_LESS, SNOVerdict.WEAK_LESS):
         raise NotSNOrdered(f"representations compare as {verdict.value}")
-    if not _spectral_outcomes(rx, ry)[1]:
+    if spectral is not None:
         res = majorization_preserving_check(f, rx.spectral_vector, ry.spectral_vector)
         if res.kind is MajorizationCert.CERTIFIED_INCREASING:
             return MonotonicityCertificate("A")

@@ -7,7 +7,7 @@ certification routine for single-variable maps preserving weak majorization.
 
 Exact steps run once each, on integer numerator pairs: the sort and verdict
 of ``majorization.int_majorization``, :func:`_exact_monotonicity` and the
-``int_prefix_outcomes`` of f's images; other input compares TotalComplex.
+``running_pairs`` of f's images; other input compares TotalComplex.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ import enum
 import random
 from functools import reduce
 from itertools import accumulate, combinations
-from operator import add
+from operator import add, gt
 from typing import Callable, Optional, Sequence
 
 from .errors import GradientUnavailable, NotWeaklyMajorized
-from .majorization import (Majorization, _cleared_pair, int_majorization, int_prefix_outcomes,
-                           majorize_check, majorize_sorted)
+from .majorization import (Majorization, _cleared_pair, int_majorization, majorize_check,
+                           majorize_sorted, running_pairs)
 from .scalar import (
     DEFAULT_EPS,
     Frozen,
@@ -443,9 +443,9 @@ def _int_preserving_check(f, d: int, px: list, py: list) -> MajorizationPreserve
     images = f.exact_images(d, sx + sy)[1]
     inc, dec = _exact_monotonicity(sx + sy, images)
     fx, fy = images[:len(sx)], images[len(sx):]
-    if inc and OrderOutcome.GREATER not in int_prefix_outcomes(*zip(*fx), *zip(*fy))[1:]:
+    if inc and not any(map(gt, running_pairs(fx)[1:], running_pairs(fy)[1:])):
         return MajorizationPreserveResult(MajorizationCert.CERTIFIED_INCREASING)
-    if dec and OrderOutcome.GREATER not in int_prefix_outcomes(*zip(*fx[::-1]), *zip(*fy[::-1])):
+    if dec and not any(map(gt, running_pairs(fx[::-1]), running_pairs(fy[::-1]))):
         return MajorizationPreserveResult(MajorizationCert.CERTIFIED_DECREASING)
     if (inc or dec) and all(a <= b for a, b in zip(sx, sy)):
         return MajorizationPreserveResult(MajorizationCert.CERTIFIED_ENTRYWISE,

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import enum
 from functools import partial
-from itertools import accumulate, chain, zip_longest
+from itertools import chain, zip_longest
+from operator import gt, lt
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -40,7 +41,7 @@ from .linalg import (
     row_basis_float,
     spectral_norm,
 )
-from .majorization import prefix_outcomes, sum_outcomes
+from .majorization import prefix_outcomes, running_pairs
 from .partitions import Partition, as_partition, dominance_check, merge_desc
 from .scalar import (
     EXACT, FLOAT, OrderOutcome, TotalComplex, Value, cmp_total, common_denominator, numerators,
@@ -107,17 +108,15 @@ class SNRepresentation(Value):
         return tuple(self.repeated(self.eigenvalues))
 
     def _int_prefix(self):
-        """(d, running re sums, running im sums) of the spectral vector's
-        :func:`scalar.numerators` pairs over d, or None on the float backend:
-        computed once and kept in a slot of its own, not in _fields, so ==,
-        hash, repr and JSON are unchanged."""
+        """(d, :func:`majorization.running_pairs` of the spectral vector's
+        :func:`scalar.numerators` pairs over d), None on the float backend;
+        computed once, in a slot outside _fields that ==, hash, repr and JSON skip."""
         try:
             return self._prefix
         except AttributeError:
             cleared = numerators(self.eigenvalues)
-        entries = cleared and self.repeated(cleared[1])
-        set_field(self, "_prefix", cleared and (cleared[0], tuple(accumulate(
-            a for a, _ in entries)), tuple(accumulate(b for _, b in entries))))
+        set_field(self, "_prefix", cleared and (
+            cleared[0], tuple(running_pairs(self.repeated(cleared[1])))))
         return self._prefix
 
 
@@ -291,26 +290,33 @@ def compare_nilpotent(a: Sequence[Partition], b: Sequence[Partition]) -> SNOVerd
     return SNOVerdict.EQUAL
 
 
-def _spectral_outcomes(rx: SNRepresentation, ry: SNRepresentation) -> tuple:
-    """(outcomes, spectra_equal) of the running sums of two spectral vectors,
-    which are sorted already.  Exact forms compare (a*d_y, b*d_y) with
-    (c*d_x, e*d_x), and equal spectra have equal forms.  Float and mixed
-    pairs run :func:`majorization.prefix_outcomes`; float eps acts on sums,
-    not entries, so float spectra are compared entry by entry."""
+def compare_spectra(rx: SNRepresentation, ry: SNRepresentation) -> Optional[SNOVerdict]:
+    """The spectral level of :func:`compare_sno`, None for equal spectra.
+    Exact forms compare running pairs (a*d_y, b*d_y) with (c*d_x, e*d_x) as
+    tuples, up to the first prefix that decides; equal spectra have equal
+    forms.  Float and mixed pairs read :func:`majorization.prefix_outcomes`
+    as signs against 0; float eps acts on sums, not entries, so float
+    spectra are compared entry by entry."""
     px, py = rx._int_prefix(), ry._int_prefix()
     if px is None or py is None:
         sx, sy = rx.spectral_vector, ry.spectral_vector
         if len(sx) != len(sy):
             raise DimensionMismatch(f"dimension {len(sx)} vs {len(sy)}")
         outcomes = prefix_outcomes(sx, sy)
-        return outcomes, all(cmp_total(a, b) is OrderOutcome.EQUAL for a, b in zip(sx, sy))
-    (dx, xre, xim), (dy, yre, yim) = px, py
-    if len(xre) != len(yre):
-        raise DimensionMismatch(f"dimension {len(xre)} vs {len(yre)}")
-    if dx != dy:
-        xre, xim = [a * dy for a in xre], [b * dy for b in xim]
-        yre, yim = [c * dx for c in yre], [e * dx for e in yim]
-    return sum_outcomes(xre, xim, yre, yim), px == py
+        if all(cmp_total(a, b) is OrderOutcome.EQUAL for a, b in zip(sx, sy)):
+            return None
+        sx, sy = [c.value for c in outcomes], [0] * len(outcomes)
+    else:
+        (dx, sx), (dy, sy) = px, py
+        if len(sx) != len(sy):
+            raise DimensionMismatch(f"dimension {len(sx)} vs {len(sy)}")
+        if px == py:
+            return None
+        if dx != dy:
+            sx, sy = [(a * dy, b * dy) for a, b in sx], [(c * dx, e * dx) for c, e in sy]
+    if any(map(gt, sx, sy)):
+        return SNOVerdict.INCOMPARABLE
+    return SNOVerdict.STRICT_LESS if all(map(lt, sx, sy)) else SNOVerdict.WEAK_LESS
 
 
 def compare_sno(rx: SNRepresentation, ry: SNRepresentation) -> SNOVerdict:
@@ -320,11 +326,5 @@ def compare_sno(rx: SNRepresentation, ry: SNRepresentation) -> SNOVerdict:
     to the nilpotent comparison.  STRICT_LESS on the spectral level is
     reserved for strictly smaller prefix sums at every index.
     """
-    outcomes, same = _spectral_outcomes(rx, ry)
-    if same:
-        return compare_nilpotent(rx.partitions, ry.partitions)
-    if OrderOutcome.GREATER in outcomes:
-        return SNOVerdict.INCOMPARABLE
-    if all(c is OrderOutcome.LESS for c in outcomes):
-        return SNOVerdict.STRICT_LESS
-    return SNOVerdict.WEAK_LESS
+    spectral = compare_spectra(rx, ry)
+    return compare_nilpotent(rx.partitions, ry.partitions) if spectral is None else spectral

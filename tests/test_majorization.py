@@ -24,10 +24,10 @@ from snorder import (
 from snorder.errors import BackendMismatch, DimensionMismatch, NotMajorized, SnorderError
 from snorder.linalg import Matrix
 from snorder.majorization import (
-    apply_row_vector, int_prefix_outcomes, majorize_sorted, prefix_outcomes,
+    apply_row_vector, majorize_sorted, prefix_outcomes, running_pairs,
     t_transform_decompose_trace,
 )
-from snorder.scalar import EXACT, FLOAT, approx, numerators, one_like, zero_like
+from snorder.scalar import EXACT, FLOAT, approx, from_numerators, numerators, one_like, zero_like
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=4)
 scalars = st.builds(exact, rationals, rationals)
@@ -335,7 +335,7 @@ def test_decompose_sorts_each_input_once(monkeypatch):
     assert len(calls) == 2 + len(intermediates)
 
 
-# -- prefix_outcomes: integer sums against TotalComplex sums -------------------
+# -- running_pairs and prefix_outcomes: integer sums against TotalComplex sums --
 
 
 def _reference_outcomes(sx, sy):
@@ -367,8 +367,12 @@ def exact_prefix_pairs(draw):
           vec(Fraction(1, 3), (Fraction(2, 3), -1), (0, 2), (-1, Fraction(-63, 64)))))
 def test_prefix_outcomes_matches_total_complex_sums(pair):
     sx, sy = pair
-    pairs = numerators((*sx, *sy))[1]
-    got = int_prefix_outcomes(*zip(*pairs[:len(sx)]), *zip(*pairs[len(sx):]))
+    d, pairs = numerators((*sx, *sy))
+    rx, ry = running_pairs(pairs[:len(sx)]), running_pairs(pairs[len(sx):])
+    assert from_numerators(d, rx) == tuple(itertools.accumulate(sx))
+    assert from_numerators(d, ry) == tuple(itertools.accumulate(sy))
+    # tuple order on the running pairs is the total order of the sums
+    got = [OrderOutcome((a > b) - (a < b)) for a, b in zip(rx, ry)]
     assert got == _reference_outcomes(sx, sy)
     fx = [z.to_float_backend() for z in sx]
     fy = [z.to_float_backend() for z in sy]
@@ -428,6 +432,20 @@ def exact_unsorted_pairs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(exact_unsorted_pairs())
+# A first prefix decided by the imaginary part alone, above (NONE) and below
+# (STRICT on the last-prefix tie, WEAK without it).
+@example((vec((2, 1), 0), vec(2, (1, 1))))
+@example((vec(2, (1, 1)), vec((2, 1), 1)))
+@example((vec(2, 1), vec((2, 1), 1)))
+# The last prefix ties (STRICT) or stays below (WEAK).
+@example((vec(1, 1), vec(2, 0)))
+@example((vec(1, 1), vec(2, 1)))
+# Unequal denominators: 1/2, 1/3 against 5/6, 0 and 5/6, 1/6.
+@example((vec(Fraction(1, 2), Fraction(1, 3)), vec(Fraction(5, 6), 0)))
+@example((vec(Fraction(1, 2), Fraction(1, 3)), vec(Fraction(5, 6), Fraction(1, 6))))
+# Length 1: equal, and above by the imaginary part alone.
+@example((vec(1), vec(1)))
+@example((vec((0, 1)), vec(0)))
 def test_majorize_check_matches_total_complex_reference(pair):
     x, y = pair
     assert majorize_check(x, y) is _reference_check(x, y)

@@ -46,7 +46,7 @@ from snorder.schur import (
     MajorizationPreserveResult,
     majorization_preserving_check,
 )
-from snorder.snrepr import _spectral_outcomes, compare_sno
+from snorder.snrepr import compare_sno
 
 from matrix_oracles import block_diag
 from test_acceptance import HP_TOL, ContractionViolated, hp_identities_check
@@ -458,7 +458,8 @@ def _reference_certificate(f, rx, ry):
     verdict = compare_sno(rx, ry)
     if verdict not in (SNOVerdict.STRICT_LESS, SNOVerdict.WEAK_LESS):
         raise NotSNOrdered(f"representations compare as {verdict.value}")
-    if not _spectral_outcomes(rx, ry)[1]:
+    sx, sy = rx.spectral_vector, ry.spectral_vector
+    if any(cmp_total(a, b) is not OrderOutcome.EQUAL for a, b in zip(sx, sy)):
         res = _reference_preserving_check(f, rx.spectral_vector, ry.spectral_vector)
         if res.kind is MajorizationCert.CERTIFIED_INCREASING:
             return MonotonicityCertificate("A")

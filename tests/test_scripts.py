@@ -112,6 +112,8 @@ def test_bench_pairs_compares_a_commit_with_itself(tmp_path):
     report = json.loads(out.read_text())
     assert report["parent"] == report["head"] and len(report["runs"]) == 2
     assert all(run["result"]["correct"] for run in report["runs"]), proc.stdout
+    # each run keeps its report line: the workload and its realized op mix
+    assert all(run["report"]["workload"] == "order_queries" for run in report["runs"])
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     summary = report["summary"]["order_queries"]
     assert set(summary) == {m["name"] for m in metrics}
@@ -119,3 +121,15 @@ def test_bench_pairs_compares_a_commit_with_itself(tmp_path):
     assert all("worse than the parent" in p for p in report["problems"])
     assert proc.returncode == (1 if report["problems"] else 0)
     assert "order_queries  ops_per_s" in proc.stdout
+
+
+def test_every_mutant_names_text_that_occurs_once():
+    """Each mutant of scripts/mutants.py still applies to exactly one place,
+    is killed by test files that exist, or says why it is equivalent."""
+    mutants = _load(ROOT / "scripts" / "mutants.py", "mutants")
+    assert len(mutants.MUTANTS) >= 8
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    for m in mutants.MUTANTS:
+        assert mutants.text_count(m) == 1, m.name
+        assert m.old != m.new and m.tests, m.name
+        assert all((ROOT / t).is_file() for t in m.tests), m.name

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from snorder import (
     JordanSpec,
@@ -905,8 +905,34 @@ def as_float_spec(spec):
                             for lam, sizes in spec.blocks))
 
 
+def simple_spec(*entries):
+    """One 1 x 1 block at each exact entry, given as re or (re, im)."""
+    return JordanSpec.of(*[(exact(*e) if isinstance(e, tuple) else exact(e), (1,))
+                           for e in entries])
+
+
 @settings(max_examples=150, deadline=None)
 @given(pair=exact_spec_pairs(), x_first=st.booleans())
+# Prefixes decided by the imaginary part alone, each way round: 1+i, 1 below
+# 1+2i, 1 at both prefixes; 2, 1+i below 2+i, 1 at the first and tied at
+# the last, so WEAK_LESS.
+@example(pair=(simple_spec((1, 1), 1), simple_spec((1, 2), 1)), x_first=True)
+@example(pair=(simple_spec(2, (1, 1)), simple_spec((2, 1), 1)), x_first=False)
+# Every prefix below but the last, which ties: WEAK_LESS, never STRICT_LESS.
+@example(pair=(simple_spec(1, 1), simple_spec(2, 0)), x_first=True)
+# Unequal denominators: 1/2, 0 against 2/3, -1/6, and i/2 against i/3.
+@example(pair=(simple_spec(Fraction(1, 2), 0), simple_spec(Fraction(2, 3), Fraction(-1, 6))),
+         x_first=True)
+@example(pair=(simple_spec((0, Fraction(1, 2))), simple_spec((0, Fraction(1, 3)))),
+         x_first=True)
+# Equal spectra, different partitions: the nilpotent level decides.
+@example(pair=(JordanSpec.of((exact(1), (2, 1))), JordanSpec.of((exact(1), (3,)))),
+         x_first=True)
+@example(pair=(JordanSpec.of((exact(1), (1,)), (exact(1), (1,)), (exact(0), (1,))),
+               JordanSpec.of((exact(1), (2,)), (exact(0), (1,)))), x_first=False)
+# Length 1: equal, and above by the imaginary part alone.
+@example(pair=(simple_spec(1), simple_spec(1)), x_first=True)
+@example(pair=(simple_spec((0, 1)), simple_spec(0)), x_first=True)
 def test_exact_compare_matches_the_spectral_vector_reference(pair, x_first):
     sx, sy = pair
     expected = tuple(reference_compare(*p) for p in (
