@@ -15,9 +15,9 @@ the parent's interquartile range (IQR), HEAD's wins out of the pairs (ties
 count for neither side), whether HEAD's median is better than the parent's
 by more than that IQR, and whether it is worse by more than the metric's
 bound.  Writes one JSON file with every run's result line, report line and
-stderr.  Exits
-1 when a run printed no result line, gave a wrong answer or failed a larger
-share of its ops than its pair's parent run, or a bound is crossed.
+stderr.  Exits 1 when a run printed no result line, gave a wrong answer or
+failed a larger share of its ops than its pair's parent run, or a bound is
+crossed.
 """
 
 import argparse

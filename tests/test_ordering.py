@@ -460,7 +460,7 @@ def _reference_certificate(f, rx, ry):
         raise NotSNOrdered(f"representations compare as {verdict.value}")
     sx, sy = rx.spectral_vector, ry.spectral_vector
     if any(cmp_total(a, b) is not OrderOutcome.EQUAL for a, b in zip(sx, sy)):
-        res = _reference_preserving_check(f, rx.spectral_vector, ry.spectral_vector)
+        res = _reference_preserving_check(f, sx, sy)
         if res.kind is MajorizationCert.CERTIFIED_INCREASING:
             return MonotonicityCertificate("A")
         if res.kind is MajorizationCert.CERTIFIED_DECREASING:
