@@ -62,12 +62,11 @@ def prefix_outcomes(sx: Sequence[TotalComplex], sy: Sequence[TotalComplex]) -> l
     return list(map(cmp_total, accumulate(sx), accumulate(sy)))
 
 
-def _verdict(outcomes: list) -> Majorization:
-    if OrderOutcome.GREATER in outcomes:
+def _verdict(above: bool, tied: bool) -> Majorization:
+    """NONE if a prefix sum of x is above y's, STRICT if the totals tie, else WEAK."""
+    if above:
         return Majorization.NONE
-    if outcomes[-1] is OrderOutcome.EQUAL:
-        return Majorization.STRICT
-    return Majorization.WEAK
+    return Majorization.STRICT if tied else Majorization.WEAK
 
 
 def int_majorization(x: Iterable[tuple], y: Iterable[tuple]) -> tuple:
@@ -77,9 +76,7 @@ def int_majorization(x: Iterable[tuple], y: Iterable[tuple]) -> tuple:
     total order of the rationals, so the verdict is majorize_check's."""
     sx, sy = sorted(x, reverse=True), sorted(y, reverse=True)
     rx, ry = running_pairs(sx), running_pairs(sy)
-    if any(map(gt, rx, ry)):
-        return Majorization.NONE, sx, sy
-    return Majorization.STRICT if rx[-1] == ry[-1] else Majorization.WEAK, sx, sy
+    return _verdict(any(map(gt, rx, ry)), rx[-1] == ry[-1]), sx, sy
 
 
 def majorize_check(x: Sequence[TotalComplex], y: Sequence[TotalComplex]) -> Majorization:
@@ -111,7 +108,8 @@ def majorize_sorted(sx: Sequence[TotalComplex], sy: Sequence[TotalComplex]) -> M
         raise DimensionMismatch(f"{len(sx)} vs {len(sy)}")
     if not sx:
         raise DimensionMismatch("empty vectors")
-    return _verdict(prefix_outcomes(sx, sy))
+    outcomes = prefix_outcomes(sx, sy)
+    return _verdict(OrderOutcome.GREATER in outcomes, outcomes[-1] is OrderOutcome.EQUAL)
 
 
 class TTransform(Value):

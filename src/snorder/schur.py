@@ -443,7 +443,7 @@ def _int_preserving_check(f, d: int, px: list, py: list) -> MajorizationPreserve
     images = f.exact_images(d, sx + sy)[1]
     inc, dec = _exact_monotonicity(sx + sy, images)
     fx, fy = images[:len(sx)], images[len(sx):]
-    if inc and not any(map(gt, running_pairs(fx)[1:], running_pairs(fy)[1:])):
+    if inc and not any(map(gt, running_pairs(fx), running_pairs(fy))):
         return MajorizationPreserveResult(MajorizationCert.CERTIFIED_INCREASING)
     if dec and not any(map(gt, running_pairs(fx[::-1]), running_pairs(fy[::-1]))):
         return MajorizationPreserveResult(MajorizationCert.CERTIFIED_DECREASING)

@@ -294,9 +294,9 @@ def compare_spectra(rx: SNRepresentation, ry: SNRepresentation) -> Optional[SNOV
     """The spectral level of :func:`compare_sno`, None for equal spectra.
     Exact forms compare running pairs (a*d_y, b*d_y) with (c*d_x, e*d_x) as
     tuples, up to the first prefix that decides; equal spectra have equal
-    forms.  Float and mixed pairs read :func:`majorization.prefix_outcomes`
-    as signs against 0; float eps acts on sums, not entries, so float
-    spectra are compared entry by entry."""
+    forms.  Float and mixed pairs read :func:`majorization.prefix_outcomes`;
+    float eps acts on sums, not entries, so float spectra are compared
+    entry by entry."""
     px, py = rx._int_prefix(), ry._int_prefix()
     if px is None or py is None:
         sx, sy = rx.spectral_vector, ry.spectral_vector
@@ -305,15 +305,17 @@ def compare_spectra(rx: SNRepresentation, ry: SNRepresentation) -> Optional[SNOV
         outcomes = prefix_outcomes(sx, sy)
         if all(cmp_total(a, b) is OrderOutcome.EQUAL for a, b in zip(sx, sy)):
             return None
-        sx, sy = [c.value for c in outcomes], [0] * len(outcomes)
-    else:
-        (dx, sx), (dy, sy) = px, py
-        if len(sx) != len(sy):
-            raise DimensionMismatch(f"dimension {len(sx)} vs {len(sy)}")
-        if px == py:
-            return None
-        if dx != dy:
-            sx, sy = [(a * dy, b * dy) for a, b in sx], [(c * dx, e * dx) for c, e in sy]
+        if OrderOutcome.GREATER in outcomes:
+            return SNOVerdict.INCOMPARABLE
+        below = all(c is OrderOutcome.LESS for c in outcomes)
+        return SNOVerdict.STRICT_LESS if below else SNOVerdict.WEAK_LESS
+    (dx, sx), (dy, sy) = px, py
+    if len(sx) != len(sy):
+        raise DimensionMismatch(f"dimension {len(sx)} vs {len(sy)}")
+    if px == py:
+        return None
+    if dx != dy:
+        sx, sy = [(a * dy, b * dy) for a, b in sx], [(c * dx, e * dx) for c, e in sy]
     if any(map(gt, sx, sy)):
         return SNOVerdict.INCOMPARABLE
     return SNOVerdict.STRICT_LESS if all(map(lt, sx, sy)) else SNOVerdict.WEAK_LESS
