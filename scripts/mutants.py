@@ -91,9 +91,9 @@ MUTANTS = (
 )
 
 
-def text_count(mutant: Mutant, root: Path = ROOT) -> int:
-    """How often the mutant's source text occurs in its file under root."""
-    return (root / mutant.path).read_text().count(mutant.old)
+def text_count(mutant: Mutant) -> int:
+    """How often the mutant's source text occurs in its file."""
+    return (ROOT / mutant.path).read_text().count(mutant.old)
 
 
 def make_copy(dest: Path) -> None:
