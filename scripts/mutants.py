@@ -64,10 +64,28 @@ MUTANTS = (
     Mutant("running-im-unsummed", "src/snorder/majorization.py",
            "accumulate(map(_IM, pairs))", "map(_IM, pairs)",
            ("tests/test_majorization.py",)),
-    Mutant("preserving-decreasing-tail-dropped", "src/snorder/schur.py",
-           "running_pairs(fx[::-1]), running_pairs(fy[::-1])",
-           "running_pairs(fx[::-1])[1:], running_pairs(fy[::-1])[1:]",
+    # the majorization-preserving certificate: one tail, two prefix tests
+    Mutant("preserving-decreasing-tail-dropped", "src/snorder/ordering.py",
+           "running_pairs(a), running_pairs(b)", "running_pairs(a)[1:], running_pairs(b)[1:]",
            ("tests/test_schur.py",)),
+    Mutant("float-decreasing-tail-dropped", "src/snorder/ordering.py",
+           "prefix_outcomes(a, b)", "prefix_outcomes(a, b)[1:]", ("tests/test_schur.py",)),
+    Mutant("preserving-entrywise-lt-for-le", "src/snorder/ordering.py",
+           "all(a <= b for a, b in zip(sx, sy))", "all(a < b for a, b in zip(sx, sy))",
+           ("tests/test_schur.py", "tests/test_ordering.py")),
+    Mutant("preserving-decreasing-unreversed", "src/snorder/ordering.py",
+           "dec and not above(fx[::-1], fy[::-1])", "dec and not above(fx, fy)",
+           ("tests/test_schur.py",)),
+    Mutant("entrywise-direction-inverted", "src/snorder/ordering.py",
+           "reversed_direction=not inc", "reversed_direction=inc", ("tests/test_schur.py",)),
+    Mutant("float-tie-rule-skipped", "src/snorder/ordering.py",
+           "return False, False", "continue", ("tests/test_schur.py",)),
+    Mutant("exact-monotonicity-ge-for-gt", "src/snorder/ordering.py",
+           "all(a > b for a, b in zip(fs, fs[1:]))", "all(a >= b for a, b in zip(fs, fs[1:]))",
+           ("tests/test_schur.py",)),
+    Mutant("case-ii-y-eigenvalues-dropped", "src/snorder/ordering.py",
+           "points = rx.eigenvalues + ry.eigenvalues", "points = rx.eigenvalues",
+           ("tests/test_ordering.py",)),
     Mutant("certificate-case-split-inverted", "src/snorder/ordering.py",
            "    if spectral is not None:\n", "    if spectral is None:\n",
            ("tests/test_ordering.py",)),
@@ -78,12 +96,12 @@ MUTANTS = (
     Mutant("majorization-unsorted", "src/snorder/majorization.py",
            "sx, sy = sorted(x, reverse=True), sorted(y, reverse=True)", "sx, sy = list(x), list(y)",
            ("tests/test_majorization.py",)),
-    Mutant("preserving-entrywise-lt-for-le", "src/snorder/schur.py",
-           "all(a <= b for a, b in zip(sx, sy))", "all(a < b for a, b in zip(sx, sy))",
-           ("tests/test_schur.py", "tests/test_ordering.py")),
-    Mutant("float-decreasing-tail-dropped", "src/snorder/schur.py",
-           "ok = cmp_total(fx[n - 1], fy[n - 1]) is not OrderOutcome.GREATER and all(",
-           "ok = all(", ("tests/test_schur.py",)),
+    # split_block's gaps and the Ostrowski partials, each computed once
+    Mutant("split-gaps-short-block", "src/snorder/matfunc.py",
+           "prefix_gaps(part, (n,), kappa)", "prefix_gaps(part, (n - 1,), kappa)",
+           ("tests/test_matfunc.py",)),
+    Mutant("ostrowski-partial-of-i-twice", "src/snorder/schur.py",
+           "grads[i] - grads[j]", "grads[i] - grads[i]", ("tests/test_schur.py",)),
     # the float tie band: a difference of exactly eps is still a tie
     Mutant("eps-edge-inclusive", "src/snorder/scalar.py",
            "    if d > eps:\n        return 1", "    if d >= eps:\n        return 1",

@@ -14,8 +14,8 @@ Every exact prefix-sum verdict compares the :func:`running_pairs` of the
 prefix that decides (``snrepr`` keeps them per representation); float
 vectors add and compare TotalComplex values under cmp_total's eps
 (:func:`prefix_outcomes`).  :func:`int_majorization` is the one integer sort
-and verdict: exact :func:`majorize_check`, the decomposition, and the
-certificate and falsifier in ``schur`` all call it.
+and verdict: exact :func:`majorize_check`, the decomposition, the
+``ordering`` certificate and the ``schur`` falsifier all call it.
 
 The exact decomposition, its GDS product, the replay and :func:`gds_check`
 run on those integer pairs too, over one denominator each; only each beta

@@ -279,23 +279,20 @@ def derivative_order_kappa(f: FunctionDescriptor, lam: TotalComplex, highest: in
 
 def split_block(n: int, kappa: int) -> tuple:
     """Sizes of the kappa pieces a block of size n breaks into, plus the
-    prefix-sum gap vector against the unsplit block (length kappa).
+    prefix-sum gap vector against the unsplit block (length kappa)."""
+    part = _split_sizes(n, kappa)
+    return part, prefix_gaps(part, (n,), kappa)
 
-    ell = n + kappa - kappa*ceil(n/kappa) pieces have size ceil(n/kappa);
-    the remaining kappa - ell pieces have size ceil(n/kappa) - 1 and zero
-    parts are dropped.
-    """
+
+def _split_sizes(n: int, kappa: int) -> Partition:
+    """The sizes of :func:`split_block`: ell = n + kappa - kappa*ceil(n/kappa)
+    pieces have size ceil(n/kappa), the remaining kappa - ell pieces have
+    size ceil(n/kappa) - 1, and zero parts are dropped."""
     if n < 1 or kappa < 1:
         raise ValueError("block size and kappa must be positive")
     c = -(-n // kappa)
     ell = n + kappa - kappa * c
-    part = tuple([c] * ell + [c - 1] * (kappa - ell))
-    part = tuple(v for v in part if v > 0)
-    gaps = tuple(
-        n - j * c if j <= ell else n + j - ell - j * c
-        for j in range(1, kappa + 1)
-    )
-    return part, gaps
+    return tuple(v for v in [c] * ell + [c - 1] * (kappa - ell) if v > 0)
 
 
 def gdod_two_blocks(n1: int, n2: int, kappa: int, j: int) -> int:
@@ -358,7 +355,7 @@ def eta(f: FunctionDescriptor, lam: TotalComplex, sizes: Partition) -> Partition
 
 def eta_given_kappa(sizes: Partition, kappa: int) -> Partition:
     """The merged splits of sizes; kappa 1 splits no block."""
-    return sizes if kappa == 1 else merge_desc(*(split_block(n, kappa)[0] for n in sizes))
+    return sizes if kappa == 1 else merge_desc(*(_split_sizes(n, kappa) for n in sizes))
 
 
 def repr_of_fx(f: FunctionDescriptor, rx: SNRepresentation):

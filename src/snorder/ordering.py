@@ -3,24 +3,32 @@ spectral-and-nilpotent order.
 
 Certificates are hypothesis checks: a non-None certificate is always
 cross-checked against the direct comparison of the two image
-representations (``monotonicity_verify_direct``).  Convexity is probed
-pointwise on eigenvalue-accessible matrices (triangular or 2x2).
+representations (``monotonicity_verify_direct``).  Case I rests on
+:func:`majorization_preserving_check`, one decision rule for both backends.
+Convexity is probed pointwise on eigenvalue-accessible matrices (triangular
+or 2x2).
 """
 
 from __future__ import annotations
 
 import cmath
+import enum
 import math
 from fractions import Fraction
+from itertools import combinations
+from operator import gt
 from typing import Optional, Sequence
 
 from .errors import (
     KappaNotFound,
     NotSNOrdered,
+    NotWeaklyMajorized,
     SnorderError,
     SpectrumUnavailable,
 )
 from .linalg import Matrix
+from .majorization import (Majorization, int_majorization, majorize_sorted, prefix_outcomes,
+                           running_pairs)
 from .matfunc import (
     FunctionDescriptor,
     PolynomialFunction,
@@ -33,6 +41,7 @@ from .scalar import (
     Frozen,
     OrderOutcome,
     TotalComplex,
+    Value,
     approx,
     as_scalar,
     cmp_total,
@@ -126,6 +135,113 @@ def _image_reprs(f: PolynomialFunction, arg: Matrix, rhs: Matrix) -> tuple:
     return rep_l, repr_from_accessible(rhs)
 
 
+# -- single-variable maps preserving weak majorization ---------------------
+
+
+class MajorizationCert(enum.Enum):
+    CERTIFIED_INCREASING = "certified_increasing"
+    CERTIFIED_DECREASING = "certified_decreasing"
+    CERTIFIED_ENTRYWISE = "certified_entrywise"
+    NOT_CERTIFIED = "not_certified"
+
+
+class MajorizationPreserveResult(Value):
+    __slots__ = _fields = ("kind", "reversed_direction")
+    __hash__ = None
+
+    def __init__(self, kind: MajorizationCert, reversed_direction: bool = False):
+        # reversed_direction: the conclusion runs f(y) weakly below f(x).
+        set_fields(self, kind=kind, reversed_direction=reversed_direction)
+
+
+def _exact_monotonicity(points, images) -> tuple:
+    """_pointwise_monotonicity on keys of exact points and of their images
+    whose tuple order is the total order (numerator pairs over one d): the
+    images of neighbours among the distinct points, sorted once, decide."""
+    by_point = dict(zip(points, images))
+    fs = [by_point[p] for p in sorted(by_point, reverse=True)]
+    return all(a > b for a, b in zip(fs, fs[1:])), all(a < b for a, b in zip(fs, fs[1:]))
+
+
+def _pointwise_monotonicity(points, images):
+    """Classify a map on the given points, given their images: strictly
+    increasing, strictly decreasing, or neither.  The images of every pair
+    are compared, since float eps-equality is not transitive; points that
+    cmp_total ties need tied images, or the map is neither."""
+    inc = dec = True
+    for (p, fp), (q, fq) in combinations(zip(points, images), 2):
+        order = cmp_total(p, q)
+        c = cmp_total(fq, fp) if order is OrderOutcome.LESS else cmp_total(fp, fq)
+        if order is not OrderOutcome.EQUAL:
+            inc = inc and c is OrderOutcome.GREATER
+            dec = dec and c is OrderOutcome.LESS
+        elif c is not OrderOutcome.EQUAL:
+            return False, False
+    return inc, dec
+
+
+def _monotonicity(f, points, d) -> tuple:
+    """(inc, dec, images) of f at the points: with d not None, numerator
+    pairs over d for a polynomial f, its exact_images, read as tuples; else
+    f at each point, read pairwise under cmp_total."""
+    if d is not None:
+        images = f.exact_images(d, points)[1]
+        return (*_exact_monotonicity(points, images), images)
+    images = [f(p) for p in points]
+    return (*_pointwise_monotonicity(points, images), images)
+
+
+def majorization_preserving_check(f, x, y) -> MajorizationPreserveResult:
+    """Certify that the entrywise map z -> f(z) carries the weak majorization
+    x below y into f(x) weakly below f(y).
+
+    Checked in order, f strictly monotone on the points each time: f
+    increasing and no prefix sum of f(x) above f(y)'s; f decreasing and no
+    suffix sum above; then x_i <= y_i at every i, where a decreasing f
+    reverses the conclusion.  A polynomial f on exact x and y of one nonzero
+    length runs on integer numerator pairs; other input compares
+    TotalComplex values under cmp_total.
+    """
+    x, y = tuple(x), tuple(y)
+    n = len(x)
+    cleared = n and n == len(y) and isinstance(f, PolynomialFunction) and numerators(x + y)
+    if cleared:
+        verdict, sx, sy = int_majorization(cleared[1][:n], cleared[1][n:])
+        d, above, entrywise = cleared[0], _pairs_above, all(a <= b for a, b in zip(sx, sy))
+    else:
+        sx, sy = sort_desc(x), sort_desc(y)
+        d, above, verdict = None, _sums_above, majorize_sorted(sx, sy)
+        entrywise = OrderOutcome.GREATER not in map(cmp_total, sx, sy)
+    if verdict is Majorization.NONE:
+        raise NotWeaklyMajorized("x must be weakly majorized by y")
+    inc, dec, images = _monotonicity(f, sx + sy, d)
+    return _preserving_verdict(inc, dec, images[:n], images[n:], above, entrywise)
+
+
+def _pairs_above(a, b) -> bool:
+    """Some running sum of the numerator pairs a is above b's."""
+    return any(map(gt, running_pairs(a), running_pairs(b)))
+
+
+def _sums_above(a, b) -> bool:
+    """Some running sum of the values a is above b's under cmp_total."""
+    return OrderOutcome.GREATER in prefix_outcomes(a, b)
+
+
+def _preserving_verdict(inc: bool, dec: bool, fx, fy, above, entrywise: bool):
+    """The rule of :func:`majorization_preserving_check` on both backends,
+    from f's monotonicity on the points, the images fx, fy of sorted x and
+    y, a prefix test above(a, b), and whether x <= y entrywise."""
+    if inc and not above(fx, fy):
+        return MajorizationPreserveResult(MajorizationCert.CERTIFIED_INCREASING)
+    if dec and not above(fx[::-1], fy[::-1]):
+        return MajorizationPreserveResult(MajorizationCert.CERTIFIED_DECREASING)
+    if (inc or dec) and entrywise:
+        return MajorizationPreserveResult(MajorizationCert.CERTIFIED_ENTRYWISE,
+                                          reversed_direction=not inc)
+    return MajorizationPreserveResult(MajorizationCert.NOT_CERTIFIED)
+
+
 # -- monotonicity -----------------------------------------------------------
 
 
@@ -172,9 +288,6 @@ def monotonicity_certificate(
     decreasing analogue, which additionally needs entrywise strict block
     dominance so the order survives the spectrum reversal.
     """
-    from .schur import (MajorizationCert, _exact_monotonicity, _pointwise_monotonicity,
-                        majorization_preserving_check)
-
     spectral = compare_spectra(rx, ry)
     verdict = compare_nilpotent(rx.partitions, ry.partitions) if spectral is None else spectral
     if verdict not in (SNOVerdict.STRICT_LESS, SNOVerdict.WEAK_LESS):
@@ -185,14 +298,12 @@ def monotonicity_certificate(
             return MonotonicityCertificate("A")
         if res.kind is MajorizationCert.CERTIFIED_DECREASING:
             return MonotonicityCertificate("B")
-        cert_c = _try_case_c(f, rx, ry)
-        if cert_c is not None:
-            return cert_c
-        return None
-    # Case II: spectra equal, nilpotent level strictly below
-    cleared = _exact_images(f, rx.eigenvalues)
-    inc, dec = _exact_monotonicity(*cleared) if cleared else _pointwise_monotonicity(
-        rx.eigenvalues, [f(z) for z in rx.eigenvalues])
+        return _try_case_c(f, rx, ry)
+    # Case II: spectra equal, nilpotent level strictly below.  Y's eigenvalues
+    # join X's: a float one ties X's under eps, and its image must tie too.
+    points = rx.eigenvalues + ry.eigenvalues
+    d, points = isinstance(f, PolynomialFunction) and numerators(points) or (None, points)
+    inc, dec, _ = _monotonicity(f, points, d)
     kx = _kappas(f, rx)
     ky = _kappas(f, ry)
     first_order = all(k == 1 for k in kx) and all(k == 1 for k in ky)

@@ -2,26 +2,20 @@
 
 Contains the four-case derivative criterion on box domains, a randomized
 majorization-based falsifier, the two composition tables for building new
-Schur-convex functions, the averaging condition those tables require, and a
-certification routine for single-variable maps preserving weak majorization.
-
-Exact steps run once each, on integer numerator pairs: the sort and verdict
-of ``majorization.int_majorization``, :func:`_exact_monotonicity` and the
-``running_pairs`` of f's images; other input compares TotalComplex.
+Schur-convex functions, and the averaging condition those tables require.
+The falsifier decides each trial on integer numerator pairs, by the sort and
+verdict of ``majorization.int_majorization``.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from functools import reduce
-from itertools import accumulate, combinations
-from operator import add, gt
+from itertools import permutations
 from typing import Callable, Optional, Sequence
 
-from .errors import GradientUnavailable, NotWeaklyMajorized
-from .majorization import (Majorization, _cleared_pair, int_majorization, majorize_check,
-                           majorize_sorted, running_pairs)
+from .errors import GradientUnavailable
+from .majorization import Majorization, int_majorization, majorize_check
 from .scalar import (
     DEFAULT_EPS,
     Frozen,
@@ -35,7 +29,6 @@ from .scalar import (
     from_numerators,
     one_like,
     set_fields,
-    sort_desc,
 )
 
 DEFAULT_SEED = 987143
@@ -140,23 +133,22 @@ def schur_ostrowski_check(
         if len(x) != f.arity:
             raise GradientUnavailable(f"sample arity {len(x)} vs declared {f.arity}")
         zs = [from_complex(complex(z)) for z in x]
-        for i in range(len(x)):
-            for j in range(len(x)):
-                if i == j:
-                    continue
-                if cmp_total(zs[i], zs[j]) is OrderOutcome.LESS:
-                    continue
-                diff = f.partial(list(map(complex, x)), i) - f.partial(list(map(complex, x)), j)
-                d_re, d_im = diff.real, diff.imag
-                if _sign(d_re) >= 0 and _sign(d_im) >= 0:
-                    case, ok = 1, box.c3 * d_im <= _SIGN_TOL
-                elif _sign(d_re) >= 0:
-                    case, ok = 2, box.c2 * d_im <= _SIGN_TOL
-                elif _sign(d_im) >= 0:
-                    case, ok = 3, box.c1 * d_re >= box.c3 * d_im - _SIGN_TOL
-                else:
-                    case, ok = 4, box.c1 * d_re >= box.c2 * d_im - _SIGN_TOL
-                report.records.append(OstrowskiRecord(s_idx, i, j, d_re, d_im, case, ok))
+        point = list(map(complex, x))
+        grads = [f.partial(point, i) for i in range(len(x))]
+        for i, j in permutations(range(len(x)), 2):
+            if cmp_total(zs[i], zs[j]) is OrderOutcome.LESS:
+                continue
+            diff = grads[i] - grads[j]
+            d_re, d_im = diff.real, diff.imag
+            if _sign(d_re) >= 0 and _sign(d_im) >= 0:
+                case, ok = 1, box.c3 * d_im <= _SIGN_TOL
+            elif _sign(d_re) >= 0:
+                case, ok = 2, box.c2 * d_im <= _SIGN_TOL
+            elif _sign(d_im) >= 0:
+                case, ok = 3, box.c1 * d_re >= box.c3 * d_im - _SIGN_TOL
+            else:
+                case, ok = 4, box.c1 * d_re >= box.c2 * d_im - _SIGN_TOL
+            report.records.append(OstrowskiRecord(s_idx, i, j, d_re, d_im, case, ok))
     return report
 
 
@@ -333,121 +325,3 @@ def cdm_condition_check(
     comp = one_like(a) - a
     mixed = (a * h1 + comp * h2, a * h2 + comp * h1)
     return majorize_check(mixed, (h1, h2)) is Majorization.STRICT
-
-
-# -- single-variable maps preserving weak majorization ---------------------
-
-
-class MajorizationCert(enum.Enum):
-    CERTIFIED_INCREASING = "certified_increasing"
-    CERTIFIED_DECREASING = "certified_decreasing"
-    CERTIFIED_ENTRYWISE = "certified_entrywise"
-    NOT_CERTIFIED = "not_certified"
-
-
-class MajorizationPreserveResult(Value):
-    __slots__ = _fields = ("kind", "reversed_direction")
-    __hash__ = None
-
-    def __init__(self, kind: MajorizationCert, reversed_direction: bool = False):
-        # reversed_direction: the conclusion runs f(y) weakly below f(x).
-        set_fields(self, kind=kind, reversed_direction=reversed_direction)
-
-
-def _exact_monotonicity(points, images) -> tuple:
-    """_pointwise_monotonicity on keys of exact points and of their images
-    whose tuple order is the total order (numerator pairs over one d): the
-    images of neighbours among the distinct points, sorted once, decide."""
-    by_point = dict(zip(points, images))
-    fs = [by_point[p] for p in sorted(by_point, reverse=True)]
-    return all(a > b for a, b in zip(fs, fs[1:])), all(a < b for a, b in zip(fs, fs[1:]))
-
-
-def _pointwise_monotonicity(points, images):
-    """Classify a map on the given points, given their images: strictly
-    increasing, strictly decreasing, or neither.  The images of every pair
-    are compared, larger point first, since float eps-equality is not
-    transitive; exact numerator pairs take :func:`_exact_monotonicity`."""
-    inc = dec = True
-    for (p, fp), (q, fq) in combinations(zip(points, images), 2):
-        order = cmp_total(p, q)
-        if order is not OrderOutcome.EQUAL:
-            c = cmp_total(fp, fq) if order is OrderOutcome.GREATER else cmp_total(fq, fp)
-            inc = inc and c is OrderOutcome.GREATER
-            dec = dec and c is OrderOutcome.LESS
-    return inc, dec
-
-
-def majorization_preserving_check(f, x, y) -> MajorizationPreserveResult:
-    """Certify that the entrywise map z -> f(z) carries the weak majorization
-    x below y into f(x) weakly below f(y).
-
-    Checked, in order: the increasing-map certificate (strict monotonicity on
-    the relevant points plus the difference-sum conditions), the decreasing
-    one (tail conditions), then the entrywise special case x_i <= y_i which
-    drops the difference-sum conditions (a decreasing f then reverses the
-    conclusion).  A polynomial f on exact x and y of one nonzero length
-    runs on integers (:func:`_int_preserving_check`).
-    """
-    from .matfunc import PolynomialFunction
-
-    x, y = tuple(x), tuple(y)
-    cleared = _cleared_pair(x, y) if isinstance(f, PolynomialFunction) else None
-    if cleared is not None:
-        return _int_preserving_check(f, *cleared)
-    sx, sy = sort_desc(x), sort_desc(y)
-    if majorize_sorted(sx, sy) is Majorization.NONE:
-        raise NotWeaklyMajorized("x must be weakly majorized by y")
-    points = sx + sy
-    images = [f(v) for v in points]
-    inc, dec = _pointwise_monotonicity(points, images)
-    n = len(sx)
-    fx, fy = images[:n], images[n:]
-    diffs = [b - a for a, b in zip(fx, fy)]
-
-    if inc:
-        rhs = list(accumulate(diffs))
-        if all(cmp_total(fx[i] - fy[i], rhs[i - 1]) is not OrderOutcome.GREATER
-               for i in range(1, n)):
-            return MajorizationPreserveResult(MajorizationCert.CERTIFIED_INCREASING)
-    if dec:
-        # Suffix sums stay left to right: summing from the end would change
-        # the float rounding.
-        ok = cmp_total(fx[n - 1], fy[n - 1]) is not OrderOutcome.GREATER and all(
-            cmp_total(fx[i] - fy[i], reduce(add, diffs[i + 1:])) is not OrderOutcome.GREATER
-            for i in range(n - 1))
-        if ok:
-            return MajorizationPreserveResult(MajorizationCert.CERTIFIED_DECREASING)
-    entrywise = all(
-        cmp_total(a, b) is not OrderOutcome.GREATER for a, b in zip(sx, sy)
-    )
-    if entrywise and inc:
-        return MajorizationPreserveResult(MajorizationCert.CERTIFIED_ENTRYWISE)
-    if entrywise and dec:
-        return MajorizationPreserveResult(
-            MajorizationCert.CERTIFIED_ENTRYWISE, reversed_direction=True
-        )
-    return MajorizationPreserveResult(MajorizationCert.NOT_CERTIFIED)
-
-
-def _int_preserving_check(f, d: int, px: list, py: list) -> MajorizationPreserveResult:
-    """majorization_preserving_check on the numerator pairs px, py of x, y
-    over d, for a polynomial f.  Its images share one denominator
-    (PolynomialFunction.exact_images), so their tuple order is the total
-    order, which translation keeps: a running sum of f(x_i) - f(y_i) is <= 0
-    exactly when that prefix of f(x) is <= f(y)'s.  The decreasing (tail)
-    conditions read the reversed images."""
-    verdict, sx, sy = int_majorization(px, py)
-    if verdict is Majorization.NONE:
-        raise NotWeaklyMajorized("x must be weakly majorized by y")
-    images = f.exact_images(d, sx + sy)[1]
-    inc, dec = _exact_monotonicity(sx + sy, images)
-    fx, fy = images[:len(sx)], images[len(sx):]
-    if inc and not any(map(gt, running_pairs(fx), running_pairs(fy))):
-        return MajorizationPreserveResult(MajorizationCert.CERTIFIED_INCREASING)
-    if dec and not any(map(gt, running_pairs(fx[::-1]), running_pairs(fy[::-1]))):
-        return MajorizationPreserveResult(MajorizationCert.CERTIFIED_DECREASING)
-    if (inc or dec) and all(a <= b for a, b in zip(sx, sy)):
-        return MajorizationPreserveResult(MajorizationCert.CERTIFIED_ENTRYWISE,
-                                          reversed_direction=not inc)
-    return MajorizationPreserveResult(MajorizationCert.NOT_CERTIFIED)

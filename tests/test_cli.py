@@ -752,10 +752,11 @@ SUBCOMMAND_RUNS = {
                  {"snrepr", "matfunc", "ordering"}),
     "compare": (["compare", "x.json", "y.json"], {"ordering"}),
     "repr": (["repr", "--matrix", "m.json", "--eigenvalues", "ev.json"], {"ordering"}),
-    "schur": (["schur", "--n", "2", "--trials", "20", "--samples", "3"], {"ordering"}),
+    "schur": (["schur", "--n", "2", "--trials", "20", "--samples", "3"],
+              {"ordering", "matfunc", "snrepr"}),
     "fmap": (["fmap", "f.json", "x.json"], {"ordering"}),
     "convexity": (["convexity", "f.json", "a.json", "b.json"], {"schur"}),
-    "monotone": (["monotone", "f.json", "x.json", "y.json"], set()),
+    "monotone": (["monotone", "f.json", "x.json", "y.json"], {"schur"}),
 }
 
 

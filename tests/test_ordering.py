@@ -3,7 +3,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate
 from operator import add
 from typing import Optional, Sequence
 
@@ -30,22 +29,20 @@ from snorder.linalg import spectral_norm
 from snorder.majorization import Majorization, TTransform, majorize_sorted, t_transform_apply
 from snorder.matfunc import PolynomialFunction
 from snorder.ordering import (
+    MajorizationCert,
+    MajorizationPreserveResult,
     MonotonicityCertificate,
     _image_reprs,
     _kappas,
     _try_case_c,
     closed_form_eigenvalues,
     convexity_check,
+    majorization_preserving_check,
     monotonicity_certificate,
     monotonicity_verify_direct,
 )
 from snorder.partitions import dominance_check
-from snorder.scalar import OrderOutcome, cmp_total, sort_desc, zero_like
-from snorder.schur import (
-    MajorizationCert,
-    MajorizationPreserveResult,
-    majorization_preserving_check,
-)
+from snorder.scalar import OrderOutcome, approx, cmp_total, sort_desc, zero_like
 from snorder.snrepr import compare_sno
 
 from matrix_oracles import block_diag
@@ -398,8 +395,8 @@ def test_similarity_and_flip_identities():
 
 
 # -- certificates on exact polynomial images ----------------------------------------
-# Reference copies of the certificate code as it ran on TotalComplex values:
-# f evaluated point by point, sort_desc and cmp_total on the images, and the
+# Reference copies of the certificate code on TotalComplex values: f
+# evaluated point by point, sort_desc and cmp_total on the images, and the
 # pairwise monotonicity loop of test_schur.
 
 
@@ -412,18 +409,15 @@ def _reference_preserving_check(f, x, y):
     inc, dec = pairwise_monotonicity(points, images)
     n = len(sx)
     fx, fy = images[:n], images[n:]
-    diffs = [b - a for a, b in zip(fx, fy)]
-    if inc:
-        rhs = list(accumulate(diffs))
-        if all(cmp_total(fx[i] - fy[i], rhs[i - 1]) is not OrderOutcome.GREATER
-               for i in range(1, n)):
-            return MajorizationPreserveResult(MajorizationCert.CERTIFIED_INCREASING)
-    if dec:
-        ok = cmp_total(fx[n - 1], fy[n - 1]) is not OrderOutcome.GREATER and all(
-            cmp_total(fx[i] - fy[i], reduce(add, diffs[i + 1:])) is not OrderOutcome.GREATER
-            for i in range(n - 1))
-        if ok:
-            return MajorizationPreserveResult(MajorizationCert.CERTIFIED_DECREASING)
+
+    def sums_below(a, b):  # each prefix, summed left to right
+        return all(cmp_total(reduce(add, a[:k]), reduce(add, b[:k])) is not OrderOutcome.GREATER
+                   for k in range(1, n + 1))
+
+    if inc and sums_below(fx, fy):
+        return MajorizationPreserveResult(MajorizationCert.CERTIFIED_INCREASING)
+    if dec and sums_below(fx[::-1], fy[::-1]):
+        return MajorizationPreserveResult(MajorizationCert.CERTIFIED_DECREASING)
     entrywise = all(cmp_total(a, b) is not OrderOutcome.GREATER for a, b in zip(sx, sy))
     if entrywise and inc:
         return MajorizationPreserveResult(MajorizationCert.CERTIFIED_ENTRYWISE)
@@ -466,7 +460,8 @@ def _reference_certificate(f, rx, ry):
         if res.kind is MajorizationCert.CERTIFIED_DECREASING:
             return MonotonicityCertificate("B")
         return _reference_case_c(f, rx, ry)
-    inc, dec = pairwise_monotonicity(rx.eigenvalues, [f(z) for z in rx.eigenvalues])
+    points = rx.eigenvalues + ry.eigenvalues
+    inc, dec = pairwise_monotonicity(points, [f(z) for z in points])
     kx, ky = _kappas(f, rx), _kappas(f, ry)
     first_order = all(k == 1 for k in kx) and all(k == 1 for k in ky)
     if inc and first_order:
@@ -656,6 +651,20 @@ def _certificate_corpus(count=2000, seed=24):
                 SNOVerdict.STRICT_LESS, SNOVerdict.WEAK_LESS):
             rx, ry = ry, rx
         yield (f, rx, ry) if k % 8 else (_float_poly(f), _float_rep(rx), _float_rep(ry))
+
+
+@pytest.mark.parametrize("others", [[], [(2.0, (1,))]])
+def test_float_map_that_splits_tied_eigenvalues_certifies_nothing(others):
+    # X's eigenvalue 1 + 5e-10 ties Y's 1 under eps, and 1e6 z keeps them
+    # apart: with one block structure the pair is SN-equal, and with x's
+    # blocks below y's no case holds, as the direct verdict confirms.
+    f = PolynomialFunction((approx(0.0), approx(1e6)))
+    for bx, by, want in [((1,), (1,), NotSNOrdered), ((1, 1), (2,), None)]:
+        rx = rep_of(*((approx(v), p) for v, p in others + [(1 + 5e-10, bx)]))
+        ry = rep_of(*((approx(v), p) for v, p in others + [(1.0, by)]))
+        assert _outcome(monotonicity_certificate, f, rx, ry) == want
+        if want is None:
+            assert monotonicity_verify_direct(f, rx, ry) is SNOVerdict.INCOMPARABLE
 
 
 def test_certificate_corpus_digest_is_pinned():

@@ -8,20 +8,23 @@ from hypothesis import given, settings, strategies as st
 from snorder import Majorization, OrderOutcome, cmp_total, exact, poly, schur, sort_desc
 from snorder.errors import NotWeaklyMajorized
 from snorder.majorization import TTransform, majorize_sorted, t_transform_apply
+from snorder.matfunc import PolynomialFunction
+from snorder.ordering import (
+    MajorizationCert,
+    _exact_monotonicity,
+    _pointwise_monotonicity,
+    majorization_preserving_check,
+)
 from snorder.scalar import TotalComplex, approx, from_complex, one_like, order_key
 from snorder.schur import (
     DEFAULT_SEED,
     DomainBox,
-    MajorizationCert,
     Prop,
     SymmetricFunction,
-    _exact_monotonicity,
-    _pointwise_monotonicity,
     _random_majorized_pair,
     cdm_condition_check,
     compose_table1,
     compose_table2,
-    majorization_preserving_check,
     negative_sum_of_squares,
     schur_convex_falsify,
     schur_ostrowski_check,
@@ -51,6 +54,32 @@ def test_ostrowski_finite_difference_gradient():
     f = SymmetricFunction(2, lambda x: sum(z * z for z in x))
     report = schur_ostrowski_check(f, REAL_BOX, [[1.5, -0.5]])
     assert report.passed
+
+
+def test_ostrowski_computes_each_partial_once_per_sample():
+    # n gradient calls per sample, or 2n value calls by finite differences,
+    # and the records of a fresh pair of partials at every ordered pair
+    # with x_i >= x_j in the total order.
+    def value(x):
+        return sum(z ** 3 + (k + 1) * z for k, z in enumerate(x))
+
+    def gradient(x, i):
+        grads.append(i)
+        return 3 * x[i] ** 2 + i + 1
+
+    samples = [[2.0, 0.5, -1.0], [1 + 1j, 1 + 1j, -2j], [0.25, 3.0, 3.0]]
+    for f in (SymmetricFunction(3, value, gradient), SymmetricFunction(3, value)):
+        grads, calls = [], []
+        counted = SymmetricFunction(3, lambda x: calls.append(1) or value(x), f.gradient)
+        records = schur_ostrowski_check(counted, REAL_BOX, samples).records
+        assert (len(grads), len(calls)) == ((9, 0) if f.gradient else (0, 18))
+        want = []
+        for s, x in enumerate(samples):
+            p = list(map(complex, x))
+            want += [(s, i, j, f.partial(p, i) - f.partial(p, j))
+                     for i, j in itertools.permutations(range(3), 2)
+                     if cmp_total(from_complex(x[i]), from_complex(x[j])) is not OrderOutcome.LESS]
+        assert [(r.sample, r.i, r.j, complex(r.d_re, r.d_im)) for r in records] == want
 
 
 def test_falsifier_finds_concave_counterexample():
@@ -260,6 +289,15 @@ def test_decreasing_certificate_needs_the_last_tail():
         assert majorization_preserving_check(g, x, y).kind is MajorizationCert.NOT_CERTIFIED
 
 
+@pytest.mark.parametrize("x, y", [([1 + 5e-10], [1.0]), ([2.0, 1 + 5e-10], [2.0, 1.0])])
+def test_float_map_that_splits_tied_points_is_not_certified(x, y):
+    # f(x_1) is above f(y_1) by 5e-4 although x_1 ties y_1: f breaks the
+    # order, so neither the increasing nor the entrywise certificate holds.
+    x, y = [approx(v) for v in x], [approx(v) for v in y]
+    for f in (PolynomialFunction((approx(0.0), approx(1e6))), lambda z: z * approx(1e6)):
+        assert majorization_preserving_check(f, x, y).kind is MajorizationCert.NOT_CERTIFIED
+
+
 def test_requires_weak_majorization():
     with pytest.raises(NotWeaklyMajorized):
         majorization_preserving_check(poly([0, 1]), vec(5, 0), vec(3, 1))
@@ -283,14 +321,17 @@ def test_majorization_preserving_check_evaluates_f_once_per_point():
 
 
 def pairwise_monotonicity(points, images):
-    """The images of every pair of points compared, larger point first."""
+    """The images of every pair of points compared, larger point first; tied
+    points with images that do not tie make the map neither."""
     inc = dec = True
     for a_idx in range(len(points)):
         for b_idx in range(a_idx + 1, len(points)):
             order = cmp_total(points[a_idx], points[b_idx])
-            if order is OrderOutcome.EQUAL:
-                continue
             fa, fb = images[a_idx], images[b_idx]
+            if order is OrderOutcome.EQUAL:
+                if cmp_total(fa, fb) is not OrderOutcome.EQUAL:
+                    return False, False
+                continue
             c = cmp_total(fa, fb) if order is OrderOutcome.GREATER else cmp_total(fb, fa)
             if c is not OrderOutcome.GREATER:
                 inc = False
@@ -336,11 +377,19 @@ def test_pointwise_monotonicity_on_one_point_and_its_copies():
 
 def test_float_points_compare_every_pair():
     # 0 and 1.2e-9 differ by more than eps, each is within eps of 6e-10, so
-    # only that pair counts: sorted neighbours would read (False, False).
+    # only that pair is ordered: sorted neighbours would read (True, True).
     points = [approx(0.0), approx(6e-10), approx(1.2e-9)]
-    images = [approx(0.0), approx(5.0), approx(1.0)]
-    assert _pointwise_monotonicity(points, images) == (True, False)
-    assert pairwise_monotonicity(points, images) == (True, False)
+    assert _pointwise_monotonicity(points, points) == (True, False)
+    assert pairwise_monotonicity(points, points) == (True, False)
+
+
+def test_float_tied_points_need_tied_images():
+    # 1 + 5e-10 ties 1 under eps, but their images under 1e6 * z do not.
+    points = [approx(1 + 5e-10), approx(1.0), approx(3.0)]
+    images = [z * approx(1e6) for z in points]
+    assert _pointwise_monotonicity(points, images) == (False, False)
+    assert pairwise_monotonicity(points, images) == (False, False)
+    assert _pointwise_monotonicity(points[1:], images[1:]) == (True, False)
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,10 +14,10 @@ import snorder
 from snorder import (JordanSpec, OracleFunction, SNOVerdict, SNRepresentation, TTransform,
                      TotalComplex, approx, canonical_repr, exact, poly)
 from snorder.errors import DimensionMismatch
-from snorder.ordering import ConvexityPoint, MonotonicityCertificate
+from snorder.ordering import (ConvexityPoint, MajorizationCert, MajorizationPreserveResult,
+                              MonotonicityCertificate)
 from snorder.scalar import Frozen, Value
-from snorder.schur import (Counterexample, DomainBox, MajorizationCert,
-                           MajorizationPreserveResult, OstrowskiRecord, SymmetricFunction)
+from snorder.schur import Counterexample, DomainBox, OstrowskiRecord, SymmetricFunction
 
 HALF = exact(Fraction(1, 2))
 SPEC = JordanSpec.of((exact(1), (2, 1)), (exact(0, 1), [1]))
