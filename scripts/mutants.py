@@ -102,6 +102,21 @@ MUTANTS = (
            ("tests/test_matfunc.py",)),
     Mutant("ostrowski-partial-of-i-twice", "src/snorder/schur.py",
            "grads[i] - grads[j]", "grads[i] - grads[i]", ("tests/test_schur.py",)),
+    # the whole Taylor shift, exact images, f(J)'s padding zero
+    Mutant("taylor-shift-re-sign", "src/snorder/matfunc.py",
+           "lr * r - li * s", "lr * r + li * s", ("tests/test_matfunc.py",)),
+    Mutant("exact-images-horner-sign", "src/snorder/matfunc.py",
+           "ar * lr - ai * li + cr", "ar * lr + ai * li + cr", ("tests/test_matfunc.py",)),
+    Mutant("taylor-shift-pass-short", "src/snorder/matfunc.py",
+           "for i in range(deg):", "for i in range(deg - 1):", ("tests/test_matfunc.py",)),
+    Mutant("f-of-jordan-pad-eigenvalue-backend", "src/snorder/matfunc.py",
+           "zero_like(heads[0][0][0])", "zero_like(spec[0][0])", ("tests/test_matfunc.py",)),
+    # the Ostrowski bounds of the cases with a negative imaginary difference
+    Mutant("ostrowski-case-2-c3-for-c2", "src/snorder/schur.py",
+           "box.c2 * d_im <= _SIGN_TOL", "box.c3 * d_im <= _SIGN_TOL", ("tests/test_schur.py",)),
+    Mutant("ostrowski-case-4-c3-for-c2", "src/snorder/schur.py",
+           "box.c1 * d_re >= box.c2 * d_im", "box.c1 * d_re >= box.c3 * d_im",
+           ("tests/test_schur.py",)),
     # the float tie band: a difference of exactly eps is still a tie
     Mutant("eps-edge-inclusive", "src/snorder/scalar.py",
            "    if d > eps:\n        return 1", "    if d >= eps:\n        return 1",

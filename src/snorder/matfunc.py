@@ -3,9 +3,10 @@
 Everything here is read off one object per (f, lambda): the Taylor
 coefficients f^(q)(lambda)/q!, which `taylor` returns for all q at once
 (a Taylor shift of the coefficients for polynomials, the derivative
-oracle for analytic functions).  At an exact point a bounded memo keeps,
-per (f, lambda), the longest prefix of the shift asked for so far, both as
-the integer pairs the shift computes and as values; exact f(J) blocks and
+oracle for analytic functions).  At an exact point a bounded memo,
+:func:`_expansion`, holds per (f, lambda) the whole shift, computed once,
+both as the integer pairs the shift computes and as values, in tuples no
+reader can change; every order slices it, exact f(J) blocks and
 repr_of_fx's f(lambda), kappa and grouping read the integers, and f(J) holds
 no Fraction entry.  `PolynomialFunction.exact_images` evaluates f at many
 exact points at once, outside the memo, for the order certificates.
@@ -35,8 +36,8 @@ from .errors import IncomparableNilpotent, KappaNotFound, OutsideAnalyticityRadi
 from .linalg import Matrix, toeplitz_rows
 from .partitions import Partition, as_partition, merge_desc, prefix_gaps
 from .scalar import (
-    EXACT, TotalComplex, Value, approx, common_denominator, exact, numerators, set_field,
-    set_fields, zero_like,
+    EXACT, TotalComplex, Value, approx, common_denominator, exact, from_numerators, numerators,
+    set_field, set_fields, zero_like,
 )
 from .snrepr import SNRepresentation, merge_equal, merge_keyed
 
@@ -83,34 +84,23 @@ class PolynomialFunction(Value):
         return cleared
 
     def taylor(self, lam: TotalComplex, n: int) -> list:
-        """f^(q)(lam)/q! for q < n; zero past the degree.  At exact points
-        they are read from the expansion that :func:`_shift_memo` holds for
-        (f, lam); so f(lam), eta and f(J_n(lam)) share one expansion.  Float
-        points shift afresh, every call."""
+        """f^(q)(lam)/q! for q < n, as a fresh list; zero past the degree.  At
+        exact points they are sliced from the expansion that
+        :func:`_expansion` holds for (f, lam); so f(lam), eta and f(J_n(lam))
+        share one expansion.  Float points shift afresh, every call."""
         if lam.backend == EXACT:
-            out = self._expansion(lam, n)[2][:n]
+            out = list(_expansion(self, lam)[2][:n])
         else:
-            out = [TotalComplex(a, b) for a, b in self._shift(lam, n)[1]]
+            out = [TotalComplex(a, b) for a, b in self._shift(lam)[1][:n]]
         if n > len(out):
             out += [zero_like(lam)] * (n - len(out))
         return out
 
-    def _expansion(self, lam: TotalComplex, n: int) -> list:
-        """[den, pairs, values]: the longest prefix of the shift to the exact
-        point lam held for (f, lam), as integer pairs over den and as values.
-        When it is shorter than n asks it is shifted afresh, only as far as n
-        asks, so a one-off point costs what the shift to n does."""
-        held = _shift_memo(self, lam)
-        if not held or len(held[1]) < min(n, self.degree + 1):
-            den, pairs = self._shift(lam, n)
-            held[:] = den, pairs, [TotalComplex(Fraction(a, den), Fraction(b, den))
-                                   for a, b in pairs]
-        return held
-
-    def _shift(self, lam: TotalComplex, n: int) -> tuple:
+    def _shift(self, lam: TotalComplex) -> tuple:
         """(den, pairs): f^(q)(lam)/q! = (re + i im) / den for the (re, im)
-        pairs, q < min(n, degree + 1), by a Taylor shift (repeated synthetic
-        division) of the coefficients to lam; den is 1 at float points.
+        pairs, q <= degree, by a Taylor shift (repeated synthetic division)
+        of the coefficients to lam; den is 1 at float points.  Pass q leaves
+        coefficient q final.
 
         At exact points the shift runs on Gaussian integers: with
         lam = L / d and the coefficients c_k = C_k / D, both read from
@@ -129,13 +119,13 @@ class PolynomialFunction(Value):
             big_d, ws, lr, li = 1, [1] * (deg + 1), lam.re, lam.im
             re = [float(c.re) for c in self.coefficients]
             im = [float(c.im) for c in self.coefficients]
-        for i in range(min(n, deg)):
+        for i in range(deg):
             for k in range(deg - 1, i - 1, -1):
                 r, s = re[k + 1], im[k + 1]
                 re[k] += lr * r - li * s
                 im[k] += lr * s + li * r
         return big_d * ws[0], [(re[q] * ws[deg - q], im[q] * ws[deg - q])
-                               for q in range(min(n, deg + 1))]
+                               for q in range(deg + 1)]
 
     def exact_images(self, d: int, points: Sequence[tuple]) -> tuple:
         """(den, pairs): f at the points L / d of the :func:`scalar.numerators`
@@ -170,13 +160,12 @@ class PolynomialFunction(Value):
 
 
 @lru_cache(maxsize=_SHIFT_MEMO_SIZE)
-def _shift_memo(f: PolynomialFunction, lam: TotalComplex) -> list:
-    """[den, pairs, values]: the longest prefix of the Taylor shift of f to
-    the exact point lam computed so far, empty at first; `_expansion`
-    replaces it in place when it is too short, and its readers copy or never
-    change it.  The memo keys on exact values (TotalComplex.__eq__ compares
-    backends too)."""
-    return []
+def _expansion(f: PolynomialFunction, lam: TotalComplex) -> tuple:
+    """(den, pairs, values): the whole Taylor shift of f to the exact point
+    lam, as integer pairs over den and as values, both tuples.  The memo
+    keys on exact values (TotalComplex.__eq__ compares backends too)."""
+    den, pairs = f._shift(lam)
+    return den, tuple(pairs), from_numerators(den, pairs)
 
 
 class OracleFunction(Value):
@@ -369,7 +358,7 @@ def repr_of_fx(f: FunctionDescriptor, rx: SNRepresentation):
     """
     spec = list(zip(rx.eigenvalues, rx.partitions))
     if isinstance(f, PolynomialFunction) and spec and spec[0][0].backend == EXACT:
-        held = [f._expansion(lam, max(part)) for lam, part in spec]
+        held = [_expansion(f, lam) for lam, _ in spec]
         _, scales = common_denominator(*(den for den, _, _ in held))
         keyed = []
         for (_, pairs, values), s, (_, part) in zip(held, scales, spec):
@@ -399,13 +388,13 @@ def f_of_jordan_spec(f: FunctionDescriptor, rx: SNRepresentation) -> Matrix:
     holds no Fraction entry until its rows are read."""
     spec = [(lam, part) for lam, part in zip(rx.eigenvalues, rx.partitions) if part]
     if isinstance(f, PolynomialFunction) and spec[0][0].backend == EXACT:
-        held = [f._expansion(lam, max(part)) for lam, part in spec]
+        held = [_expansion(f, lam) for lam, _ in spec]
         d, scales = common_denominator(*(den for den, _, _ in held))
         heads = [(pairs if s == 1 else [(a * s, b * s) for a, b in pairs], part)
                  for (_, pairs, _), s, (_, part) in zip(held, scales, spec)]
         return Matrix.from_numerators(d, toeplitz_rows(heads, (0, 0)))
     heads = [(f.taylor(lam, max(part)), part) for lam, part in spec]
-    return Matrix.from_rows(toeplitz_rows(heads, zero_like(spec[0][0])))
+    return Matrix.from_rows(toeplitz_rows(heads, zero_like(heads[0][0][0])))
 
 
 def gdod_f_g(

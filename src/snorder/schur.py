@@ -33,7 +33,6 @@ from .scalar import (
 
 DEFAULT_SEED = 987143
 _SIGN_TOL = 1e-12
-FD_STEP = 1e-6  # relative step of the central-difference gradient fallback
 
 
 class Prop(enum.Enum):
@@ -61,8 +60,9 @@ class DomainBox(Frozen):
 class SymmetricFunction(Frozen):
     """Symmetric scalar function of n complex variables.
 
-    ``gradient(x, i)`` should return the complex partial derivative; when
-    omitted it falls back to central finite differences with a real step.
+    ``gradient(x, i)`` returns the complex partial derivative df/dx_i.  The
+    falsifier reads only ``value``; the derivative criterion needs the
+    gradient, and raises GradientUnavailable without one.
     """
 
     __slots__ = _fields = ("arity", "value", "gradient")
@@ -72,14 +72,9 @@ class SymmetricFunction(Frozen):
         set_fields(self, arity=arity, value=value, gradient=gradient)
 
     def partial(self, x: Sequence[complex], i: int) -> complex:
-        if self.gradient is not None:
-            return self.gradient(x, i)
-        h = FD_STEP * max(1.0, abs(x[i]))
-        up = list(x)
-        dn = list(x)
-        up[i] += h
-        dn[i] -= h
-        return (self.value(up) - self.value(dn)) / (2 * h)
+        if self.gradient is None:
+            raise GradientUnavailable("the derivative criterion needs a gradient")
+        return self.gradient(x, i)
 
 
 def sum_of_squares(n: int) -> SymmetricFunction:

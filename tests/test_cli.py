@@ -252,6 +252,14 @@ def test_repr_from_matrix_path(tmp_path, capsys):
     assert out["partitions"] == [[2]]
 
 
+def test_repr_without_its_inputs_is_an_input_error(tmp_path, capsys):
+    m = write(tmp_path, "m.json", {"rows": [[sc("1")]]})
+    err = assert_input_error(capsys, ["repr", "--matrix", m])
+    assert err == "input error: --matrix requires --eigenvalues\n"
+    err = assert_input_error(capsys, ["repr"])
+    assert err == "input error: provide --spec or --matrix/--eigenvalues\n"
+
+
 def test_repr_from_matrix_ignores_a_permutation_of_its_blocks(tmp_path, capsys):
     # J_2(1), a dense 2 x 2 block with the single Jordan block J_2(2), and i
     entries = [["1", "1", "0", "0", "0"], ["0", "1", "0", "0", "0"],

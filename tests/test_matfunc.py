@@ -149,18 +149,18 @@ def test_exact_taylor_results_are_fresh_lists():
     assert _bits(poly([1, -2, 0, 1]).taylor(exact(2), 6)) == expected  # an equal key
 
 
-def test_exact_taylor_shifts_only_as_far_as_asked(monkeypatch):
-    """A miss shifts to the order asked, as without the memo; a longer
-    request extends the held prefix, a shorter one reads it."""
+def test_exact_taylor_shifts_once_per_point(monkeypatch):
+    """Any sequence of orders at one (f, lam), below, at and above the
+    degree, reads one whole shift."""
     f, lam = poly(list(range(1, 17))), exact(Fraction(3, 7), -2)
     shifts = []
     shift = PolynomialFunction._shift
     monkeypatch.setattr(PolynomialFunction, "_shift",
-                        lambda self, z, n: shifts.append(n) or shift(self, z, n))
-    matfunc._shift_memo.cache_clear()
+                        lambda self, z: shifts.append(z) or shift(self, z))
+    matfunc._expansion.cache_clear()
     for n in (1, 1, 4, 2, 4, 20, 16, 9):
         assert _bits(f.taylor(lam, n)) == _bits(_reference_taylor(f, lam, n))
-    assert shifts == [1, 4, 20]
+    assert shifts == [lam]
 
 
 def test_taylor_keeps_each_backend():
@@ -253,6 +253,18 @@ def test_f_of_jordan_spec_is_block_diag_of_per_size_blocks(f):
         for size in part
     ])
     assert repr(got.rows) == repr(expected.rows)
+
+
+def test_f_of_jordan_spec_of_an_oracle_at_exact_eigenvalues_is_one_float_matrix():
+    """exp's Taylor values are floats at an exact eigenvalue, so the zeros
+    off its blocks are too, and recovery reads the structure repr_of_fx
+    predicts."""
+    f = named_oracle("exp")
+    rx = canonical_repr(JordanSpec.of((exact(0), (2, 1))))
+    x = f_of_jordan_spec(f, rx)
+    assert {type(z.re) for row in x.rows for z in row} == {float}
+    images = [f(lam) for lam in rx.eigenvalues]
+    assert repr_from_matrix(x, images) == repr_of_fx(f, rx)[0]
 
 
 def test_f_jordan_block_is_toeplitz_in_derivatives():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from snorder import Majorization, OrderOutcome, cmp_total, exact, poly, schur, sort_desc
-from snorder.errors import NotWeaklyMajorized
+from snorder.errors import GradientUnavailable, NotWeaklyMajorized
 from snorder.majorization import TTransform, majorize_sorted, t_transform_apply
 from snorder.matfunc import PolynomialFunction
 from snorder.ordering import (
@@ -50,17 +50,38 @@ def test_ostrowski_negated_fails():
     assert all(r.case == 3 for r in report.failures)
 
 
-def test_ostrowski_finite_difference_gradient():
+def test_ostrowski_without_a_gradient_raises():
     f = SymmetricFunction(2, lambda x: sum(z * z for z in x))
-    report = schur_ostrowski_check(f, REAL_BOX, [[1.5, -0.5]])
-    assert report.passed
+    with pytest.raises(GradientUnavailable, match="needs a gradient"):
+        schur_ostrowski_check(f, REAL_BOX, [[1.5, -0.5]])
+
+
+def test_ostrowski_refuses_a_sample_of_the_wrong_arity():
+    with pytest.raises(GradientUnavailable, match="sample arity 2 vs declared 3"):
+        schur_ostrowski_check(sum_of_squares(3), REAL_BOX, [[1.0, 2.0, 3.0], [1.0, 2.0]])
+
+
+@pytest.mark.parametrize("f, sample, case, box, ok", [
+    # d = 2(1 - i) - 0: Re >= 0 > Im, so c2 Im <= 0 asks c2 >= 0
+    (sum_of_squares(2), [1 - 1j, 0], 2, DomainBox(1.0, 0.0, 1.0), True),
+    (sum_of_squares(2), [1 - 1j, 0], 2, DomainBox(1.0, -1.0, 0.0), False),
+    # d = -2(1 + i) - 0: both negative, so c1 Re >= c2 Im asks c2 >= c1
+    (negative_sum_of_squares(2), [1 + 1j, 0], 4, DomainBox(1.0, 1.0, 2.0), True),
+    (negative_sum_of_squares(2), [1 + 1j, 0], 4, DomainBox(1.0, 0.0, 1.0), False),
+])
+def test_ostrowski_cases_with_a_negative_imaginary_difference(f, sample, case, box, ok):
+    """x_0 > x_1 in the total order, so (0, 1) is the only pair read."""
+    report = schur_ostrowski_check(f, box, [sample])
+    assert [(r.i, r.j, r.case, r.ok) for r in report.records] == [(0, 1, case, ok)]
+    assert report.passed is ok
 
 
 def test_ostrowski_computes_each_partial_once_per_sample():
-    # n gradient calls per sample, or 2n value calls by finite differences,
-    # and the records of a fresh pair of partials at every ordered pair
-    # with x_i >= x_j in the total order.
+    # n gradient calls per sample, none of the value, and the records of a
+    # fresh pair of partials at every ordered pair with x_i >= x_j in the
+    # total order.
     def value(x):
+        calls.append(1)
         return sum(z ** 3 + (k + 1) * z for k, z in enumerate(x))
 
     def gradient(x, i):
@@ -68,18 +89,17 @@ def test_ostrowski_computes_each_partial_once_per_sample():
         return 3 * x[i] ** 2 + i + 1
 
     samples = [[2.0, 0.5, -1.0], [1 + 1j, 1 + 1j, -2j], [0.25, 3.0, 3.0]]
-    for f in (SymmetricFunction(3, value, gradient), SymmetricFunction(3, value)):
-        grads, calls = [], []
-        counted = SymmetricFunction(3, lambda x: calls.append(1) or value(x), f.gradient)
-        records = schur_ostrowski_check(counted, REAL_BOX, samples).records
-        assert (len(grads), len(calls)) == ((9, 0) if f.gradient else (0, 18))
-        want = []
-        for s, x in enumerate(samples):
-            p = list(map(complex, x))
-            want += [(s, i, j, f.partial(p, i) - f.partial(p, j))
-                     for i, j in itertools.permutations(range(3), 2)
-                     if cmp_total(from_complex(x[i]), from_complex(x[j])) is not OrderOutcome.LESS]
-        assert [(r.sample, r.i, r.j, complex(r.d_re, r.d_im)) for r in records] == want
+    grads, calls = [], []
+    f = SymmetricFunction(3, value, gradient)
+    records = schur_ostrowski_check(f, REAL_BOX, samples).records
+    assert (len(grads), len(calls)) == (9, 0)
+    want = []
+    for s, x in enumerate(samples):
+        p = list(map(complex, x))
+        want += [(s, i, j, f.partial(p, i) - f.partial(p, j))
+                 for i, j in itertools.permutations(range(3), 2)
+                 if cmp_total(from_complex(x[i]), from_complex(x[j])) is not OrderOutcome.LESS]
+    assert [(r.sample, r.i, r.j, complex(r.d_re, r.d_im)) for r in records] == want
 
 
 def test_falsifier_finds_concave_counterexample():

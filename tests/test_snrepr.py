@@ -162,7 +162,7 @@ def test_exact_f_of_j_recovery_clears_only_the_eigenvalues(monkeypatch):
     for mod in [m for name, m in sys.modules.items() if name.startswith("snorder")]:
         if getattr(mod, "numerators", None) is numerators:
             monkeypatch.setattr(mod, "numerators", counting)
-    matfunc._shift_memo.cache_clear()
+    matfunc._expansion.cache_clear()
     x = f_of_jordan_spec(f, rx)
     shifted = len(calls)
     assert repr_from_matrix(x, images) == want
