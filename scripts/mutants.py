@@ -117,6 +117,15 @@ MUTANTS = (
     Mutant("ostrowski-case-4-c3-for-c2", "src/snorder/schur.py",
            "box.c1 * d_re >= box.c2 * d_im", "box.c1 * d_re >= box.c3 * d_im",
            ("tests/test_schur.py",)),
+    # the two sign laws of the composition tables
+    Mutant("table1-decreasing-g-keeps-schur-sign", "src/snorder/schur.py",
+           "[sg * sh for sg in", "[sh for sg in", ("tests/test_schur.py",)),
+    Mutant("monotone-sign-ignores-g", "src/snorder/schur.py",
+           "[sg * sm for sg in", "[sm for sg in", ("tests/test_schur.py",)),
+    Mutant("table2-curvature-condition-inverted", "src/snorder/schur.py",
+           "if ss in signs]", "if ss not in signs]", ("tests/test_schur.py",)),
+    Mutant("table2-averaging-guard-dropped", "src/snorder/schur.py",
+           "    if not cdm_verified:\n        return None\n", "", ("tests/test_schur.py",)),
     # the float tie band: a difference of exactly eps is still a tie
     Mutant("eps-edge-inclusive", "src/snorder/scalar.py",
            "    if d > eps:\n        return 1", "    if d >= eps:\n        return 1",

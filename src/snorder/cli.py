@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -222,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--backend",
         choices=[EXACT, FLOAT],
-        default=os.environ.get("SNO_BACKEND", EXACT),
-        help="numeric backend (env SNO_BACKEND)",
+        default=EXACT,
+        help="numeric backend",
     )
     parser.add_argument("--seed", type=int, help="seed for all randomized analyses")
     parser.add_argument("--output", help="write the JSON report here instead of stdout")

@@ -136,17 +136,14 @@ class PolynomialFunction(Value):
         big_d, pairs = self._integral()
         deg = self.degree
         scaled = [(r * d ** (deg - k), m * d ** (deg - k)) for k, (r, m) in enumerate(pairs)]
-        top, rest = scaled[-1], scaled[-2::-1]
-        out = []
-        for lr, li in points:
-            ar, ai = top
-            for cr, ci in rest:
-                ar, ai = ar * lr - ai * li + cr, ar * li + ai * lr + ci
-            out.append((ar, ai))
-        return big_d * d ** deg, out
+        return big_d * d ** deg, [_horner(scaled, lr, li) for lr, li in points]
 
     def __call__(self, lam: TotalComplex) -> TotalComplex:
-        return self.taylor(lam, 1)[0]
+        """f(lam): the :func:`_expansion` memo's, or one Horner pass at floats."""
+        if lam.backend == EXACT:
+            return _expansion(self, lam)[2][0]
+        floats = [(float(c.re), float(c.im)) for c in self.coefficients]
+        return TotalComplex(*_horner(floats, lam.re, lam.im))
 
     def eval_matrix(self, x: Matrix) -> Matrix:
         """f(X) by Horner's rule in matrix arithmetic."""
@@ -157,6 +154,15 @@ class PolynomialFunction(Value):
         for c in rest:
             result = result @ x + ident.scale(c)
         return result
+
+
+def _horner(coefficients: Sequence[tuple], lr, li) -> tuple:
+    """Horner's rule: the (re, im) pair of the ascending (re, im) coefficient
+    pairs at the point lr + i li."""
+    ar, ai = coefficients[-1]
+    for cr, ci in coefficients[-2::-1]:
+        ar, ai = ar * lr - ai * li + cr, ar * li + ai * lr + ci
+    return ar, ai
 
 
 @lru_cache(maxsize=_SHIFT_MEMO_SIZE)

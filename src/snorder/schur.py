@@ -2,7 +2,9 @@
 
 Contains the four-case derivative criterion on box domains, a randomized
 majorization-based falsifier, the two composition tables for building new
-Schur-convex functions, and the averaging condition those tables require.
+Schur-convex functions, computed from the sign laws of Marshall, Olkin &
+Arnold 3.B.1 and 3.B.2 rather than listed row by row, and the averaging
+condition the entrywise table requires.
 The falsifier decides each trial on integer numerator pairs, by the sort and
 verdict of ``majorization.int_majorization``.
 """
@@ -220,90 +222,47 @@ def schur_convex_falsify(
 
 # -- composition tables ---------------------------------------------------
 
-_INC = frozenset({Prop.INCREASING})
-_DEC = frozenset({Prop.DECREASING})
+# Each property as its (sign -1, sign +1) pair.
+_MONOTONE = (Prop.DECREASING, Prop.INCREASING)
+_SCHUR = (Prop.SCHUR_CONCAVE, Prop.SCHUR_CONVEX)
+_CURVATURE = (Prop.CONCAVE_AFFINE, Prop.CONVEX_AFFINE)
 
 
-def _row(g_req, h_req, result):
-    return (frozenset(g_req), frozenset(h_req), frozenset(result))
+def _signs(props, pair) -> list:
+    """The signs props claims of a pair: both for a set that claims both
+    directions, as a constant or sum(x_i) does, and both laws then apply."""
+    return [s for s, p in zip((-1, 1), pair) if p in props]
 
 
-# Outer g composed with a Schur-convex/concave inner h: g(h(x)).  Rows are
-# checked most-specific first; the two rows sharing hypotheses (decreasing g
-# with decreasing Schur-convex h) are kept in published order, so the first
-# one decides.
-_TABLE1 = [
-    _row({Prop.INCREASING}, {Prop.INCREASING, Prop.SCHUR_CONVEX},
-         {Prop.INCREASING, Prop.SCHUR_CONVEX}),
-    _row({Prop.INCREASING}, {Prop.INCREASING, Prop.SCHUR_CONCAVE},
-         {Prop.INCREASING, Prop.SCHUR_CONCAVE}),
-    _row({Prop.INCREASING}, {Prop.DECREASING, Prop.SCHUR_CONVEX},
-         {Prop.DECREASING, Prop.SCHUR_CONVEX}),
-    _row({Prop.DECREASING}, {Prop.DECREASING, Prop.SCHUR_CONVEX},
-         {Prop.DECREASING, Prop.SCHUR_CONCAVE}),
-    _row({Prop.DECREASING}, {Prop.DECREASING, Prop.SCHUR_CONCAVE},
-         {Prop.DECREASING, Prop.SCHUR_CONVEX}),
-    _row({Prop.DECREASING}, {Prop.INCREASING, Prop.SCHUR_CONCAVE},
-         {Prop.DECREASING, Prop.SCHUR_CONVEX}),
-    _row({Prop.INCREASING}, {Prop.SCHUR_CONVEX}, {Prop.SCHUR_CONVEX}),
-    _row({Prop.INCREASING}, {Prop.SCHUR_CONCAVE}, {Prop.SCHUR_CONCAVE}),
-    _row({Prop.DECREASING}, {Prop.SCHUR_CONVEX}, {Prop.SCHUR_CONCAVE}),
-    _row({Prop.DECREASING}, {Prop.SCHUR_CONCAVE}, {Prop.SCHUR_CONVEX}),
-]
-
-# Schur-convex/concave outer g applied entrywise through h: g(h(x_1), ...,
-# h(x_n)).  Only valid once the averaging condition on h has been verified.
-_TABLE2 = [
-    _row({Prop.INCREASING, Prop.SCHUR_CONVEX}, {Prop.INCREASING, Prop.CONVEX_AFFINE},
-         {Prop.INCREASING, Prop.SCHUR_CONVEX}),
-    _row({Prop.DECREASING, Prop.SCHUR_CONVEX}, {Prop.DECREASING, Prop.CONCAVE_AFFINE},
-         {Prop.INCREASING, Prop.SCHUR_CONVEX}),
-    _row({Prop.INCREASING, Prop.SCHUR_CONVEX}, {Prop.DECREASING, Prop.CONVEX_AFFINE},
-         {Prop.DECREASING, Prop.SCHUR_CONVEX}),
-    _row({Prop.DECREASING, Prop.SCHUR_CONVEX}, {Prop.INCREASING, Prop.CONCAVE_AFFINE},
-         {Prop.DECREASING, Prop.SCHUR_CONVEX}),
-    _row({Prop.DECREASING, Prop.SCHUR_CONCAVE}, {Prop.INCREASING, Prop.CONVEX_AFFINE},
-         {Prop.DECREASING, Prop.SCHUR_CONCAVE}),
-    _row({Prop.INCREASING, Prop.SCHUR_CONCAVE}, {Prop.DECREASING, Prop.CONCAVE_AFFINE},
-         {Prop.DECREASING, Prop.SCHUR_CONCAVE}),
-    _row({Prop.DECREASING, Prop.SCHUR_CONCAVE}, {Prop.DECREASING, Prop.CONVEX_AFFINE},
-         {Prop.INCREASING, Prop.SCHUR_CONCAVE}),
-    _row({Prop.INCREASING, Prop.SCHUR_CONCAVE}, {Prop.INCREASING, Prop.CONCAVE_AFFINE},
-         {Prop.INCREASING, Prop.SCHUR_CONCAVE}),
-    _row({Prop.INCREASING, Prop.SCHUR_CONVEX}, {Prop.CONVEX_AFFINE}, {Prop.SCHUR_CONVEX}),
-    _row({Prop.DECREASING, Prop.SCHUR_CONVEX}, {Prop.CONCAVE_AFFINE}, {Prop.SCHUR_CONVEX}),
-    _row({Prop.DECREASING, Prop.SCHUR_CONCAVE}, {Prop.CONVEX_AFFINE}, {Prop.SCHUR_CONCAVE}),
-    _row({Prop.INCREASING, Prop.SCHUR_CONCAVE}, {Prop.CONCAVE_AFFINE}, {Prop.SCHUR_CONCAVE}),
-]
-
-
-def _lookup(table, g_props, h_props):
-    g_props = frozenset(g_props)
-    h_props = frozenset(h_props)
-    for g_req, h_req, result in table:
-        if g_req <= g_props and h_req <= h_props:
-            return result
-    return None
+def _composed(g_props, h_props, schur_signs):
+    """The Schur directions of schur_signs and the monotone signs of g times
+    those of h; None without a Schur direction."""
+    if not schur_signs:
+        return None
+    mono = [sg * sm for sg in _signs(g_props, _MONOTONE) for sm in _signs(h_props, _MONOTONE)]
+    return frozenset([_SCHUR[s > 0] for s in schur_signs] + [_MONOTONE[s > 0] for s in mono])
 
 
 def compose_table1(g_props, h_props):
-    """Table 1, the outer-monotone rule: the properties of g(h(x)) for g of
-    one variable, increasing or decreasing, and h Schur-convex or -concave.
-    An increasing g keeps h's Schur direction, a decreasing g reverses it
-    (Marshall, Olkin & Arnold, Inequalities, ch. 3).  The first row whose
-    hypotheses hold decides; None when none does."""
-    return _lookup(_TABLE1, g_props, h_props)
+    """Table 1, the outer-monotone rule (Marshall, Olkin & Arnold,
+    Inequalities, 3.B.1): g(h(x)), for g of one variable with monotone sign
+    sg and h with Schur sign sh, has Schur sign sg * sh, and monotone sign
+    sg * sm when h has monotone sign sm; None without a Schur sign.  Signs
+    are +1 for increasing, Schur-convex, convex-affine; -1 for opposites."""
+    return _composed(g_props, h_props, [sg * sh for sg in _signs(g_props, _MONOTONE)
+                                        for sh in _signs(h_props, _SCHUR)])
 
 
 def compose_table2(g_props, h_props, cdm_verified: bool):
-    """Table 2, the entrywise rule: the properties of g(h(x_1), ..., h(x_n))
-    for a monotone, Schur-convex or -concave g and a convex- or
-    concave-affine h of one variable, monotone where a row asks; None unless
-    cdm_verified says h passes the averaging condition
-    (:func:`cdm_condition_check`), and when no row applies."""
+    """Table 2, the entrywise rule (ibid., 3.B.2): g(h(x_1), ..., h(x_n))
+    keeps each Schur sign ss of g that equals g's monotone sign times h's
+    curvature sign, with monotone signs as in Table 1; None without such
+    an ss, and unless cdm_verified says h passes the averaging condition
+    (:func:`cdm_condition_check`)."""
     if not cdm_verified:
         return None
-    return _lookup(_TABLE2, g_props, h_props)
+    signs = {sg * sc for sg in _signs(g_props, _MONOTONE) for sc in _signs(h_props, _CURVATURE)}
+    return _composed(g_props, h_props, [ss for ss in _signs(g_props, _SCHUR) if ss in signs])
 
 
 def cdm_condition_check(

@@ -211,6 +211,17 @@ def test_majorize_weak(tmp_path, capsys):
     assert out["verdict"] == "weak"
 
 
+@pytest.mark.parametrize("env", ["bogus", "float"])
+def test_backend_defaults_to_exact_whatever_the_environment_says(tmp_path, capsys,
+                                                                  monkeypatch, env):
+    monkeypatch.setenv("SNO_BACKEND", env)
+    x = write(tmp_path, "x.json", [sc("1/3"), sc("1/3")])
+    y = write(tmp_path, "y.json", [sc("2/3"), sc("0")])
+    code, out = run(capsys, ["majorize", x, y])
+    assert code == 0
+    assert out["verdict"] == "strict"
+
+
 def test_exact_backend_rejects_float_literals(tmp_path, capsys):
     x = write(tmp_path, "x.json", [{"re": 0.5, "im": 0}])
     y = write(tmp_path, "y.json", [sc("1")])

@@ -163,6 +163,37 @@ def test_exact_taylor_shifts_once_per_point(monkeypatch):
     assert shifts == [lam]
 
 
+def _seeded_float_points_and_polynomials(count, seed=20):
+    """count (f, lam): exact and float polynomials of degree 0 to 6 at float
+    points, parts drawn with signed zeros among them."""
+    rng = random.Random(seed)
+    part = lambda: rng.choice([0.0, -0.0, rng.uniform(-3, 3)])
+    ratio = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    for _ in range(count):
+        size = 1 + rng.randrange(7)
+        if rng.random() < 0.5:
+            f = poly([exact(ratio(), ratio()) for _ in range(size)])
+        else:
+            f = poly([complex(part(), part()) for _ in range(size)], backend="float")
+        yield f, approx(part(), part())
+
+
+def test_float_point_value_has_the_bits_of_the_taylor_shift():
+    for f, lam in _seeded_float_points_and_polynomials(2000):
+        assert _bits([f(lam)]) == _bits(f.taylor(lam, 1))
+
+
+def test_float_point_value_runs_no_taylor_shift(monkeypatch):
+    def refuse(self, lam):
+        raise AssertionError("f(lam) at a float point ran the Taylor shift")
+    monkeypatch.setattr(PolynomialFunction, "_shift", refuse)
+    z = 0.5 - 1.5j
+    value = poly([1, Fraction(-2, 3), 0, 1])(approx(z.real, z.imag))
+    assert value.backend == "float"
+    assert value.to_complex() == pytest.approx(1 - 2 / 3 * z + z ** 3)
+    assert poly([2.5], backend="float")(approx(-0.0)).to_complex() == 2.5
+
+
 def test_taylor_keeps_each_backend():
     """exact(1) and approx(1.0) hash alike; neither polynomial nor point may
     stand in for the other."""

@@ -1,4 +1,6 @@
+import cmath
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -224,7 +226,7 @@ def test_table1_specific_rows_win():
     got = compose_table1({Prop.INCREASING}, {Prop.INCREASING, Prop.SCHUR_CONVEX})
     assert got == {Prop.INCREASING, Prop.SCHUR_CONVEX}
     got = compose_table1({Prop.DECREASING}, {Prop.DECREASING, Prop.SCHUR_CONVEX})
-    assert got == {Prop.DECREASING, Prop.SCHUR_CONCAVE}
+    assert got == {Prop.INCREASING, Prop.SCHUR_CONCAVE}
 
 
 def test_table1_no_match():
@@ -245,6 +247,121 @@ def test_table2_sign_rows():
         cdm_verified=True,
     )
     assert got == {Prop.INCREASING, Prop.SCHUR_CONCAVE}
+
+
+INC, DEC, SCX, SCC = Prop.INCREASING, Prop.DECREASING, Prop.SCHUR_CONVEX, Prop.SCHUR_CONCAVE
+CVX, CCV = Prop.CONVEX_AFFINE, Prop.CONCAVE_AFFINE
+
+# The rows the two sign laws replaced, as (g needs, h needs, result), the
+# first row whose needs hold deciding.  Rows 3 and 4 of Table 1 answer
+# DECREASING where a decreasing g over a decreasing h increases.
+REFERENCE_TABLE1 = (
+    ({INC}, {INC, SCX}, {INC, SCX}),
+    ({INC}, {INC, SCC}, {INC, SCC}),
+    ({INC}, {DEC, SCX}, {DEC, SCX}),
+    ({DEC}, {DEC, SCX}, {DEC, SCC}),
+    ({DEC}, {DEC, SCC}, {DEC, SCX}),
+    ({DEC}, {INC, SCC}, {DEC, SCX}),
+    ({INC}, {SCX}, {SCX}),
+    ({INC}, {SCC}, {SCC}),
+    ({DEC}, {SCX}, {SCC}),
+    ({DEC}, {SCC}, {SCX}),
+)
+WRONG_ROWS = (3, 4)
+REFERENCE_TABLE2 = (
+    ({INC, SCX}, {INC, CVX}, {INC, SCX}),
+    ({DEC, SCX}, {DEC, CCV}, {INC, SCX}),
+    ({INC, SCX}, {DEC, CVX}, {DEC, SCX}),
+    ({DEC, SCX}, {INC, CCV}, {DEC, SCX}),
+    ({DEC, SCC}, {INC, CVX}, {DEC, SCC}),
+    ({INC, SCC}, {DEC, CCV}, {DEC, SCC}),
+    ({DEC, SCC}, {DEC, CVX}, {INC, SCC}),
+    ({INC, SCC}, {INC, CCV}, {INC, SCC}),
+    ({INC, SCX}, {CVX}, {SCX}),
+    ({DEC, SCX}, {CCV}, {SCX}),
+    ({DEC, SCC}, {CVX}, {SCC}),
+    ({INC, SCC}, {CCV}, {SCC}),
+)
+PROP_SETS = [frozenset(c) for r in range(len(Prop) + 1) for c in itertools.combinations(Prop, r)]
+
+
+def _reference(table, g, h):
+    """(index, result) of the first row of table whose needs g and h meet;
+    (None, None) when none does."""
+    for k, (g_needs, h_needs, result) in enumerate(table):
+        if g_needs <= g and h_needs <= h:
+            return k, result
+    return None, None
+
+
+def _one_direction(props) -> bool:
+    return not any({a, b} <= props for a, b in ((INC, DEC), (SCX, SCC), (CVX, CCV)))
+
+
+def test_table1_law_against_the_reference_rows():
+    """Over every pair of Prop sets the law answers None where the rows do,
+    and otherwise contains the rows' answer, the wrong rows' DECREASING read
+    as INCREASING.  On sets that claim one direction per property it changes
+    exactly the 27 + 27 pairs the wrong rows decide, and adds DECREASING on
+    the 27 + 27 pairs of g and h monotone in opposite senses that no row
+    covered."""
+    fixed, completed = set(), set()
+    for g, h in itertools.product(PROP_SETS, repeat=2):
+        got, (row, want) = compose_table1(g, h), _reference(REFERENCE_TABLE1, g, h)
+        if want is None:
+            assert got is None
+            continue
+        corrected = want - {DEC} | {INC} if row in WRONG_ROWS else want
+        assert corrected <= got
+        if not (_one_direction(g) and _one_direction(h)) or got == want:
+            continue
+        if row in WRONG_ROWS:
+            assert got == corrected
+            fixed.add((g, h))
+        else:
+            assert got == want | {DEC}
+            completed.add((g, h))
+    one_way = [(g, h) for g, h in itertools.product(PROP_SETS, repeat=2)
+               if _one_direction(g) and _one_direction(h)]
+    assert fixed == {(g, h) for g, h in one_way if DEC in g and DEC in h and h & {SCX, SCC}}
+    assert completed == {(g, h) for g, h in one_way
+                         if INC in g and {DEC, SCC} <= h or DEC in g and {INC, SCX} <= h}
+    assert len(fixed) == len(completed) == 54
+
+
+@pytest.mark.parametrize("cdm_verified", [False, True])
+def test_table2_law_against_the_reference_rows(cdm_verified):
+    """The law answers None where the rows do, contains their answer on
+    every pair of Prop sets, and equals it on sets that claim one direction
+    per property."""
+    for g, h in itertools.product(PROP_SETS, repeat=2):
+        got = compose_table2(g, h, cdm_verified)
+        want = _reference(REFERENCE_TABLE2, g, h)[1] if cdm_verified else None
+        if want is None:
+            assert got is None
+        elif _one_direction(g) and _one_direction(h):
+            assert got == want
+        else:
+            assert want <= got
+
+
+def test_sets_that_claim_both_directions_get_both_laws():
+    both = {SCX, SCC}  # sum(x_i) is Schur-convex and Schur-concave
+    assert compose_table1({DEC}, both | {INC}) == {SCX, SCC, DEC}
+    assert compose_table1({INC, DEC}, {SCX}) == {SCX, SCC}
+    assert compose_table2({INC} | both, {CVX, CCV, DEC}, cdm_verified=True) == both | {DEC}
+
+
+def test_decreasing_over_decreasing_increases_numerically():
+    """h(x) = sum(exp(-x_i)) is decreasing and Schur-convex and g(t) = -t
+    decreases, so g(h(x)) increases and is Schur-concave."""
+    assert compose_table1({DEC}, {DEC, SCX}) == {INC, SCC}
+    g_of_h = SymmetricFunction(2, lambda x: -sum(cmath.exp(-z) for z in x))
+    assert g_of_h.value([0, 0]) == -2
+    assert g_of_h.value([1, 1]).real == pytest.approx(-2 / math.e)  # about -0.74
+    assert schur_convex_falsify(g_of_h, 2, trials=500) is not None
+    h = SymmetricFunction(2, lambda x: sum(cmath.exp(-z) for z in x))
+    assert schur_convex_falsify(h, 2, trials=500) is None
 
 
 def test_cdm_condition_identity_map():
