@@ -69,7 +69,8 @@ MUTANTS = (
            "running_pairs(a), running_pairs(b)", "running_pairs(a)[1:], running_pairs(b)[1:]",
            ("tests/test_schur.py",)),
     Mutant("float-decreasing-tail-dropped", "src/snorder/ordering.py",
-           "prefix_outcomes(a, b)", "prefix_outcomes(a, b)[1:]", ("tests/test_schur.py",)),
+           "1 in band_signs(d, pa, pb)", "1 in band_signs(d, pa, pb)[1:]",
+           ("tests/test_schur.py",)),
     Mutant("preserving-entrywise-lt-for-le", "src/snorder/ordering.py",
            "all(a <= b for a, b in zip(sx, sy))", "all(a < b for a, b in zip(sx, sy))",
            ("tests/test_schur.py", "tests/test_ordering.py")),
@@ -129,6 +130,24 @@ MUTANTS = (
     # the float tie band: a difference of exactly eps is still a tie
     Mutant("eps-edge-inclusive", "src/snorder/scalar.py",
            "    if d > eps:\n        return 1", "    if d >= eps:\n        return 1",
+           ("tests/test_scalar_order.py",)),
+    # the round-off band of float prefix-sum verdicts and their dyadic form
+    Mutant("band-rho-dropped", "src/snorder/majorization.py",
+           "over_rho = abs(gap) << 52 > k * mass", "over_rho = abs(gap) > 0",
+           ("tests/test_band.py",)),
+    Mutant("band-eps-dropped", "src/snorder/majorization.py",
+           "over_eps = abs(gap) * eps_den > eps_num", "over_eps = abs(gap) > 0",
+           ("tests/test_band.py",)),
+    Mutant("band-rho-edge-inclusive", "src/snorder/majorization.py",
+           "<< 52 > k * mass", "<< 52 >= k * mass", ("tests/test_band.py",)),
+    Mutant("band-eps-edge-inclusive", "src/snorder/majorization.py",
+           "* eps_den > eps_num", "* eps_den >= eps_num", ("tests/test_band.py",)),
+    Mutant("band-above-read-at-the-first-prefix-only", "src/snorder/majorization.py",
+           "if sign == 1:", "if sign == 1 and k == 1:", ("tests/test_band.py",)),
+    Mutant("band-round-off-pairs-ignored", "src/snorder/majorization.py",
+           "or (real and split(k))", "or False", ("tests/test_majorization.py",)),
+    Mutant("dyadic-min-denominator", "src/snorder/scalar.py",
+           "_cleared(values, float, max)", "_cleared(values, float, min)",
            ("tests/test_scalar_order.py",)),
 )
 

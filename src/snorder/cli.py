@@ -3,7 +3,8 @@
 Every subcommand imports only the layers it calls, reads JSON documents,
 which the ``serialization`` decoders check in full, prints a JSON report to
 stdout, and uses exit codes: 0 = analysis completed, 2 = malformed input,
-3 = backend/analysis failure.
+3 = backend/analysis failure, a float verdict refused inside its round-off
+band (VerdictAmbiguous, naming the prefix) included, with one stderr line.
 """
 
 from __future__ import annotations

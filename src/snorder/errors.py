@@ -43,6 +43,11 @@ class SpectrumMismatch(SnorderError):
     """Supplied eigenvalue list does not account for the whole matrix."""
 
 
+class VerdictAmbiguous(SnorderError):
+    """A float prefix-sum verdict met a difference inside its round-off band,
+    too large for a tie and too small to be certain, at the prefix named."""
+
+
 class RankAmbiguous(SnorderError):
     """Float-backend rank decision has no clear singular-value gap."""
 

@@ -9,13 +9,13 @@ after every mixing step so that replaying the returned transforms on
 sort_desc(y) reproduces x exactly.  The matrix replaying a decomposition is
 built by column updates: each T-transform rewrites columns i and j only.
 
-Every exact prefix-sum verdict compares the :func:`running_pairs` of the
-:func:`scalar.numerators` pairs of both vectors as tuples, up to the first
-prefix that decides (``snrepr`` keeps them per representation); float
-vectors add and compare TotalComplex values under cmp_total's eps
-(:func:`prefix_outcomes`).  :func:`int_majorization` is the one integer sort
-and verdict: exact :func:`majorize_check`, the decomposition, the
-``ordering`` certificate and the ``schur`` falsifier all call it.
+Every prefix-sum verdict compares the :func:`running_pairs` of integer
+pairs, read by :func:`cleared_pair`.  Exact ones compare the pairs of both
+vectors as tuples, up to the first prefix that decides (``snrepr`` keeps them
+per representation); :func:`int_majorization` is the one integer sort and
+verdict: exact :func:`majorize_check`, the decomposition, the ``ordering``
+certificate and the ``schur`` falsifier all call it.  Float ones read the
+floats' exact dyadic pairs through a round-off band (:func:`band_signs`).
 
 The exact decomposition, its GDS product, the replay and :func:`gds_check`
 run on those integer pairs too, over one denominator each; only each beta
@@ -27,15 +27,15 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, chain
-from operator import add, eq, gt, itemgetter, mul
+from itertools import accumulate, chain, count
+from operator import add, eq, gt, itemgetter, mul, sub
 from typing import Iterable, Sequence
 
-from .errors import BackendMismatch, DimensionMismatch, NotMajorized
+from .errors import BackendMismatch, DimensionMismatch, NotMajorized, VerdictAmbiguous
 from .linalg import Matrix, gaussian_int_matmul
 from .scalar import (
-    EXACT, OrderOutcome, TotalComplex, Value, cmp_total, exact, from_numerators, numerators,
-    one_like, set_field, sort_desc, zero_like,
+    DEFAULT_EPS, EXACT, OrderOutcome, TotalComplex, Value, cmp_total, dyadic_numerators, exact,
+    from_numerators, numerators, one_like, set_field, sort_desc, zero_like,
 )
 
 
@@ -55,11 +55,55 @@ def running_pairs(pairs: Sequence[tuple]) -> list:
     return list(zip(accumulate(map(_RE, pairs)), accumulate(map(_IM, pairs))))
 
 
-def prefix_outcomes(sx: Sequence[TotalComplex], sy: Sequence[TotalComplex]) -> list:
-    """cmp_total of each pair of running sums of sx and sy, each added left
-    to right: the float counterpart of comparing :func:`running_pairs`,
-    and exact on Fraction sums.  A mixed pair raises BackendMismatch."""
-    return list(map(cmp_total, accumulate(sx), accumulate(sy)))
+def cleared_pair(x: Sequence[TotalComplex], y: Sequence[TotalComplex]) -> tuple:
+    """(d, pairs of x, pairs of y): the numerators or dyadic_numerators of x
+    and y together, when of one backend and one nonzero length; else raises."""
+    if len(x) != len(y):
+        raise DimensionMismatch(f"dimension {len(x)} vs {len(y)}")
+    if not x:
+        raise DimensionMismatch("empty vectors")
+    cleared = numerators(chain(x, y)) or dyadic_numerators(chain(x, y))
+    if cleared is None:
+        raise BackendMismatch("exact vs float")
+    d, pairs = cleared
+    return d, pairs[:len(x)], pairs[len(x):]
+
+
+def band_signs(d: int, px: Sequence[tuple], py: Sequence[tuple]) -> list:
+    """The float prefix-sum kernel on dyadic pairs px, py over d: per prefix
+    k, 1, -1 or 0 when px's sum is certainly above py's, certainly below, or
+    tied, up to the first 1, which decides every verdict alone.  The sums are
+    exact, so rho bounds only the inputs' round-off (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 4.2): gamma_k (sum |x_i| +
+    sum |y_i|) over i <= k per component, gamma_k = k u / (1 - k u) <= k 2^-52
+    at u = 2^-53.  Real part first, a gap is certain above max(rho, eps), a
+    tie handing over to the imaginary part up to min(rho, eps), and else
+    uncertain: VerdictAmbiguous names the first such prefix.  A real tie is
+    uncertain too at a prefix that holds one of two entries whose real parts
+    differ by round-off alone and not the other, of larger imaginary part."""
+    eps = Fraction(DEFAULT_EPS)
+    eps_den, eps_num = eps.denominator, eps.numerator * d  # |gap| > eps: |gap| eps_den > eps_num
+    masses = running_pairs([(abs(a) + abs(c), abs(b) + abs(e)) for (a, b), (c, e) in zip(px, py)])
+
+    def split(k):  # asked only where the real parts tie
+        return any(s < v and r != t and abs(r - t) << 52 <= abs(r) + abs(t)
+                   for p in (px, py) for r, s in p[:k] for t, v in p[k:])
+
+    signs = []
+    for k, a, b, m in zip(count(1), running_pairs(px), running_pairs(py), masses):
+        sign = 0
+        for gap, mass, real in zip(map(sub, a, b), m, (True, False)):
+            over_rho = abs(gap) << 52 > k * mass  # rho = k 2^-52 mass
+            over_eps = abs(gap) * eps_den > eps_num
+            if over_rho or over_eps or (real and split(k)):
+                sign = (1 if gap > 0 else -1) if over_rho and over_eps else None
+                break
+        signs.append(sign)
+        if sign == 1:
+            return signs
+    if None in signs:
+        raise VerdictAmbiguous(f"prefix {signs.index(None) + 1} differs inside its round-off band")
+    return signs
 
 
 def _verdict(above: bool, tied: bool) -> Majorization:
@@ -82,34 +126,14 @@ def int_majorization(x: Iterable[tuple], y: Iterable[tuple]) -> tuple:
 def majorize_check(x: Sequence[TotalComplex], y: Sequence[TotalComplex]) -> Majorization:
     """Does x majorize-below y?  STRICT needs equal totals, WEAK only needs
     every prefix sum of sort_desc(x) to stay <= the matching prefix of y.
-
-    Exact vectors of equal, nonzero length go to :func:`int_majorization` as
-    the :func:`scalar.numerators` pairs of x and y together.  Float, mixed,
-    empty and unequal-length input runs majorize_sorted(sort_desc(x),
-    sort_desc(y)), which keeps float bits and raises BackendMismatch or
-    DimensionMismatch."""
+    The :func:`cleared_pair` of exact x and y goes to :func:`int_majorization`,
+    that of float ones, sorted, to :func:`band_signs`."""
     x, y = tuple(x), tuple(y)
-    cleared = _cleared_pair(x, y)
-    if cleared is None:
-        return majorize_sorted(sort_desc(x), sort_desc(y))
-    return int_majorization(*cleared[1:])[0]
-
-
-def _cleared_pair(x: tuple, y: tuple):
-    """(d, pairs of x, pairs of y): :func:`scalar.numerators` of x and y
-    together, when both are exact and of one nonzero length; else None."""
-    cleared = numerators(x + y) if x and len(x) == len(y) else None
-    return cleared and (cleared[0], cleared[1][:len(x)], cleared[1][len(x):])
-
-
-def majorize_sorted(sx: Sequence[TotalComplex], sy: Sequence[TotalComplex]) -> Majorization:
-    """majorize_check for vectors already sorted non-increasingly."""
-    if len(sx) != len(sy):
-        raise DimensionMismatch(f"{len(sx)} vs {len(sy)}")
-    if not sx:
-        raise DimensionMismatch("empty vectors")
-    outcomes = prefix_outcomes(sx, sy)
-    return _verdict(OrderOutcome.GREATER in outcomes, outcomes[-1] is OrderOutcome.EQUAL)
+    d, px, py = cleared_pair(x, y)
+    if x[0].backend == EXACT:
+        return int_majorization(px, py)[0]
+    signs = band_signs(d, sorted(px, reverse=True), sorted(py, reverse=True))
+    return _verdict(1 in signs, signs[-1] == 0)
 
 
 class TTransform(Value):
@@ -145,6 +169,18 @@ def t_transform_apply(v: Sequence[TotalComplex], t: TTransform) -> tuple:
     return tuple(out)
 
 
+def _eps_sorted(values) -> list:
+    """sort_desc, each run of real parts chained within eps by cmp_total losses."""
+    out = list(sort_desc(values))
+    cuts = [k for k in range(1, len(out)) if out[k - 1].re - out[k].re > DEFAULT_EPS]
+    for i, j in zip([0] + cuts, cuts + [len(out)]):
+        run = out[i:j]
+        if run[0].re != run[-1].re:  # else the exact key already orders it
+            out[i:j] = sorted(run, key=lambda v: sum(cmp_total(v, w) is OrderOutcome.LESS
+                                                     for w in run))
+    return out
+
+
 def _tied(a: TotalComplex, b: TotalComplex) -> bool:
     return cmp_total(a, b) is OrderOutcome.EQUAL
 
@@ -175,23 +211,21 @@ def t_transform_decompose_trace(x, y) -> tuple:
 
     Returns (transforms, intermediates): replaying the transforms in order on
     sort_desc(y) yields x; intermediates are the working vectors after each
-    mixing step (each still strictly majorizes x and is majorized by y).
-    A pair that is not strictly majorized raises NotMajorized carrying the
-    verdict, so a caller needs no second majorize_check.  A float pair whose
-    near-ties leave no pair to mix or no entry to swap into place raises
-    NotMajorized with verdict None, as does one that fails to converge.
-    Exact pairs of one nonzero length run on their numerator pairs
-    (:func:`_int_decompose_trace`).
+    mixing step (each still strictly majorizes x and is majorized by y).  A
+    pair not strictly majorized raises NotMajorized carrying the verdict.
+    Exact pairs run on their numerator pairs (:func:`_int_decompose_trace`);
+    float ones mix TotalComplex values under cmp_total, and near-ties that
+    leave no pair to mix or entry to swap into place, or no convergence,
+    raise NotMajorized with verdict None.
     """
     x, y = tuple(x), tuple(y)
-    cleared = _cleared_pair(x, y)
-    if cleared is not None:
-        return _int_decompose_trace(*cleared)
-    sx, sy = sort_desc(x), sort_desc(y)
-    verdict = majorize_sorted(sx, sy)
+    d, px, py = cleared_pair(x, y)
+    if x[0].backend == EXACT:
+        return _int_decompose_trace(d, px, py)
+    target, w = _eps_sorted(x), _eps_sorted(y)
+    verdict = majorize_check(x, y)
     if verdict is not Majorization.STRICT:
         raise NotMajorized("decomposition requires strict majorization", verdict)
-    target, w = list(sx), list(sy)
     n = len(w)
     transforms: list = []
     intermediates: list = []
@@ -212,7 +246,7 @@ def t_transform_decompose_trace(x, y) -> tuple:
         step = TTransform(i, j, beta)
         transforms.append(step)
         w = list(t_transform_apply(w, step))
-        resorted = list(sort_desc(w))
+        resorted = _eps_sorted(w)
         transforms.extend(_swap_steps(w, resorted, zero, _tied))
         w = resorted
         intermediates.append(tuple(w))

@@ -27,8 +27,8 @@ from .errors import (
     SpectrumUnavailable,
 )
 from .linalg import Matrix
-from .majorization import (Majorization, int_majorization, majorize_sorted, prefix_outcomes,
-                           running_pairs)
+from .majorization import (Majorization, band_signs, cleared_pair, int_majorization,
+                           majorize_check, running_pairs)
 from .matfunc import (
     FunctionDescriptor,
     PolynomialFunction,
@@ -195,12 +195,13 @@ def majorization_preserving_check(f, x, y) -> MajorizationPreserveResult:
     """Certify that the entrywise map z -> f(z) carries the weak majorization
     x below y into f(x) weakly below f(y).
 
-    Checked in order, f strictly monotone on the points each time: f
-    increasing and no prefix sum of f(x) above f(y)'s; f decreasing and no
-    suffix sum above; then x_i <= y_i at every i, where a decreasing f
-    reverses the conclusion.  A polynomial f on exact x and y of one nonzero
-    length runs on integer numerator pairs; other input compares
-    TotalComplex values under cmp_total.
+    One rule for both backends, checked in order, f strictly monotone on the
+    points each time: f increasing and no prefix sum of f(x) above f(y)'s;
+    f decreasing and no suffix sum above; then x_i <= y_i at every i, where
+    a decreasing f reverses the conclusion.  A polynomial f on exact x and y
+    of one nonzero length runs on integer numerator pairs; other input
+    takes its verdict from majorize_check, its prefix test from
+    :func:`_values_above`, and f's monotonicity and x <= y from cmp_total.
     """
     x, y = tuple(x), tuple(y)
     n = len(x)
@@ -210,28 +211,12 @@ def majorization_preserving_check(f, x, y) -> MajorizationPreserveResult:
         d, above, entrywise = cleared[0], _pairs_above, all(a <= b for a, b in zip(sx, sy))
     else:
         sx, sy = sort_desc(x), sort_desc(y)
-        d, above, verdict = None, _sums_above, majorize_sorted(sx, sy)
+        d, above, verdict = None, _values_above, majorize_check(x, y)
         entrywise = OrderOutcome.GREATER not in map(cmp_total, sx, sy)
     if verdict is Majorization.NONE:
         raise NotWeaklyMajorized("x must be weakly majorized by y")
     inc, dec, images = _monotonicity(f, sx + sy, d)
-    return _preserving_verdict(inc, dec, images[:n], images[n:], above, entrywise)
-
-
-def _pairs_above(a, b) -> bool:
-    """Some running sum of the numerator pairs a is above b's."""
-    return any(map(gt, running_pairs(a), running_pairs(b)))
-
-
-def _sums_above(a, b) -> bool:
-    """Some running sum of the values a is above b's under cmp_total."""
-    return OrderOutcome.GREATER in prefix_outcomes(a, b)
-
-
-def _preserving_verdict(inc: bool, dec: bool, fx, fy, above, entrywise: bool):
-    """The rule of :func:`majorization_preserving_check` on both backends,
-    from f's monotonicity on the points, the images fx, fy of sorted x and
-    y, a prefix test above(a, b), and whether x <= y entrywise."""
+    fx, fy = images[:n], images[n:]
     if inc and not above(fx, fy):
         return MajorizationPreserveResult(MajorizationCert.CERTIFIED_INCREASING)
     if dec and not above(fx[::-1], fy[::-1]):
@@ -240,6 +225,17 @@ def _preserving_verdict(inc: bool, dec: bool, fx, fy, above, entrywise: bool):
         return MajorizationPreserveResult(MajorizationCert.CERTIFIED_ENTRYWISE,
                                           reversed_direction=not inc)
     return MajorizationPreserveResult(MajorizationCert.NOT_CERTIFIED)
+
+
+def _pairs_above(a, b) -> bool:
+    """Some running sum of the numerator pairs a is above b's."""
+    return any(map(gt, running_pairs(a), running_pairs(b)))
+
+
+def _values_above(a, b) -> bool:
+    """_pairs_above of exact values a and b, a certain 1 in band_signs of floats."""
+    d, pa, pb = cleared_pair(a, b)
+    return _pairs_above(pa, pb) if a[0].backend == EXACT else 1 in band_signs(d, pa, pb)
 
 
 # -- monotonicity -----------------------------------------------------------

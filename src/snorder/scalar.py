@@ -7,16 +7,18 @@ need not preserve it.  The predicates ``mul_preserves_order``,
 ``div_preserves_order`` and ``product_nonneg`` give exact case analyses of
 when the order survives those operations.
 
-One ordering rule serves both backends: exact values sort on their
-:func:`numerators` pairs, floats on the exact key with real near-ties settled
-by :func:`cmp_total`; eps acts only there, in merges and in verdicts.
-:func:`sort_desc_items` is the one sort, so no result depends on input order.
+One ordering rule serves both backends: :func:`sort_desc_items`, the one
+sort, orders values on their exact key, exact ones on their
+:func:`numerators` pairs and floats on :func:`order_key`, so no result
+depends on input order.  Float eps acts only in :func:`cmp_total`, in merges
+and as the outer edge of the round-off band of float verdicts.
 
 Exact values compare without forming a difference, and exact arithmetic
 skips the terms of a zero imaginary part; the results are the same values.
-Floats keep the full formulas, bit for bit (signed zeros included).  Exact
-kernels skip this class altogether: :func:`numerators` is the one place
-that turns exact values into integers, and its docstring states the format.
+Floats keep the full formulas, bit for bit (signed zeros included).  Kernels
+skip this class altogether: :func:`numerators` and its float sibling
+:func:`dyadic_numerators` are the one place that turns values into
+integers, and the former's docstring states the format.
 """
 
 from __future__ import annotations
@@ -114,8 +116,8 @@ class TotalComplex(Frozen):
     for the float backend; build values with :func:`exact` and
     :func:`approx`, which coerce.  Exact values compare exactly; float values
     compare with the fixed tolerance ``DEFAULT_EPS``, so float scalars are
-    compared through :func:`cmp_total`, never via ``==``.  No ``<``: that
-    comparison is not transitive, so sort with :func:`sort_desc`.
+    compared through :func:`cmp_total`, never via ``==``.  No ``<``: sort with
+    :func:`sort_desc`, on the exact key.
     """
 
     __slots__ = ("re", "im", "_hash")
@@ -249,6 +251,18 @@ def as_scalar(t, backend: str) -> TotalComplex:
     return exact(t) if backend == EXACT else approx(t)
 
 
+def _cleared(values: Iterable[TotalComplex], kind: type, common) -> Optional[tuple]:
+    """(d, pairs) over d = common(denominators) of values of component type kind."""
+    parts = []
+    for z in values:
+        if type(z.re) is not kind:
+            return None
+        parts += z.re.as_integer_ratio(), z.im.as_integer_ratio()
+    d = common(*[b for _, b in parts]) if parts else 1
+    ints = [a * (d // b) for a, b in parts]
+    return d, list(zip(ints[::2], ints[1::2]))
+
+
 def numerators(values: Iterable[TotalComplex]) -> Optional[tuple]:
     """(d, pairs): exact values as (re, im) integer numerator pairs over d, the
     least common multiple of all their denominators (1 for no values); None
@@ -260,14 +274,14 @@ def numerators(values: Iterable[TotalComplex]) -> Optional[tuple]:
     order of the pairs is the lexicographic total order of the values, and
     sums and products of the pairs are d and d*d times those of the values.
     """
-    parts = []
-    for z in values:
-        if type(z.re) is not Fraction:
-            return None
-        parts += z.re.as_integer_ratio(), z.im.as_integer_ratio()
-    d = lcm(*[b for _, b in parts])
-    ints = [a * (d // b) for a, b in parts]
-    return d, list(zip(ints[::2], ints[1::2]))
+    return _cleared(values, Fraction, lcm)
+
+
+def dyadic_numerators(values: Iterable[TotalComplex]) -> Optional[tuple]:
+    """(d, pairs): float values, dyadic rationals all, in the format of
+    :func:`numerators`; d, the lcm of their power-of-two denominators, is
+    the largest of them.  None when any value is not a float."""
+    return _cleared(values, float, max)
 
 
 def from_numerators(d: int, pairs: Iterable[tuple]) -> tuple:
@@ -312,9 +326,8 @@ def order_key(z: TotalComplex) -> tuple:
 
 def sort_desc_items(items: Iterable[tuple]) -> list:
     """Tuples in non-increasing order of their first element, a TotalComplex,
-    whatever their input order: exact values sorted on their numerators pairs,
-    floats on the exact key (mixed backends raise BackendMismatch), then each
-    float run of real parts chained within eps reordered by cmp_total losses."""
+    whatever their input order, on the exact key: exact values sorted on their
+    numerators pairs, floats on order_key (mixed backends raise BackendMismatch)."""
     items = list(items)
     cleared = numerators(item[0] for item in items)
     if cleared is not None:
@@ -322,19 +335,11 @@ def sort_desc_items(items: Iterable[tuple]) -> list:
     out = sorted(items, key=lambda item: order_key(item[0]), reverse=True)
     for a, b in zip(out, out[1:]):
         a[0]._peer(b[0])  # raises BackendMismatch on mixed backends
-    cuts = [k for k in range(1, len(out))
-            if _cmp_raw(out[k - 1][0].re, out[k][0].re, DEFAULT_EPS)]
-    for i, j in zip([0] + cuts, cuts + [len(out)]):
-        run = [item[0] for item in out[i:j]]
-        if run[0].re != run[-1].re:
-            losses = [sum(cmp_total(v, w) is OrderOutcome.LESS for w in run) for v in run]
-            out[i:j] = [out[i + k] for k in sorted(range(j - i), key=losses.__getitem__)]
     return out
 
 
 def sort_desc(values: Iterable[TotalComplex]) -> tuple:
-    """Stable non-increasing sort by :func:`sort_desc_items`; wherever cmp_total
-    is transitive on the values, the result is non-increasing under it."""
+    """Stable non-increasing sort on the exact key, by :func:`sort_desc_items`."""
     return tuple(item[0] for item in sort_desc_items((z,) for z in values))
 
 

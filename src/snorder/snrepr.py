@@ -16,6 +16,10 @@ triangular block visits only the eigenvalues on its diagonal, so its chains
 run only at one it holds more than once and stop once that count decides
 the rest.  A block's shift is built from X's integer rows only for a chain.
 Float stays whole-matrix, as its one rank cut sees every value.
+
+Float eigenvalues sort on the exact key and merge under eps only in
+:func:`merge_equal`; :func:`compare_spectra` reads float spectra through
+the round-off band of :func:`majorization.band_signs`.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .linalg import (
     row_basis_float,
     spectral_norm,
 )
-from .majorization import prefix_outcomes, running_pairs
+from .majorization import band_signs, cleared_pair, running_pairs
 from .partitions import Partition, as_partition, dominance_check, merge_desc
 from .scalar import (
     EXACT, FLOAT, OrderOutcome, TotalComplex, Value, cmp_total, common_denominator, numerators,
@@ -132,23 +136,20 @@ def merge_keyed(triples: Iterable[tuple]) -> list:
 def merge_equal(pairs: Iterable[tuple]) -> list:
     """[(head, [items])] for (value, item) pairs in any order: the one place
     eps merges eigenvalues; exact ones group by :func:`merge_keyed`.  Float
-    pairs are sorted by sort_desc_items, and a value joins the current group
-    when cmp_total(head, value) is EQUAL; the head is its first value.  Float
-    eps-equality is not transitive, so a merged head can sit out of order
-    among the other heads: when any pair merged, the groups are sorted once
-    more, so the heads are a fixed point of sort_desc whatever the order."""
+    values, sorted on the exact key, join the last group when they tie its
+    head, its first value, under cmp_total: groups of the values alone, with
+    heads in key order."""
     pairs = list(pairs)
     cleared = numerators(lam for lam, _ in pairs)
     if cleared is not None:
         return merge_keyed((key, lam, item) for key, (lam, item) in zip(cleared[1], pairs))
-    pairs = sort_desc_items(pairs)
     groups = []
-    for lam, item in pairs:
+    for lam, item in sort_desc_items(pairs):
         if groups and cmp_total(groups[-1][0], lam) is OrderOutcome.EQUAL:
             groups[-1][1].append(item)
         else:
             groups.append((lam, [item]))
-    return sort_desc_items(groups) if len(groups) < len(pairs) else groups
+    return groups
 
 
 def canonical_repr(spec: JordanSpec) -> SNRepresentation:
@@ -294,21 +295,17 @@ def compare_spectra(rx: SNRepresentation, ry: SNRepresentation) -> Optional[SNOV
     """The spectral level of :func:`compare_sno`, None for equal spectra.
     Exact forms compare running pairs (a*d_y, b*d_y) with (c*d_x, e*d_x) as
     tuples, up to the first prefix that decides; equal spectra have equal
-    forms.  Float and mixed pairs read :func:`majorization.prefix_outcomes`;
-    float eps acts on sums, not entries, so float spectra are compared
-    entry by entry."""
+    forms.  Float pairs read :func:`majorization.band_signs` of the spectral
+    vectors, equal spectra when every prefix ties; mixed ones raise
+    BackendMismatch."""
     px, py = rx._int_prefix(), ry._int_prefix()
     if px is None or py is None:
-        sx, sy = rx.spectral_vector, ry.spectral_vector
-        if len(sx) != len(sy):
-            raise DimensionMismatch(f"dimension {len(sx)} vs {len(sy)}")
-        outcomes = prefix_outcomes(sx, sy)
-        if all(cmp_total(a, b) is OrderOutcome.EQUAL for a, b in zip(sx, sy)):
-            return None
-        if OrderOutcome.GREATER in outcomes:
+        signs = band_signs(*cleared_pair(rx.spectral_vector, ry.spectral_vector))
+        if 1 in signs:
             return SNOVerdict.INCOMPARABLE
-        below = all(c is OrderOutcome.LESS for c in outcomes)
-        return SNOVerdict.STRICT_LESS if below else SNOVerdict.WEAK_LESS
+        if not any(signs):
+            return None
+        return SNOVerdict.STRICT_LESS if 0 not in signs else SNOVerdict.WEAK_LESS
     (dx, sx), (dy, sy) = px, py
     if len(sx) != len(sy):
         raise DimensionMismatch(f"dimension {len(sx)} vs {len(sy)}")

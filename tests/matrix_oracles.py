@@ -1,11 +1,15 @@
 """Reference helpers the tests share: an exact rank, float matrices from
 numpy arrays, a block-diagonal direct sum, Jordan matrices and their
-similarity transforms U J U^-1, the components of a nonzero pattern, and the
-rank oracle for the block split."""
+similarity transforms U J U^-1, the components of a nonzero pattern, the
+rank oracle for the block split, and majorization on exact TotalComplex
+sums."""
+
+from itertools import accumulate
 
 import numpy as np
 
-from snorder import Matrix, approx, canonical_repr, exact, repr_from_matrix
+from snorder import Majorization, Matrix, OrderOutcome, approx, canonical_repr, cmp_total, exact
+from snorder import repr_from_matrix, sort_desc
 from snorder.errors import BackendMismatch, DimensionMismatch, SnorderError
 from snorder.linalg import rank_gaussian_int_rows, toeplitz_rows
 from snorder.matfunc import PolynomialFunction, f_jordan_block
@@ -111,3 +115,24 @@ def rank_oracle_split(n, kappa):
     coeffs = [exact(0)] * kappa + [exact(1)] * (n - kappa)
     m = f_jordan_block(PolynomialFunction(tuple(coeffs)), exact(0), n)
     return repr_from_matrix(m, [exact(0)]).partitions[0]
+
+
+def total_complex_outcomes(x, y):
+    """cmp_total of the running sums of x and y, each added left to right as
+    TotalComplex values: on exact values, the prefix-sum order itself."""
+    return list(map(cmp_total, accumulate(x), accumulate(y)))
+
+
+def fraction_majorization(x, y):
+    """majorize_check of exact x and y on TotalComplex sorts and sums, with
+    its DimensionMismatch and BackendMismatch."""
+    if len(x) != len(y):
+        raise DimensionMismatch(f"dimension {len(x)} vs {len(y)}")
+    if not x:
+        raise DimensionMismatch("empty vectors")
+    if len({z.backend for z in (*x, *y)}) > 1:
+        raise BackendMismatch("exact vs float")
+    outcomes = total_complex_outcomes(sort_desc(x), sort_desc(y))
+    if OrderOutcome.GREATER in outcomes:
+        return Majorization.NONE
+    return Majorization.STRICT if outcomes[-1] is OrderOutcome.EQUAL else Majorization.WEAK

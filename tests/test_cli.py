@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -190,17 +191,41 @@ def test_majorize_decompose_failure_after_its_check_exits_3(tmp_path, capsys, mo
 
 
 def test_float_decompose_near_tie_exits_3(tmp_path, capsys):
-    # Strict under float majorize, but its near-ties leave the decomposition
-    # no pair of entries to mix.
+    # Near-ties within eps whose third prefix sums differ inside the
+    # round-off band: the verdict refuses, with or without the decomposition.
     x = write(tmp_path, "x.json", [sc(v, 0.0) for v in (0.7500000007500001, 0.24999999985000002,
                                                         6e-10, 0.0)])
     y = write(tmp_path, "y.json", [sc(v, 0.0) for v in (-6e-10, 1.0000000012, 6e-10, 0.0)])
-    assert run(capsys, ["--backend", "float", "majorize", x, y]) == (0, {"verdict": "strict"})
-    assert main(["--backend", "float", "majorize", x, y, "--decompose"]) == 3
+    for extra in ([], ["--decompose"]):
+        assert main(["--backend", "float", "majorize", x, y, *extra]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("analysis error: VerdictAmbiguous: prefix 3 differs inside its "
+                                "round-off band\n")
+
+
+def _spec_doc(*blocks):
+    return {"blocks": [{"eigenvalue": sc(re, im), "sizes": list(sizes)}
+                       for re, im, sizes in blocks]}
+
+
+@pytest.mark.parametrize("sub, x, y, prefix", [
+    # ROADMAP item 1's example: 5e-10 apart, far beyond round-off, inside eps
+    ("majorize", [sc(1 + 5e-10, 0.0), sc(1 - 5e-10, 0.0)], [sc(1.0, 0.0), sc(1.0, 0.0)], 1),
+    # the first prefix ties, the second differs by 2^-40 in the imaginary part
+    ("majorize", [sc(2.0, 1.0), sc(0.5, 2.0 ** -40)], [sc(2.0, 1.0), sc(0.5, 0.0)], 2),
+    # spectra tied at 3, then apart by 4e-10 and 8e-10 at a double eigenvalue
+    ("compare", _spec_doc((3.0, 0.0, (1,)), (-1 + 4e-10, 0.0, (1, 1))),
+     _spec_doc((3.0, 0.0, (1,)), (-1.0, 0.0, (2,))), 2),
+])
+def test_float_documents_in_the_band_exit_3_naming_the_prefix(tmp_path, capsys, sub, x, y,
+                                                                prefix):
+    x, y = write(tmp_path, "x.json", x), write(tmp_path, "y.json", y)
+    assert main(["--backend", "float", sub, x, y]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("analysis error: NotMajorized: ")
-    assert captured.err.count("\n") == 1
+    assert captured.err == (f"analysis error: VerdictAmbiguous: prefix {prefix} differs inside "
+                            "its round-off band\n")
 
 
 def test_majorize_weak(tmp_path, capsys):
@@ -965,3 +990,7 @@ def test_valid_documents_exit_0_or_3_with_one_line_of_stderr(backend, sub, data)
     assert err.getvalue().count("\n") <= 1
     if code == 0:
         json.loads(out.getvalue())
+    elif "VerdictAmbiguous" in err.getvalue():  # a refusal names its prefix
+        assert backend == "float"
+        assert re.fullmatch(r"analysis error: VerdictAmbiguous: prefix [1-9][0-9]* differs inside "
+                            r"its round-off band\n", err.getvalue())

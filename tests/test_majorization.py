@@ -21,13 +21,18 @@ from snorder import (
     t_transform_apply,
     t_transform_decompose,
 )
-from snorder.errors import BackendMismatch, DimensionMismatch, NotMajorized, SnorderError
+from snorder.errors import (
+    BackendMismatch, DimensionMismatch, NotMajorized, SnorderError, VerdictAmbiguous,
+)
 from snorder.linalg import Matrix
 from snorder.majorization import (
-    apply_row_vector, majorize_sorted, prefix_outcomes, running_pairs,
-    t_transform_decompose_trace,
+    apply_row_vector, band_signs, cleared_pair, running_pairs, t_transform_decompose_trace,
 )
-from snorder.scalar import EXACT, FLOAT, approx, from_numerators, numerators, one_like, zero_like
+from snorder.scalar import (
+    DEFAULT_EPS, EXACT, FLOAT, approx, from_numerators, numerators, one_like, zero_like,
+)
+
+from matrix_oracles import fraction_majorization, total_complex_outcomes
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=4)
 scalars = st.builds(exact, rationals, rationals)
@@ -57,12 +62,14 @@ def test_not_majorized():
     assert majorize_check(vec(5, 0), vec(3, 1)) is Majorization.NONE
 
 
-def test_float_majorize_reads_real_near_ties_by_im():
-    # y sorts as (1, 4), (1+5e-10, 0) under cmp_total; on the exact key alone
-    # the ulp-larger real part would come first and the verdict would be NONE.
+def test_float_majorize_refuses_real_near_ties():
+    # y sorts as (1+5e-10, 0), (1, 4) on the exact key: the first prefixes
+    # differ by 2.5e-10 in the real part, inside the band, and no prefix is
+    # certainly above, so the verdict refuses rather than read the near-tie.
     x = [approx(1 + 2.5e-10, 2.0)] * 2
     y = [approx(1 + 5e-10, 0.0), approx(1.0, 4.0)]
-    assert majorize_check(x, y) is Majorization.STRICT
+    with pytest.raises(VerdictAmbiguous, match="^prefix 1 "):
+        majorize_check(x, y)
     exact_x = [exact(1, 2)] * 2
     assert majorize_check(exact_x, [exact(1, 0), exact(1, 4)]) is Majorization.STRICT
 
@@ -183,31 +190,42 @@ def test_decompose_intermediates_stay_sandwiched():
 ])
 def test_float_decompose_survives_round_off_in_real_ties(xs, ys):
     # Mixing gives real parts such as 0.9999999999999998 next to targets with
-    # real part 1.0; sorted on the exact key they would sit below those ties.
+    # real part 1.0; sorted on the exact key alone they would sit below those
+    # ties, so the decomposition steps in its eps order.  An intermediate that
+    # holds such real parts with rising imaginary parts is strictly below y,
+    # but its verdict against x refuses at the first prefix (given as an int)
+    # that holds one of two such entries and not the other, as which of them
+    # it holds is round-off.
+    above_x = {4: [Majorization.STRICT, 1, 1], 3: [Majorization.STRICT, 2]}[len(xs)]
     x = [approx(float(a), float(b)) for a, b in xs]
     y = [approx(float(a), float(b)) for a, b in ys]
     ts, intermediates = t_transform_decompose_trace(x, y)
+    got = []
     for v in intermediates:
-        assert majorize_check(x, v) is Majorization.STRICT
+        try:
+            got.append(majorize_check(x, v))
+        except VerdictAmbiguous as err:
+            got.append(int(str(err).split()[1]))
         assert majorize_check(v, y) is Majorization.STRICT
+    assert got == above_x
     p = gds_from_transforms(ts, len(x))
     assert gds_check(p)
     assert_vec_equal(apply_row_vector(sort_desc(y), p), x)
 
 
-# Float near-ties, where equality within eps is not transitive: majorize_check
-# reads STRICT, but the decomposition finds no pair of entries to mix (first
-# pair) or no entry to swap into place (second).
+# Float near-ties, where equality within eps is not transitive and eps alone
+# reads STRICT: their prefix sums differ inside the round-off band, so the
+# verdict itself refuses.
 @pytest.mark.parametrize("xs, ys", [
     ([0.7500000007500001, 0.24999999985000002, 6e-10, 0.0], [-6e-10, 1.0000000012, 6e-10, 0.0]),
     ([0.2499999988, 0.25], [0.2499999994, 0.2499999988]),
 ])
 def test_float_decompose_refuses_near_ties_it_cannot_step(xs, ys):
+    prefix = {4: 3, 2: 1}[len(xs)]  # the refused prefix of each pair
     x, y = [approx(v) for v in xs], [approx(v) for v in ys]
-    assert majorize_check(x, y) is Majorization.STRICT
-    with pytest.raises(NotMajorized) as err:
-        t_transform_decompose_trace(x, y)
-    assert err.value.verdict is None
+    for call in (majorize_check, t_transform_decompose_trace):
+        with pytest.raises(VerdictAmbiguous, match=f"^prefix {prefix} "):
+            call(x, y)
 
 
 def test_gds_check_rejects_non_square():
@@ -335,11 +353,7 @@ def test_decompose_sorts_each_input_once(monkeypatch):
     assert len(calls) == 2 + len(intermediates)
 
 
-# -- running_pairs and prefix_outcomes: integer sums against TotalComplex sums --
-
-
-def _reference_outcomes(sx, sy):
-    return list(map(cmp_total, itertools.accumulate(sx), itertools.accumulate(sy)))
+# -- running_pairs and band_signs: integer sums against TotalComplex sums --
 
 
 fine_rationals = st.builds(Fraction, st.integers(-3200, 3200), st.integers(1, 64))
@@ -365,7 +379,7 @@ def exact_prefix_pairs(draw):
 # outcomes are EQUAL, GREATER and LESS on the imaginary tie-break, EQUAL.
 @example((vec(Fraction(1, 3), Fraction(2, 3), (0, Fraction(1, 64)), -1),
           vec(Fraction(1, 3), (Fraction(2, 3), -1), (0, 2), (-1, Fraction(-63, 64)))))
-def test_prefix_outcomes_matches_total_complex_sums(pair):
+def test_running_pairs_match_total_complex_sums(pair):
     sx, sy = pair
     d, pairs = numerators((*sx, *sy))
     rx, ry = running_pairs(pairs[:len(sx)]), running_pairs(pairs[len(sx):])
@@ -373,32 +387,33 @@ def test_prefix_outcomes_matches_total_complex_sums(pair):
     assert from_numerators(d, ry) == tuple(itertools.accumulate(sy))
     # tuple order on the running pairs is the total order of the sums
     got = [OrderOutcome((a > b) - (a < b)) for a, b in zip(rx, ry)]
-    assert got == _reference_outcomes(sx, sy)
-    fx = [z.to_float_backend() for z in sx]
-    fy = [z.to_float_backend() for z in sy]
-    assert prefix_outcomes(fx, fy) == _reference_outcomes(fx, fy)
+    want = total_complex_outcomes(sx, sy)
+    assert got == want
+    # The float images of the rationals: sums that tie in the rationals tie
+    # within the round-off band, and the others differ by at least 1/4096,
+    # far outside it, so the band reads the rationals' order exactly.
+    signs = band_signs(*cleared_pair([z.to_float_backend() for z in sx],
+                                     [z.to_float_backend() for z in sy]))
+    if OrderOutcome.GREATER in want:
+        want = want[:want.index(OrderOutcome.GREATER) + 1]
+    assert signs == [c.value for c in want]
 
 
 @settings(max_examples=100, deadline=None)
 @given(exact_prefix_pairs(), st.data())
-def test_prefix_outcomes_refuses_mixed_backends(pair, data):
+def test_majorize_check_refuses_mixed_backends(pair, data):
     sx, sy = pair
     v = data.draw(st.sampled_from([0, 1]))
     k = data.draw(st.integers(0, len(sx) - 1))
     mixed = [list(sx), list(sy)]
     mixed[v][k] = mixed[v][k].to_float_backend()
     with pytest.raises(BackendMismatch):
-        prefix_outcomes(*mixed)
+        majorize_check(*mixed)
     with pytest.raises(BackendMismatch):
-        prefix_outcomes(sx, [z.to_float_backend() for z in sy])
+        majorize_check(sx, [z.to_float_backend() for z in sy])
 
 
 # -- majorize_check: integer sort and sums against sort_desc and TotalComplex --
-
-
-def _reference_check(x, y):
-    """majorize_check on TotalComplex sorts and sums."""
-    return majorize_sorted(sort_desc(x), sort_desc(y))
 
 
 def _verdict_or_error(check, x, y):
@@ -448,7 +463,7 @@ def exact_unsorted_pairs(draw):
 @example((vec((0, 1)), vec(0)))
 def test_majorize_check_matches_total_complex_reference(pair):
     x, y = pair
-    assert majorize_check(x, y) is _reference_check(x, y)
+    assert majorize_check(x, y) is fraction_majorization(x, y)
 
 
 @settings(max_examples=100, deadline=None)
@@ -462,7 +477,7 @@ def test_majorize_check_errors_match_reference(pair, data):
     cases = [mixed, [x, [z.to_float_backend() for z in y]], [x, y[:-1]], [x[1:], y], [(), ()],
              [x, ()]]
     for a, b in cases:
-        want = _verdict_or_error(_reference_check, a, b)
+        want = _verdict_or_error(fraction_majorization, a, b)
         assert isinstance(want, tuple)
         assert _verdict_or_error(majorize_check, a, b) == want
 
@@ -486,13 +501,32 @@ def _reference_swap_steps(current, target):
     return swaps
 
 
+def _reference_eps_sorted(values):
+    """The order the float decomposition steps in: sort_desc, then each run
+    of real parts chained within eps by how many run members each value is
+    below under cmp_total."""
+    out, start = list(sort_desc(values)), 0
+    while start < len(out):
+        end = start + 1
+        while end < len(out) and out[end - 1].re - out[end].re <= DEFAULT_EPS:
+            end += 1
+        run = out[start:end]
+        out[start:end] = sorted(run, key=lambda v: sum(cmp_total(v, w) is OrderOutcome.LESS
+                                                       for w in run))
+        start = end
+    return out
+
+
 def _reference_decompose_trace(x, y):
-    """t_transform_decompose_trace on TotalComplex sorts and arithmetic."""
-    sx, sy = sort_desc(x), sort_desc(y)
-    verdict = majorize_sorted(sx, sy)
+    """t_transform_decompose_trace on TotalComplex sorts and arithmetic; a
+    float pair takes its verdict from the round-off band of majorize_check
+    and steps in the eps order."""
+    exact_pair = all(z.backend == EXACT for z in (*x, *y))
+    verdict = (fraction_majorization if exact_pair else majorize_check)(x, y)
     if verdict is not Majorization.STRICT:
         raise NotMajorized("decomposition requires strict majorization", verdict)
-    target, w = list(sx), list(sy)
+    sort = sort_desc if exact_pair else _reference_eps_sorted
+    target, w = list(sort(x)), list(sort(y))
     n = len(w)
     transforms, intermediates = [], []
     one = one_like(w[0])
@@ -511,7 +545,7 @@ def _reference_decompose_trace(x, y):
         step = TTransform(i, j, one - eps_step / (w[i] - w[j]))
         transforms.append(step)
         w = list(t_transform_apply(w, step))
-        resorted = list(sort_desc(w))
+        resorted = list(sort(w))
         transforms.extend(_reference_swap_steps(w, resorted))
         w = resorted
         intermediates.append(tuple(w))

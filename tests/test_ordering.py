@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,9 +25,10 @@ from snorder.errors import (
     NotWeaklyMajorized,
     SnorderError,
     SpectrumUnavailable,
+    VerdictAmbiguous,
 )
 from snorder.linalg import spectral_norm
-from snorder.majorization import Majorization, TTransform, majorize_sorted, t_transform_apply
+from snorder.majorization import Majorization, TTransform, t_transform_apply
 from snorder.matfunc import PolynomialFunction
 from snorder.ordering import (
     MajorizationCert,
@@ -45,7 +47,7 @@ from snorder.partitions import dominance_check
 from snorder.scalar import OrderOutcome, approx, cmp_total, sort_desc, zero_like
 from snorder.snrepr import compare_sno
 
-from matrix_oracles import block_diag
+from matrix_oracles import block_diag, fraction_majorization
 from test_acceptance import HP_TOL, ContractionViolated, hp_identities_check
 from test_schur import pairwise_monotonicity
 
@@ -402,7 +404,7 @@ def test_similarity_and_flip_identities():
 
 def _reference_preserving_check(f, x, y):
     sx, sy = sort_desc(x), sort_desc(y)
-    if majorize_sorted(sx, sy) is Majorization.NONE:
+    if fraction_majorization(sx, sy) is Majorization.NONE:
         raise NotWeaklyMajorized("x must be weakly majorized by y")
     points = sx + sy
     images = [f(v) for v in points]
@@ -655,16 +657,32 @@ def _certificate_corpus(count=2000, seed=24):
 
 @pytest.mark.parametrize("others", [[], [(2.0, (1,))]])
 def test_float_map_that_splits_tied_eigenvalues_certifies_nothing(others):
-    # X's eigenvalue 1 + 5e-10 ties Y's 1 under eps, and 1e6 z keeps them
-    # apart: with one block structure the pair is SN-equal, and with x's
-    # blocks below y's no case holds, as the direct verdict confirms.
+    # X's eigenvalue 1 + 5e-10 is within eps of Y's 1, yet 5e-10 is far more
+    # than the round-off of these spectra: with one block each the spectral
+    # level refuses at the prefix that reaches it.  With two blocks the next
+    # prefix holds the gap twice, above eps, so the spectra are incomparable.
+    # 1e6 z keeps the images apart, so the direct verdict is incomparable.
     f = PolynomialFunction((approx(0.0), approx(1e6)))
-    for bx, by, want in [((1,), (1,), NotSNOrdered), ((1, 1), (2,), None)]:
+    for bx, by, refused in [((1,), (1,), True), ((1, 1), (2,), False)]:
         rx = rep_of(*((approx(v), p) for v, p in others + [(1 + 5e-10, bx)]))
         ry = rep_of(*((approx(v), p) for v, p in others + [(1.0, by)]))
-        assert _outcome(monotonicity_certificate, f, rx, ry) == want
-        if want is None:
-            assert monotonicity_verify_direct(f, rx, ry) is SNOVerdict.INCOMPARABLE
+        if refused:
+            with pytest.raises(VerdictAmbiguous, match=f"^prefix {len(others) + 1} "):
+                monotonicity_certificate(f, rx, ry)
+        else:
+            assert _outcome(monotonicity_certificate, f, rx, ry) is NotSNOrdered
+        assert monotonicity_verify_direct(f, rx, ry) is SNOVerdict.INCOMPARABLE
+    # Y's 1 one ulp above X's ties it within the round-off band, so the pair
+    # reaches case II, where 1e12 z splits the two points by more than eps:
+    # Y's eigenvalue joins X's in the monotonicity test, and nothing is
+    # certified.  The direct verdict on images 2.2e-4 apart refuses.
+    f = PolynomialFunction((approx(0.0), approx(1e12)))
+    rx = rep_of(*((approx(v), p) for v, p in others + [(1.0, (1, 1))]))
+    ry = rep_of(*((approx(v), p) for v, p in others + [(math.nextafter(1.0, 2.0), (2,))]))
+    assert compare_sno(rx, ry) is SNOVerdict.STRICT_LESS
+    assert monotonicity_certificate(f, rx, ry) is None
+    with pytest.raises(VerdictAmbiguous, match=f"^prefix {len(others) + 1} "):
+        monotonicity_verify_direct(f, rx, ry)
 
 
 def test_certificate_corpus_digest_is_pinned():

@@ -1,15 +1,16 @@
 """Results must not depend on the order of the inputs.
 
-Every sort orders by the exact key (re, im), then settles float near-ties of
-real parts by cmp_total; the float tolerance otherwise only merges values and
-decides verdicts.  The float draws put values within a few times 0.4e-9 of
-each other, inside DEFAULT_EPS = 1e-9, where the tolerance comparison is not
-transitive and a comparator sort gives order-dependent output.  Where it is
-transitive on the drawn values, sorted output must agree with it.
+Every sort orders by the exact key (re, im), a total order on any values;
+the float tolerance only merges values and bounds verdicts, which refuse
+with VerdictAmbiguous inside their round-off band.  The float draws put
+values within a few times 0.4e-9 of each other, inside DEFAULT_EPS = 1e-9,
+where the tolerance comparison is not transitive and a comparator sort would
+give order-dependent output.  A verdict, or its refusal, must be the same in
+every order.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +30,7 @@ from snorder import (
     repr_of_fx,
     sort_desc,
 )
-from snorder.errors import BackendMismatch
+from snorder.errors import BackendMismatch, VerdictAmbiguous
 from snorder.scalar import EXACT, FLOAT
 from snorder.snrepr import merge_equal
 
@@ -69,15 +70,16 @@ def rep(blocks):
     return canonical_repr(JordanSpec.of(*blocks))
 
 
-def not_less(a, b):
-    return cmp_total(a, b) is not OrderOutcome.LESS
+def keys(values):
+    return [(z.re, z.im) for z in values]
 
 
-def is_weak_order(values):
-    """cmp_total is transitive on values: no near-tie cycle among them."""
-    return all(
-        not_less(a, c) for a, b, c in permutations(values, 3) if not_less(a, b) and not_less(b, c)
-    )
+def outcome(f, *args):
+    """f(*args), or the refusal it raises."""
+    try:
+        return f(*args)
+    except VerdictAmbiguous as err:
+        return type(err), str(err)
 
 
 @settings(max_examples=150, deadline=None)
@@ -89,17 +91,16 @@ def test_sort_desc_ignores_input_order(pairs):
 
 @settings(max_examples=150, deadline=None)
 @given(vector_pairs())
-def test_sort_desc_agrees_with_cmp_total_where_transitive(pairs):
-    x = pairs[0]
-    if is_weak_order(x):
-        assert all(not_less(a, b) for a, b in combinations(sort_desc(x), 2))
+def test_sort_desc_follows_the_exact_key(pairs):
+    out = keys(sort_desc(pairs[0]))
+    assert out == sorted(out, reverse=True)
 
 
 @settings(max_examples=150, deadline=None)
 @given(vector_pairs())
 def test_majorize_check_ignores_input_order(pairs):
     x, y, px, py = pairs
-    assert majorize_check(px, py) is majorize_check(x, y)
+    assert outcome(majorize_check, px, py) == outcome(majorize_check, x, y)
 
 
 @settings(max_examples=150, deadline=None)
@@ -114,17 +115,18 @@ def test_canonical_repr_ignores_block_order(pairs):
 @settings(max_examples=150, deadline=None)
 @given(spec_pairs())
 def test_canonical_repr_eigenvalues_strictly_decrease_where_transitive(pairs):
-    a = pairs[0]
-    eigs = rep(a).eigenvalues
-    if is_weak_order([lam for lam, _ in a]):
-        assert all(cmp_total(u, v) is OrderOutcome.GREATER for u, v in combinations(eigs, 2))
+    # on the exact key, wherever cmp_total is transitive and wherever not;
+    # merged neighbours do tie under cmp_total, so no two in a row do
+    eigs = rep(pairs[0]).eigenvalues
+    assert keys(eigs) == sorted(set(keys(eigs)), reverse=True)
+    assert all(cmp_total(u, v) is not OrderOutcome.EQUAL for u, v in zip(eigs, eigs[1:]))
 
 
 @settings(max_examples=100, deadline=None)
 @given(spec_pairs())
 def test_compare_sno_ignores_block_order(pairs):
     a, b, pa, pb = pairs
-    assert compare_sno(rep(pa), rep(pb)) is compare_sno(rep(a), rep(b))
+    assert outcome(compare_sno, rep(pa), rep(pb)) == outcome(compare_sno, rep(a), rep(b))
 
 
 @settings(max_examples=100, deadline=None)
@@ -147,13 +149,14 @@ def test_repr_from_matrix_refuses_mixed_backends_in_every_order():
                 repr_from_matrix(px, eigenvalues)
 
 
-# A float near-tie run whose count-based order depends on members that the
-# merge folds away: f(z) = 1e-9 z maps these eigenvalues to (0, 0),
-# (0, -1.2e-9), (-4e-10, 0), (-4e-10, 1e-16) and (-1.2e-9, 0).
+# A float near-tie run, chained within eps: f(z) = 1e-9 z maps these
+# eigenvalues to (0, 0), (0, -1.2e-9), (-4e-10, 0), (-4e-10, 1e-16) and
+# (-1.2e-9, 0).  On the exact key the last three follow (0, -1.2e-9), which
+# ties neither of them, and fold into a group headed by the largest.
 NEAR_TIE_EIGENVALUES = [approx(0.0, 0.0), approx(0.0, -1.2), approx(-0.4, 0.0),
                         approx(-0.4, 1e-7), approx(-1.2, 0.0)]
 NEAR_TIE_F = poly([0, 1e-9], FLOAT)
-FIXED_POINT = [(0.0, 0.0), (0.0, -1.2e-9), (-1.2e-9, 0.0)]
+FIXED_POINT = [(0.0, 0.0), (0.0, -1.2e-9), (-4.0000000000000007e-10, 1e-16)]
 
 
 def test_merge_equal_heads_are_a_fixed_point_of_sort_desc_in_every_order():
@@ -170,5 +173,5 @@ def test_repr_of_fx_merged_near_ties_strictly_decrease():
         out = repr_of_fx(NEAR_TIE_F, rep([(lam, (1,)) for lam in order]))[0]
         assert [(z.re, z.im) for z in out.eigenvalues] == FIXED_POINT
         assert sort_desc(out.eigenvalues) == out.eigenvalues
-        assert out.partitions == ((1, 1, 1), (1,), (1,))
+        assert out.partitions == ((1,), (1,), (1, 1, 1))
 

@@ -24,7 +24,9 @@ from snorder import (
 )
 from snorder.errors import BackendMismatch, DivisionByZero, OrderPreconditionFailed
 from snorder.linalg import rank_gaussian_int_rows
-from snorder.scalar import FLOAT, numerators, one_like, sort_desc_items, zero_like
+from snorder.scalar import (
+    FLOAT, dyadic_numerators, numerators, one_like, sort_desc_items, zero_like,
+)
 from snorder.snrepr import merge_equal
 
 GRID = [exact(a, b) for a in range(-2, 3) for b in range(-2, 3)]
@@ -203,12 +205,12 @@ def test_sort_desc_is_stable_and_ordered():
 
 
 @pytest.mark.parametrize("vals, expected", [
-    # real parts within eps read by im, not by the round-off of re
-    ([(1 + 5e-10, 0.0), (1.0, 3.0), (1.0, 0.0)], [(1.0, 3.0), (1 + 5e-10, 0.0), (1.0, 0.0)]),
+    # real parts within eps still sort by their exact values, then by im
+    ([(1 + 5e-10, 0.0), (1.0, 3.0), (1.0, 0.0)], [(1 + 5e-10, 0.0), (1.0, 3.0), (1.0, 0.0)]),
     # 1e-9 and -5e-10 are more than eps apart; 3e-10 is within eps of both
-    ([(1e-9, 10.0), (3e-10, 0.0), (-5e-10, 5.0)], [(1e-9, 10.0), (-5e-10, 5.0), (3e-10, 0.0)]),
+    ([(1e-9, 10.0), (3e-10, 0.0), (-5e-10, 5.0)], [(1e-9, 10.0), (3e-10, 0.0), (-5e-10, 5.0)]),
 ])
-def test_sort_desc_reads_real_near_ties_by_cmp_total(vals, expected):
+def test_sort_desc_orders_real_near_ties_on_the_exact_key(vals, expected):
     for perm in itertools.permutations(vals):
         out = sort_desc([approx(*v) for v in perm])
         assert [(z.re, z.im) for z in out] == expected
@@ -363,6 +365,24 @@ def test_exact_sorts_and_merges_follow_the_fraction_keys(values):
 
 def test_numerators_of_no_values():
     assert numerators([]) == (1, [])
+    assert dyadic_numerators([]) == (1, [])
+
+
+@given(st.lists(st.builds(approx, finite, finite), max_size=6), st.booleans())
+def test_dyadic_numerators_are_the_floats_over_their_largest_denominator(values, with_exact):
+    if with_exact:
+        values.insert(len(values) // 2, exact(1))
+    cleared = dyadic_numerators(values)
+    assert (cleared is None) == with_exact
+    if cleared is None:
+        return
+    d, pairs = cleared
+    dens = [Fraction(q).denominator for z in values for q in (z.re, z.im)]
+    assert d == max(dens, default=1) == math.lcm(*dens)
+    assert [(Fraction(re_, d), Fraction(im_, d)) for re_, im_ in pairs] == [
+        (Fraction(z.re), Fraction(z.im)) for z in values]
+    ranked = sorted(range(len(values)), key=pairs.__getitem__, reverse=True)
+    assert tuple(values[k] for k in ranked) == sort_desc(values)
 
 
 def test_only_scalar_clears_denominators():
