@@ -149,6 +149,17 @@ MUTANTS = (
     Mutant("dyadic-min-denominator", "src/snorder/scalar.py",
            "_cleared(values, float, max)", "_cleared(values, float, min)",
            ("tests/test_scalar_order.py",)),
+    # the float decomposition: x's exact surrogate and the replay of its betas
+    Mutant("surrogate-total-off-y", "src/snorder/majorization.py",
+           "    sums[-1] = ry[-1]\n", "", ("tests/test_majorization.py",)),
+    Mutant("surrogate-tie-ge-as-gt", "src/snorder/majorization.py",
+           "if a >= c else (a, b)", "if a > c else (a, b)", ("tests/test_majorization.py",)),
+    Mutant("surrogate-check-dropped", "src/snorder/majorization.py",
+           "    except NotMajorized:\n", "    except ZeroDivisionError:\n",
+           ("tests/test_majorization.py",)),
+    Mutant("replay-check-dropped", "src/snorder/majorization.py",
+           "if not all(cmp_total(a, b) is OrderOutcome.EQUAL for a, b in zip(replay, x)):",
+           "if False:", ("tests/test_majorization.py",)),
 )
 
 

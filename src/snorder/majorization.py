@@ -6,8 +6,9 @@ restricted to [0, 1].  The decomposition of a strict majorization into
 T-transform steps mirrors the classical Muirhead construction, working on
 non-increasingly sorted copies and re-sorting (via explicit swap steps)
 after every mixing step so that replaying the returned transforms on
-sort_desc(y) reproduces x exactly.  The matrix replaying a decomposition is
-built by column updates: each T-transform rewrites columns i and j only.
+sort_desc(y) reproduces x: exactly, or float x under cmp_total.  The matrix
+replaying a decomposition is built by column updates: each T-transform
+rewrites columns i and j only.
 
 Every prefix-sum verdict compares the :func:`running_pairs` of integer
 pairs, read by :func:`cleared_pair`.  Exact ones compare the pairs of both
@@ -17,9 +18,10 @@ verdict: exact :func:`majorize_check`, the decomposition, the ``ordering``
 certificate and the ``schur`` falsifier all call it.  Float ones read the
 floats' exact dyadic pairs through a round-off band (:func:`band_signs`).
 
-The exact decomposition, its GDS product, the replay and :func:`gds_check`
-run on those integer pairs too, over one denominator each; only each beta
-and each intermediate is built as a value.  Float input keeps its bits.
+The decomposition of both backends runs on those integer pairs too, a
+float pair on the exact surrogate of x that :func:`_snapped` builds; the
+exact GDS product, the replay and :func:`gds_check` do, over one denominator
+each.  Only each beta and each intermediate is built as a value.
 """
 
 from __future__ import annotations
@@ -28,14 +30,14 @@ import enum
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, count
-from operator import add, eq, gt, itemgetter, mul, sub
+from operator import add, gt, itemgetter, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import BackendMismatch, DimensionMismatch, NotMajorized, VerdictAmbiguous
 from .linalg import Matrix, gaussian_int_matmul
 from .scalar import (
     DEFAULT_EPS, EXACT, OrderOutcome, TotalComplex, Value, cmp_total, dyadic_numerators, exact,
-    from_numerators, numerators, one_like, set_field, sort_desc, zero_like,
+    from_numerators, numerators, one_like, order_key, set_field, zero_like,
 )
 
 
@@ -80,7 +82,10 @@ def band_signs(d: int, px: Sequence[tuple], py: Sequence[tuple]) -> list:
     tie handing over to the imaginary part up to min(rho, eps), and else
     uncertain: VerdictAmbiguous names the first such prefix.  A real tie is
     uncertain too at a prefix that holds one of two entries whose real parts
-    differ by round-off alone and not the other, of larger imaginary part."""
+    differ by round-off alone and not the other, of larger imaginary part.
+    A gap within rho ties even where the floats' own sums differ, so on
+    inputs whose sums are not exact the verdict is that of the reals the
+    floats round, and float decompositions inherit that reference."""
     eps = Fraction(DEFAULT_EPS)
     eps_den, eps_num = eps.denominator, eps.numerator * d  # |gap| > eps: |gap| eps_den > eps_num
     masses = running_pairs([(abs(a) + abs(c), abs(b) + abs(e)) for (a, b), (c, e) in zip(px, py)])
@@ -169,35 +174,15 @@ def t_transform_apply(v: Sequence[TotalComplex], t: TTransform) -> tuple:
     return tuple(out)
 
 
-def _eps_sorted(values) -> list:
-    """sort_desc, each run of real parts chained within eps by cmp_total losses."""
-    out = list(sort_desc(values))
-    cuts = [k for k in range(1, len(out)) if out[k - 1].re - out[k].re > DEFAULT_EPS]
-    for i, j in zip([0] + cuts, cuts + [len(out)]):
-        run = out[i:j]
-        if run[0].re != run[-1].re:  # else the exact key already orders it
-            out[i:j] = sorted(run, key=lambda v: sum(cmp_total(v, w) is OrderOutcome.LESS
-                                                     for w in run))
-    return out
-
-
-def _tied(a: TotalComplex, b: TotalComplex) -> bool:
-    return cmp_total(a, b) is OrderOutcome.EQUAL
-
-
-def _swap_steps(current: list, target: list, zero, same) -> list:
-    """Selection-sort style swap transforms (beta = zero) turning current into
-    target, which must be a rearrangement of it under the equality same."""
-    swaps = []
-    cur = list(current)
-    for pos in range(len(cur)):
-        if same(cur[pos], target[pos]):
-            continue
-        src = next((k for k in range(pos + 1, len(cur)) if same(cur[k], target[pos])), None)
-        if src is None:  # float near-ties: eps-equality is not transitive
-            raise NotMajorized("decomposition found no entry to swap into place", None)
-        swaps.append(TTransform(pos, src, zero))
-        cur[pos], cur[src] = cur[src], cur[pos]
+def _swap_steps(current: list, target: list) -> list:
+    """Selection-sort style swap transforms (beta = 0) turning current into
+    target, a rearrangement of it."""
+    swaps, cur, zero = [], list(current), exact(0)
+    for pos, want in enumerate(target):
+        if cur[pos] != want:
+            src = cur.index(want, pos + 1)
+            swaps.append(TTransform(pos, src, zero))
+            cur[pos], cur[src] = cur[src], cur[pos]
     return swaps
 
 
@@ -213,47 +198,46 @@ def t_transform_decompose_trace(x, y) -> tuple:
     sort_desc(y) yields x; intermediates are the working vectors after each
     mixing step (each still strictly majorizes x and is majorized by y).  A
     pair not strictly majorized raises NotMajorized carrying the verdict.
-    Exact pairs run on their numerator pairs (:func:`_int_decompose_trace`);
-    float ones mix TotalComplex values under cmp_total, and near-ties that
-    leave no pair to mix or entry to swap into place, or no convergence,
-    raise NotMajorized with verdict None.
+    Both backends run :func:`_int_decompose_trace`: exact pairs on their
+    numerator pairs, float ones, once the band reads them STRICT, on y's
+    dyadic pairs and the exact surrogate of x (:func:`_snapped`), its betas
+    and intermediates rounded once.  A float pair whose surrogate is not
+    exactly STRICT, or whose rounded betas replayed on sort_desc(y) do not
+    give x under cmp_total, raises NotMajorized with verdict None.
     """
     x, y = tuple(x), tuple(y)
     d, px, py = cleared_pair(x, y)
     if x[0].backend == EXACT:
         return _int_decompose_trace(d, px, py)
-    target, w = _eps_sorted(x), _eps_sorted(y)
     verdict = majorize_check(x, y)
     if verdict is not Majorization.STRICT:
         raise NotMajorized("decomposition requires strict majorization", verdict)
-    n = len(w)
-    transforms: list = []
-    intermediates: list = []
-    one, zero = one_like(w[0]), zero_like(w[0])
-    for _ in range(n * n + n + 1):
-        if all(_tied(a, b) for a, b in zip(w, target)):
-            break
-        i = max((k for k in range(n) if cmp_total(target[k], w[k]) is OrderOutcome.LESS),
-                default=-1)
-        j = min((k for k in range(i + 1, n)
-                 if cmp_total(target[k], w[k]) is OrderOutcome.GREATER), default=None)
-        if i < 0 or j is None:  # float near-ties can leave no pair to mix
-            raise NotMajorized("decomposition found no pair of entries to mix", None)
-        gap_i = w[i] - target[i]
-        gap_j = target[j] - w[j]
-        eps_step = gap_i if cmp_total(gap_i, gap_j) is not OrderOutcome.GREATER else gap_j
-        beta = one - eps_step / (w[i] - w[j])
-        step = TTransform(i, j, beta)
-        transforms.append(step)
-        w = list(t_transform_apply(w, step))
-        resorted = _eps_sorted(w)
-        transforms.extend(_swap_steps(w, resorted, zero, _tied))
-        w = resorted
-        intermediates.append(tuple(w))
-    else:
-        raise NotMajorized("decomposition failed to converge")
-    transforms.extend(_swap_steps(w, list(x), zero, _tied))
-    return transforms, intermediates
+    try:
+        steps, exact_w = _int_decompose_trace(d, _snapped(px, py), py)
+    except NotMajorized:
+        raise NotMajorized("the exact surrogate of x is not strictly majorized", None) from None
+    transforms = [TTransform(t.i, t.j, t.beta.to_float_backend()) for t in steps]
+    replay = reduce(t_transform_apply, transforms, sorted(y, key=order_key, reverse=True))
+    if not all(cmp_total(a, b) is OrderOutcome.EQUAL for a, b in zip(replay, x)):
+        raise NotMajorized("the rounded transforms do not replay to x", None)
+    return transforms, [tuple(z.to_float_backend() for z in w) for w in exact_w]
+
+
+def _snapped(px: list, py: list) -> list:
+    """The exact surrogate of float x, as pairs in x's order, for a pair the
+    band reads STRICT: each running sum of sorted px whose real part is at
+    or above that of sorted py goes onto py's real part, with the smaller of
+    the two imaginary parts, and the last onto py's total.  The band tied
+    each such gap, so the surrogate is x up to round-off."""
+    order = sorted(range(len(px)), key=px.__getitem__, reverse=True)
+    ry = running_pairs(sorted(py, reverse=True))
+    sums = [(c, min(b, e)) if a >= c else (a, b)
+            for (a, b), (c, e) in zip(running_pairs([px[k] for k in order]), ry)]
+    sums[-1] = ry[-1]
+    out = list(px)
+    for k, (a, b), (c, e) in zip(order, sums, [(0, 0)] + sums):
+        out[k] = (a - c, b - e)
+    return out
 
 
 def _int_decompose_trace(d: int, px: list, py: list) -> tuple:
@@ -264,7 +248,7 @@ def _int_decompose_trace(d: int, px: list, py: list) -> tuple:
     verdict, target, w = int_majorization(px, py)
     if verdict is not Majorization.STRICT:
         raise NotMajorized("decomposition requires strict majorization", verdict)
-    n, zero = len(w), exact(0)
+    n = len(w)
     transforms: list = []
     intermediates: list = []
     for _ in range(n * n + n + 1):
@@ -282,12 +266,12 @@ def _int_decompose_trace(d: int, px: list, py: list) -> tuple:
         transforms.append(TTransform(i, j, beta))
         w[i], w[j] = (wir - er, wii - ei), (wjr + er, wji + ei)
         resorted = sorted(w, reverse=True)
-        transforms.extend(_swap_steps(w, resorted, zero, eq))
+        transforms.extend(_swap_steps(w, resorted))
         w = resorted
         intermediates.append(from_numerators(d, w))
     else:
         raise NotMajorized("decomposition failed to converge")
-    transforms.extend(_swap_steps(w, px, zero, eq))
+    transforms.extend(_swap_steps(w, px))
     return transforms, intermediates
 
 

@@ -3,11 +3,11 @@
 Float verdicts sum the floats exactly, as dyadic integer pairs, and compare
 each prefix with a band: a gap above max(rho, eps) is certain, one at most
 min(rho, eps) is a tie, and one in between refuses with VerdictAmbiguous.
-The edges are pinned here, and three differential properties check that a
-float verdict is the exact verdict on the same values (Fraction of each
-float), or a refusal.  Their draws are dyadic: values k/4 off by multiples
-of 2^-31 (about 0.47e-9, so within eps up to two steps), which every float
-and every sum of a few of them holds exactly.
+The edges are pinned here, and differential properties check that a float
+verdict, or decomposition, is the exact one on the same values (Fraction of
+each float), rounded, or a refusal.  Their draws are dyadic: values k/4 off
+by multiples of 2^-31 (about 0.47e-9, so within eps up to two steps), which
+every float and every sum of a few of them holds exactly.
 """
 
 import math
@@ -18,7 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from snorder import JordanSpec, Majorization, approx, canonical_repr, compare_sno, exact, poly
 from snorder.errors import NotWeaklyMajorized, VerdictAmbiguous
-from snorder.majorization import majorize_check
+from snorder.majorization import TTransform, majorize_check, t_transform_apply, \
+    t_transform_decompose_trace
 from snorder.ordering import majorization_preserving_check
 from snorder.scalar import DEFAULT_EPS, FLOAT
 from snorder.snrepr import SNRepresentation
@@ -176,3 +177,42 @@ def test_float_preserving_check_is_exact_or_refuses(n, data):
                      [approx(float(v)) for v in y])
     assert got is VerdictAmbiguous or got == refusal_or(
         majorization_preserving_check, f_exact, [exact(v) for v in x], [exact(v) for v in y])
+
+
+@st.composite
+def near_strict_pairs(draw):
+    """x and y of one length: x is y after T-transforms with beta in {0,
+    1/4, 1/2, 3/4, 1}, which keep every value exact, then often two of its
+    entries nudged apart by m 2^-31, which keeps the total; both shuffled."""
+    n = draw(st.integers(2, 5))
+    y = draw(st.lists(near(), min_size=n, max_size=n))
+    x = y
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, n - 2))
+        j = draw(st.integers(i + 1, n - 1))
+        x = t_transform_apply(x, TTransform(i, j, approx(draw(st.integers(0, 4)) / 4)))
+    x = list(x)
+    if draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        m = (draw(_OFFSET) * STEP, draw(_OFFSET) * STEP)
+        x[i] = approx(x[i].re + m[0], x[i].im + m[1])
+        x[j] = approx(x[j].re - m[0], x[j].im - m[1])
+    return draw(st.permutations(x)), draw(st.permutations(y))
+
+
+def rounded(trace):
+    """An exact decomposition with its betas and intermediates as floats."""
+    transforms, intermediates = trace
+    return ([TTransform(t.i, t.j, t.beta.to_float_backend()) for t in transforms],
+            [tuple(z.to_float_backend() for z in w) for w in intermediates])
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_strict_pairs())
+def test_float_decomposition_is_the_rounded_exact_one_or_refuses(pair):
+    x, y = pair
+    ex, ey = [as_exact(z) for z in x], [as_exact(z) for z in y]
+    if majorize_check(ex, ey) is not Majorization.STRICT:
+        return
+    got = refusal_or(t_transform_decompose_trace, x, y)
+    assert got is VerdictAmbiguous or got == rounded(t_transform_decompose_trace(ex, ey))

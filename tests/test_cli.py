@@ -91,17 +91,19 @@ DECOMPOSE_CASES = {
         {
             "all_beta_convex": False,
             "gds": {"rows": [
-                [sc(0.23590513068731844, 0.013678606001936142), sc(0.2825, -0.2725),
-                 sc(0.4815948693126816, 0.25882139399806386)],
-                [sc(0.057763794772507246, -0.10614714424007742), sc(0.7175, 0.2725),
-                 sc(0.2247362052274927, -0.1663528557599226)],
-                [sc(0.7063310745401743, 0.09246853823814127), sc(0.0, 0.0),
-                 sc(0.2936689254598257, -0.09246853823814127)],
+                [sc(0.23590513068731855, 0.013678606001936086),
+                 sc(0.28249999999999986, -0.27249999999999996),
+                 sc(0.48159486931268153, 0.2588213939980639)],
+                [sc(0.05776379477250723, -0.10614714424007744),
+                 sc(0.7175000000000001, 0.27249999999999996),
+                 sc(0.2247362052274926, -0.16635285575992254)],
+                [sc(0.7063310745401742, 0.09246853823814136), sc(0.0, 0.0),
+                 sc(0.2936689254598258, -0.09246853823814136)],
             ]},
             "gds_valid": True,
             "transforms": [
-                {"i": 1, "j": 2, "beta": sc(0.7175, 0.2725)},
-                {"i": 1, "j": 3, "beta": sc(0.7063310745401743, 0.09246853823814127)},
+                {"i": 1, "j": 2, "beta": sc(0.7175000000000001, 0.27249999999999996)},
+                {"i": 1, "j": 3, "beta": sc(0.7063310745401742, 0.09246853823814136)},
                 {"i": 1, "j": 3, "beta": sc(0.0, 0.0)},
             ],
             "verdict": "strict",
@@ -132,6 +134,15 @@ def test_float_decompose_with_no_step_prints_a_float_identity(tmp_path, capsys):
         {"rows": [[one, zero], [zero, one]]}, sort_keys=True)
 
 
+def test_float_decompose_swaps_entries_tied_within_eps(tmp_path, capsys):
+    # sort_desc(y) = [1, 0.9999999995 + i] is not x: one swap step.
+    x = write(tmp_path, "x.json", [sc(0.9999999995, 1.0), sc(1.0, 0.0)])
+    y = write(tmp_path, "y.json", [sc(1.0, 0.0), sc(0.9999999995, 1.0)])
+    code, out = run(capsys, ["--backend", "float", "majorize", x, y, "--decompose"])
+    assert (code, out["gds_valid"]) == (0, True)
+    assert out["transforms"] == [{"i": 1, "j": 2, "beta": sc(0.0, 0.0)}]
+
+
 # `majorize --decompose` on a pair that is not strictly majorized prints the
 # verdict alone, as `majorize` does.
 REFUSED_CASES = {
@@ -150,23 +161,23 @@ def test_majorize_decompose_reports_a_refused_pair(tmp_path, capsys, backend, ve
     assert capsys.readouterr().out == json.dumps({"verdict": verdict}, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("xs, ys, sorts", [
-    ([2.0, 2.0], [3.0, 1.0], 3),  # strict: one mixing step re-sorts once
-    ([1.0, 0.0], [3.0, 1.0], 2),
-    ([5.0, 0.0], [3.0, 1.0], 2),
+@pytest.mark.parametrize("xs, ys", [
+    ([2.0, 2.0], [3.0, 1.0]),  # strict: one mixing step
+    ([1.0, 0.0], [3.0, 1.0]),
+    ([5.0, 0.0], [3.0, 1.0]),
 ])
-def test_majorize_decompose_sorts_each_vector_once(tmp_path, capsys, monkeypatch, xs, ys, sorts):
-    from snorder import majorization
+def test_majorize_decompose_sorts_each_vector_once(tmp_path, capsys, monkeypatch, xs, ys):
+    # Both backends sort the vectors' integer pairs instead, and make no
+    # TotalComplex sort: every sort_desc goes through sort_desc_items.
+    from snorder import scalar
     x = write(tmp_path, "x.json", [sc(v, 0.0) for v in xs])
     y = write(tmp_path, "y.json", [sc(v, 0.0) for v in ys])
     calls = []
-    sort_desc = majorization.sort_desc
-    monkeypatch.setattr(majorization, "sort_desc", lambda v: calls.append(v) or sort_desc(v))
+    sort_items = scalar.sort_desc_items
+    monkeypatch.setattr(scalar, "sort_desc_items", lambda v: calls.append(v) or sort_items(v))
     assert main(["--backend", "float", "majorize", x, y, "--decompose"]) == 0
     capsys.readouterr()
-    assert len(calls) == sorts
-    # The exact backend sorts the vectors' integer numerators instead.
-    calls.clear()
+    assert calls == []
     x = write(tmp_path, "x.json", [sc(str(int(v))) for v in xs])
     y = write(tmp_path, "y.json", [sc(str(int(v))) for v in ys])
     assert main(["majorize", x, y, "--decompose"]) == 0
