@@ -298,8 +298,8 @@ def test_float_decompose_snaps_round_off_gaps_onto_y(xs, ys, swaps):
 
 
 @pytest.mark.parametrize("xs, ys, reason", [
-    # A tied real prefix moves the third entry's imaginary part down by
-    # round-off, below the second's: sorted again, the surrogate is NONE.
+    # Snapped onto y's total, the last entry's real part gains round-off
+    # and sorts first: its first prefix passes y's, so the surrogate is NONE.
     ([(0.7, 0.5234375), (0.7, 0.65625), (0.7, 0.5703125)],
      [(0.7000000000000001, 0.5), (0.7, 0.5), (0.7000000000000001, 0.75)], "surrogate"),
     # The surrogate decomposes, but its rounded betas miss x by more than eps.
@@ -437,8 +437,8 @@ def test_decompose_sorts_each_input_once(monkeypatch):
     x, y = (approx(2.0), approx(2.0)), (approx(1.0), approx(3.0))
     _, intermediates = t_transform_decompose_trace(x, y)
     assert len(intermediates) == 1
-    # The float pair sorts its integer pairs, once each, and y for the
-    # replay on its exact key: no TotalComplex sort.
+    # The float pair sorts integer pairs, and y for the replay on its exact
+    # key: no sort_desc.
     assert calls == []
 
 
@@ -581,8 +581,8 @@ def _reference_swap_steps(current, target):
     for pos in range(len(cur)):
         if cmp_total(cur[pos], target[pos]) is OrderOutcome.EQUAL:
             continue
-        src = next((k for k in range(pos + 1, len(cur))
-                    if cmp_total(cur[k], target[pos]) is OrderOutcome.EQUAL), None)
+        src = next(k for k in range(pos + 1, len(cur))
+                   if cmp_total(cur[k], target[pos]) is OrderOutcome.EQUAL)
         swaps.append(TTransform(pos, src, zero))
         cur[pos], cur[src] = cur[src], cur[pos]
     return swaps
