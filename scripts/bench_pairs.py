@@ -10,7 +10,8 @@ parent run and one HEAD run, with the side that runs first alternating from
 pair to pair.  ``run.py`` pins itself and its children to one CPU; this
 script pins nothing and changes no setting of the machine.
 
-Prints, per workload and end-to-end metric of BENCHMARK.json: both medians,
+Prints the line count of src/snorder/*.py in both exports, and, per
+workload and end-to-end metric of BENCHMARK.json: both medians,
 the parent's interquartile range (IQR), HEAD's wins out of the pairs (ties
 count for neither side), whether HEAD's median is better than the parent's
 by more than that IQR, and whether it is worse by more than the metric's
@@ -45,6 +46,11 @@ def export(rev: str, dest: Path) -> str:
     subprocess.run(["tar", "-x", "-f", str(tar), "-C", str(dest)], check=True)
     tar.unlink()
     return commit
+
+
+def src_lines(tree: Path) -> int:
+    """The lines of src/snorder/*.py in tree, as wc -l counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "snorder").glob("*.py"))
 
 
 def parse(line: str):
@@ -123,6 +129,7 @@ def main(argv=None) -> int:
         trees = {side: Path(tmp) / side for side in ("parent", "head")}
         commits = {"parent": export(args.parent, trees["parent"]),
                    "head": export("HEAD", trees["head"])}
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
         benchmark = json.loads((trees["head"] / "BENCHMARK.json").read_text())
         workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
         runs = []
@@ -159,6 +166,7 @@ def main(argv=None) -> int:
 
     print(f"parent {commits['parent'][:12]}  HEAD {commits['head'][:12]}  "
           f"{args.pairs} pairs of {args.seconds} s, seed {args.seed}")
+    print(f"src/snorder/*.py lines: parent {lines['parent']}  HEAD {lines['head']}")
     for workload, metrics in summary.items():
         for name, s in metrics.items():
             print(f"{workload:14} {name:15} parent {s['parent_median']:11.5g} "
@@ -173,7 +181,7 @@ def main(argv=None) -> int:
         print(f"problem: {problem}")
     out.write_text(json.dumps({
         "parent": commits["parent"], "head": commits["head"], "pairs": args.pairs,
-        "seconds": args.seconds, "seed": args.seed, "summary": summary,
+        "seconds": args.seconds, "seed": args.seed, "src_lines": lines, "summary": summary,
         "problems": problems, "runs": runs}, indent=1) + "\n")
     print(f"wrote {out}")
     return 1 if problems else 0

@@ -112,6 +112,27 @@ MUTANTS = (
            "for i in range(deg):", "for i in range(deg - 1):", ("tests/test_matfunc.py",)),
     Mutant("f-of-jordan-pad-eigenvalue-backend", "src/snorder/matfunc.py",
            "zero_like(heads[0][0][0])", "zero_like(spec[0][0])", ("tests/test_matfunc.py",)),
+    # kappa, the one routine that finds a Taylor order, and its callers
+    Mutant("kappa-pair-real-part-only", "src/snorder/matfunc.py",
+           "if pairs[q] != (0, 0)), None)", "if pairs[q][0] != 0), None)",
+           ("tests/test_matfunc.py",)),
+    Mutant("kappa-scan-from-two", "src/snorder/matfunc.py",
+           "range(1, min(len(pairs), highest + 1))", "range(2, min(len(pairs), highest + 1))",
+           ("tests/test_matfunc.py",)),
+    Mutant("kappa-exact-highest-exclusive", "src/snorder/matfunc.py",
+           "min(len(pairs), highest + 1)", "min(len(pairs), highest)", ("tests/test_matfunc.py",)),
+    Mutant("kappa-float-highest-exclusive", "src/snorder/matfunc.py",
+           "for q in range(1, highest + 1)", "for q in range(1, highest)",
+           ("tests/test_matfunc.py",)),
+    Mutant("kappa-float-cut-on-the-coefficient", "src/snorder/matfunc.py",
+           "abs(t[q].to_complex()) * math.factorial(q) > DERIVATIVE_EPS",
+           "abs(t[q].to_complex()) > DERIVATIVE_EPS", ("tests/test_matfunc.py",)),
+    Mutant("eta-locally-constant-as-kappa-one", "src/snorder/matfunc.py",
+           "return (1,) * sum(sizes)", "return sizes", ("tests/test_matfunc.py",)),
+    Mutant("repr-of-fx-kappa-read-to-order-one", "src/snorder/matfunc.py",
+           "eta_given_kappa(part, kappa(f, lam, max(part)))",
+           "eta_given_kappa(part, kappa(f, lam, 1))",
+           ("tests/test_matfunc.py",)),
     # the Ostrowski bounds of the cases with a negative imaginary difference
     Mutant("ostrowski-case-2-c3-for-c2", "src/snorder/schur.py",
            "box.c2 * d_im <= _SIGN_TOL", "box.c3 * d_im <= _SIGN_TOL", ("tests/test_schur.py",)),

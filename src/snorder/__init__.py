@@ -21,8 +21,8 @@ _EXPORTS = {
     "majorization": ("Majorization", "TTransform", "gds_check", "gds_from_transforms",
                      "majorize_check", "t_transform_apply", "t_transform_decompose"),
     "matfunc": ("OracleFunction", "PolynomialFunction", "derivative_order_kappa", "eta",
-                "f_jordan_block", "gdod_f_g", "gdod_two_blocks", "named_oracle", "poly",
-                "repr_of_fx", "split_block"),
+                "f_jordan_block", "gdod_f_g", "gdod_two_blocks", "kappa", "named_oracle",
+                "poly", "repr_of_fx", "split_block"),
     "partitions": ("dominance_check", "gdod", "gdod_vector", "merge_desc"),
     "scalar": ("OrderOutcome", "TotalComplex", "approx", "cmp_total", "div_preserves_order",
                "exact", "mul_preserves_order", "product_nonneg", "recip_cmp", "sort_desc"),

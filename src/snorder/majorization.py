@@ -21,7 +21,8 @@ floats' exact dyadic pairs through a round-off band (:func:`band_signs`).
 The decomposition of both backends runs on those integer pairs too, a
 float pair on the exact surrogate of x that :func:`_snapped` builds; the
 exact GDS product, the replay and :func:`gds_check` do, over one denominator
-each.  Only each beta and each intermediate is built as a value.
+each.  Only each beta and each intermediate is built as a value, a float
+one by integer true division, with no Fraction.
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ import enum
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, count
-from operator import add, gt, itemgetter, mul, sub
+from operator import add, gt, itemgetter, mul, sub, truediv
 from typing import Iterable, Sequence
 
 from .errors import BackendMismatch, DimensionMismatch, NotMajorized, VerdictAmbiguous
 from .linalg import Matrix, gaussian_int_matmul
 from .scalar import (
-    DEFAULT_EPS, EXACT, OrderOutcome, TotalComplex, Value, cmp_total, dyadic_numerators, exact,
+    DEFAULT_EPS, EXACT, OrderOutcome, TotalComplex, Value, cmp_total, dyadic_numerators,
     from_numerators, numerators, one_like, order_key, set_field, zero_like,
 )
 
@@ -137,6 +138,11 @@ def majorize_check(x: Sequence[TotalComplex], y: Sequence[TotalComplex]) -> Majo
     d, px, py = cleared_pair(x, y)
     if x[0].backend == EXACT:
         return int_majorization(px, py)[0]
+    return _band_verdict(d, px, py)
+
+
+def _band_verdict(d: int, px: list, py: list) -> Majorization:
+    """The float verdict of majorize_check on the dyadic pairs of x and y."""
     signs = band_signs(d, sorted(px, reverse=True), sorted(py, reverse=True))
     return _verdict(1 in signs, signs[-1] == 0)
 
@@ -174,10 +180,10 @@ def t_transform_apply(v: Sequence[TotalComplex], t: TTransform) -> tuple:
     return tuple(out)
 
 
-def _swap_steps(current: list, target: list) -> list:
-    """Selection-sort style swap transforms (beta = 0) turning current into
-    target, a rearrangement of it."""
-    swaps, cur, zero = [], list(current), exact(0)
+def _swap_steps(current: list, target: list, zero: TotalComplex) -> list:
+    """Selection-sort style swap transforms (beta = zero) turning current
+    into target, a rearrangement of it."""
+    swaps, cur = [], list(current)
     for pos, want in enumerate(target):
         if cur[pos] != want:
             src = cur.index(want, pos + 1)
@@ -198,29 +204,29 @@ def t_transform_decompose_trace(x, y) -> tuple:
     sort_desc(y) yields x; intermediates are the working vectors after each
     mixing step (each still strictly majorizes x and is majorized by y).  A
     pair not strictly majorized raises NotMajorized carrying the verdict.
-    Both backends run :func:`_int_decompose_trace`: exact pairs on their
-    numerator pairs, float ones, once the band reads them STRICT, on y's
-    dyadic pairs and the exact surrogate of x (:func:`_snapped`), its betas
-    and intermediates rounded once.  A float pair whose surrogate is not
-    exactly STRICT, or whose rounded betas replayed on sort_desc(y) do not
-    give x under cmp_total, raises NotMajorized with verdict None.
+    Both backends run :func:`_int_decompose_trace` on the one clearing of
+    the pair: exact pairs on their numerator pairs, float ones, once the
+    band reads them STRICT, on y's dyadic pairs and the exact surrogate of x
+    (:func:`_snapped`), its betas and intermediates rounded once.  A float
+    pair whose surrogate is not exactly STRICT, or whose rounded betas
+    replayed on sort_desc(y) do not give x under cmp_total, raises
+    NotMajorized with verdict None.
     """
     x, y = tuple(x), tuple(y)
     d, px, py = cleared_pair(x, y)
     if x[0].backend == EXACT:
-        return _int_decompose_trace(d, px, py)
-    verdict = majorize_check(x, y)
+        return _int_decompose_trace(d, px, py, Fraction)
+    verdict = _band_verdict(d, px, py)
     if verdict is not Majorization.STRICT:
         raise NotMajorized("decomposition requires strict majorization", verdict)
     try:
-        steps, exact_w = _int_decompose_trace(d, _snapped(px, py), py)
+        transforms, intermediates = _int_decompose_trace(d, _snapped(px, py), py, truediv)
     except NotMajorized:
         raise NotMajorized("the exact surrogate of x is not strictly majorized", None) from None
-    transforms = [TTransform(t.i, t.j, t.beta.to_float_backend()) for t in steps]
     replay = reduce(t_transform_apply, transforms, sorted(y, key=order_key, reverse=True))
     if not all(cmp_total(a, b) is OrderOutcome.EQUAL for a, b in zip(replay, x)):
         raise NotMajorized("the rounded transforms do not replay to x", None)
-    return transforms, [tuple(z.to_float_backend() for z in w) for w in exact_w]
+    return transforms, intermediates
 
 
 def _snapped(px: list, py: list) -> list:
@@ -240,15 +246,18 @@ def _snapped(px: list, py: list) -> list:
     return out
 
 
-def _int_decompose_trace(d: int, px: list, py: list) -> tuple:
+def _int_decompose_trace(d: int, px: list, py: list, ratio) -> tuple:
     """t_transform_decompose_trace on the numerator pairs px and py of x and
     y over d, sorted as tuples.  With beta = 1 - eps / (w_i - w_j) a mixing
     step maps w_i to w_i - eps and w_j to w_j + eps, so w stays integer over
-    d.  For a strict pair the loop always finds i and j, and w_i != w_j."""
+    d.  For a strict pair the loop always finds i and j, and w_i != w_j.
+    Each part of a beta or an intermediate is ratio(numerator, denominator):
+    Fraction for exact values, int true division (one correct rounding, as
+    float(Fraction) rounds) for float ones."""
     verdict, target, w = int_majorization(px, py)
     if verdict is not Majorization.STRICT:
         raise NotMajorized("decomposition requires strict majorization", verdict)
-    n = len(w)
+    n, zero = len(w), TotalComplex(ratio(0, 1), ratio(0, 1))
     transforms: list = []
     intermediates: list = []
     for _ in range(n * n + n + 1):
@@ -261,17 +270,16 @@ def _int_decompose_trace(d: int, px: list, py: list) -> tuple:
                      (target[j][0] - wjr, target[j][1] - wji))
         dr, di = wir - wjr, wii - wji
         rho = dr * dr + di * di
-        beta = TotalComplex(Fraction(rho - er * dr - ei * di, rho),
-                            Fraction(er * di - ei * dr, rho))
+        beta = TotalComplex(ratio(rho - er * dr - ei * di, rho), ratio(er * di - ei * dr, rho))
         transforms.append(TTransform(i, j, beta))
         w[i], w[j] = (wir - er, wii - ei), (wjr + er, wji + ei)
         resorted = sorted(w, reverse=True)
-        transforms.extend(_swap_steps(w, resorted))
+        transforms.extend(_swap_steps(w, resorted, zero))
         w = resorted
-        intermediates.append(from_numerators(d, w))
+        intermediates.append(tuple(TotalComplex(ratio(a, d), ratio(b, d)) for a, b in w))
     else:
         raise NotMajorized("decomposition failed to converge")
-    transforms.extend(_swap_steps(w, px))
+    transforms.extend(_swap_steps(w, px, zero))
     return transforms, intermediates
 
 

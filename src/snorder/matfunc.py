@@ -5,21 +5,21 @@ coefficients f^(q)(lambda)/q!, which `taylor` returns for all q at once
 (a Taylor shift of the coefficients for polynomials, the derivative
 oracle for analytic functions).  At an exact point a bounded memo,
 :func:`_expansion`, holds per (f, lambda) the whole shift, computed once,
-both as the integer pairs the shift computes and as values, in tuples no
-reader can change; every order slices it, exact f(J) blocks and
-repr_of_fx's f(lambda), kappa and grouping read the integers, and f(J) holds
-no Fraction entry.  `PolynomialFunction.exact_images` evaluates f at many
-exact points at once, outside the memo, for the order certificates.
-Evaluating f on a Jordan block J_n(lambda) gives the upper triangular
-Toeplitz matrix whose q-th superdiagonal is the q-th coefficient, and the
-block structure of f(X) depends only on kappa, the
-first q >= 1 whose coefficient is nonzero: every block of size n splits
-into kappa nearly-equal pieces (ceil(n/kappa) and floor(n/kappa)).  This
-module provides the split in closed form, the per-eigenvalue refinement,
-the representation-level map f(X) together with the prefix-sum gap
-vectors it induces, the gaps between the partitions of two such maps
-(gdod_f_g), and the explicit f(J) that structure recovery checks it
-against, laid out by :func:`linalg.toeplitz_rows` from one first row per
+as the integer pairs the shift computes, with f(lambda) as a value, in
+tuples no reader can change; exact f(J) blocks and repr_of_fx's kappa and
+grouping read the integers, and f(J) holds no Fraction entry.
+`PolynomialFunction.exact_images` evaluates f at many exact points at once,
+outside the memo, for the order certificates.  Evaluating f on a Jordan
+block J_n(lambda) gives the upper triangular Toeplitz matrix whose q-th
+superdiagonal is the q-th coefficient, and the block structure of f(X)
+depends only on kappa, the first q >= 1 whose coefficient is nonzero:
+every block of size n splits into kappa nearly-equal pieces (ceil(n/kappa)
+and floor(n/kappa)).  :func:`kappa` is the one routine that finds it.
+This module provides the split in closed form, the per-eigenvalue
+refinement, the representation-level map f(X) together with the
+prefix-sum gap vectors it induces, the gaps between the partitions of two
+such maps (gdod_f_g), and the explicit f(J) that structure recovery checks
+it against, laid out by :func:`linalg.toeplitz_rows` from one first row per
 eigenvalue.
 """
 
@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import IncomparableNilpotent, KappaNotFound, OutsideAnalyticityRadius
 from .linalg import Matrix, toeplitz_rows
@@ -85,11 +85,13 @@ class PolynomialFunction(Value):
 
     def taylor(self, lam: TotalComplex, n: int) -> list:
         """f^(q)(lam)/q! for q < n, as a fresh list; zero past the degree.  At
-        exact points they are sliced from the expansion that
-        :func:`_expansion` holds for (f, lam); so f(lam), eta and f(J_n(lam))
-        share one expansion.  Float points shift afresh, every call."""
+        exact points they are built from the pairs of the expansion that
+        :func:`_expansion` holds for (f, lam); so f(lam), kappa and
+        f(J_n(lam)) share one expansion.  Float points shift afresh, every
+        call."""
         if lam.backend == EXACT:
-            out = list(_expansion(self, lam)[2][:n])
+            den, pairs, _ = _expansion(self, lam)
+            out = list(from_numerators(den, pairs[:n]))
         else:
             out = [TotalComplex(a, b) for a, b in self._shift(lam)[1][:n]]
         if n > len(out):
@@ -141,7 +143,7 @@ class PolynomialFunction(Value):
     def __call__(self, lam: TotalComplex) -> TotalComplex:
         """f(lam): the :func:`_expansion` memo's, or one Horner pass at floats."""
         if lam.backend == EXACT:
-            return _expansion(self, lam)[2][0]
+            return _expansion(self, lam)[2]
         floats = [(float(c.re), float(c.im)) for c in self.coefficients]
         return TotalComplex(*_horner(floats, lam.re, lam.im))
 
@@ -167,11 +169,11 @@ def _horner(coefficients: Sequence[tuple], lr, li) -> tuple:
 
 @lru_cache(maxsize=_SHIFT_MEMO_SIZE)
 def _expansion(f: PolynomialFunction, lam: TotalComplex) -> tuple:
-    """(den, pairs, values): the whole Taylor shift of f to the exact point
-    lam, as integer pairs over den and as values, both tuples.  The memo
-    keys on exact values (TotalComplex.__eq__ compares backends too)."""
+    """(den, pairs, f(lam)): the whole Taylor shift of f to the exact point
+    lam, as a tuple of integer pairs over den, and its head as a value.  The
+    memo keys on exact values (TotalComplex.__eq__ compares backends too)."""
     den, pairs = f._shift(lam)
-    return den, tuple(pairs), from_numerators(den, pairs)
+    return den, tuple(pairs), from_numerators(den, pairs[:1])[0]
 
 
 class OracleFunction(Value):
@@ -240,36 +242,26 @@ def named_oracle(name: str) -> OracleFunction:
     return OracleFunction(name, fn)
 
 
-def f_jordan_block(f: FunctionDescriptor, lam: TotalComplex, n: int) -> Matrix:
-    """f(J_n(lambda)): upper triangular Toeplitz with f^(q)(lam)/q! on the
-    q-th superdiagonal."""
-    t = f.taylor(lam, n)
-    return Matrix.from_rows(toeplitz_rows([(t, (n,))], zero_like(t[0])))
-
-
-def _kappa(t: list) -> int:
-    """First q >= 1 with a nonvanishing Taylor coefficient t[q].
-
-    Exact values test for exact zero; float values use
-    |f^(q)(lam)| = q! |t[q]| > DERIVATIVE_EPS."""
-    for q in range(1, len(t)):
-        v = t[q]
-        if v.backend == EXACT:
-            nonzero = not v.is_zero()
-        else:
-            nonzero = abs(v.to_complex()) * math.factorial(q) > DERIVATIVE_EPS
-        if nonzero:
-            return q
-    raise KappaNotFound(f"no nonvanishing derivative up to order {len(t) - 1}")
+def kappa(f: FunctionDescriptor, lam: TotalComplex, highest: int) -> Optional[int]:
+    """The first order q in 1..highest with f^(q)(lam) != 0, or None when
+    there is none (f locally constant as far as blocks of size highest see).
+    An exact point of a polynomial reads the first nonzero integer pair of
+    its held expansion (zero past the degree); any other point tests
+    taylor's values, |f^(q)(lam)| = q! |t[q]| > DERIVATIVE_EPS."""
+    if isinstance(f, PolynomialFunction) and lam.backend == EXACT:
+        pairs = _expansion(f, lam)[1]
+        return next((q for q in range(1, min(len(pairs), highest + 1)) if pairs[q] != (0, 0)), None)
+    t = f.taylor(lam, highest + 1)
+    return next((q for q in range(1, highest + 1)
+                 if abs(t[q].to_complex()) * math.factorial(q) > DERIVATIVE_EPS), None)
 
 
 def derivative_order_kappa(f: FunctionDescriptor, lam: TotalComplex, highest: int) -> int:
-    """Smallest order >= 1 with a nonvanishing derivative at lam.
-
-    Raises KappaNotFound past order `highest` (f locally constant as far as
-    the block sizes can see).
-    """
-    return _kappa(f.taylor(lam, highest + 1))
+    """:func:`kappa`, raising KappaNotFound past order `highest`."""
+    k = kappa(f, lam, highest)
+    if k is None:
+        raise KappaNotFound(f"no nonvanishing derivative up to order {highest}")
+    return k
 
 
 def split_block(n: int, kappa: int) -> tuple:
@@ -330,26 +322,19 @@ def gdod_two_blocks(n1: int, n2: int, kappa: int, j: int) -> int:
             - ell2 * c2 - (j - kappa - ell2) * (c2 - 1))
 
 
-def _image(f: FunctionDescriptor, lam: TotalComplex, sizes: Partition) -> tuple:
-    """(f(lam), eta) from one Taylor expansion of f at lam; see eta."""
-    sizes = as_partition(sizes)
-    t = f.taylor(lam, max(sizes) + 1)
-    try:
-        kappa = _kappa(t)
-    except KappaNotFound:
-        return t[0], tuple([1] * sum(sizes))
-    return t[0], eta_given_kappa(sizes, kappa)
-
-
 def eta(f: FunctionDescriptor, lam: TotalComplex, sizes: Partition) -> Partition:
     """Block-size partition of the lam-group of f(X) given the block sizes
-    of X at lam.  A missing nonzero derivative (f locally constant) maps
-    every vector to an eigenvector: all-ones."""
-    return _image(f, lam, sizes)[1]
+    of X at lam: :func:`eta_given_kappa` of f's :func:`kappa` at lam."""
+    sizes = as_partition(sizes)
+    return eta_given_kappa(sizes, kappa(f, lam, max(sizes)))
 
 
-def eta_given_kappa(sizes: Partition, kappa: int) -> Partition:
-    """The merged splits of sizes; kappa 1 splits no block."""
+def eta_given_kappa(sizes: Partition, kappa: Optional[int]) -> Partition:
+    """The merged splits of sizes; kappa 1 splits no block.  A missing
+    nonzero derivative (kappa None, f locally constant) maps every vector
+    to an eigenvector: all ones."""
+    if kappa is None:
+        return (1,) * sum(sizes)
     return sizes if kappa == 1 else merge_desc(*(_split_sizes(n, kappa) for n in sizes))
 
 
@@ -367,18 +352,12 @@ def repr_of_fx(f: FunctionDescriptor, rx: SNRepresentation):
         held = [_expansion(f, lam) for lam, _ in spec]
         _, scales = common_denominator(*(den for den, _, _ in held))
         keyed = []
-        for (_, pairs, values), s, (_, part) in zip(held, scales, spec):
-            kappa = next((q for q in range(1, min(len(pairs), max(part))) if pairs[q] != (0, 0)),
-                         max(part))  # kappa >= every size splits each block into 1s
-            keyed.append(((pairs[0][0] * s, pairs[0][1] * s), values[0],
-                          (eta_given_kappa(part, kappa), part)))
+        for (_, pairs, mu), s, (lam, part) in zip(held, scales, spec):
+            e = eta_given_kappa(part, kappa(f, lam, max(part)))
+            keyed.append(((pairs[0][0] * s, pairs[0][1] * s), mu, (e, part)))
         groups = merge_keyed(keyed)
     else:
-        groups = []
-        for lam, part in spec:
-            mu, e = _image(f, lam, part)
-            groups.append((mu, (e, part)))
-        groups = merge_equal(groups)
+        groups = merge_equal((f.taylor(lam, 1)[0], (eta(f, lam, part), part)) for lam, part in spec)
     gap_vectors = tuple(prefix_gaps(e, p, len(e)) for _, members in groups for e, p in members)
     rep = SNRepresentation.from_groups([(mu, [e for e, _ in members]) for mu, members in groups])
     return rep, gap_vectors
@@ -401,6 +380,11 @@ def f_of_jordan_spec(f: FunctionDescriptor, rx: SNRepresentation) -> Matrix:
         return Matrix.from_numerators(d, toeplitz_rows(heads, (0, 0)))
     heads = [(f.taylor(lam, max(part)), part) for lam, part in spec]
     return Matrix.from_rows(toeplitz_rows(heads, zero_like(heads[0][0][0])))
+
+
+def f_jordan_block(f: FunctionDescriptor, lam: TotalComplex, n: int) -> Matrix:
+    """f(J_n(lambda)): :func:`f_of_jordan_spec` of the one block."""
+    return f_of_jordan_spec(f, SNRepresentation((lam,), ((n,),)))
 
 
 def gdod_f_g(

@@ -20,7 +20,6 @@ from operator import gt
 from typing import Optional, Sequence
 
 from .errors import (
-    KappaNotFound,
     NotSNOrdered,
     NotWeaklyMajorized,
     SnorderError,
@@ -32,7 +31,7 @@ from .majorization import (Majorization, band_signs, cleared_pair, int_majorizat
 from .matfunc import (
     FunctionDescriptor,
     PolynomialFunction,
-    derivative_order_kappa,
+    kappa,
     repr_of_fx,
 )
 from .partitions import dominance_check
@@ -262,13 +261,7 @@ class MonotonicityCertificate(Frozen):
 def _kappas(f: FunctionDescriptor, rep: SNRepresentation) -> list:
     """kappa per eigenvalue, None meaning no nonvanishing derivative up to
     the largest block (effectively infinite)."""
-    out = []
-    for lam, part in zip(rep.eigenvalues, rep.partitions):
-        try:
-            out.append(derivative_order_kappa(f, lam, max(part)))
-        except KappaNotFound:
-            out.append(None)
-    return out
+    return [kappa(f, lam, max(part)) for lam, part in zip(rep.eigenvalues, rep.partitions)]
 
 
 def monotonicity_certificate(

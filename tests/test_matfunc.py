@@ -19,6 +19,7 @@ from snorder import (
     f_jordan_block,
     gdod_f_g,
     gdod_two_blocks,
+    kappa,
     named_oracle,
     poly,
     repr_of_fx,
@@ -321,6 +322,76 @@ def test_kappa_exact_and_not_found():
     const = poly([7])
     with pytest.raises(KappaNotFound):
         derivative_order_kappa(const, exact(0), 4)
+    assert kappa(const, exact(0), 4) is None
+    assert kappa(f, exact(0), 2) is None  # kappa 3 lies past the highest order asked
+    # f = i z: its first derivative is purely imaginary
+    assert kappa(poly([0, exact(0, 1)]), exact(0), 3) == 1
+
+
+def test_float_kappa_cuts_the_derivative_not_the_coefficient():
+    """f'' = 1.5e-10 everywhere: its Taylor coefficient 7.5e-11 lies below
+    DERIVATIVE_EPS, the derivative above it; 0.9e-10 lies below both."""
+    above = OracleFunction("above", lambda z, q: 1.5e-10 + 0j if q == 2 else 0j)
+    below = OracleFunction("below", lambda z, q: 0.9e-10 + 0j if q == 2 else 0j)
+    assert kappa(above, approx(0.0), 3) == kappa(above, approx(0.0), 2) == 2
+    assert kappa(below, approx(0.0), 3) is None
+    assert eta(below, approx(0.0), (3,)) == (1, 1, 1)
+
+
+def _times(p, q):
+    """The product of two ascending lists of exact coefficients."""
+    out = [exact(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def _value(coefficients, z):
+    """The ascending coefficients at z, by Horner's rule on values."""
+    out = exact(0)
+    for c in reversed(coefficients):
+        out = out * z + c
+    return out
+
+
+tiny_rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+points = st.builds(exact, tiny_rationals, st.one_of(st.just(Fraction(0)), tiny_rationals))
+small_partitions = st.sampled_from(partitions_up_to(8)[1:])  # dimension 1 to 8
+
+
+@st.composite
+def flat_functions(draw):
+    """(f, lam0, kappa): f = c + (z - lam0)^kappa g with g(lam0) != 0, so
+    f's first nonvanishing derivative at lam0 has order kappa, 1 to 6."""
+    lam0, k, c = draw(points), draw(st.integers(1, 6)), draw(points)
+    g = draw(st.lists(points, min_size=1, max_size=3).filter(
+        lambda g: not _value(g, lam0).is_zero()))
+    coefficients = g
+    for _ in range(k):
+        coefficients = _times(coefficients, [-lam0, exact(1)])
+    coefficients[0] = coefficients[0] + c
+    return PolynomialFunction(tuple(coefficients)), lam0, k
+
+
+@settings(max_examples=80, deadline=None)
+@given(flat_functions(), st.integers(1, 8), small_partitions, points, small_partitions)
+def test_kappa_of_a_flat_polynomial_is_its_order(flat, highest, part0, lam1, part1):
+    """kappa up to 6, at exact points real and not: kappa is the order, or
+    None above highest, the first nonzero entry of taylor's values, and
+    repr_of_fx agrees with the structure recovered from f(J) on a spec of
+    dimension at most 8."""
+    f, lam0, k = flat
+    assert kappa(f, lam0, highest) == (k if k <= highest else None)
+    t = f.taylor(lam0, highest + 1)
+    assert kappa(f, lam0, highest) == next(
+        (q for q in range(1, highest + 1) if not t[q].is_zero()), None)
+    assert eta(f, lam0, part0) == eta_given_kappa(part0, k)
+    blocks = [(lam0, part0)] + ([(lam1, part1)] if lam1 != lam0 and sum(part0 + part1) <= 8
+                                else [])
+    rx = canonical_repr(JordanSpec.of(*blocks))
+    images = list({order_key(f(lam)): f(lam) for lam in rx.eigenvalues}.values())
+    assert repr_of_fx(f, rx)[0] == repr_from_matrix(f_of_jordan_spec(f, rx), images)
 
 
 def test_radius_enforced_for_oracles():

@@ -94,8 +94,9 @@ def test_decompose_demo_exits_one_on_a_failed_pair(monkeypatch, capsys):
 
 def test_bench_pairs_compares_a_commit_with_itself(tmp_path):
     """One pair of 1-s order_queries runs of a commit against itself: both
-    runs give a result line, and the summary has every end-to-end metric.
-    The commit is made in a fresh repository, so the test needs no checkout."""
+    runs give a result line, the summary has every end-to-end metric, and
+    both exports count the lines of src/snorder/*.py.  The commit is made in
+    a fresh repository, so the test needs no checkout."""
     repo = tmp_path / "repo"
     ignore = shutil.ignore_patterns("__pycache__", "out")
     for folder in ("src", "perfbench"):
@@ -121,6 +122,10 @@ def test_bench_pairs_compares_a_commit_with_itself(tmp_path):
     assert all("worse than the parent" in p for p in report["problems"])
     assert proc.returncode == (1 if report["problems"] else 0)
     assert "order_queries  ops_per_s" in proc.stdout
+    lines = sum(len(path.read_text().splitlines())
+                for path in (ROOT / "src" / "snorder").glob("*.py"))
+    assert report["src_lines"] == {"parent": lines, "head": lines}
+    assert f"src/snorder/*.py lines: parent {lines}  HEAD {lines}" in proc.stdout
 
 
 def test_every_mutant_names_text_that_occurs_once():
